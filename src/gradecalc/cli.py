@@ -249,6 +249,11 @@ def _plan(spec, law, grid, margin, reg):
 
 
 def _apply_thread_cap():
+    """Cap BLAS threads at ``GRADECALC_THREADS`` where threadpoolctl is installed.
+
+    Without it the cap is the environment that ``gradecalc/__init__.py`` sets
+    before numpy loads; setting the variables here would be too late.
+    """
     cap = os.environ.get("GRADECALC_THREADS")
     if cap:
         try:
@@ -256,8 +261,7 @@ def _apply_thread_cap():
 
             _apply_thread_cap.controller = threadpoolctl.threadpool_limits(int(cap))
         except (ImportError, ValueError):
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(cap)
+            pass
 
 
 def _write_csv(path, header, rows):
@@ -310,6 +314,9 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     alg = cfg.load_algebra()
     law = cfg.load_law(alg)
     spec = cfg.operator(alg)
+    # the whole configuration is resolved before any computation
+    grid, margin, reg = cfg.heat_grid(alg)
+    pgrid, pmargin, preg = cfg.potential_grid(alg)
     report = VerificationReport(environment=_environment(cfg, alg))
     ts = cfg.tol_scale
 
@@ -321,7 +328,6 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     C = quasi_triangle_constant(law, nu0, samples=20_000, seed=cfg.seed)
     report.add("geometry.quasi_triangle", C, 8.0 * ts)
 
-    grid, margin, reg = cfg.heat_grid(alg)
     quad = SphereQuadrature.build(alg.weights, nu0, n_samples=1 << 14, seed=cfg.seed)
     widths = np.asarray(grid.half_widths) / 3.0
     gauss = lambda pts: np.exp(-np.sum((np.asarray(pts) / widths) ** 2, axis=-1))
@@ -350,7 +356,6 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
             "heat.selfsim", check_self_similarity(plan, plan_scaled, t1, t2), 2e-2 * ts
         )
 
-    pgrid, pmargin, preg = cfg.potential_grid(alg)
     pplan = _plan(spec, law, pgrid, pmargin, preg)
     if spec.nu is not None:
         source = HeatKernelSource(pplan)

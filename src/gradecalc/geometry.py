@@ -2,10 +2,14 @@
 
 The Haar measure in exponential coordinates is Lebesgue measure, so all
 integrals are weighted Riemann sums over an anisotropic box grid.  Group
-convolution is the direct O(N^2) sum with multilinear interpolation at
-off-grid points; values outside the box contribute zero.  On a grid with a
-periodic central axis it is a twisted convolution instead: whole-node shifts
-across the other axes and, per frequency of the periodic axis, a phase.
+convolution takes the structure of the law into account.  On an abelian law
+(every coordinate of the product is x_k + y_k) y^{-1} x moves every axis by
+whole nodes, and the convolution is a plain discrete one, computed with
+zero-padded FFTs.  On a grid with a periodic central axis it is a twisted
+convolution: whole-node shifts across the other axes and, per frequency of
+the periodic axis, a phase.  Otherwise it is the direct O(N^2) sum with
+multilinear interpolation at off-grid points.  Values outside the box
+contribute zero.
 """
 
 from __future__ import annotations
@@ -352,19 +356,60 @@ def polar_integral_check(fn, grid, quad, r_max=None, n_r=600):
 # Group convolution
 
 
+def node_shift_axes(law):
+    """The axes k whose product coordinate is x_k + y_k.
+
+    Along such an axis y^{-1} x moves by x_k - y_k, so on a grid it maps
+    nodes to nodes.  Every axis of an abelian law is one.
+    """
+    import sympy as sp
+
+    return tuple(
+        k
+        for k, m in enumerate(law.coords)
+        if sp.expand(m - law.xs[k] - law.ys[k]) == 0
+    )
+
+
 def group_convolve(law, f: GridFunction, g: GridFunction, zero_tol=0.0, chunk=48):
     """(f * g)(x) = sum_y f(y) g(y^{-1} x) dV, with multilinear interpolation.
 
     Points y^{-1} x outside the box contribute zero.  Nodes where f vanishes
     (|f| <= zero_tol * max|f|) are skipped.  On a grid with a periodic axis,
     which must be central, the sum runs over one period of that axis and is
-    the exact twisted convolution of ``_twisted_convolve``.
+    the exact twisted convolution of ``_twisted_convolve``.  On a box grid
+    whose every axis shifts by whole nodes it is the discrete convolution of
+    ``_shift_convolve``.
     """
     if f.grid != g.grid:
         raise GeometryError("f and g must live on the same grid")
     if f.grid.periodic:
         return _twisted_convolve(law, f, g, zero_tol)
+    if node_shift_axes(law) == tuple(range(f.grid.ndim)):
+        return _shift_convolve(f, g, zero_tol)
     return _interpolated_convolve(law, f, g, zero_tol, chunk)
+
+
+def _shift_convolve(f, g, zero_tol):
+    """f * g when y^{-1} x = x - y: a discrete convolution of the node values.
+
+    (f * g)(x_l) = sum_i f(x_i) g(x_l - x_i) dV with g zero off the box is the
+    central part of the full linear convolution (``mode="same"``), taken here
+    from zero-padded FFTs.
+    """
+    grid = f.grid
+    fa = f.reshape()
+    if zero_tol > 0:
+        fa = np.where(np.abs(fa) > zero_tol * np.max(np.abs(fa)), fa, 0)
+    ga = g.reshape()
+    full, axes = [2 * N - 1 for N in grid.counts], range(grid.ndim)
+    if np.iscomplexobj(fa) or np.iscomplexobj(ga):
+        fft, ifft = np.fft.fftn, np.fft.ifftn
+    else:
+        fft, ifft = np.fft.rfftn, np.fft.irfftn
+    conv = ifft(fft(fa, full, axes) * fft(ga, full, axes), full, axes)
+    centre = tuple(slice((N - 1) // 2, (N - 1) // 2 + N) for N in grid.counts)
+    return GridFunction(grid, conv[centre].ravel() * grid.cell_volume)
 
 
 def _interpolated_convolve(law, f, g, zero_tol, chunk):
@@ -395,8 +440,9 @@ def _interpolated_convolve(law, f, g, zero_tol, chunk):
 def _central_axis(law, grid):
     """The periodic axis of ``grid``, checked to be central for ``law``.
 
-    Every other coordinate of the product x y must be x_k + y_k, and the
-    periodic one x_p + y_p + beta(x, y) with beta free of x_p and y_p.
+    Every other axis must shift by whole nodes (``node_shift_axes``), and the
+    periodic coordinate of the product must be x_p + y_p + beta(x, y) with
+    beta free of x_p and y_p.
     """
     import sympy as sp
 
@@ -404,12 +450,14 @@ def _central_axis(law, grid):
         raise GeometryError("twisted convolution needs exactly one periodic axis")
     (p,) = grid.periodic
     xs, ys = law.xs, law.ys
-    for k, m in enumerate(law.coords):
-        twist = sp.expand(m - xs[k] - ys[k])
-        if twist != 0 and (k != p or twist.free_symbols & {xs[p], ys[p]}):
-            raise GeometryError(
-                f"periodic axis {p} is not central over an abelian quotient of the law"
-            )
+    shifts = node_shift_axes(law)
+    twist = sp.expand(law.coords[p] - xs[p] - ys[p])
+    if any(k not in shifts for k in range(grid.ndim) if k != p) or (
+        twist.free_symbols & {xs[p], ys[p]}
+    ):
+        raise GeometryError(
+            f"periodic axis {p} is not central over an abelian quotient of the law"
+        )
     return p
 
 

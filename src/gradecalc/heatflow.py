@@ -2,14 +2,19 @@
 
 The discretized operator is restricted to the interior of the grid
 (a Dirichlet-style mask), symmetrized, and diagonalized once; the resulting
-plan serves the heat flow, fractional powers and the potential kernels.  On a
-grid with a periodic central axis the plan diagonalizes one Hermitian block
-per frequency of that axis instead of one dense matrix.
+plan serves the heat flow, fractional powers and the potential kernels.  The
+plan follows the operator's structure.  On an abelian law with every word a
+power of one letter the interior operator is a Kronecker sum, and the plan
+diagonalizes one small factor per axis (the fast diagonalization method of
+Lynch, Rice and Thomas).  On a grid with a periodic central axis it
+diagonalizes one Hermitian block per frequency of that axis.  Any other
+operator on a box grid is diagonalized as one dense matrix.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +30,7 @@ from .calculus import (
     left_invariant_fields,
     partial_matrix,
 )
-from .geometry import Grid, GridFunction, dilate, haar_integrate, lp_norm
+from .geometry import Grid, GridFunction, dilate, haar_integrate, lp_norm, node_shift_axes
 
 
 class HeatError(ValueError):
@@ -41,9 +46,11 @@ MAX_DENSE_BLOCK = 10_000
 class SpectralPlan:
     """Eigendecomposition of the symmetrized, interior-restricted operator.
 
-    ``eigenvalues`` ascend and ``eigenvectors`` has orthonormal columns.  The
-    basis is reached through ``analyze`` and ``synthesize``, which structured
-    plans implement on their own layout.
+    ``eigenvectors`` has orthonormal columns.  On this dense plan the
+    ``eigenvalues`` ascend; structured plans keep their eigenvalues in their
+    own layout, ascending only within each factor or block.  The basis is
+    reached through ``analyze`` and ``synthesize``, which structured plans
+    implement on their own layout.
     """
 
     grid: Grid
@@ -139,6 +146,64 @@ class CentralFourierPlan(SpectralPlan):
         return (self.eigenvectors[:, pos, :].conj() / (np.sqrt(M) * self.grid.cell_volume)).ravel()
 
 
+@dataclass
+class KroneckerPlan(SpectralPlan):
+    """Plan of a Kronecker sum: one symmetric factor per axis of the interior box.
+
+    The interior operator is sum_k I x ... x F_k x ... x I, so its
+    eigenvectors are tensor products of the factors' eigenvectors.
+    ``eigenvectors`` is block diagonal, one orthonormal factor basis per axis
+    (of sizes ``factor_sizes``), and ``eigenvalues`` is the outer sum of the
+    factor spectra in C order, ascending only within each factor.
+    """
+
+    factor_sizes: tuple = ()
+
+    def _factors(self):
+        ends = np.cumsum(self.factor_sizes)
+        return [self.eigenvectors[e - n : e, e - n : e] for n, e in zip(self.factor_sizes, ends)]
+
+    def _contract(self, X, transpose):
+        # apply each factor basis (or its transpose) along its own axis
+        for k, V in enumerate(self._factors()):
+            X = np.moveaxis(np.tensordot(V.T if transpose else V, X, axes=(1, k)), 0, k)
+        return X
+
+    def analyze(self, values):
+        X = self.restrict(values).reshape(self.factor_sizes)
+        return self._contract(X, transpose=True).ravel()
+
+    def synthesize(self, coef):
+        X = np.reshape(coef, self.factor_sizes)
+        return self.embed(self._contract(X, transpose=False).ravel())
+
+    def delta_coefficients(self):
+        """Eigen-coefficients of the discrete delta at the origin, mass 1/dV.
+
+        The origin is the centre of the interior box, so the coefficients are
+        the outer product of the factor bases' centre rows.
+        """
+        if not self.mask[self.grid.origin_index]:
+            raise HeatError("origin is not inside the interior mask")
+        rows = [V[(n - 1) // 2] for V, n in zip(self._factors(), self.factor_sizes)]
+        return functools.reduce(np.multiply.outer, rows).ravel() / self.grid.cell_volume
+
+
+def _dissipation_factor(N, p):
+    """The 1-D factor T^p of ``_dissipation_matrix`` on N nodes."""
+    diag = np.full(N, 0.5)
+    diag[0] = diag[-1] = 0.25
+    T = sparse.diags(
+        [np.full(N - 1, -0.25), diag, np.full(N - 1, -0.25)],
+        offsets=[-1, 0, 1],
+        format="csr",
+    )
+    Tk = T
+    for _ in range(p - 1):
+        Tk = Tk @ T
+    return Tk
+
+
 def _dissipation_matrix(counts, p):
     """Symmetric PSD high-pass on a box, symbol sum_k ((1 - cos theta_k)/2)^p.
 
@@ -150,18 +215,8 @@ def _dissipation_matrix(counts, p):
     """
     total = None
     for k, N in enumerate(counts):
-        diag = np.full(N, 0.5)
-        diag[0] = diag[-1] = 0.25
-        T = sparse.diags(
-            [np.full(N - 1, -0.25), diag, np.full(N - 1, -0.25)],
-            offsets=[-1, 0, 1],
-            format="csr",
-        )
-        Tk = T
-        for _ in range(p - 1):
-            Tk = Tk @ T
         mats = [
-            Tk if j == k else sparse.identity(n, format="csr")
+            _dissipation_factor(N, p) if j == k else sparse.identity(n, format="csr")
             for j, n in enumerate(counts)
         ]
         out = mats[0]
@@ -188,44 +243,90 @@ def spectral_plan(
     interior box itself and is mass-neutral by construction.
 
     On a grid with a periodic axis the plan is a ``CentralFourierPlan`` (see
-    ``_central_fourier_plan``).  A dense interior larger than
-    ``MAX_DENSE_BLOCK`` nodes is refused before anything is allocated.
+    ``_central_fourier_plan``).  On a box grid it is a ``KroneckerPlan``
+    when every axis shifts by whole nodes (``node_shift_axes``: the fields
+    are the plain partial derivatives) and every word is a power of one
+    letter; the interior operator, dissipation term included, is then
+    exactly the Kronecker sum of one 1-D factor per axis.  Otherwise it is
+    one dense eigensolve.  A dense block (the whole interior, or one factor)
+    larger than ``MAX_DENSE_BLOCK`` nodes is refused before anything is
+    allocated.
     """
     if grid.periodic:
         return _central_fourier_plan(spec, law, grid, margin, reg_strength)
+    if isinstance(margin, int):
+        margin = (margin,) * grid.ndim
+    inner_counts = tuple(N - 2 * m for N, m in zip(grid.counts, margin))
+    if min(inner_counts) < 1:
+        raise HeatError(f"margin {margin} leaves no interior nodes on {grid.counts} points")
+    kronecker = node_shift_axes(law) == tuple(range(grid.ndim)) and all(
+        len(set(word)) <= 1 for word in spec.expr.terms
+    )
+    block = max(inner_counts) if kronecker else int(np.prod(inner_counts))
+    if block > MAX_DENSE_BLOCK:
+        raise HeatError(
+            f"dense plan block of {block} interior nodes exceeds the bound of {MAX_DENSE_BLOCK}"
+        )
     mask = grid.interior_mask(margin)
     idx = np.flatnonzero(mask)
-    if len(idx) > MAX_DENSE_BLOCK:
-        raise HeatError(
-            f"dense plan of {len(idx)} interior nodes exceeds the bound of {MAX_DENSE_BLOCK}"
-        )
     fm = cache if cache is not None else FieldMatrices(law, grid)
     A = discretize(spec.expr, law, grid, cache=fm)
     A_int = A[np.ix_(idx, idx)]
+    p = max(spec.expr.word_degrees(law.algebra.weights)) // 2 + 3
+    dose = 0.0
     if reg_strength:
-        if isinstance(margin, int):
-            margin = (margin,) * grid.ndim
-        inner_counts = tuple(N - 2 * m for N, m in zip(grid.counts, margin))
-        deg = spec.expr.word_degrees(law.algebra.weights)
-        p = max(deg) // 2 + 3
         gersh = float(np.abs(A_int).sum(axis=1).max())
-        A_int = A_int + (reg_strength * gersh) * _dissipation_matrix(inner_counts, p)
+        dose = reg_strength * gersh
+        A_int = A_int + dose * _dissipation_matrix(inner_counts, p)
+    # Frobenius norms, taken on the sparse matrix
+    skew = A_int - A_int.T
+    defect_den = np.sqrt(A_int.multiply(A_int).sum())
+    sym_defect = float(np.sqrt(skew.multiply(skew).sum()) / defect_den) if defect_den else 0.0
+    fields = dict(grid=grid, spec=spec, law=law, mask=mask, sym_defect=sym_defect)
+    if kronecker:
+        return _kronecker_plan(spec, grid, margin, inner_counts, fm.acc, dose, p, fields)
     A_int = A_int.toarray()
-    defect_num = np.linalg.norm(A_int - A_int.T)
-    defect_den = np.linalg.norm(A_int)
     A_sym = 0.5 * (A_int + A_int.T)
+    w, V = _eigh(A_sym)
+    return SpectralPlan(eigenvalues=w, eigenvectors=V, **fields)
+
+
+def _eigh(A):
     try:
-        w, V = scipy.linalg.eigh(A_sym)
+        return scipy.linalg.eigh(A)
     except scipy.linalg.LinAlgError as exc:
         raise HeatError(f"eigendecomposition failed: {exc}") from exc
-    return SpectralPlan(
-        grid=grid,
-        spec=spec,
-        law=law,
-        mask=mask,
-        eigenvalues=w,
-        eigenvectors=V,
-        sym_defect=float(defect_num / defect_den) if defect_den else 0.0,
+
+
+def _kronecker_plan(spec, grid, margin, inner_counts, acc, dose, p, fields):
+    """The ``KroneckerPlan`` of an operator sum_w c_w X_{k(w)}^{|w|}.
+
+    With X_k = d/dx_k every word discretizes to I x ... x D_k^{|w|} x ... x I,
+    D_k the 1-D first-derivative matrix of ``partial_matrix``, and the
+    restriction to the interior box restricts each factor.  Axis k's factor
+    collects its words (the identity word goes to axis 0) and its share
+    ``dose`` * T_k^p of the dissipation term, whose dose was set from the
+    Gershgorin bound of the whole interior operator.
+    """
+    factors = []
+    for k, (N, m, n) in enumerate(zip(grid.counts, margin, inner_counts)):
+        D = partial_matrix(Grid((grid.half_widths[k],), (N,)), 0, 1, acc)
+        F = sparse.csr_matrix((N, N))
+        for word, c in spec.expr.terms.items():
+            if (word[0] if word else 0) == k:
+                Dw = sparse.identity(N, format="csr")
+                for _ in word:
+                    Dw = Dw @ D
+                F = F + c * Dw
+        F = F[m : N - m, m : N - m].toarray()
+        if dose:
+            F = F + dose * _dissipation_factor(n, p).toarray()
+        factors.append(_eigh(0.5 * (F + F.T)))
+    return KroneckerPlan(
+        eigenvalues=functools.reduce(np.add.outer, [w for w, _ in factors]).ravel(),
+        eigenvectors=scipy.linalg.block_diag(*[V for _, V in factors]),
+        factor_sizes=tuple(inner_counts),
+        **fields,
     )
 
 
@@ -327,10 +428,7 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
         pair = 1 if k == 0 else 2
         defect_num += pair * np.linalg.norm(A - A.conj().T) ** 2
         defect_den += pair * np.linalg.norm(A) ** 2
-        try:
-            w[k], V[k] = scipy.linalg.eigh(0.5 * (A + A.conj().T))
-        except scipy.linalg.LinAlgError as exc:
-            raise HeatError(f"eigendecomposition failed: {exc}") from exc
+        w[k], V[k] = _eigh(0.5 * (A + A.conj().T))
         if k:
             w[M - k], V[M - k] = w[k], V[k].conj()
     return CentralFourierPlan(

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -76,6 +78,29 @@ def test_verify_abelian1_all_pass(runner, tmp_path):
     assert report["ok"] is True
     assert all(c["pass"] for c in report["checks"])
     assert (tmp_path / "report.txt").exists()
+
+
+def test_verify_abelian3_all_pass(runner):
+    # 29^3 heat grid (Kronecker plans, FFT convolution): heat.mass 3.9e-4
+    res = runner.invoke(main, ["--group", "abelian3", "verify"])
+    assert res.exit_code == 0, res.output
+    assert "RESULT: all checks passed" in res.output
+
+
+def test_verify_resolves_config_first(runner, monkeypatch):
+    # abelian2 has heat defaults but no potential defaults: the refusal comes
+    # before any computation, and without a traceback
+    import gradecalc.cli as cli
+
+    def computed(*args, **kwargs):
+        raise AssertionError("computation before the configuration was resolved")
+
+    monkeypatch.setattr(cli, "quasi_triangle_constant", computed)
+    monkeypatch.setattr(cli, "_plan", computed)
+    res = runner.invoke(main, ["--group", "abelian2", "verify"])
+    assert res.exit_code == 2, res.output
+    assert "no default grid" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_verify_deterministic_modulo_timestamp(runner, tmp_path):
@@ -168,6 +193,31 @@ def test_periodic_grid_refuses_long_words_exit_2(runner):
     res = runner.invoke(main, ["--group", "heisenberg", "--op", "X^4+Y^4-T^2", "heat"])
     assert res.exit_code == 2
     assert "length at most 2" in res.output
+
+
+def test_empty_interior_exit_2(runner):
+    # 7 points leave nothing inside the default margin of 4
+    res = runner.invoke(main, ["--group", "abelian1", "--points", "7", "heat"])
+    assert res.exit_code == 2
+    assert "no interior nodes" in res.output
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_thread_cap_takes_effect():
+    # the cap must reach BLAS before numpy loads it: count this process's
+    # threads after a BLAS call
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(GRADECALC_THREADS="1", PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import gradecalc, numpy as np\n"
+        "a = np.ones((400, 400)); a @ a\n"
+        "print([l for l in open('/proc/self/status') if l.startswith('Threads:')][0])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["Threads:", "1"]
 
 
 def test_op_flag_parse_error_exit_2(runner):

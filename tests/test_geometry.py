@@ -235,6 +235,30 @@ def test_twisted_convolution_matches_interpolated(h1_law):
     assert lp_norm(swapped - direct, 1) / scale > 5e-2
 
 
+def test_shift_convolution_matches_interpolated(ab3_law):
+    # On an abelian law every axis shifts by whole nodes and the convolution
+    # is a discrete one, taken with FFTs.  The bumps are off-centre, neither
+    # even nor odd, and negligible at the box edge (where the interpolating
+    # sum may drop a node y^{-1} x that rounding puts just outside the box).
+    # Reversing the shift (g(y - x) for g(x - y)) moves the result by far
+    # more than the tolerance.
+    g = Grid((4.0, 4.5, 3.5), (13, 15, 11))
+    x, y, z = g.points().T
+    f = GridFunction(
+        g, np.exp(-(2 * (x - 0.4) ** 2 + 3 * (y + 0.3) ** 2 + 3 * z**2)) * (1 + 0.5 * x - 0.3 * z)
+    )
+    h = GridFunction(
+        g, np.exp(-(3 * (x + 0.2) ** 2 + 2 * (y - 0.5) ** 2 + 4 * (z - 0.2) ** 2)) * (1 - 0.4 * y)
+    )
+    for zero_tol in (1e-6, 0.0):
+        fast = group_convolve(ab3_law, f, h, zero_tol=zero_tol).values
+        direct = _interpolated_convolve(ab3_law, f, h, zero_tol, 48).values
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(fast - direct)) < 1e-13 * scale
+    reversed_shift = group_convolve(ab3_law, f, h.flipped()).values
+    assert np.max(np.abs(reversed_shift - direct)) > 1e-1 * scale
+
+
 def test_twisted_convolution_needs_central_axis(h1_law):
     # x is not central: y^{-1} x does not shift u by a term free of x
     g = Grid((1.0, 1.0, 1.0), (5, 5, 5), periodic=(0,))

@@ -10,6 +10,8 @@ from gradecalc.heatflow import (
     CentralFourierPlan,
     HeatError,
     HeatKernelSource,
+    KroneckerPlan,
+    SpectralPlan,
     build_family,
     check_mass,
     check_self_similarity,
@@ -20,7 +22,10 @@ from gradecalc.heatflow import (
     heat_kernel,
     spectral_plan,
 )
-from gradecalc.calculus import power, sublaplacian
+from gradecalc.algebra import bch_group_law, builtin_group
+from gradecalc.calculus import RocklandSpec, parse_diffop, power, sublaplacian
+from gradecalc.potentials import fractional_apply
+from gradecalc.sobolev import make_test_family
 
 SEED = 0xC0FFEE
 
@@ -244,3 +249,93 @@ def test_dense_block_bound(ab1_law):
     grid = Grid((8.0,), (2 * MAX_DENSE_BLOCK + 1,))
     with pytest.raises(HeatError, match="exceeds"):
         spectral_plan(sublaplacian(ab1_law.algebra), ab1_law, grid)
+
+
+def test_dense_block_bound_heisenberg(h1_law):
+    # no Kronecker structure: the whole 23^3 interior would be one dense block
+    grid = Grid((2.0, 2.0, 2.0), (31, 31, 31))
+    with pytest.raises(HeatError, match="exceeds"):
+        spectral_plan(sublaplacian(h1_law.algebra), h1_law, grid)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker plans on abelian groups
+
+
+# anisotropic counts and spacings, a margin per axis
+_KRON_CASES = {
+    "abelian3": (Grid((2.0, 2.5, 1.5), (13, 15, 11)), (4, 3, 4)),
+    "abelian2": (Grid((3.0, 2.0), (21, 17)), (4, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KRON_CASES))
+def test_kronecker_plan_matches_dense(name, monkeypatch):
+    import gradecalc.heatflow as heatflow
+
+    law = bch_group_law(builtin_group(name))
+    spec = sublaplacian(law.algebra)
+    grid, margin = _KRON_CASES[name]
+    kron = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
+    # with no axis known to shift by whole nodes the plan is one dense solve
+    monkeypatch.setattr(heatflow, "node_shift_axes", lambda law: ())
+    dense = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
+    assert isinstance(kron, KroneckerPlan) and not isinstance(dense, KroneckerPlan)
+    lam_max = dense.lam_max
+    assert np.max(np.abs(np.sort(kron.eigenvalues) - dense.eigenvalues)) < 1e-12 * lam_max
+
+    def close(a, b):
+        return np.max(np.abs(a.values - b.values)) < 1e-10 * np.max(np.abs(b.values))
+
+    for t in (0.01, 0.1, 0.5):
+        assert close(heat_kernel(kron, t), heat_kernel(dense, t))
+    f = make_test_family(grid, n=1, seed=SEED).gridfunctions()[0]
+    for s, hom in ((1.5, False), (-1.0, False), (-2.0, True)):
+        assert close(
+            fractional_apply(kron, s, f, homogeneous=hom),
+            fractional_apply(dense, s, f, homogeneous=hom),
+        )
+
+
+def test_kronecker_plan_mechanics():
+    law = bch_group_law(builtin_group("abelian3"))
+    spec = sublaplacian(law.algebra)
+    grid, margin = _KRON_CASES["abelian3"]
+    plan = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
+    n = int(plan.mask.sum())
+    assert plan.factor_sizes == (5, 9, 3) and n == 5 * 9 * 3
+    # plain arrays, as for every plan; the factor bases sit on the diagonal
+    for arr in (plan.eigenvalues, plan.eigenvectors, plan.mask):
+        assert type(arr) is np.ndarray
+    V = plan.eigenvectors
+    assert plan.eigenvalues.shape == (n,) and V.shape == (17, 17)
+    assert np.allclose(V.T @ V, np.eye(17), atol=1e-10)
+    # analyze and synthesize are inverse on the interior
+    v = np.random.default_rng(SEED).standard_normal(grid.size) * plan.mask
+    assert np.allclose(plan.synthesize(plan.analyze(v)), v, atol=1e-10)
+    delta = np.zeros(grid.size)
+    delta[grid.origin_index] = 1.0 / grid.cell_volume
+    assert np.allclose(plan.delta_coefficients(), plan.analyze(delta), atol=1e-10)
+    # exact rescaling against a fresh solve on the dilated grid
+    rho = 1.3
+    fresh = spectral_plan(
+        spec, law, grid.dilated(rho, law.algebra.weights), margin=margin, reg_strength=0.3
+    )
+    cheap = dilated_plan(plan, rho)
+    assert isinstance(cheap, KroneckerPlan)
+    h1 = heat_kernel(cheap, 0.2).values
+    h2 = heat_kernel(fresh, 0.2).values
+    assert np.max(np.abs(h1 - h2)) / np.max(np.abs(h2)) < 1e-10
+
+
+def test_mixed_word_takes_dense_plan():
+    # XY is not a power of one letter, so the operator is no Kronecker sum
+    law = bch_group_law(builtin_group("abelian2"))
+    expr = parse_diffop("X^2+Y^2+X*Y+Y*X", law.algebra.labels)
+    spec = RocklandSpec(expr=expr, nu=2, provenance="test", algebra=law.algebra)
+    grid, margin = _KRON_CASES["abelian2"]
+    plan = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
+    assert type(plan) is SpectralPlan
+    single = parse_diffop("X^2+Y^2", law.algebra.labels)
+    spec2 = RocklandSpec(expr=single, nu=2, provenance="test", algebra=law.algebra)
+    assert isinstance(spectral_plan(spec2, law, grid, margin=margin), KroneckerPlan)
