@@ -2,8 +2,8 @@
 
 Subpackages: exact group law (algebra), grids and convolution (geometry),
 left-invariant operators (calculus), heat semigroups (heatflow), Riesz and
-Bessel kernels (potentials), Sobolev norms and probes (sobolev), and the
-command-line verification suite (cli).
+Bessel kernels (potentials), Sobolev norms and probes (sobolev), the
+verification suite (suite) and its command line (cli).
 
 ``GRADECALC_THREADS`` caps the BLAS thread count.  BLAS libraries read their
 thread variables once, when numpy loads them, so the cap is set here, before

@@ -58,14 +58,6 @@ class GradedLieAlgebra:
         if len(self.weights) != self.n or len(self.labels) != self.n:
             raise AlgebraError("weights/labels length must equal dimension")
 
-    def structure_constant(self, j, k, l):
-        """c_{jk}^l with antisymmetric completion, as a Fraction."""
-        if (j, k, l) in self.brackets:
-            return self.brackets[(j, k, l)]
-        if (k, j, l) in self.brackets:
-            return -self.brackets[(k, j, l)]
-        return Fraction(0)
-
     def nonzero_constants(self):
         """Iterate the completed antisymmetric table as (j, k, l, c)."""
         seen = set()
@@ -112,11 +104,6 @@ class GradedLieAlgebra:
             current = nxt
             step += 1
         raise AlgebraError("bracket iteration did not terminate; grading violated?")
-
-
-def homogeneous_dimension(alg: GradedLieAlgebra) -> int:
-    """Q = sum of the dilation weights."""
-    return alg.homogeneous_dimension
 
 
 # ---------------------------------------------------------------------------

@@ -260,10 +260,6 @@ def homogeneous_degree(expr: DiffOpExpr, weights):
     return degs
 
 
-def transpose(expr: DiffOpExpr) -> DiffOpExpr:
-    return expr.transpose()
-
-
 # ---------------------------------------------------------------------------
 # Rockland operator constructors
 

@@ -173,11 +173,6 @@ class GridFunction:
         if self.values.shape != (self.grid.size,):
             raise GeometryError("value count does not match grid")
 
-    @classmethod
-    def from_callable(cls, grid, fn):
-        pts = grid.points()
-        return cls(grid, np.asarray(fn(pts), dtype=complex if np.iscomplexobj(fn(pts[:1])) else float))
-
     def reshape(self):
         return self.values.reshape(self.grid.counts)
 
@@ -255,7 +250,10 @@ def lp_norm(f: GridFunction, p, mask=None):
 # Quasi-triangle inequality estimator
 
 
-def quasi_triangle_constant(law, nu0, samples, seed=0xC0FFEE, chunk=100_000):
+QUASI_TRIANGLE_BATCH = 100_000  # sample pairs drawn per batch
+
+
+def quasi_triangle_constant(law, nu0, samples, seed=0xC0FFEE):
     """Empirical C in |xy| <= C(|x| + |y|) over pairs on the unit sphere.
 
     The sample stream is deterministic in ``seed``, so the estimate with k
@@ -268,7 +266,7 @@ def quasi_triangle_constant(law, nu0, samples, seed=0xC0FFEE, chunk=100_000):
     best = 0.0
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(QUASI_TRIANGLE_BATCH, samples - done)
         x = rng.standard_normal((m, law.algebra.n))
         y = rng.standard_normal((m, law.algebra.n))
         x = project_to_sphere(x, weights, nu0)
@@ -371,7 +369,10 @@ def node_shift_axes(law):
     )
 
 
-def group_convolve(law, f: GridFunction, g: GridFunction, zero_tol=0.0, chunk=48):
+CONVOLVE_BATCH = 48  # f nodes per batch of the interpolated sum
+
+
+def group_convolve(law, f: GridFunction, g: GridFunction, zero_tol=0.0):
     """(f * g)(x) = sum_y f(y) g(y^{-1} x) dV, with multilinear interpolation.
 
     Points y^{-1} x outside the box contribute zero.  Nodes where f vanishes
@@ -387,7 +388,7 @@ def group_convolve(law, f: GridFunction, g: GridFunction, zero_tol=0.0, chunk=48
         return _twisted_convolve(law, f, g, zero_tol)
     if node_shift_axes(law) == tuple(range(f.grid.ndim)):
         return _shift_convolve(f, g, zero_tol)
-    return _interpolated_convolve(law, f, g, zero_tol, chunk)
+    return _interpolated_convolve(law, f, g, zero_tol)
 
 
 def _shift_convolve(f, g, zero_tol):
@@ -412,7 +413,7 @@ def _shift_convolve(f, g, zero_tol):
     return GridFunction(grid, conv[centre].ravel() * grid.cell_volume)
 
 
-def _interpolated_convolve(law, f, g, zero_tol, chunk):
+def _interpolated_convolve(law, f, g, zero_tol):
     """The direct sum of ``group_convolve``, interpolating g at y^{-1} x.
 
     Periodic axes wrap, so on a periodic grid this is the interpolating
@@ -427,8 +428,8 @@ def _interpolated_convolve(law, f, g, zero_tol, chunk):
     thresh = zero_tol * np.max(np.abs(fvals)) if zero_tol > 0 else 0.0
     active = np.flatnonzero(np.abs(fvals) > thresh)
     vol = grid.cell_volume
-    for start in range(0, len(active), chunk):
-        idx = active[start : start + chunk]
+    for start in range(0, len(active), CONVOLVE_BATCH):
+        idx = active[start : start + CONVOLVE_BATCH]
         y = pts[idx]  # (B, n)
         # z = (-y) * x, broadcast over all grid points
         z = law.multiply_arrays(-y[:, None, :], pts[None, :, :])

@@ -227,7 +227,7 @@ def _dissipation_matrix(counts, p):
 
 
 def spectral_plan(
-    spec: RocklandSpec, law, grid: Grid, margin=4, cache=None, reg_strength=0.25
+    spec: RocklandSpec, law, grid: Grid, margin=4, reg_strength=0.25
 ) -> SpectralPlan:
     """Discretize, restrict to the interior, symmetrize and diagonalize.
 
@@ -269,7 +269,7 @@ def spectral_plan(
         )
     mask = grid.interior_mask(margin)
     idx = np.flatnonzero(mask)
-    fm = cache if cache is not None else FieldMatrices(law, grid)
+    fm = FieldMatrices(law, grid)
     A = discretize(spec.expr, law, grid, cache=fm)
     A_int = A[np.ix_(idx, idx)]
     p = max(spec.expr.word_degrees(law.algebra.weights)) // 2 + 3
@@ -492,7 +492,9 @@ class HeatKernelSource:
     period a dilation would change), fall back to the direct route.
     """
 
-    def __init__(self, plan: SpectralPlan, mass_tol=5e-4, t_scan=None):
+    MASS_TOL = 5e-4  # largest mass defect of the direct route up to t_switch
+
+    def __init__(self, plan: SpectralPlan):
         self.plan = plan
         self.Q = plan.law.algebra.homogeneous_dimension
         deg = homogeneous_degree(plan.spec.expr, plan.law.algebra.weights)
@@ -503,12 +505,10 @@ class HeatKernelSource:
         self.mass_at_switch = 1.0
         self._ref = None
         if self.nu is not None and not plan.grid.periodic:
-            if t_scan is None:
-                t_scan = np.geomspace(1e-3, 20.0, 36)
             t_sw = None
-            for t in t_scan:
+            for t in np.geomspace(1e-3, 20.0, 36):
                 m = haar_integrate(self._direct(t))
-                if abs(m - 1.0) <= mass_tol:
+                if abs(m - 1.0) <= self.MASS_TOL:
                     t_sw = t
                 elif t_sw is not None:
                     break

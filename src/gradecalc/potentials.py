@@ -22,23 +22,6 @@ class PotentialError(ValueError):
     pass
 
 
-class GammaEvaluator:
-    """The Gamma function on positive reals.
-
-    A stateless wrapper that pins down the domain used by the kernel
-    normalizations (complex exponents are out of scope).
-    """
-
-    def __call__(self, x):
-        x = float(x)
-        if x <= 0:
-            raise PotentialError(f"Gamma evaluated at non-positive argument {x}")
-        return math.gamma(x)
-
-
-GAMMA = GammaEvaluator()
-
-
 # ---------------------------------------------------------------------------
 # Time ladder
 
@@ -118,7 +101,7 @@ def _require_homogeneous(plan: SpectralPlan):
     return int(nu)
 
 
-def riesz_kernel(plan: SpectralPlan, a, ladder=None, source=None) -> RieszKernel:
+def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
     """I_a = (1/Gamma(a/nu)) * integral of t^{a/nu - 1} h_t dt, 0 < a < Q.
 
     The ladder covers [t_lo, t_hi]; beyond t_hi the self-similar decay
@@ -131,11 +114,10 @@ def riesz_kernel(plan: SpectralPlan, a, ladder=None, source=None) -> RieszKernel
     Q = plan.law.algebra.homogeneous_dimension
     if not 0 < a < Q:
         raise PotentialError(f"Riesz exponent must satisfy 0 < a < Q = {Q}, got {a}")
-    if ladder is None:
-        ladder = default_ladder(plan.grid, nu)
+    ladder = default_ladder(plan.grid, nu)
     if source is None:
         source = HeatKernelSource(plan)
-    norm = 1.0 / GAMMA(a / nu)
+    norm = 1.0 / math.gamma(a / nu)
     acc = np.zeros(plan.grid.size)
     for t, w in zip(ladder.nodes, ladder.weights):
         acc += w * (t ** (a / nu - 1.0)) * source(t).values
@@ -154,7 +136,7 @@ def riesz_kernel(plan: SpectralPlan, a, ladder=None, source=None) -> RieszKernel
     )
 
 
-def bessel_kernel(plan: SpectralPlan, a, ladder=None, source=None) -> BesselKernel:
+def bessel_kernel(plan: SpectralPlan, a, source=None) -> BesselKernel:
     """B_a = (1/Gamma(a/nu)) * integral of t^{a/nu - 1} e^{-t} h_t dt, a > 0.
 
     The reported ``integral`` integrates the in-model mass of h_t against the
@@ -165,12 +147,11 @@ def bessel_kernel(plan: SpectralPlan, a, ladder=None, source=None) -> BesselKern
     nu = _require_homogeneous(plan)
     if a <= 0:
         raise PotentialError(f"Bessel exponent must be positive, got {a}")
-    if ladder is None:
-        ladder = default_ladder(plan.grid, nu)
+    ladder = default_ladder(plan.grid, nu)
     if source is None:
         source = HeatKernelSource(plan)
     s = a / nu
-    norm = 1.0 / GAMMA(s)
+    norm = 1.0 / math.gamma(s)
     acc = np.zeros(plan.grid.size)
     mass_integral = 0.0
     for t, w in zip(ladder.nodes, ladder.weights):
@@ -235,13 +216,14 @@ def riesz_homogeneity_defect(kern: RieszKernel, weights, nu0, Q, r=2, mask=None)
 # ---------------------------------------------------------------------------
 # Fractional powers
 
+FLOOR_RATIO = 1e-12
 
-def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False,
-                     floor_ratio=1e-12) -> GridFunction:
+
+def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False) -> GridFunction:
     """(I+R)^{s/nu} f, or R^{s/nu} f when ``homogeneous``.
 
     Negative homogeneous powers exclude eigenvalues below
-    ``floor_ratio * lam_max`` (their coefficients are dropped); eigenvalues
+    ``FLOOR_RATIO * lam_max`` (their coefficients are dropped); eigenvalues
     more negative than the plan's tolerance raise an error.
     """
     nu = plan.spec.nu
@@ -254,7 +236,7 @@ def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False,
     power = s / nu
     if homogeneous:
         if s < 0:
-            floor = floor_ratio * max(lam.max(), 1.0)
+            floor = FLOOR_RATIO * max(lam.max(), 1.0)
             g = np.where(lam > floor, np.power(np.maximum(lam, floor), power), 0.0)
         else:
             g = np.power(lam, power)
@@ -263,7 +245,7 @@ def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False,
     return plan.apply_multiplier(lambda _: g, f)
 
 
-def bessel_apply_quadrature(plan: SpectralPlan, a, f: GridFunction, ladder=None) -> GridFunction:
+def bessel_apply_quadrature(plan: SpectralPlan, a, f: GridFunction) -> GridFunction:
     """(I+R)^{-a/nu} f via the damped heat ladder (quadrature route).
 
     Cross-validates ``fractional_apply(plan, -a, f)``: the exact identity is
@@ -272,13 +254,12 @@ def bessel_apply_quadrature(plan: SpectralPlan, a, f: GridFunction, ladder=None)
     nu = _require_homogeneous(plan)
     if a <= 0:
         raise PotentialError("quadrature route needs a > 0")
-    if ladder is None:
-        ladder = TLadder.geometric(1e-8, 50.0, n=600)
+    ladder = TLadder.geometric(1e-8, 50.0, n=600)
     s = a / nu
     lam = np.clip(plan.eigenvalues, 0.0, None)
     # analytic head for (0, t_lo], where the integrand is ~ t^{s-1}
     g = (ladder.t_lo**s / s) * np.exp(-ladder.t_lo * (1.0 + lam))
     for t, w in zip(ladder.nodes, ladder.weights):
         g += w * (t ** (s - 1.0)) * np.exp(-t * (1.0 + lam))
-    g /= GAMMA(s)
+    g /= math.gamma(s)
     return plan.apply_multiplier(lambda _: g, f)

@@ -109,9 +109,6 @@ class TestFamily:
         pts = self.grid.points()
         return [GridFunction(self.grid, m(pts)) for m in self.members]
 
-    def member_on(self, i, grid: Grid):
-        return GridFunction(grid, self.members[i](grid.points()))
-
     def dilated_member(self, i, r, weights):
         fn = self.members[i]
         w = np.asarray(weights, dtype=float)

@@ -1,0 +1,378 @@
+"""The end-to-end verification suite: configuration, checks and reports.
+
+Every check has one row in ``ANCHORS``: the mathematical identity it
+measures and its threshold.  A check passes when its value lies below the
+threshold times the run's tolerance scale.  ``RunConfig`` resolves the
+group, operator and plan settings of a run before any computation; a
+configuration it cannot resolve is a ``ConfigError`` (exit 2).
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import click
+import numpy as np
+
+from . import __version__
+from .algebra import (
+    AlgebraError,
+    GroupFormatError,
+    bch_group_law,
+    builtin_group,
+    load_group,
+    validate_algebra,
+)
+from .calculus import (
+    CalculusError,
+    RocklandSpec,
+    StratificationError,
+    build_rockland_example,
+    homogeneous_degree,
+    parse_diffop,
+    sublaplacian,
+)
+from .defaults import DEFAULTS, REG_STRENGTH, CheckTimes, PlanSettings
+from .geometry import (
+    Grid,
+    GridFunction,
+    SphereQuadrature,
+    default_nu0,
+    group_convolve,
+    inner_product,
+    lp_norm,
+    polar_integral_check,
+    quasi_triangle_constant,
+)
+from .heatflow import (
+    HeatError,
+    HeatKernelSource,
+    build_family,
+    check_mass,
+    check_self_similarity,
+    check_semigroup,
+    check_symmetry,
+    heat_kernel,
+    spectral_plan,
+)
+from .potentials import (
+    PotentialError,
+    bessel_apply_quadrature,
+    bessel_kernel,
+    fractional_apply,
+    riesz_homogeneity_defect,
+    riesz_kernel,
+)
+from .sobolev import SobolevNormSpec, equivalence_probe, make_test_family, sobolev_norm
+
+DEFAULT_SEED = 0xC0FFEE
+
+
+class ConfigError(click.ClickException):
+    exit_code = 2
+
+
+# ---------------------------------------------------------------------------
+# Check table: every suite check cites the mathematical identity it measures.
+
+
+class Check(NamedTuple):
+    anchor: str
+    threshold: float
+    scaled: bool = True  # False for violation counts, which the tolerance scale leaves alone
+
+
+ANCHORS = {
+    "algebra.validation": Check(
+        "bracket antisymmetry, gradation compatibility and the Jacobi identity", 0.5, scaled=False
+    ),
+    "algebra.law": Check(
+        "associativity, inverse and dilation-automorphism laws of the exact group product", 0.5, scaled=False
+    ),
+    "geometry.quasi_triangle": Check("pseudo-norm quasi-triangle inequality |xy| <= C(|x| + |y|)", 8.0),
+    "geometry.polar": Check("polar decomposition of the Haar integral against the sphere measure", 2e-2),
+    "heat.mass": Check("unit mass of the heat kernel: integral of h_t equals 1", 1e-3),
+    "heat.semigroup": Check("semigroup identity h_t * h_s = h_{t+s}", 1e-2),
+    "heat.symmetry": Check("inversion symmetry h_t(x) = h_t(x^{-1})", 1e-3),
+    "heat.selfsim": Check("parabolic self-similarity h_{r^nu t}(D_r x) = r^{-Q} h_t(x)", 2e-2),
+    "potential.bessel_mass": Check("unit integral of the Bessel kernel B_a", 1e-2),
+    "potential.bessel_semigroup": Check("convolution semigroup law B_a * B_b = B_{a+b}", 5e-2),
+    "potential.riesz_homogeneity": Check("Riesz kernel homogeneity of degree a - Q", 2e-2),
+    "potential.fractional_roundtrip": Check(
+        "(I+R)^{s/nu} composed with (I+R)^{-s/nu} is the identity", 1e-8
+    ),
+    "potential.quadrature_gap": Check(
+        "damped heat-ladder quadrature reproduces the spectral fractional power", 1e-3
+    ),
+    "sobolev.s_zero": Check("the order-zero Sobolev norm is the plain L^p norm", 1e-10),
+    "sobolev.interpolation": Check("interpolation inequality between Sobolev orders at p = 2", 1e-8),
+    "sobolev.duality": Check("self-adjointness of (I+R)^{s/nu} in the L^2 pairing", 1e-8),
+    "sobolev.equivalence": Check("equivalence of the integer-order and spectral Sobolev norms", 20.0),
+}
+
+
+@dataclass
+class CheckResult:
+    check_id: str
+    anchor: str
+    value: float
+    threshold: float
+    passed: bool
+
+
+@dataclass
+class VerificationReport:
+    checks: list = field(default_factory=list)
+    environment: dict = field(default_factory=dict)
+    tol_scale: float = 1.0
+
+    def add(self, check_id, value):
+        """Judge ``value`` against the check's threshold in ``ANCHORS``."""
+        if check_id not in ANCHORS:
+            raise KeyError(f"check id {check_id!r} has no anchor")
+        row = ANCHORS[check_id]
+        threshold = row.threshold * self.tol_scale if row.scaled else row.threshold
+        self.checks.append(
+            CheckResult(check_id, row.anchor, float(value), float(threshold), bool(value < threshold))
+        )
+
+    @property
+    def ok(self):
+        return all(c.passed for c in self.checks)
+
+    def to_dict(self):
+        return {
+            "environment": self.environment,
+            "checks": [
+                {
+                    "id": c.check_id,
+                    "anchor": c.anchor,
+                    "value": c.value,
+                    "threshold": c.threshold,
+                    "pass": c.passed,
+                }
+                for c in self.checks
+            ],
+            "ok": self.ok,
+        }
+
+    def to_text(self, timestamp=None):
+        lines = []
+        if timestamp:
+            lines.append(f"# generated {timestamp}")
+        for k in sorted(self.environment):
+            lines.append(f"# {k}: {self.environment[k]}")
+        for c in self.checks:
+            tag = "PASS" if c.passed else "FAIL"
+            lines.append(
+                f"[{tag}] {c.check_id:32s} value={c.value:.6e} threshold={c.threshold:.1e}  ({c.anchor})"
+            )
+        lines.append("RESULT: " + ("all checks passed" if self.ok else "check failures"))
+        return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Configuration
+
+
+@dataclass
+class RunConfig:
+    group: str = "heisenberg"
+    op: str | None = None
+    scale: float | None = None
+    points: str | None = None
+    seed: int = DEFAULT_SEED
+    out: str | None = None
+    tol_scale: float = 1.0
+
+    def load_algebra(self):
+        try:
+            if os.path.exists(self.group):
+                return load_group(self.group)
+            return builtin_group(self.group)
+        except (GroupFormatError, AlgebraError) as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def load_law(self, alg):
+        try:
+            return bch_group_law(alg)
+        except AlgebraError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def operator(self, alg) -> RocklandSpec:
+        if self.op:
+            try:
+                expr = parse_diffop(self.op, alg.labels)
+            except CalculusError as exc:
+                raise ConfigError(str(exc)) from exc
+            deg = homogeneous_degree(expr, alg.weights)
+            nu = deg if isinstance(deg, int) else None
+            return RocklandSpec(expr=expr, nu=nu, provenance="cli", algebra=alg)
+        try:
+            return sublaplacian(alg)
+        except StratificationError:
+            return build_rockland_example(alg, default_nu0(alg.weights))
+
+    def settings(self, alg, kind) -> PlanSettings:
+        """The ``kind`` ("heat" or "potential") plan settings: the grid flags, else the defaults."""
+        if self.points is not None:
+            counts = tuple(int(c) for c in str(self.points).split(","))
+            if len(counts) == 1:
+                counts = counts * alg.n
+            if len(counts) != alg.n:
+                raise ConfigError(f"need {alg.n} point counts, got {counts}")
+            grid = Grid.from_scale(alg.weights, 2.0 if self.scale is None else self.scale, counts)
+            return PlanSettings(grid.half_widths, grid.counts, reg_strength=REG_STRENGTH[kind])
+        settings = getattr(DEFAULTS.get(self.group), kind, None)
+        if settings is None:
+            raise ConfigError(
+                f"group {self.group!r} has no default grid; pass --scale and --points"
+            )
+        return settings
+
+    def plan(self, kind):
+        """The ``kind`` spectral plan of this configuration's operator."""
+        alg = self.load_algebra()
+        law = self.load_law(alg)
+        spec = self.operator(alg)
+        settings = self.settings(alg, kind)
+        return build_plan(spec, law, settings, settings.grid())
+
+
+def build_plan(spec, law, settings: PlanSettings, grid):
+    """``spectral_plan``; a configuration it refuses is a usage error (exit 2)."""
+    try:
+        return spectral_plan(
+            spec, law, grid, margin=settings.margin, reg_strength=settings.reg_strength
+        )
+    except HeatError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# Suites
+
+
+def _report(cfg, alg):
+    import scipy
+
+    environment = {
+        "group": cfg.group,
+        "weights": str(tuple(alg.weights)),
+        "seed": cfg.seed,
+        "tol_scale": cfg.tol_scale,
+        "package": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+    }
+    return VerificationReport(environment=environment, tol_scale=cfg.tol_scale)
+
+
+def run_group_check(cfg: RunConfig) -> VerificationReport:
+    alg = cfg.load_algebra()
+    report = _report(cfg, alg)
+    rep = validate_algebra(alg)
+    report.add("algebra.validation", float(len(rep.violations)))
+    try:
+        cfg.load_law(alg)
+        law_defect = 0.0
+    except ConfigError:
+        law_defect = 1.0
+    report.add("algebra.law", law_defect)
+    return report
+
+
+def run_verify(cfg: RunConfig) -> VerificationReport:
+    alg = cfg.load_algebra()
+    law = cfg.load_law(alg)
+    spec = cfg.operator(alg)
+    # the whole configuration is resolved before any computation
+    hs = cfg.settings(alg, "heat")
+    ps = cfg.settings(alg, "potential")
+    times = getattr(DEFAULTS.get(cfg.group), "times", CheckTimes())
+    grid, pgrid = hs.grid(), ps.grid()
+    report = _report(cfg, alg)
+
+    rep = validate_algebra(alg)
+    report.add("algebra.validation", float(len(rep.violations)))
+    report.add("algebra.law", 0.0)  # bch_group_law validated the laws on load
+
+    nu0 = default_nu0(alg.weights)
+    C = quasi_triangle_constant(law, nu0, samples=20_000, seed=cfg.seed)
+    report.add("geometry.quasi_triangle", C)
+
+    quad = SphereQuadrature.build(alg.weights, nu0, n_samples=1 << 14, seed=cfg.seed)
+    widths = np.asarray(grid.half_widths) / 3.0
+    gauss = lambda pts: np.exp(-np.sum((np.asarray(pts) / widths) ** 2, axis=-1))
+    lhs, rhs = polar_integral_check(gauss, grid, quad)
+    report.add("geometry.polar", abs(lhs - rhs) / abs(lhs))
+
+    plan = build_plan(spec, law, hs, grid)
+    report.add("heat.mass", max(check_mass(heat_kernel(plan, t)) for t in times.mass_times))
+    fam = build_family(plan, times.family_times)
+    report.add(
+        "heat.semigroup", check_semigroup(fam, law, pairs=times.semigroup_pairs, mask=plan.mask)
+    )
+    report.add("heat.symmetry", check_symmetry(heat_kernel(plan, times.symmetry_time)))
+    if spec.nu is not None:
+        t1, t2 = times.selfsim_times
+        r = (t2 / t1) ** (1.0 / spec.nu)
+        plan_scaled = build_plan(spec, law, hs, grid.dilated(r, alg.weights))
+        report.add("heat.selfsim", check_self_similarity(plan, plan_scaled, t1, t2))
+
+    pplan = build_plan(spec, law, ps, pgrid)
+    if spec.nu is not None:
+        source = HeatKernelSource(pplan)
+        kernels = {a: bessel_kernel(pplan, float(a), source=source) for a in (1, 2, 3)}
+        report.add("potential.bessel_mass", max(abs(k.integral - 1.0) for k in kernels.values()))
+        if pgrid.ndim == 1:
+            conv = group_convolve(law, kernels[1].values, kernels[1].values, zero_tol=1e-10)
+            report.add("potential.bessel_semigroup", lp_norm(conv - kernels[2].values, 1))
+        Q = alg.homogeneous_dimension
+        if Q > 2:
+            kern = riesz_kernel(pplan, 2.0, source=source)
+            try:
+                defect = riesz_homogeneity_defect(
+                    kern, alg.weights, nu0, Q, r=2, mask=pplan.mask
+                )
+            except PotentialError:
+                defect = None  # grid too anisotropic for integer-dilation node pairs
+            if defect is not None:
+                report.add("potential.riesz_homogeneity", defect)
+
+        sfam = make_test_family(pgrid, n=50, seed=cfg.seed)
+        fs = sfam.gridfunctions()
+        f0, f1 = fs[0], fs[1]
+        rt = fractional_apply(pplan, -1.5, fractional_apply(pplan, 1.5, f0))
+        base = GridFunction(pgrid, np.where(pplan.mask, f0.values, 0.0))
+        report.add("potential.fractional_roundtrip", lp_norm(rt - base, 2) / lp_norm(base, 2))
+        gap = bessel_apply_quadrature(pplan, 2.0, f0) - fractional_apply(pplan, -2.0, f0)
+        report.add("potential.quadrature_gap", lp_norm(gap, 2) / lp_norm(f0, 2))
+
+        # (I+R)^0 acts as the identity on the interior subspace, so compare
+        # against the mask-restricted L^p norm
+        report.add(
+            "sobolev.s_zero", abs(sobolev_norm(SobolevNormSpec(pplan, 0.0, 2), f0) - lp_norm(base, 2))
+        )
+        worst = 0.0
+        a_ord, b_ord = 1.0, 3.0
+        for f in fs[:10]:
+            na = sobolev_norm(SobolevNormSpec(pplan, a_ord, 2), f)
+            n0 = sobolev_norm(SobolevNormSpec(pplan, 0.0, 2), f)
+            nb = sobolev_norm(SobolevNormSpec(pplan, b_ord, 2), f)
+            worst = max(worst, na - n0 ** (1 - a_ord / b_ord) * nb ** (a_ord / b_ord))
+        report.add("sobolev.interpolation", worst)
+        lhs_d = inner_product(fractional_apply(pplan, 1.0, f0), f1)
+        rhs_d = inner_product(f0, fractional_apply(pplan, 1.0, f1))
+        report.add("sobolev.duality", abs(lhs_d - rhs_d) / abs(lhs_d))
+        probe = equivalence_probe(
+            SobolevNormSpec(pplan, float(spec.nu), 2, "integer"),
+            SobolevNormSpec(pplan, float(spec.nu), 2),
+            sfam,
+        )
+        report.add("sobolev.equivalence", probe.max_ratio / probe.min_ratio)
+    return report

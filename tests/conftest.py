@@ -5,7 +5,7 @@ import pytest
 
 from gradecalc.algebra import bch_group_law, builtin_group
 from gradecalc.calculus import power, sublaplacian
-from gradecalc.defaults import heat_defaults, potential_defaults
+from gradecalc.defaults import DEFAULTS
 from gradecalc.heatflow import HeatKernelSource, spectral_plan
 
 SEED = 0xC0FFEE
@@ -33,14 +33,14 @@ def h1t_law():
 
 @pytest.fixture(scope="session")
 def ab1_heat_plan(ab1_law):
-    d = heat_defaults("abelian1")
+    d = DEFAULTS["abelian1"].heat
     spec = sublaplacian(ab1_law.algebra)
     return spectral_plan(spec, ab1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
 
 
 @pytest.fixture(scope="session")
 def ab1_pot_plan(ab1_law):
-    d = potential_defaults("abelian1")
+    d = DEFAULTS["abelian1"].potential
     spec = sublaplacian(ab1_law.algebra)
     return spectral_plan(spec, ab1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
 
@@ -52,7 +52,7 @@ def ab1_pot_source(ab1_pot_plan):
 
 @pytest.fixture(scope="session")
 def ab3_pot_plan(ab3_law):
-    d = potential_defaults("abelian3")
+    d = DEFAULTS["abelian3"].potential
     spec = sublaplacian(ab3_law.algebra)
     return spectral_plan(spec, ab3_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
 
@@ -64,15 +64,15 @@ def ab3_pot_source(ab3_pot_plan):
 
 @pytest.fixture(scope="session")
 def h1_heat_plan(h1_law):
-    d = heat_defaults("heisenberg")
+    d = DEFAULTS["heisenberg"].heat
     spec = sublaplacian(h1_law.algebra)
     return spectral_plan(spec, h1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
 
 
 @pytest.fixture(scope="session")
 def h1_heat_plan_scaled(h1_law):
-    d = heat_defaults("heisenberg")
-    t1, t2 = d.selfsim_times
+    d = DEFAULTS["heisenberg"].heat
+    t1, t2 = DEFAULTS["heisenberg"].times.selfsim_times
     spec = sublaplacian(h1_law.algebra)
     r = (t2 / t1) ** (1.0 / spec.nu)
     grid = d.grid().dilated(r, h1_law.algebra.weights)
@@ -81,13 +81,13 @@ def h1_heat_plan_scaled(h1_law):
 
 @pytest.fixture(scope="session")
 def h1_pot_plan(h1_law):
-    d = potential_defaults("heisenberg")
+    d = DEFAULTS["heisenberg"].potential
     spec = sublaplacian(h1_law.algebra)
     return spectral_plan(spec, h1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
 
 
 @pytest.fixture(scope="session")
 def h1_pot_plan_L2(h1_law):
-    d = potential_defaults("heisenberg")
+    d = DEFAULTS["heisenberg"].potential
     spec = power(sublaplacian(h1_law.algebra), 2)
     return spectral_plan(spec, h1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)

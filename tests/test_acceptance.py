@@ -15,8 +15,7 @@ import pytest
 
 from gradecalc.algebra import bch_group_law, builtin_group, invert
 from gradecalc.calculus import sublaplacian
-from gradecalc.cli import RunConfig, run_verify
-from gradecalc.defaults import heat_defaults
+from gradecalc.defaults import DEFAULTS
 from gradecalc.geometry import GridFunction, group_convolve, lp_norm
 from gradecalc.heatflow import (
     build_family,
@@ -43,6 +42,7 @@ from gradecalc.sobolev import (
     sobolev_norm,
     sup_embedding_probe,
 )
+from gradecalc.suite import RunConfig, run_verify
 
 SEED = 0xC0FFEE
 
@@ -92,15 +92,15 @@ def test_criterion_2_heat_identities(ab1_heat_plan, ab1_law, h1_heat_plan, h1_he
         ("abelian1", ab1_heat_plan, None, ab1_law),
         ("heisenberg", h1_heat_plan, h1_heat_plan_scaled, h1_law),
     ):
-        d = heat_defaults(tag)
-        mass = max(check_mass(heat_kernel(plan, t)) for t in d.mass_times)
-        fam = build_family(plan, d.family_times)
-        semi = check_semigroup(fam, law, pairs=d.semigroup_pairs, mask=plan.mask)
-        sym = check_symmetry(heat_kernel(plan, d.symmetry_time))
+        d, times = DEFAULTS[tag].heat, DEFAULTS[tag].times
+        mass = max(check_mass(heat_kernel(plan, t)) for t in times.mass_times)
+        fam = build_family(plan, times.family_times)
+        semi = check_semigroup(fam, law, pairs=times.semigroup_pairs, mask=plan.mask)
+        sym = check_symmetry(heat_kernel(plan, times.symmetry_time))
         if plan2 is None:
             from gradecalc.heatflow import spectral_plan
 
-            t1, t2 = d.selfsim_times
+            t1, t2 = times.selfsim_times
             spec = sublaplacian(law.algebra)
             plan2 = spectral_plan(
                 spec,
@@ -109,7 +109,7 @@ def test_criterion_2_heat_identities(ab1_heat_plan, ab1_law, h1_heat_plan, h1_he
                 margin=d.margin,
                 reg_strength=d.reg_strength,
             )
-        selfsim = check_self_similarity(plan, plan2, *d.selfsim_times)
+        selfsim = check_self_similarity(plan, plan2, *times.selfsim_times)
         results[tag] = (mass, semi, sym, selfsim)
     dt = time.monotonic() - t0
     ok = dt < 180.0

@@ -8,7 +8,8 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from gradecalc.cli import ANCHORS, RunConfig, main, run_group_check, run_verify
+from gradecalc.cli import main
+from gradecalc.suite import ANCHORS, RunConfig, VerificationReport, run_group_check, run_verify
 
 
 @pytest.fixture
@@ -90,13 +91,13 @@ def test_verify_abelian3_all_pass(runner):
 def test_verify_resolves_config_first(runner, monkeypatch):
     # abelian2 has heat defaults but no potential defaults: the refusal comes
     # before any computation, and without a traceback
-    import gradecalc.cli as cli
+    import gradecalc.suite as suite
 
     def computed(*args, **kwargs):
         raise AssertionError("computation before the configuration was resolved")
 
-    monkeypatch.setattr(cli, "quasi_triangle_constant", computed)
-    monkeypatch.setattr(cli, "_plan", computed)
+    monkeypatch.setattr(suite, "quasi_triangle_constant", computed)
+    monkeypatch.setattr(suite, "spectral_plan", computed)
     res = runner.invoke(main, ["--group", "abelian2", "verify"])
     assert res.exit_code == 2, res.output
     assert "no default grid" in res.output
@@ -140,11 +141,19 @@ def test_heat_command(runner, tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert "mass defect" in res.output
-    from gradecalc.defaults import heat_defaults
+    from gradecalc.defaults import DEFAULTS
 
     lines = (tmp_path / "heat.csv").read_text().splitlines()
     assert lines[0] == "x1,t,value"
-    assert len(lines) == 1 + 2 * heat_defaults("abelian1").counts[0]
+    assert len(lines) == 1 + 2 * DEFAULTS["abelian1"].heat.counts[0]
+
+
+def test_heat_command_judges_mass_defect(runner):
+    # the printed defect is judged against heat.mass times the tolerance scale
+    res = runner.invoke(main, ["--group", "abelian1", "--tol-scale", "1e-20", "heat"])
+    assert res.exit_code == 1, res.output
+    assert "mass defect" in res.output
+    assert "heat.mass" in res.output
 
 
 def test_kernel_command(runner, tmp_path):
@@ -258,7 +267,7 @@ def test_export_unknown_artifact_exit_2(runner):
 
 
 def test_every_check_id_has_unique_anchor():
-    assert len(set(ANCHORS.values())) == len(ANCHORS)
+    assert len({row.anchor for row in ANCHORS.values()}) == len(ANCHORS)
     report = run_verify(RunConfig(group="abelian1"))
     ids = [c.check_id for c in report.checks]
     assert len(ids) == len(set(ids))
@@ -266,12 +275,10 @@ def test_every_check_id_has_unique_anchor():
         assert cid in ANCHORS
     gc = run_group_check(RunConfig(group="heisenberg"))
     for c in gc.checks:
-        assert c.anchor == ANCHORS[c.check_id]
+        assert c.anchor == ANCHORS[c.check_id].anchor
 
 
 def test_report_rejects_unanchored_check():
-    from gradecalc.cli import VerificationReport
-
     rep = VerificationReport()
     with pytest.raises(KeyError):
-        rep.add("made.up", 0.0, 1.0)
+        rep.add("made.up", 0.0)

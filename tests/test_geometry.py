@@ -228,7 +228,7 @@ def test_twisted_convolution_matches_interpolated(h1_law):
         g, np.exp(-(2 * (x + 0.2) ** 2 + (y - 0.1) ** 2)) * (1 - 0.4 * y) * (1 + 0.8 * np.sin(w))
     )
     twisted = group_convolve(h1_law, f, h)
-    direct = _interpolated_convolve(h1_law, f, h, zero_tol=0.0, chunk=48)
+    direct = _interpolated_convolve(h1_law, f, h, zero_tol=0.0)
     swapped = group_convolve(h1_law, h, f)
     scale = lp_norm(direct, 1)
     assert lp_norm(twisted - direct, 1) / scale < 2e-3
@@ -252,7 +252,7 @@ def test_shift_convolution_matches_interpolated(ab3_law):
     )
     for zero_tol in (1e-6, 0.0):
         fast = group_convolve(ab3_law, f, h, zero_tol=zero_tol).values
-        direct = _interpolated_convolve(ab3_law, f, h, zero_tol, 48).values
+        direct = _interpolated_convolve(ab3_law, f, h, zero_tol).values
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(fast - direct)) < 1e-13 * scale
     reversed_shift = group_convolve(ab3_law, f, h.flipped()).values

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradecalc.defaults import heat_defaults
+from gradecalc.defaults import DEFAULTS
 from gradecalc.geometry import Grid, GridFunction, haar_integrate, lp_norm
 from gradecalc.heatflow import (
     MAX_DENSE_BLOCK,
@@ -95,8 +95,8 @@ def test_mehler_oracle_heisenberg(h1_heat_plan):
 
 
 def test_mass_conservation_1d(ab1_heat_plan):
-    d = heat_defaults("abelian1")
-    assert max(check_mass(heat_kernel(ab1_heat_plan, t)) for t in d.mass_times) < 1e-3
+    times = DEFAULTS["abelian1"].times
+    assert max(check_mass(heat_kernel(ab1_heat_plan, t)) for t in times.mass_times) < 1e-3
 
 
 def test_symmetry_1d(ab1_heat_plan):

@@ -1,14 +1,10 @@
 """Riesz/Bessel kernels, fractional powers, classical oracles."""
 
-import math
-
 import numpy as np
 import pytest
 
 from gradecalc.geometry import GridFunction, group_convolve, lp_norm, pseudo_norm
 from gradecalc.potentials import (
-    GAMMA,
-    GammaEvaluator,
     PotentialError,
     TLadder,
     bessel_apply_quadrature,
@@ -24,21 +20,7 @@ SEED = 0xC0FFEE
 
 
 # ---------------------------------------------------------------------------
-# Gamma and ladders
-
-
-def test_gamma_evaluator():
-    g = GammaEvaluator()
-    assert g(1.0) == 1.0
-    assert g(5) == 24.0
-    assert g(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    # functional equation on a few points
-    for x in (0.3, 1.7, 4.2):
-        assert g(x + 1) == pytest.approx(x * g(x), rel=1e-12)
-    with pytest.raises(PotentialError):
-        g(0.0)
-    with pytest.raises(PotentialError):
-        g(-1.5)
+# Ladders
 
 
 def test_tladder_quadrature():
