@@ -359,11 +359,11 @@ def _weighted_degree_check(law):
                 )
 
 
-def bch_group_law(alg: GradedLieAlgebra, check_associativity=True) -> GroupLaw:
+def bch_group_law(alg: GradedLieAlgebra) -> GroupLaw:
     """Derive the exact group law from the truncated BCH series.
 
-    All GroupLaw invariants (identity, inverse, dilation homogeneity and,
-    unless disabled, associativity) are asserted symbolically at build time.
+    All GroupLaw invariants (identity, inverse, dilation homogeneity and
+    associativity) are asserted symbolically at build time.
     """
     rep = validate_algebra(alg)
     if not rep.ok:
@@ -391,16 +391,15 @@ def bch_group_law(alg: GradedLieAlgebra, check_associativity=True) -> GroupLaw:
             raise AlgebraError(f"inverse law fails in coordinate {l + 1}")
     _weighted_degree_check(law)
 
-    if check_associativity:
-        zs = sp.symbols(f"z1:{n + 1}")
-        sub_xy = dict(zip(xs, coords))  # x <- m(x, y)
-        left = [m.subs(dict(zip(ys, zs))).subs(sub_xy, simultaneous=True) for m in coords]
-        shift = {**dict(zip(xs, ys)), **dict(zip(ys, zs))}
-        inner = [m.subs(shift, simultaneous=True) for m in coords]
-        right = [m.subs(dict(zip(ys, inner)), simultaneous=True) for m in coords]
-        for l in range(n):
-            if sp.expand(left[l] - right[l]) != 0:
-                raise AlgebraError(f"associativity fails in coordinate {l + 1}")
+    zs = sp.symbols(f"z1:{n + 1}")
+    sub_xy = dict(zip(xs, coords))  # x <- m(x, y)
+    left = [m.subs(dict(zip(ys, zs))).subs(sub_xy, simultaneous=True) for m in coords]
+    shift = {**dict(zip(xs, ys)), **dict(zip(ys, zs))}
+    inner = [m.subs(shift, simultaneous=True) for m in coords]
+    right = [m.subs(dict(zip(ys, inner)), simultaneous=True) for m in coords]
+    for l in range(n):
+        if sp.expand(left[l] - right[l]) != 0:
+            raise AlgebraError(f"associativity fails in coordinate {l + 1}")
     return law
 
 

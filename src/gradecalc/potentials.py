@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .geometry import Grid, GridFunction, haar_integrate, lp_norm, pseudo_norm
-from .heatflow import HeatKernelSource, SpectralPlan, heat_apply
+from .heatflow import HeatKernelSource, SpectralPlan
 
 
 class PotentialError(ValueError):
@@ -60,16 +60,17 @@ class TLadder:
         return float(self.nodes[-1])
 
 
-def default_ladder(grid: Grid, nu, t_max=50.0, n=60) -> TLadder:
-    """Ladder spanning [ (d_max/2)^nu, t_max ].
+def default_ladder(grid: Grid, nu) -> TLadder:
+    """Ladder of 60 nodes spanning [ (d_max/2)^nu, 50 ].
 
     The lower end is where the heat kernel's width drops below one grid cell:
     below it, h_t contributes nothing at the nodes outside the reporting
     exclusion radius, so the truncation is harmless there.
     """
+    t_max = 50.0
     d_max = max(grid.spacings)
     t_lo = (0.5 * d_max) ** nu
-    return TLadder.geometric(min(t_lo, t_max / 100.0), t_max, n=n)
+    return TLadder.geometric(min(t_lo, t_max / 100.0), t_max)
 
 
 # ---------------------------------------------------------------------------

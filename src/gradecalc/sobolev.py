@@ -10,8 +10,7 @@ regression baselines rather than proved bounds.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +48,25 @@ class SobolevNormSpec:
                 raise SobolevError(
                     f"integer flavor requires s to be a nonnegative multiple of nu={nu}"
                 )
+            check_word_count(self.plan.law.algebra.weights, self.s)
+
+
+# Most words an integer-order norm sums over; each costs a chain of sparse
+# products per function, and the count grows exponentially in the order
+# (order 240 over weights (3, 5, 8) has more words than memory can list).
+MAX_WORDS = 1000
+
+
+def check_word_count(weights, degree):
+    """Refuse (SobolevError) more than ``MAX_WORDS`` words of weighted degree ``degree``."""
+    count = [1] + [0] * int(degree)
+    for m in range(1, int(degree) + 1):
+        count[m] = sum(count[m - int(w)] for w in weights if int(w) <= m)
+    if count[-1] > MAX_WORDS:
+        raise SobolevError(
+            f"an integer-order norm of order {degree:g} sums over {count[-1]:.3g} words, "
+            f"more than {MAX_WORDS}"
+        )
 
 
 def words_of_degree(weights, degree):

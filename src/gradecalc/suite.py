@@ -37,6 +37,7 @@ from .calculus import (
 )
 from .defaults import DEFAULTS, REG_STRENGTH, CheckTimes, PlanSettings
 from .geometry import (
+    GeometryError,
     Grid,
     GridFunction,
     SphereQuadrature,
@@ -66,7 +67,14 @@ from .potentials import (
     riesz_homogeneity_defect,
     riesz_kernel,
 )
-from .sobolev import SobolevNormSpec, equivalence_probe, make_test_family, sobolev_norm
+from .sobolev import (
+    SobolevError,
+    SobolevNormSpec,
+    check_word_count,
+    equivalence_probe,
+    make_test_family,
+    sobolev_norm,
+)
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -219,12 +227,20 @@ class RunConfig:
     def settings(self, alg, kind) -> PlanSettings:
         """The ``kind`` ("heat" or "potential") plan settings: the grid flags, else the defaults."""
         if self.points is not None:
-            counts = tuple(int(c) for c in str(self.points).split(","))
+            try:
+                counts = tuple(int(c) for c in str(self.points).split(","))
+            except ValueError:
+                raise ConfigError(
+                    f"point counts must be comma-separated integers, got {self.points!r}"
+                ) from None
             if len(counts) == 1:
                 counts = counts * alg.n
             if len(counts) != alg.n:
                 raise ConfigError(f"need {alg.n} point counts, got {counts}")
-            grid = Grid.from_scale(alg.weights, 2.0 if self.scale is None else self.scale, counts)
+            try:
+                grid = Grid.from_scale(alg.weights, 2.0 if self.scale is None else self.scale, counts)
+            except GeometryError as exc:
+                raise ConfigError(str(exc)) from exc
             return PlanSettings(grid.half_widths, grid.counts, reg_strength=REG_STRENGTH[kind])
         settings = getattr(DEFAULTS.get(self.group), kind, None)
         if settings is None:
@@ -295,6 +311,11 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     ps = cfg.settings(alg, "potential")
     times = getattr(DEFAULTS.get(cfg.group), "times", CheckTimes())
     grid, pgrid = hs.grid(), ps.grid()
+    if spec.nu is not None:
+        try:  # sobolev.equivalence takes the integer-order norm of order nu
+            check_word_count(alg.weights, spec.nu)
+        except SobolevError as exc:
+            raise ConfigError(f"sobolev.equivalence: {exc}") from exc
     report = _report(cfg, alg)
 
     rep = validate_algebra(alg)

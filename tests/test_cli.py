@@ -211,6 +211,27 @@ def test_empty_interior_exit_2(runner):
     assert "no interior nodes" in res.output
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [("abc", "comma-separated integers"), ("8", "odd and >= 3")],
+)
+def test_bad_points_exit_2(runner, points, message):
+    res = runner.invoke(main, ["--group", "abelian1", "--points", points, "heat"])
+    assert res.exit_code == 2
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
+def test_heisenberg358_coarse_verify_no_traceback(runner):
+    # the default degree-240 operator: its kernels vanish on this grid (once
+    # a ZeroDivisionError), and its order-240 integer Sobolev norm has 6e22
+    # words, which is refused before any computation
+    res = runner.invoke(main, ["--group", "heisenberg358", "--points", "9", "--scale", "1", "verify"])
+    assert res.exit_code in (1, 2)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_thread_cap_takes_effect():
     # the cap must reach BLAS before numpy loads it: count this process's

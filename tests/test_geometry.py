@@ -259,6 +259,49 @@ def test_shift_convolution_matches_interpolated(ab3_law):
     assert np.max(np.abs(reversed_shift - direct)) > 1e-1 * scale
 
 
+def test_box_convolution_matches_interpolated_sum(h1_law):
+    # On a heisenberg box grid y^{-1} x moves x and y by whole nodes and only
+    # u is interpolated.  The reference evaluates the interpolant of g at
+    # y^{-1} x for every pair.  The bumps are off-centre, neither even nor
+    # odd, and zero on a band of two nodes at the box edge, where the
+    # reference may drop a pair that rounding puts just outside the box.
+    # Swapping f and g moves the result by far more than the tolerance.
+    g = Grid((1.5, 1.5, 1.2), (9, 9, 17))
+    pts = g.points()
+    x, y, u = pts.T
+    band = g.interior_mask(2)
+    f = GridFunction(
+        g, band * np.exp(-(2 * (x - 0.3) ** 2 + 3 * (y + 0.2) ** 2 + 4 * (u - 0.1) ** 2)) * (1 + 0.5 * x - 0.3 * u)
+    )
+    h = GridFunction(
+        g, band * np.exp(-(3 * (x + 0.2) ** 2 + 2 * (y - 0.3) ** 2 + 3 * (u + 0.15) ** 2)) * (1 - 0.4 * y)
+    )
+    z = h1_law.multiply_arrays(-pts[:, None, :], pts[None, :, :])  # z[i, l] = y_i^{-1} x_l
+    gz = h.interpolator()(z.reshape(-1, g.ndim)).reshape(g.size, g.size)
+    reference = g.cell_volume * (f.values @ gz)
+    scale = np.max(np.abs(reference))
+    for zero_tol in (1e-6, 0.0):
+        conv = group_convolve(h1_law, f, h, zero_tol=zero_tol).values
+        assert np.max(np.abs(conv - reference)) < 1e-12 * scale
+    swapped = group_convolve(h1_law, h, f).values
+    assert np.max(np.abs(swapped - reference)) > 5e-2 * scale
+
+
+def test_box_convolution_keeps_edge_pairs(h1_law):
+    # With f the unit delta at y, (f * 1)(x) = dV exactly when y^{-1} x lies
+    # in the box.  On this grid x_6 - x_2 along the first axis rounds to just
+    # above its half-width 1.3, yet y^{-1} x is the edge node 8 there: the
+    # pair must be kept, not dropped as a point outside the box.
+    g = Grid((1.3, 1.3, 1.0), (9, 9, 9))
+    assert g.axis(0)[6] - g.axis(0)[2] > g.half_widths[0]
+    delta = np.zeros(g.counts)
+    delta[2, 4, 4] = 1.0
+    f = GridFunction(g, delta.ravel())
+    conv = group_convolve(h1_law, f, GridFunction(g, np.ones(g.size))).reshape()
+    assert conv[6, 4, 4] == pytest.approx(g.cell_volume, rel=1e-12)
+    assert conv[7, 4, 4] == 0.0  # y^{-1} x one node past the edge
+
+
 def test_twisted_convolution_needs_central_axis(h1_law):
     # x is not central: y^{-1} x does not shift u by a term free of x
     g = Grid((1.0, 1.0, 1.0), (5, 5, 5), periodic=(0,))

@@ -1,5 +1,7 @@
 """Heat semigroup: plans, kernels, identity checks, oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,18 @@ def test_self_similarity_grid_mismatch(ab1_heat_plan):
         check_self_similarity(ab1_heat_plan, ab1_heat_plan, 0.1, 0.2)
 
 
+def test_vanishing_kernel_fails_checks(ab1_heat_plan):
+    # eigenvalues so large that e^{-t lambda} underflows give an all-zero
+    # kernel (as a degree-240 operator on a coarse grid does): a numerical
+    # finding that must read as a failed check, not a division by zero
+    plan = dataclasses.replace(ab1_heat_plan, eigenvalues=np.full_like(ab1_heat_plan.eigenvalues, 1e6))
+    t1, t2 = 0.1, 0.2
+    scaled = dilated_plan(plan, (t2 / t1) ** 0.5)
+    assert not heat_kernel(plan, t1).values.any()
+    assert check_self_similarity(plan, scaled, t1, t2) == np.inf
+    assert check_symmetry(heat_kernel(plan, t1)) == np.inf
+
+
 def test_exact_discrete_symmetries_heisenberg(h1_heat_plan):
     # rotation by pi (negate x, y) and the swap (x <-> y, u -> -u) are exact
     # symmetries of the discretized operator
@@ -161,16 +175,20 @@ def test_plan_eigenbasis_orthonormal(ab1_heat_plan):
     assert ab1_heat_plan.sym_defect < 1e-10
 
 
-def test_dilated_plan_matches_fresh_solve(ab1_heat_plan, ab1_law):
-    rho = 1.7
-    spec = sublaplacian(ab1_law.algebra)
-    fresh = spectral_plan(
-        spec, ab1_law, ab1_heat_plan.grid.dilated(rho, (1,)), margin=4, reg_strength=0.05
+def test_dilated_plan_matches_fresh_solve(ab1_heat_plan, ab1_law, h1_law):
+    # the abelian1 Kronecker plan, and a dense plan on a heisenberg box grid
+    h1_plan = spectral_plan(
+        sublaplacian(h1_law.algebra), h1_law, Grid((1.5, 1.5, 1.2), (13, 13, 21)), reg_strength=0.05
     )
-    cheap = dilated_plan(ab1_heat_plan, rho)
-    h1 = heat_kernel(cheap, 0.3).values
-    h2 = heat_kernel(fresh, 0.3).values
-    assert np.max(np.abs(h1 - h2)) / np.max(np.abs(h2)) < 1e-10
+    for plan, rho in ((ab1_heat_plan, 1.7), (h1_plan, 1.3)):
+        law = plan.law
+        fresh = spectral_plan(
+            plan.spec, law, plan.grid.dilated(rho, law.algebra.weights), margin=4, reg_strength=0.05
+        )
+        cheap = dilated_plan(plan, rho)
+        h1 = heat_kernel(cheap, 0.3).values
+        h2 = heat_kernel(fresh, 0.3).values
+        assert np.max(np.abs(h1 - h2)) / np.max(np.abs(h2)) < 1e-10
 
 
 def test_source_continuation(ab1_pot_plan, ab1_pot_source):
