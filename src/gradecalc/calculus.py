@@ -86,20 +86,19 @@ def _diff_matrix_1d(n, dx, order=1, acc=4, periodic=False):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def along_axis(M, counts, axis):
+    """The sparse I x ... x M x ... x I: the 1-D matrix M acting along ``axis``
+    of a box of ``counts`` nodes (C ordering)."""
+    left = sparse.identity(int(np.prod(counts[:axis])), format="csr")
+    right = sparse.identity(int(np.prod(counts[axis + 1 :])), format="csr")
+    return sparse.kron(sparse.kron(left, M, format="csr"), right, format="csr")
+
+
 def partial_matrix(grid: Grid, axis, order=1, acc=4):
     """n-D sparse matrix of d/dx_axis on the grid (C ordering)."""
-    mats = []
-    for j, N in enumerate(grid.counts):
-        if j == axis:
-            mats.append(
-                _diff_matrix_1d(N, grid.spacings[j], order, acc, j in grid.periodic)
-            )
-        else:
-            mats.append(sparse.identity(N, format="csr"))
-    out = mats[0]
-    for m in mats[1:]:
-        out = sparse.kron(out, m, format="csr")
-    return out
+    N = grid.counts[axis]
+    D = _diff_matrix_1d(N, grid.spacings[axis], order, acc, axis in grid.periodic)
+    return along_axis(D, grid.counts, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .geometry import lp_norm
 from .heatflow import check_mass, heat_kernel
 from .potentials import bessel_kernel, riesz_kernel
 from .sobolev import (
+    SobolevError,
     SobolevNormSpec,
     embedding_probe,
     equivalence_probe,
@@ -29,6 +30,7 @@ from .sobolev import (
     sup_embedding_probe,
 )
 from .suite import (
+    ANCHORS,
     DEFAULT_SEED,
     ConfigError,
     RunConfig,
@@ -155,7 +157,10 @@ def norm(cfg, s, p, flavor):
     pval = np.inf if p == "inf" else float(p)
     fl = "inhomogeneous" if flavor == "spectral" else flavor
     f = make_test_family(plan.grid, n=1, seed=cfg.seed).gridfunctions()[0]
-    val = sobolev_norm(SobolevNormSpec(plan, s, pval, fl), f)
+    try:
+        val = sobolev_norm(SobolevNormSpec(plan, s, pval, fl), f)
+    except SobolevError as exc:
+        raise ConfigError(str(exc)) from exc
     click.echo(f"||f||_{{L^{p}_{s:g}}} ({flavor}) = {val:.10g}")
 
 
@@ -170,14 +175,15 @@ def _probe_rows(cfg):
             SobolevNormSpec(plan, float(spec.nu), 2),
             fam,
         )
+        bound = ANCHORS["sobolev.equivalence"].threshold
         rows.append(
             [
                 "equivalence.integer-vs-spectral",
                 f"s={spec.nu};p=2",
                 pr.min_ratio,
                 pr.max_ratio,
-                20.0,
-                "pass" if pr.max_ratio / pr.min_ratio < 20.0 else "fail",
+                bound,
+                "pass" if pr.max_ratio / pr.min_ratio < bound else "fail",
             ]
         )
     Q = plan.law.algebra.homogeneous_dimension

@@ -10,6 +10,11 @@ convolution: whole-node shifts across the other axes and, per frequency of
 the periodic axis, a phase.  Otherwise it is the direct O(N^2) sum, exact
 along the axes where y^{-1} x moves by whole nodes and linearly interpolated
 along the others.  Values outside the box contribute zero.
+
+One routine, ``multilinear_interpolate``, is the only multilinear
+interpolation.  It serves the grid-function interpolants
+(``GridFunction.interpolator``, which sample at dilated points) and the
+interpolated axes of the box convolution.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.stats import qmc
 
 
@@ -84,6 +88,8 @@ class Grid:
         for N in self.counts:
             if N < 3 or N % 2 == 0:
                 raise GeometryError("point counts must be odd and >= 3")
+        if not all(math.isfinite(R) and R > 0 for R in self.half_widths):
+            raise GeometryError(f"half-widths must be finite and positive, got {self.half_widths}")
         object.__setattr__(self, "periodic", tuple(int(j) for j in self.periodic))
         if len(set(self.periodic)) != len(self.periodic) or any(
             not 0 <= j < len(self.counts) for j in self.periodic
@@ -176,34 +182,10 @@ class GridFunction:
     def reshape(self):
         return self.values.reshape(self.grid.counts)
 
-    def interpolator(self, fill_value=0.0):
-        """Multilinear interpolant; periodic axes wrap, other axes fill outside."""
-        grid = self.grid
-        if not grid.periodic:
-            return RegularGridInterpolator(
-                grid.axes,
-                self.reshape(),
-                method="linear",
-                bounds_error=False,
-                fill_value=fill_value,
-            )
-        # close each periodic axis with a copy of its first node one spacing on
-        axes, vals = grid.axes, self.reshape()
-        for j in grid.periodic:
-            axes[j] = np.append(axes[j], axes[j][-1] + grid.spacings[j])
-            vals = np.concatenate([vals, np.take(vals, [0], axis=j)], axis=j)
-        interp = RegularGridInterpolator(
-            axes, vals, method="linear", bounds_error=False, fill_value=fill_value
-        )
-
-        def wrapped(pts):
-            pts = np.array(pts, dtype=float)
-            for j in grid.periodic:
-                lo = -grid.half_widths[j]
-                pts[..., j] = lo + np.mod(pts[..., j] - lo, grid.period(j))
-            return interp(pts)
-
-        return wrapped
+    def interpolator(self):
+        """Multilinear interpolant (``multilinear_interpolate``), zero outside the box."""
+        grid, values, axes = self.grid, self.values, range(self.grid.ndim)
+        return lambda pts: multilinear_interpolate(grid, values, np.asarray(pts, dtype=float), axes)
 
     def flipped(self):
         """f(x^{-1}) = f(-x); exact on the symmetric grid."""
@@ -351,6 +333,54 @@ def polar_integral_check(fn, grid, quad):
 
 
 # ---------------------------------------------------------------------------
+# Multilinear interpolation
+
+
+def multilinear_interpolate(grid, values, z, axes, flat=0, inside=None):
+    """Interpolate the flat node ``values`` multilinearly at the coordinates z.
+
+    Along each axis k of ``axes`` the point z[..., k] sits at the index
+    t = (z_k + R_k)/h_k, and the result mixes the 2^len(axes) corner nodes
+    around it, gathered from the flat values.  A periodic axis wraps by index
+    mod N.  Along any other axis a point is in the box exactly when
+    |z_k| <= R_k, tested in coordinates: an edge node whose t rounds past
+    N - 1 stays in.  The axes not in ``axes`` are already fixed: ``flat``
+    is their part of the flat node index and ``inside`` (updated in place)
+    marks the points that lie in the box along them.  Points outside the box
+    give zero.
+    """
+    counts = grid.counts
+    corners = [(flat, 1.0)]  # (flat index, weight) of each corner
+    for k in axes:
+        N, R = counts[k], grid.half_widths[k]
+        stride = int(np.prod(counts[k + 1 :]))
+        t = (z[..., k] + R) / grid.spacings[k]
+        if k in grid.periodic:
+            t = np.mod(t, N)
+            i0 = np.floor(t)
+            w = t - i0
+            i0 = i0.astype(np.intp) % N
+            i1 = (i0 + 1) % N
+        else:
+            box = np.abs(z[..., k]) <= R
+            if inside is None:
+                inside = box
+            else:
+                inside &= box
+            i0 = np.clip(np.floor(t), 0, N - 2)
+            w = t - i0
+            i0 = i0.astype(np.intp)
+            i1 = i0 + 1
+        corners = [
+            (c + i * stride, cw * iw)
+            for c, cw in corners
+            for i, iw in ((i0, 1.0 - w), (i1, w))
+        ]
+    vals = sum(cw * values.take(c, mode="clip") for c, cw in corners)
+    return vals if inside is None else np.where(inside, vals, 0)
+
+
+# ---------------------------------------------------------------------------
 # Group convolution
 
 
@@ -421,11 +451,10 @@ def _interpolated_convolve(law, f, g, zero_tol):
     Along an axis of ``node_shift_axes`` y^{-1} x sits on the node
     i_x - i_y + centre, taken in integer arithmetic, so nothing is
     interpolated there.  Only the other axes (u on the Heisenberg group) are
-    interpolated, linearly, from the coordinate z of y^{-1} x at the index
-    t = (z + R)/h: 2^k gathered corners for k such axes.  A pair outside the
-    box contributes zero.  Periodic axes wrap, by index mod N, so on a
-    periodic grid this is the interpolating counterpart of the twisted
-    convolution.
+    interpolated, by ``multilinear_interpolate`` at the coordinate z of
+    y^{-1} x.  A pair outside the box contributes zero.  Periodic axes wrap,
+    by index mod N, so on a periodic grid this is the interpolating
+    counterpart of the twisted convolution.
     """
     grid = f.grid
     counts = grid.counts
@@ -451,32 +480,9 @@ def _interpolated_convolve(law, f, g, zero_tol):
             else:
                 inside &= (i >= 0) & (i < N)
             flat += i * strides[k]
-        corners = [(flat, 1.0)]  # (flat index, weight) of each interpolation corner
-        if interpolated:
-            # z = (-y) * x, broadcast over all grid points
-            z = law.multiply_arrays(-pts[idx, None, :], pts[None, :, :])
-            for k in interpolated:
-                N = counts[k]
-                t = (z[..., k] + grid.half_widths[k]) / grid.spacings[k]
-                if k in grid.periodic:
-                    t = np.mod(t, N)
-                    i0 = np.floor(t)
-                    w = t - i0
-                    i0 = i0.astype(np.intp) % N
-                    i1 = (i0 + 1) % N
-                else:
-                    inside &= (t >= 0) & (t <= N - 1)
-                    i0 = np.clip(np.floor(t), 0, N - 2)
-                    w = t - i0
-                    i0 = i0.astype(np.intp)
-                    i1 = i0 + 1
-                corners = [
-                    (c + i * strides[k], cw * iw)
-                    for c, cw in corners
-                    for i, iw in ((i0, 1.0 - w), (i1, w))
-                ]
-        gi = sum(cw * gvals.take(c, mode="clip") for c, cw in corners)
-        out += fvals[idx] @ np.where(inside, gi, 0)
+        # z = (-y) * x, broadcast over all grid points
+        z = law.multiply_arrays(-pts[idx, None, :], pts[None, :, :]) if interpolated else None
+        out += fvals[idx] @ multilinear_interpolate(grid, gvals, z, interpolated, flat, inside)
     return GridFunction(grid, out * grid.cell_volume)
 
 

@@ -25,6 +25,7 @@ import sympy as sp
 from .calculus import (
     FieldMatrices,
     RocklandSpec,
+    along_axis,
     discretize,
     homogeneous_degree,
     left_invariant_fields,
@@ -96,8 +97,9 @@ class SpectralPlan:
         i = self.grid.origin_index
         if not self.mask[i]:
             raise HeatError("origin is not inside the interior mask")
-        pos = int(np.flatnonzero(np.flatnonzero(self.mask) == i)[0])
-        return self.eigenvectors[pos, :] / self.grid.cell_volume
+        delta = np.zeros(self.grid.size)
+        delta[i] = 1.0 / self.grid.cell_volume
+        return self.analyze(delta)
 
 
 @dataclass
@@ -133,18 +135,6 @@ class CentralFourierPlan(SpectralPlan):
         shape.insert(0, shape.pop(self.axis))
         return self.embed(np.moveaxis(lines.reshape(shape), 0, self.axis).ravel())
 
-    def delta_coefficients(self):
-        """Eigen-coefficients of the discrete delta at the origin, mass 1/dV.
-
-        The DFT of the delta's periodic line is 1/sqrt(M) at every frequency.
-        """
-        if not self.mask[self.grid.origin_index]:
-            raise HeatError("origin is not inside the interior mask")
-        others = [n for j, n in enumerate(self._inner_shape()) if j != self.axis]
-        pos = int(np.ravel_multi_index(tuple(n // 2 for n in others), others))
-        M = self.grid.counts[self.axis]
-        return (self.eigenvectors[:, pos, :].conj() / (np.sqrt(M) * self.grid.cell_volume)).ravel()
-
 
 @dataclass
 class KroneckerPlan(SpectralPlan):
@@ -177,17 +167,6 @@ class KroneckerPlan(SpectralPlan):
         X = np.reshape(coef, self.factor_sizes)
         return self.embed(self._contract(X, transpose=False).ravel())
 
-    def delta_coefficients(self):
-        """Eigen-coefficients of the discrete delta at the origin, mass 1/dV.
-
-        The origin is the centre of the interior box, so the coefficients are
-        the outer product of the factor bases' centre rows.
-        """
-        if not self.mask[self.grid.origin_index]:
-            raise HeatError("origin is not inside the interior mask")
-        rows = [V[(n - 1) // 2] for V, n in zip(self._factors(), self.factor_sizes)]
-        return functools.reduce(np.multiply.outer, rows).ravel() / self.grid.cell_volume
-
 
 def _dissipation_factor(N, p):
     """The 1-D factor T^p of ``_dissipation_matrix`` on N nodes."""
@@ -215,13 +194,7 @@ def _dissipation_matrix(counts, p):
     """
     total = None
     for k, N in enumerate(counts):
-        mats = [
-            _dissipation_factor(N, p) if j == k else sparse.identity(n, format="csr")
-            for j, n in enumerate(counts)
-        ]
-        out = mats[0]
-        for m in mats[1:]:
-            out = sparse.kron(out, m, format="csr")
+        out = along_axis(_dissipation_factor(N, p), counts, k)
         total = out if total is None else total + out
     return total
 

@@ -178,7 +178,8 @@ def test_norm_command_rejects_bad_flavor_order(runner):
     res = runner.invoke(
         main, ["--group", "abelian1", "norm", "--s", "1.5", "--flavor", "integer"]
     )
-    assert res.exit_code != 0
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
 
 
 def test_probe_command(runner):
@@ -212,11 +213,16 @@ def test_empty_interior_exit_2(runner):
 
 
 @pytest.mark.parametrize(
-    "points, message",
-    [("abc", "comma-separated integers"), ("8", "odd and >= 3")],
+    "points, scale, message",
+    [
+        ("abc", "2", "comma-separated integers"),
+        ("8", "2", "odd and >= 3"),
+        ("21", "0", "finite and positive"),
+        ("21", "-2", "finite and positive"),
+    ],
 )
-def test_bad_points_exit_2(runner, points, message):
-    res = runner.invoke(main, ["--group", "abelian1", "--points", points, "heat"])
+def test_bad_points_exit_2(runner, points, scale, message):
+    res = runner.invoke(main, ["--group", "abelian1", "--scale", scale, "--points", points, "heat"])
     assert res.exit_code == 2
     assert message in res.output
     assert "Traceback" not in res.output

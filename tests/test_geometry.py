@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from gradecalc.geometry import (
     GeometryError,
@@ -141,6 +142,32 @@ def test_periodic_grid():
         Grid((1.0, 1.0), (5, 5), periodic=(2,))
 
 
+def test_interpolator_matches_scipy():
+    # scipy's RegularGridInterpolator is the independent reference
+    rng = np.random.default_rng(SEED)
+    # the heisenberg potential grid, on whose last edge node u = 0.95 the
+    # index (u + R)/h rounds to just above N - 1
+    g = Grid((2.7, 2.7, 0.95), (19, 19, 53))
+    assert (g.axis(2)[-1] + 0.95) / g.spacings[2] > 52
+    f = GridFunction(g, rng.standard_normal(g.size))
+    reference = RegularGridInterpolator(g.axes, f.reshape(), bounds_error=False, fill_value=0.0)
+    pts = g.points()
+    # exact nodes, the edges included, and points dilated in and out of the box
+    for z in (pts, dilate(0.7, pts, (1, 1, 2)), dilate(1.2, pts, (1, 1, 2))):
+        assert np.max(np.abs(f.interpolator()(z) - reference(z))) < 1e-13 * np.max(np.abs(f.values))
+    # a periodic axis: points periods away wrap onto the period, which scipy
+    # sees closed by a copy of the first node one spacing on
+    g = Grid((1.0, 0.8), (5, 9), periodic=(1,))
+    f = GridFunction(g, rng.standard_normal(g.size))
+    axis = np.append(g.axis(1), g.half_widths[1] + g.spacings[1])
+    closed = np.concatenate([f.reshape(), f.reshape()[:, :1]], axis=1)
+    reference = RegularGridInterpolator((g.axis(0), axis), closed)
+    z = dilate(0.9, g.points(), (1, 1)) + [0.0, 0.37 - 3 * g.period(1)]
+    wrapped = z.copy()
+    wrapped[:, 1] = np.mod(z[:, 1] + g.half_widths[1], g.period(1)) - g.half_widths[1]
+    assert np.max(np.abs(f.interpolator()(z) - reference(wrapped))) < 1e-13 * np.max(np.abs(f.values))
+
+
 def test_interior_mask():
     g = Grid((1.0, 1.0), (7, 7))
     m = g.interior_mask(2).reshape(7, 7)
@@ -261,7 +288,7 @@ def test_shift_convolution_matches_interpolated(ab3_law):
 
 def test_box_convolution_matches_interpolated_sum(h1_law):
     # On a heisenberg box grid y^{-1} x moves x and y by whole nodes and only
-    # u is interpolated.  The reference evaluates the interpolant of g at
+    # u is interpolated.  The reference evaluates scipy's interpolant of g at
     # y^{-1} x for every pair.  The bumps are off-centre, neither even nor
     # odd, and zero on a band of two nodes at the box edge, where the
     # reference may drop a pair that rounding puts just outside the box.
@@ -277,7 +304,8 @@ def test_box_convolution_matches_interpolated_sum(h1_law):
         g, band * np.exp(-(3 * (x + 0.2) ** 2 + 2 * (y - 0.3) ** 2 + 3 * (u + 0.15) ** 2)) * (1 - 0.4 * y)
     )
     z = h1_law.multiply_arrays(-pts[:, None, :], pts[None, :, :])  # z[i, l] = y_i^{-1} x_l
-    gz = h.interpolator()(z.reshape(-1, g.ndim)).reshape(g.size, g.size)
+    interp = RegularGridInterpolator(g.axes, h.reshape(), bounds_error=False, fill_value=0.0)
+    gz = interp(z.reshape(-1, g.ndim)).reshape(g.size, g.size)
     reference = g.cell_volume * (f.values @ gz)
     scale = np.max(np.abs(reference))
     for zero_tol in (1e-6, 0.0):

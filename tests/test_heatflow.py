@@ -1,6 +1,7 @@
 """Heat semigroup: plans, kernels, identity checks, oracles."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -231,10 +232,12 @@ def test_central_fourier_plan_mechanics(h1_law):
     # analyze and synthesize are inverse on the interior: the basis is orthonormal
     v = np.random.default_rng(SEED).standard_normal(plan.grid.size) * plan.mask
     assert np.allclose(plan.synthesize(plan.analyze(v)), v, atol=1e-10)
-    # the delta's coefficients are those of the interior delta function
-    delta = np.zeros(plan.grid.size)
-    delta[plan.grid.origin_index] = 1.0 / plan.grid.cell_volume
-    assert np.allclose(plan.delta_coefficients(), plan.analyze(delta), atol=1e-10)
+    # the delta's coefficients in closed form: the DFT of its periodic line
+    # is 1/sqrt(M) at every frequency, so block k holds the conjugated centre
+    # row of V_k over sqrt(M) dV
+    V, M = plan.eigenvectors, plan.grid.counts[2]
+    closed = V[:, V.shape[1] // 2, :].conj() / (np.sqrt(M) * plan.grid.cell_volume)
+    assert np.allclose(plan.delta_coefficients(), closed.ravel(), atol=1e-10)
     # exact rescaling still holds on the dilated periodic grid
     rho = 1.3
     fresh = spectral_plan(
@@ -331,9 +334,12 @@ def test_kronecker_plan_mechanics():
     # analyze and synthesize are inverse on the interior
     v = np.random.default_rng(SEED).standard_normal(grid.size) * plan.mask
     assert np.allclose(plan.synthesize(plan.analyze(v)), v, atol=1e-10)
-    delta = np.zeros(grid.size)
-    delta[grid.origin_index] = 1.0 / grid.cell_volume
-    assert np.allclose(plan.delta_coefficients(), plan.analyze(delta), atol=1e-10)
+    # the delta's coefficients in closed form: the origin is the centre of the
+    # interior box, so they are the outer product of the factors' centre rows
+    ends = np.cumsum(plan.factor_sizes)
+    rows = [V[e - n + (n - 1) // 2, e - n : e] for n, e in zip(plan.factor_sizes, ends)]
+    closed = functools.reduce(np.multiply.outer, rows).ravel() / grid.cell_volume
+    assert np.allclose(plan.delta_coefficients(), closed, atol=1e-10)
     # exact rescaling against a fresh solve on the dilated grid
     rho = 1.3
     fresh = spectral_plan(
