@@ -213,18 +213,21 @@ def test_empty_interior_exit_2(runner):
 
 
 @pytest.mark.parametrize(
-    "points, scale, message",
-    [
-        ("abc", "2", "comma-separated integers"),
-        ("8", "2", "odd and >= 3"),
-        ("21", "0", "finite and positive"),
-        ("21", "-2", "finite and positive"),
-    ],
+    "points, message",
+    [("abc", "comma-separated integers"), ("8", "odd and >= 3")],
 )
-def test_bad_points_exit_2(runner, points, scale, message):
-    res = runner.invoke(main, ["--group", "abelian1", "--scale", scale, "--points", points, "heat"])
+def test_bad_points_exit_2(runner, points, message):
+    res = runner.invoke(main, ["--group", "abelian1", "--points", points, "heat"])
     assert res.exit_code == 2
     assert message in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("scale", ["0", "-2"])
+def test_bad_scale_exit_2(runner, scale):
+    res = runner.invoke(main, ["--group", "abelian1", "--scale", scale, "--points", "21", "heat"])
+    assert res.exit_code == 2
+    assert "finite and positive" in res.output
     assert "Traceback" not in res.output
 
 
