@@ -136,6 +136,7 @@ class VerificationReport:
     checks: list = field(default_factory=list)
     environment: dict = field(default_factory=dict)
     tol_scale: float = 1.0
+    plans: list = field(default_factory=list)  # ``SpectralPlan.health`` of each plan built
 
     def add(self, check_id, value):
         """Judge ``value`` against the check's threshold in ``ANCHORS``."""
@@ -165,6 +166,7 @@ class VerificationReport:
                 for c in self.checks
             ],
             "ok": self.ok,
+            "plans": self.plans,
         }
 
     def to_text(self, timestamp=None):
@@ -226,6 +228,8 @@ class RunConfig:
 
     def settings(self, alg, kind) -> PlanSettings:
         """The ``kind`` ("heat" or "potential") plan settings: the grid flags, else the defaults."""
+        if self.scale is not None and self.points is None:
+            raise ConfigError("--scale needs --points: the default grids fix their own scale")
         if self.points is not None:
             try:
                 counts = tuple(int(c) for c in str(self.points).split(","))
@@ -318,6 +322,11 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
             raise ConfigError(f"sobolev.equivalence: {exc}") from exc
     report = _report(cfg, alg)
 
+    def plan_for(role, settings, grid):
+        plan = build_plan(spec, law, settings, grid)
+        report.plans.append({"role": role, **plan.health()})
+        return plan
+
     rep = validate_algebra(alg)
     report.add("algebra.validation", float(len(rep.violations)))
     report.add("algebra.law", 0.0)  # bch_group_law validated the laws on load
@@ -332,7 +341,7 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     lhs, rhs = polar_integral_check(gauss, grid, quad)
     report.add("geometry.polar", abs(lhs - rhs) / abs(lhs))
 
-    plan = build_plan(spec, law, hs, grid)
+    plan = plan_for("heat", hs, grid)
     report.add("heat.mass", max(check_mass(heat_kernel(plan, t)) for t in times.mass_times))
     fam = build_family(plan, times.family_times)
     report.add(
@@ -342,10 +351,10 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     if spec.nu is not None:
         t1, t2 = times.selfsim_times
         r = (t2 / t1) ** (1.0 / spec.nu)
-        plan_scaled = build_plan(spec, law, hs, grid.dilated(r, alg.weights))
+        plan_scaled = plan_for("heat.selfsim", hs, grid.dilated(r, alg.weights))
         report.add("heat.selfsim", check_self_similarity(plan, plan_scaled, t1, t2))
 
-    pplan = build_plan(spec, law, ps, pgrid)
+    pplan = plan_for("potential", ps, pgrid)
     if spec.nu is not None:
         source = HeatKernelSource(pplan)
         kernels = {a: bessel_kernel(pplan, float(a), source=source) for a in (1, 2, 3)}

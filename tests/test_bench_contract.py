@@ -1,8 +1,9 @@
-"""The library names the benchmark's tracer wraps must keep existing.
+"""The library names and plan layout the benchmark's tracer reads must keep existing.
 
 ``perfbench/tracer.py`` patches each ``(module, name)`` in ``TRACED`` and
-fails on a missing one, so a rename or deletion here would break every
-traced benchmark run; this test fails first.
+fails on a missing one, and it counts each plan's size and bytes from its
+arrays, so a rename, deletion or layout change here would break every
+traced benchmark run; these tests fail first.
 """
 
 import importlib
@@ -14,14 +15,14 @@ import pytest
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
-def _traced():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)  # standard library only
-    return tracer.TRACED
+    return tracer
 
 
-@pytest.mark.parametrize("module, name", _traced())
+@pytest.mark.parametrize("module, name", _tracer().TRACED)
 def test_traced_name_resolves(module, name):
     obj = importlib.import_module(f"gradecalc.{module}")
     for part in name.split("."):
@@ -33,3 +34,23 @@ def test_cli_entry_point_exists():
     from gradecalc import cli
 
     assert callable(cli.main)
+
+
+def test_plan_work_counts_evaluate(h1_law, ab3_law):
+    from gradecalc.calculus import sublaplacian
+    from gradecalc.geometry import Grid
+    from gradecalc.heatflow import CentralFourierPlan, KroneckerPlan, SpectralPlan, spectral_plan
+
+    counts = _tracer()._AFTER["heatflow.spectral_plan"]
+    h1 = sublaplacian(h1_law.algebra)
+    plans = [
+        spectral_plan(h1, h1_law, Grid((1.5, 1.5, 1.2), (11, 11, 13)), reg_strength=0.3),
+        spectral_plan(sublaplacian(ab3_law.algebra), ab3_law, Grid((2.0, 2.0, 2.0), (11, 13, 15))),
+        spectral_plan(
+            h1, h1_law, Grid((2.0, 2.0, 0.5 * 8 / 9), (13, 13, 9), periodic=(2,)), reg_strength=0.0
+        ),
+    ]
+    assert [type(p) for p in plans] == [SpectralPlan, KroneckerPlan, CentralFourierPlan]
+    for plan in plans:
+        assert counts["heatflow.spectral_plan.n"](plan) == plan.mask.sum()
+        assert counts["heatflow.plan.bytes"](plan) > 0

@@ -88,6 +88,25 @@ def test_verify_abelian3_all_pass(runner):
     assert "RESULT: all checks passed" in res.output
 
 
+def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
+    # central-Fourier heat plans and a reflection-blocked potential plan
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify"])
+    assert res.exit_code == 0, res.output
+    assert res.exception is None and "Traceback" not in res.output
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["ok"] is True and all(c["pass"] for c in report["checks"])
+    plans = {p["role"]: p for p in report["plans"]}
+    assert [p["role"] for p in report["plans"]] == ["heat", "heat.selfsim", "potential"]
+    assert plans["heat"]["kind"] == "CentralFourierPlan"
+    pot = plans["potential"]
+    assert pot["kind"] == "SpectralPlan" and pot["n"] == 11 * 11 * 45
+    assert len(pot["blocks"]) == 4 and sum(pot["blocks"]) == pot["n"]
+    assert pot["reflection_defect"] < 1e-12 and pot["sym_defect"] < 1e-12
+    assert pot["negative"] == 0 and 0 < pot["lam_min"] < pot["lam_max"]
+    # the text report carries checks only
+    assert "blocks" not in (tmp_path / "report.txt").read_text()
+
+
 def test_verify_resolves_config_first(runner, monkeypatch):
     # abelian2 has heat defaults but no potential defaults: the refusal comes
     # before any computation, and without a traceback
@@ -228,6 +247,14 @@ def test_bad_scale_exit_2(runner, scale):
     res = runner.invoke(main, ["--group", "abelian1", "--scale", scale, "--points", "21", "heat"])
     assert res.exit_code == 2
     assert "finite and positive" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_scale_without_points_exit_2(runner):
+    # the default grids fix their own scale, so a lone --scale is refused
+    res = runner.invoke(main, ["--group", "abelian1", "--scale", "0", "heat"])
+    assert res.exit_code == 2
+    assert "--scale needs --points" in res.output
     assert "Traceback" not in res.output
 
 

@@ -5,9 +5,10 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from gradecalc.defaults import DEFAULTS
-from gradecalc.geometry import Grid, GridFunction, haar_integrate, lp_norm
+from gradecalc.geometry import Grid, GridFunction, default_nu0, haar_integrate, lp_norm
 from gradecalc.heatflow import (
     MAX_DENSE_BLOCK,
     CentralFourierPlan,
@@ -23,10 +24,17 @@ from gradecalc.heatflow import (
     dilated_plan,
     heat_apply,
     heat_kernel,
+    sign_flip_group,
     spectral_plan,
 )
 from gradecalc.algebra import bch_group_law, builtin_group
-from gradecalc.calculus import RocklandSpec, parse_diffop, power, sublaplacian
+from gradecalc.calculus import (
+    RocklandSpec,
+    build_rockland_example,
+    parse_diffop,
+    power,
+    sublaplacian,
+)
 from gradecalc.potentials import fractional_apply
 from gradecalc.sobolev import make_test_family
 
@@ -363,3 +371,78 @@ def test_mixed_word_takes_dense_plan():
     single = parse_diffop("X^2+Y^2", law.algebra.labels)
     spec2 = RocklandSpec(expr=single, nu=2, provenance="test", algebra=law.algebra)
     assert isinstance(spectral_plan(spec2, law, grid, margin=margin), KroneckerPlan)
+
+
+# ---------------------------------------------------------------------------
+# Reflection-blocked plans on box grids
+
+
+@pytest.mark.parametrize("op", ["sublaplacian", "X^4+Y^4-T^2"])
+def test_reflection_plan_matches_dense(op, h1_law, monkeypatch):
+    import gradecalc.heatflow as heatflow
+
+    law = h1_law
+    spec = sublaplacian(law.algebra)
+    if op != "sublaplacian":
+        expr = parse_diffop(op, law.algebra.labels)
+        spec = RocklandSpec(expr=expr, nu=4, provenance="test", algebra=law.algebra)
+    grid = Grid((1.5, 1.5, 1.2), (15, 15, 21))
+    plan = spectral_plan(spec, law, grid, reg_strength=0.3)
+    # with no flip but the identity the plan is one dense block
+    monkeypatch.setattr(heatflow, "sign_flip_group", lambda alg, expr: np.ones((1, alg.n), int))
+    dense = spectral_plan(spec, law, grid, reg_strength=0.3)
+    n = int(plan.mask.sum())
+    eye = sparse.identity(n, format="csc")
+    assert type(plan) is type(dense) is SpectralPlan
+    assert len(plan.block_sizes) == 4 and sum(plan.block_sizes) == n
+    assert dense.block_sizes == (n,)
+    assert (dense.basis != eye).nnz == 0
+    assert plan.reflection_defect < 1e-12 and dense.reflection_defect == 0.0
+    # the orbit basis is orthonormal, with at most 4 nonzeros per column
+    B = plan.basis
+    assert abs(B.T @ B - eye).max() < 1e-14
+    assert np.diff(B.tocsc().indptr).max() <= 4
+    # one packed ndarray; ascending eigenvalues, one per interior node
+    assert type(plan.eigenvectors) is np.ndarray
+    assert plan.eigenvectors.size == sum(b * b for b in plan.block_sizes)
+    assert plan.eigenvalues.shape == (n,) and np.all(np.diff(plan.eigenvalues) >= 0)
+    lam_max = dense.lam_max
+    assert np.max(np.abs(plan.eigenvalues - dense.eigenvalues)) < 1e-12 * lam_max
+    v = np.random.default_rng(SEED).standard_normal(grid.size) * plan.mask
+    assert np.allclose(plan.synthesize(plan.analyze(v)), v, atol=1e-10)
+
+    def close(a, b):
+        return np.max(np.abs(a.values - b.values)) < 1e-10 * np.max(np.abs(b.values))
+
+    for t in (0.01, 0.1, 0.5):
+        assert close(heat_kernel(plan, t), heat_kernel(dense, t))
+    f = make_test_family(grid, n=1, seed=SEED).gridfunctions()[0]
+    for s, hom in ((1.5, False), (-1.0, False), (-2.0, True)):
+        assert close(
+            fractional_apply(plan, s, f, homogeneous=hom),
+            fractional_apply(dense, s, f, homogeneous=hom),
+        )
+
+
+def test_sign_flip_group(h1_law, h1t_law):
+    alg = h1_law.algebra
+    flips = sign_flip_group(alg, sublaplacian(alg).expr)
+    # (x, y, u) -> (a x, b y, ab u), the identity first
+    assert flips.tolist() == [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+    # heisenberg358's default operator: the same four flips
+    alg358 = h1t_law.algebra
+    spec358 = build_rockland_example(alg358, default_nu0(alg358.weights))
+    assert len(sign_flip_group(alg358, spec358.expr)) == 4
+    # an odd word in T keeps u, so a = b
+    odd = sign_flip_group(alg, parse_diffop("X^2+Y^2+T", alg.labels))
+    assert odd.tolist() == [[1, 1, 1], [-1, -1, 1]]
+
+
+def test_reflection_plan_refuses_a_non_symmetry(h1_law, monkeypatch):
+    import gradecalc.heatflow as heatflow
+
+    # x -> -x with y and u fixed is no automorphism of the Heisenberg law
+    fake = np.array([[1, 1, 1], [-1, 1, 1]])
+    monkeypatch.setattr(heatflow, "sign_flip_group", lambda alg, expr: fake)
+    with pytest.raises(HeatError, match="commute"):
+        spectral_plan(sublaplacian(h1_law.algebra), h1_law, Grid((1.5, 1.5, 1.2), (11, 11, 13)))
