@@ -87,3 +87,13 @@ DEFAULTS = {
         potential=_potential((2.7, 2.7, 0.95), (19, 19, 53)),
     ),
 }
+
+# Why a built-in group has no default grids.  The stencils of calculus reach 2
+# nodes per letter of a word, so a grid needs that many margin nodes per side.
+NO_DEFAULTS_WHY = {
+    "heisenberg358": (
+        "its default operator has degree 240; its words X^80, Y^48 and T^30 need margins "
+        "of 160, 96 and 60 nodes per side, and the smallest such grid, 321 x 193 x 121 "
+        f"points, exceeds the {Grid.MAX_POINTS}-point grid cap"
+    ),
+}

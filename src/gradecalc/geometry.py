@@ -7,9 +7,12 @@ convolution takes the structure of the law into account.  On an abelian law
 whole nodes, and the convolution is a plain discrete one, computed with
 zero-padded FFTs.  On a grid with a periodic central axis it is a twisted
 convolution: whole-node shifts across the other axes and, per frequency of
-the periodic axis, a phase.  Otherwise it is the direct O(N^2) sum, exact
-along the axes where y^{-1} x moves by whole nodes and linearly interpolated
-along the others.  Values outside the box contribute zero.
+the periodic axis, a phase.  Otherwise it is the direct sum, exact along the
+axes where y^{-1} x moves by whole nodes and linearly interpolated along the
+others.  Along a central axis g(y^{-1} x) depends on the two nodes only
+through their offset, so g is interpolated once per pair of nodes on the
+other axes and offset, and the sum along the central axes is a Toeplitz
+product.  Values outside the box contribute zero.
 
 One routine, ``multilinear_interpolate``, is the only multilinear
 interpolation.  It serves the grid-function interpolants
@@ -399,14 +402,35 @@ def node_shift_axes(law):
     )
 
 
-CONVOLVE_BATCH = 48  # f nodes per batch of the interpolated sum
+def central_axes(law):
+    """The axes k whose x_k and y_k enter the product only as x_k + y_k of coordinate k.
+
+    Coordinate k of the product is then x_k + y_k + beta(x', y'), with beta
+    and every other coordinate free of x_k and y_k: a central coordinate of
+    the group (Folland & Stein, *Hardy Spaces on Homogeneous Groups*, 1982).
+    Every axis of an abelian law is one; on the Heisenberg group only u is.
+    """
+    import sympy as sp
+
+    def central(k):
+        own = {law.xs[k], law.ys[k]}
+        rest = [m - law.xs[k] - law.ys[k] if j == k else m for j, m in enumerate(law.coords)]
+        return not any(sp.expand(r).free_symbols & own for r in rest)
+
+    return tuple(k for k in range(len(law.coords)) if central(k))
+
+
+# Kernel-line values per batch of the interpolated sum: as many as 48 f nodes
+# against the whole grid
+CONVOLVE_BATCH = 48
 
 
 def group_convolve(law, f: GridFunction, g: GridFunction, zero_tol=0.0):
     """(f * g)(x) = sum_y f(y) g(y^{-1} x) dV, multilinear in g.
 
     Along the axes of ``node_shift_axes`` y^{-1} x lands on nodes; g is
-    interpolated linearly along the others (``_interpolated_convolve``).
+    interpolated linearly along the others, once per offset along the
+    central ones (``_interpolated_convolve``).
     Points y^{-1} x outside the box contribute zero.  Nodes where f vanishes
     (|f| <= zero_tol * max|f|) are skipped.  On a grid with a periodic axis,
     which must be central, the sum runs over one period of that axis and is
@@ -446,64 +470,99 @@ def _shift_convolve(f, g, zero_tol):
 
 
 def _interpolated_convolve(law, f, g, zero_tol):
-    """The direct sum of ``group_convolve``, multilinear in g.
+    """The direct sum of ``group_convolve``, multilinear in g, summed along lines.
+
+    The axes split into the central axes C that are not node shifts
+    (``central_axes``; u on the Heisenberg group) and the lower axes B.  For
+    y = (y', j_y) and x = (x', j_x), primes on B and j the node index along C,
+    y^{-1} x is z(y', x') on B and (j_x - j_y) h + beta(y', x') on C, where z
+    and beta are y^{-1} x at zero central coordinates.  So g(y^{-1} x)
+    depends on the nodes along C only through the offset d = j_x - j_y.  It
+    is interpolated once per lower pair and offset, into the kernel lines
+    K[x', y', d], and the sum along C is a Toeplitz product:
+
+        (f * g)(x', j_x) = sum_{y', j_y} f(y', j_y) K[x', y', j_x - j_y] dV.
 
     Along an axis of ``node_shift_axes`` y^{-1} x sits on the node
     i_x - i_y + centre, taken in integer arithmetic, so nothing is
-    interpolated there.  Only the other axes (u on the Heisenberg group) are
-    interpolated, by ``multilinear_interpolate`` at the coordinate z of
-    y^{-1} x.  A pair outside the box contributes zero.  Periodic axes wrap,
-    by index mod N, so on a periodic grid this is the interpolating
-    counterpart of the twisted convolution.
+    interpolated there; the other axes of B are interpolated per lower pair.
+    All interpolation is ``multilinear_interpolate`` at the coordinates of
+    y^{-1} x, so a pair outside the box contributes zero.  Periodic axes
+    wrap, by index mod N, so on a periodic grid this is the interpolating
+    counterpart of the twisted convolution.  With no such central axis it is
+    the sum over node pairs.
     """
     grid = f.grid
-    counts = grid.counts
-    strides = [int(np.prod(counts[k + 1 :])) for k in range(grid.ndim)]
-    nodes = np.indices(counts).reshape(grid.ndim, -1)  # node index per axis, C order
+    counts, ndim = grid.counts, grid.ndim
+    strides = [int(np.prod(counts[k + 1 :])) for k in range(ndim)]
     shifts = node_shift_axes(law)
-    interpolated = [k for k in range(grid.ndim) if k not in shifts]
-    pts = grid.points()
-    fvals, gvals = f.values, g.values
-    out = np.zeros(grid.size, dtype=np.result_type(fvals, gvals))
+    central = [k for k in central_axes(law) if k not in shifts]
+    lower = [k for k in range(ndim) if k not in central]
+    interpolated = [k for k in range(ndim) if k not in shifts]
+    lower_counts, line_counts = [counts[k] for k in lower], [counts[c] for c in central]
+    n_lower, n_line = int(np.prod(lower_counts)), int(np.prod(line_counts))
+    nodes = np.indices(lower_counts).reshape(len(lower), n_lower)  # lower node index per axis
+    pts = np.zeros((n_lower, ndim))  # lower nodes, central coordinates 0
+    for a, k in enumerate(lower):
+        pts[:, k] = grid.axis(k)[nodes[a]]
 
+    # the offsets d = j_x - j_y along C, C order, and their coordinates d h,
+    # exact at the box edge |d| = (N - 1)/2
+    ends = np.array(line_counts, dtype=np.intp)[:, None] - 1
+    n_lag = int(np.prod([2 * N - 1 for N in line_counts]))
+    d = np.indices([2 * N - 1 for N in line_counts]).reshape(len(central), n_lag) - ends
+    R = np.array([grid.half_widths[c] for c in central])[:, None]
+    h = np.array([grid.spacings[c] for c in central])[:, None]
+    offsets = (np.sign(d) * (R + (np.abs(d) - ends // 2) * h)).T
+    # toeplitz[d, j_x]: the flat line node j_y = j_x - d, or n_line (a zero pad) off the line
+    j_y = np.indices(line_counts).reshape(len(central), 1, n_line) - d[:, :, None]
+    on_line = np.all((j_y >= 0) & (j_y <= ends[:, :, None]), axis=0)
+    line_strides = np.array([int(np.prod(line_counts[a + 1 :])) for a in range(len(central))], np.intp)
+    toeplitz = np.where(on_line, np.tensordot(line_strides, j_y, 1), n_line)
+
+    fvals, gvals = f.values, g.values
     thresh = zero_tol * np.max(np.abs(fvals)) if zero_tol > 0 else 0.0
-    active = np.flatnonzero(np.abs(fvals) > thresh)
-    for start in range(0, len(active), CONVOLVE_BATCH):
-        idx = active[start : start + CONVOLVE_BATCH]
-        flat = np.zeros((len(idx), grid.size), dtype=np.intp)
-        inside = np.ones(flat.shape, dtype=bool)
+    lines = np.moveaxis(f.reshape(), central, range(len(lower), ndim)).reshape(n_lower, n_line)
+    lines = np.where(np.abs(lines) > thresh, lines, 0)
+    active = np.flatnonzero(np.any(lines != 0, axis=1))
+    out = np.zeros((n_lower, n_line), dtype=np.result_type(fvals, gvals))
+    batch = max(1, CONVOLVE_BATCH * grid.size // (n_lower * n_lag))
+    for start in range(0, len(active), batch):
+        rows = active[start : start + batch]
+        shape = (n_lower, len(rows), n_lag)  # (x', y', d)
+        flat = np.zeros(shape[:2] + (1,), dtype=np.intp)
+        inside = np.ones(shape, dtype=bool)
         for k in shifts:
-            N = counts[k]
-            i = nodes[k][None, :] - nodes[k][idx, None] + (N - 1) // 2
+            a, N = lower.index(k), counts[k]
+            i = (nodes[a][:, None] - nodes[a][None, rows] + (N - 1) // 2)[..., None]
             if k in grid.periodic:
                 i %= N
             else:
                 inside &= (i >= 0) & (i < N)
-            flat += i * strides[k]
-        # z = (-y) * x, broadcast over all grid points
-        z = law.multiply_arrays(-pts[idx, None, :], pts[None, :, :]) if interpolated else None
-        out += fvals[idx] @ multilinear_interpolate(grid, gvals, z, interpolated, flat, inside)
-    return GridFunction(grid, out * grid.cell_volume)
+            flat = flat + i * strides[k]
+        z = None
+        if interpolated:
+            z = np.empty(shape + (ndim,))
+            z[...] = law.multiply_arrays(-pts[None, rows, :], pts[:, None, :])[:, :, None, :]
+            z[..., central] += offsets
+        kernel = multilinear_interpolate(grid, gvals, z, interpolated, flat, inside)
+        padded = np.pad(lines[rows], ((0, 0), (0, 1)))
+        out += kernel.reshape(n_lower, -1) @ padded[:, toeplitz].reshape(-1, n_line)
+    out = np.moveaxis(out.reshape(lower_counts + line_counts), range(len(lower), ndim), central)
+    return GridFunction(grid, out.ravel() * grid.cell_volume)
 
 
 def _central_axis(law, grid):
     """The periodic axis of ``grid``, checked to be central for ``law``.
 
-    Every other axis must shift by whole nodes (``node_shift_axes``), and the
-    periodic coordinate of the product must be x_p + y_p + beta(x, y) with
-    beta free of x_p and y_p.
+    The periodic axis must be one of ``central_axes`` and every other axis
+    must shift by whole nodes (``node_shift_axes``).
     """
-    import sympy as sp
-
     if len(grid.periodic) != 1:
         raise GeometryError("twisted convolution needs exactly one periodic axis")
     (p,) = grid.periodic
-    xs, ys = law.xs, law.ys
     shifts = node_shift_axes(law)
-    twist = sp.expand(law.coords[p] - xs[p] - ys[p])
-    if any(k not in shifts for k in range(grid.ndim) if k != p) or (
-        twist.free_symbols & {xs[p], ys[p]}
-    ):
+    if p not in central_axes(law) or any(k not in shifts for k in range(grid.ndim) if k != p):
         raise GeometryError(
             f"periodic axis {p} is not central over an abelian quotient of the law"
         )

@@ -125,10 +125,16 @@ class SpectralPlan:
         return self.embed(self.basis @ np.concatenate([V @ packed[s] for s, V in self._blocks()]))
 
     def health(self):
-        """Size, spectrum and self-adjointness of the plan, as plain numbers."""
+        """Grid, size, spectrum and self-adjointness of the plan, as plain numbers."""
         lam = self.eigenvalues
+        grid = self.grid
         return {
             "kind": type(self).__name__,
+            "grid": {
+                "half_widths": [float(R) for R in grid.half_widths],
+                "counts": [int(N) for N in grid.counts],
+                "periodic": list(grid.periodic),
+            },
             "n": int(self.mask.sum()),
             "blocks": [int(b) for b in self.block_sizes],
             "lam_min": float(lam.min()),

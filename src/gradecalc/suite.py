@@ -35,7 +35,7 @@ from .calculus import (
     parse_diffop,
     sublaplacian,
 )
-from .defaults import DEFAULTS, REG_STRENGTH, CheckTimes, PlanSettings
+from .defaults import DEFAULTS, NO_DEFAULTS_WHY, REG_STRENGTH, CheckTimes, PlanSettings
 from .geometry import (
     GeometryError,
     Grid,
@@ -248,8 +248,11 @@ class RunConfig:
             return PlanSettings(grid.half_widths, grid.counts, reg_strength=REG_STRENGTH[kind])
         settings = getattr(DEFAULTS.get(self.group), kind, None)
         if settings is None:
+            why = NO_DEFAULTS_WHY.get(self.group)
             raise ConfigError(
-                f"group {self.group!r} has no default grid; pass --scale and --points"
+                f"group {self.group!r} has no default grid"
+                + (f" ({why})" if why else "")
+                + "; pass --scale and --points"
             )
         return settings
 
@@ -357,6 +360,10 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     pplan = plan_for("potential", ps, pgrid)
     if spec.nu is not None:
         source = HeatKernelSource(pplan)
+        report.plans[-1].update(  # where the heat source switches to its self-similar continuation
+            t_switch=source.t_switch if np.isfinite(source.t_switch) else None,
+            mass_at_switch=source.mass_at_switch,
+        )
         kernels = {a: bessel_kernel(pplan, float(a), source=source) for a in (1, 2, 3)}
         report.add("potential.bessel_mass", max(abs(k.integral - 1.0) for k in kernels.values()))
         if pgrid.ndim == 1:

@@ -103,6 +103,10 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
     assert len(pot["blocks"]) == 4 and sum(pot["blocks"]) == pot["n"]
     assert pot["reflection_defect"] < 1e-12 and pot["sym_defect"] < 1e-12
     assert pot["negative"] == 0 and 0 < pot["lam_min"] < pot["lam_max"]
+    assert pot["grid"] == {"half_widths": [2.7, 2.7, 0.95], "counts": [19, 19, 53], "periodic": []}
+    assert plans["heat"]["grid"]["periodic"] == [2]
+    # the potential plan's heat source switches to its self-similar continuation
+    assert 0 < pot["t_switch"] < 20 and abs(pot["mass_at_switch"] - 1) <= 5e-4
     # the text report carries checks only
     assert "blocks" not in (tmp_path / "report.txt").read_text()
 
@@ -255,6 +259,14 @@ def test_scale_without_points_exit_2(runner):
     res = runner.invoke(main, ["--group", "abelian1", "--scale", "0", "heat"])
     assert res.exit_code == 2
     assert "--scale needs --points" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_heisenberg358_default_verify_says_why(runner):
+    res = runner.invoke(main, ["--group", "heisenberg358", "verify"])
+    assert res.exit_code == 2, res.output
+    assert "no default grid" in res.output and "degree 240" in res.output
+    assert "exceeds the 40000-point grid cap" in res.output
     assert "Traceback" not in res.output
 
 

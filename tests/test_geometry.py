@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
+from gradecalc.algebra import algebra_from_dict, bch_group_law
 from gradecalc.geometry import (
     GeometryError,
     Grid,
     GridFunction,
     SphereQuadrature,
+    central_axes,
     default_nu0,
     dilate,
     group_convolve,
@@ -286,33 +288,62 @@ def test_shift_convolution_matches_interpolated(ab3_law):
     assert np.max(np.abs(reversed_shift - direct)) > 1e-1 * scale
 
 
-def test_box_convolution_matches_interpolated_sum(h1_law):
+@pytest.fixture(scope="module")
+def engel_law():
+    # the 4-D Engel group: [X1, X2] = X3, [X1, X3] = X4
+    engel = {"n": 4, "weights": [1, 1, 2, 3], "brackets": [[1, 2, 3, 1, 1], [1, 3, 4, 1, 1]]}
+    return bch_group_law(algebra_from_dict(engel))
+
+
+def test_central_axes(h1_law, ab3_law, engel_law):
+    # x_3 enters the fourth Engel coordinate, so axis 2 is not central there
+    assert central_axes(h1_law) == (2,)
+    assert central_axes(ab3_law) == (0, 1, 2)
+    assert central_axes(engel_law) == (3,)
+
+
+def test_box_convolution_matches_interpolated_sum(h1_law, engel_law):
     # On a heisenberg box grid y^{-1} x moves x and y by whole nodes and only
-    # u is interpolated.  The reference evaluates scipy's interpolant of g at
-    # y^{-1} x for every pair.  The bumps are off-centre, neither even nor
-    # odd, and zero on a band of two nodes at the box edge, where the
-    # reference may drop a pair that rounding puts just outside the box.
-    # Swapping f and g moves the result by far more than the tolerance.
-    g = Grid((1.5, 1.5, 1.2), (9, 9, 17))
-    pts = g.points()
-    x, y, u = pts.T
-    band = g.interior_mask(2)
-    f = GridFunction(
-        g, band * np.exp(-(2 * (x - 0.3) ** 2 + 3 * (y + 0.2) ** 2 + 4 * (u - 0.1) ** 2)) * (1 + 0.5 * x - 0.3 * u)
-    )
-    h = GridFunction(
-        g, band * np.exp(-(3 * (x + 0.2) ** 2 + 2 * (y - 0.3) ** 2 + 3 * (u + 0.15) ** 2)) * (1 - 0.4 * y)
-    )
-    z = h1_law.multiply_arrays(-pts[:, None, :], pts[None, :, :])  # z[i, l] = y_i^{-1} x_l
-    interp = RegularGridInterpolator(g.axes, h.reshape(), bounds_error=False, fill_value=0.0)
-    gz = interp(z.reshape(-1, g.ndim)).reshape(g.size, g.size)
-    reference = g.cell_volume * (f.values @ gz)
-    scale = np.max(np.abs(reference))
-    for zero_tol in (1e-6, 0.0):
-        conv = group_convolve(h1_law, f, h, zero_tol=zero_tol).values
-        assert np.max(np.abs(conv - reference)) < 1e-12 * scale
-    swapped = group_convolve(h1_law, h, f).values
-    assert np.max(np.abs(swapped - reference)) > 5e-2 * scale
+    # u, a central axis, is interpolated.  On the Engel group axis 2 is
+    # interpolated but not central (x_3 enters the fourth coordinate), next
+    # to the central axis 3.  The reference evaluates scipy's interpolant of
+    # g at y^{-1} x for every pair.  The bumps are off-centre, neither even
+    # nor odd, and zero on a band at the box edge, where the reference may
+    # drop a pair that rounding puts just outside the box.  Swapping f and g
+    # moves the result by far more than the tolerance.
+    cases = [
+        (h1_law, Grid((1.5, 1.5, 1.2), (9, 9, 17)), 2),
+        (engel_law, Grid((1.5, 1.5, 1.2, 1.0), (5, 5, 7, 9)), 1),
+    ]
+    for law, g, margin in cases:
+        pts = g.points()
+        x, y, mid, u = pts[:, 0], pts[:, 1], pts[:, 2:-1], pts[:, -1]
+        band = g.interior_mask(margin)
+        f = GridFunction(
+            g,
+            band
+            * np.exp(-(2 * (x - 0.3) ** 2 + 3 * (y + 0.2) ** 2 + 4 * (u - 0.1) ** 2))
+            * np.exp(-3 * np.sum((mid - 0.1) ** 2, axis=1))
+            * (1 + 0.5 * x - 0.3 * u),
+        )
+        h = GridFunction(
+            g,
+            band
+            * np.exp(-(3 * (x + 0.2) ** 2 + 2 * (y - 0.3) ** 2 + 3 * (u + 0.15) ** 2))
+            * np.exp(-2 * np.sum((mid + 0.2) ** 2, axis=1))
+            * (1 - 0.4 * y + 0.3 * np.sum(mid, axis=1)),
+        )
+        rows = np.flatnonzero(f.values)
+        z = law.multiply_arrays(-pts[rows, None, :], pts[None, :, :])  # z[i, l] = y_i^{-1} x_l
+        interp = RegularGridInterpolator(g.axes, h.reshape(), bounds_error=False, fill_value=0.0)
+        gz = interp(z.reshape(-1, g.ndim)).reshape(len(rows), g.size)
+        reference = g.cell_volume * (f.values[rows] @ gz)
+        scale = np.max(np.abs(reference))
+        for zero_tol in (1e-6, 0.0):
+            conv = group_convolve(law, f, h, zero_tol=zero_tol).values
+            assert np.max(np.abs(conv - reference)) < 1e-12 * scale
+        swapped = group_convolve(law, h, f).values
+        assert np.max(np.abs(swapped - reference)) > 5e-2 * scale
 
 
 def test_box_convolution_keeps_edge_pairs(h1_law):
@@ -320,14 +351,26 @@ def test_box_convolution_keeps_edge_pairs(h1_law):
     # in the box.  On this grid x_6 - x_2 along the first axis rounds to just
     # above its half-width 1.3, yet y^{-1} x is the edge node 8 there: the
     # pair must be kept, not dropped as a point outside the box.
-    g = Grid((1.3, 1.3, 1.0), (9, 9, 9))
+    g = Grid((1.3, 1.3, 0.83), (9, 9, 7))
     assert g.axis(0)[6] - g.axis(0)[2] > g.half_widths[0]
     delta = np.zeros(g.counts)
-    delta[2, 4, 4] = 1.0
+    delta[2, 4, 3] = 1.0
     f = GridFunction(g, delta.ravel())
-    conv = group_convolve(h1_law, f, GridFunction(g, np.ones(g.size))).reshape()
-    assert conv[6, 4, 4] == pytest.approx(g.cell_volume, rel=1e-12)
-    assert conv[7, 4, 4] == 0.0  # y^{-1} x one node past the edge
+    ones = GridFunction(g, np.ones(g.size))
+    conv = group_convolve(h1_law, f, ones).reshape()
+    assert conv[6, 4, 3] == pytest.approx(g.cell_volume, rel=1e-12)
+    assert conv[7, 4, 3] == 0.0  # y^{-1} x one node past the edge
+    # The same along the central axis u, which is interpolated: with f a
+    # delta on the horizontal origin (beta = 0), y^{-1} x is 3 nodes up in
+    # u, the edge node, though both u_3 - u_0 and 3 h_u round above the
+    # half-width 0.83.
+    h_u = g.spacings[2]
+    assert g.axis(2)[3] - g.axis(2)[0] > g.half_widths[2] and 3 * h_u > g.half_widths[2]
+    delta = np.zeros(g.counts)
+    delta[4, 4, 0] = 1.0
+    conv = group_convolve(h1_law, GridFunction(g, delta.ravel()), ones).reshape()
+    assert conv[4, 4, 3] == pytest.approx(g.cell_volume, rel=1e-12)
+    assert conv[4, 4, 4] == 0.0
 
 
 def test_twisted_convolution_needs_central_axis(h1_law):
