@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import lp_norm
 from .heatflow import check_mass, heat_kernel
-from .potentials import bessel_kernel, riesz_kernel
+from .potentials import PotentialError, bessel_kernel, riesz_kernel
 from .sobolev import (
     SobolevError,
     SobolevNormSpec,
@@ -159,7 +159,7 @@ def norm(cfg, s, p, flavor):
     f = make_test_family(plan.grid, n=1, seed=cfg.seed).gridfunctions()[0]
     try:
         val = sobolev_norm(SobolevNormSpec(plan, s, pval, fl), f)
-    except SobolevError as exc:
+    except (SobolevError, PotentialError) as exc:
         raise ConfigError(str(exc)) from exc
     click.echo(f"||f||_{{L^{p}_{s:g}}} ({flavor}) = {val:.10g}")
 

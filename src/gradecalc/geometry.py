@@ -18,6 +18,11 @@ One routine, ``multilinear_interpolate``, is the only multilinear
 interpolation.  It serves the grid-function interpolants
 (``GridFunction.interpolator``, which sample at dilated points) and the
 interpolated axes of the box convolution.
+
+The sphere quadrature of the polar decomposition projects scrambled Sobol'
+points onto the unit pseudo-sphere.  ``_sobol`` computes them with numpy
+alone, bit for bit the points of scipy's scrambled Sobol' engine, so that
+importing this module does not import ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 
 class GeometryError(ValueError):
@@ -102,11 +106,16 @@ class Grid:
             raise GeometryError(
                 f"grid has {self.size} points, budget is {self.MAX_POINTS}"
             )
+        if not 0 < self.cell_volume < math.inf:
+            raise GeometryError(f"cell volume {self.cell_volume} of this grid is not positive and finite")
 
     @classmethod
     def from_scale(cls, weights, scale, counts):
         """Half-width R^{v_j} along axis j for a single scale parameter R."""
-        hw = tuple(float(scale) ** int(w) for w in weights)
+        try:
+            hw = tuple(float(scale) ** int(w) for w in weights)
+        except OverflowError:
+            raise GeometryError(f"scale {scale} overflows the half-widths R^{tuple(weights)}") from None
         return cls(half_widths=hw, counts=tuple(counts))
 
     @property
@@ -238,8 +247,8 @@ def lp_norm(f: GridFunction, p, mask=None):
 QUASI_TRIANGLE_BATCH = 100_000  # sample pairs drawn per batch
 
 
-def quasi_triangle_constant(law, nu0, samples, seed=0xC0FFEE):
-    """Empirical C in |xy| <= C(|x| + |y|) over pairs on the unit sphere.
+def quasi_triangle_ratio(law, nu0, samples, seed=0xC0FFEE):
+    """Largest |xy| / (|x| + |y|) over sampled pairs x, y on the unit sphere.
 
     The sample stream is deterministic in ``seed``, so the estimate with k
     samples is the max over a prefix of the stream.
@@ -260,6 +269,15 @@ def quasi_triangle_constant(law, nu0, samples, seed=0xC0FFEE):
         ratios = pseudo_norm(prod, weights, nu0) / 2.0
         best = max(best, float(ratios.max()))
         done += m
+    return best
+
+
+def quasi_triangle_constant(law, nu0, samples, seed=0xC0FFEE):
+    """Empirical C in |xy| <= C(|x| + |y|): ``quasi_triangle_ratio`` floored at 1.
+
+    Pairs with y = 0 force C >= 1; the sphere pairs often stay below that.
+    """
+    best = quasi_triangle_ratio(law, nu0, samples, seed)
     return max(best, 1.0) if best > 0 else best
 
 
@@ -274,6 +292,58 @@ def project_to_sphere(x, weights, nu0):
 
 # ---------------------------------------------------------------------------
 # Polar decomposition quadrature
+
+
+# Joe & Kuo direction numbers (search criterion 6) for dimensions 1-9: the
+# primitive polynomial of each dimension, as bits, and its initial direction
+# numbers.  Nine dimensions cover every grid: 3^9 < 40 000 < 3^10.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+                (1, 1, 5, 5, 17), (1, 1, 5, 5, 5))
+_SOBOL_BITS = 30
+
+
+def _sobol(d, n, seed):
+    """The first n points of the scrambled d-dimensional Sobol' sequence.
+
+    The same float64 array, bit for bit, as scipy's scrambled Sobol' engine,
+    ``Sobol(d, scramble=True, seed=seed).random(n)``: Joe & Kuo direction
+    numbers (SIAM J. Sci. Comput. 30, 2008) extended to 30 bits by the
+    Bratley & Fox recurrence, Matousek's linear matrix scramble plus a
+    digital shift drawn from ``np.random.default_rng(seed)``, and the points
+    in Gray-code order.
+    """
+    if not 0 < d <= len(_SOBOL_POLY):
+        raise GeometryError(f"Sobol' points are tabulated for 1 to {len(_SOBOL_POLY)} dimensions, got {d}")
+    bits = _SOBOL_BITS
+    msb = np.arange(bits - 1, -1, -1)  # place value of bit j, most significant first
+    m = [[1] * bits]
+    for poly, row in zip(_SOBOL_POLY[1:d], _SOBOL_VINIT[1:d]):
+        deg = poly.bit_length() - 1
+        row = list(row)
+        for j in range(deg, bits):
+            new = row[j - deg]
+            for i in range(1, deg + 1):
+                if (poly >> (deg - i)) & 1:
+                    new ^= row[j - i] << i
+            row.append(new)
+        m.append(row)
+    v = np.array(m, dtype=np.int64) << msb
+    rng = np.random.default_rng(seed)
+    shift = (rng.integers(0, 2, (d, bits), dtype=np.uint32).astype(np.int64) << np.arange(bits)).sum(axis=1)
+    lower = np.tril(rng.integers(0, 2, (d, bits, bits), dtype=np.uint32)).astype(np.int64)
+    lower[:, range(bits), range(bits)] = 1
+    # bit p of a scrambled direction number is the parity of row p of the
+    # lower-triangular matrix against its bits, both most significant first
+    rows = (lower << msb).sum(axis=2)
+    parity = np.bitwise_count(rows[:, :, None] & v[:, None, :]) & 1
+    v = (parity << msb[:, None]).sum(axis=1)
+    # point i is point i - 1 XOR the direction number of the lowest set bit of i
+    i = np.arange(n)
+    step = np.bitwise_count((i & -i) - 1) + 1
+    step[:1] = 0
+    table = np.concatenate([shift[None], v.T])
+    return np.bitwise_xor.accumulate(table.take(step, axis=0), axis=0) * 2.0**-bits
 
 
 @dataclass
@@ -300,9 +370,7 @@ class SphereQuadrature:
         weights = tuple(int(w) for w in weights)
         n = len(weights)
         Q = sum(weights)
-        sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
-        u = sampler.random(n_samples)
-        x = 2.0 * u - 1.0  # the unit pseudo-ball sits inside [-1, 1]^n
+        x = 2.0 * _sobol(n, n_samples, seed) - 1.0  # the unit pseudo-ball sits inside [-1, 1]^n
         rho = pseudo_norm(x, weights, nu0)
         keep = (rho <= 1.0) & (rho > 0)
         x = x[keep]

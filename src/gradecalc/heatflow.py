@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,8 @@ class SpectralPlan:
     order, one after another, and ``order`` sorts the packed eigenvalues.
     ``reflection_defect`` is the largest relative Frobenius commutator of a
     flip with the interior matrix (None on plans that take no flips).
+    ``eigh_s`` is the time spent in the LAPACK eigensolves behind the
+    eigenvectors, summed over blocks, and ``eigh_driver`` the driver used.
     """
 
     grid: Grid
@@ -92,6 +95,8 @@ class SpectralPlan:
     basis: object = None  # sparse (n, n)
     order: np.ndarray = None
     reflection_defect: float | None = None
+    eigh_s: float = 0.0
+    eigh_driver: str | None = None
 
     @property
     def lam_max(self):
@@ -125,7 +130,7 @@ class SpectralPlan:
         return self.embed(self.basis @ np.concatenate([V @ packed[s] for s, V in self._blocks()]))
 
     def health(self):
-        """Grid, size, spectrum and self-adjointness of the plan, as plain numbers."""
+        """Grid, size, spectrum, self-adjointness and eigensolve cost of the plan, as plain numbers."""
         lam = self.eigenvalues
         grid = self.grid
         return {
@@ -142,6 +147,8 @@ class SpectralPlan:
             "negative": int((lam < 0).sum()),
             "sym_defect": self.sym_defect,
             "reflection_defect": self.reflection_defect,
+            "eigh_s": self.eigh_s,
+            "eigh_driver": self.eigh_driver,
         }
 
     def apply_multiplier(self, g_of_lambda, f: GridFunction) -> GridFunction:
@@ -391,6 +398,7 @@ def _reflection_plan(A_int, inner_counts, flips, fields):
         cols = np.broadcast_to(np.arange(c), (m, c))
         blocks.append(sparse.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, c)))
     sizes = tuple(B.shape[1] for B in blocks)
+    stats = {}
     plan = SpectralPlan(
         eigenvalues=np.empty(n),
         eigenvectors=np.empty(sum(b * b for b in sizes)),
@@ -404,14 +412,18 @@ def _reflection_plan(A_int, inner_counts, flips, fields):
         A = (B.T @ A_int @ B).toarray()
         A += A.T
         A *= 0.5
-        plan.eigenvalues[s], V[...] = _eigh(A)
+        plan.eigenvalues[s], V[...] = _eigh(A, stats)
+    plan.eigh_s, plan.eigh_driver = stats["eigh_s"], stats["eigh_driver"]
     plan.order = np.argsort(plan.eigenvalues, kind="stable")
     plan.eigenvalues = plan.eigenvalues[plan.order]
     return plan
 
 
-def _eigh(A):
+def _eigh(A, stats):
     """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian A, overwriting A.
+
+    Adds the seconds spent to ``stats["eigh_s"]`` and records the LAPACK
+    driver in ``stats["eigh_driver"]``, for the plan's ``health``.
 
     Real matrices go to divide and conquer (LAPACK ``dsyevd``; Gu and
     Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), 1.55x faster than
@@ -422,10 +434,13 @@ def _eigh(A):
     conjugate are conjugated back.
     """
     driver = "evr" if np.iscomplexobj(A) else "evd"
+    start = time.perf_counter()
     try:
         w, V = scipy.linalg.eigh(A.T, driver=driver, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
+    except ValueError as exc:  # LinAlgError, or a matrix not finite on a degenerate grid
         raise HeatError(f"eigendecomposition failed: {exc}") from exc
+    stats["eigh_s"] = stats.get("eigh_s", 0.0) + time.perf_counter() - start
+    stats["eigh_driver"] = driver
     if np.iscomplexobj(V):
         np.conjugate(V, out=V)
     return w, V
@@ -442,6 +457,7 @@ def _kronecker_plan(spec, grid, margin, inner_counts, acc, dose, p, fields):
     Gershgorin bound of the whole interior operator.
     """
     factors = []
+    stats = {}
     for k, (N, m, n) in enumerate(zip(grid.counts, margin, inner_counts)):
         D = partial_matrix(Grid((grid.half_widths[k],), (N,)), 0, 1, acc)
         F = sparse.csr_matrix((N, N))
@@ -454,12 +470,13 @@ def _kronecker_plan(spec, grid, margin, inner_counts, acc, dose, p, fields):
         F = F[m : N - m, m : N - m].toarray()
         if dose:
             F = F + dose * _dissipation_factor(n, p).toarray()
-        factors.append(_eigh(0.5 * (F + F.T)))
+        factors.append(_eigh(0.5 * (F + F.T), stats))
     return KroneckerPlan(
         eigenvalues=functools.reduce(np.add.outer, [w for w, _ in factors]).ravel(),
         eigenvectors=scipy.linalg.block_diag(*[V for _, V in factors]),
         block_sizes=tuple(inner_counts),
         **fields,
+        **stats,
     )
 
 
@@ -556,12 +573,13 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
     w = np.empty((M, len(idx)))
     V = np.empty((M, len(idx), len(idx)), dtype=complex)
     defect_num = defect_den = 0.0
+    stats = {}
     for k in range(M // 2 + 1):
         A = S + 1j * xi[k] * T + xi[k] ** 2 * U
         pair = 1 if k == 0 else 2
         defect_num += pair * np.linalg.norm(A - A.conj().T) ** 2
         defect_den += pair * np.linalg.norm(A) ** 2
-        w[k], V[k] = _eigh(0.5 * (A + A.conj().T))
+        w[k], V[k] = _eigh(0.5 * (A + A.conj().T), stats)
         if k:
             w[M - k], V[M - k] = w[k], V[k].conj()
     return CentralFourierPlan(
@@ -574,6 +592,7 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
         sym_defect=float(np.sqrt(defect_num / defect_den)) if defect_den else 0.0,
         block_sizes=(len(idx),) * M,
         axis=p,
+        **stats,
     )
 
 

@@ -2,9 +2,10 @@
 
 Every check has one row in ``ANCHORS``: the mathematical identity it
 measures and its threshold.  A check passes when its value lies below the
-threshold times the run's tolerance scale.  ``RunConfig`` resolves the
-group, operator and plan settings of a run before any computation; a
-configuration it cannot resolve is a ``ConfigError`` (exit 2).
+threshold times the run's tolerance scale.  A row with a floor reports
+max(raw, floor) and keeps the raw value in ``report.json``.  ``RunConfig``
+resolves the group, operator and plan settings of a run before any
+computation; a configuration it cannot resolve is a ``ConfigError`` (exit 2).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .geometry import (
     inner_product,
     lp_norm,
     polar_integral_check,
-    quasi_triangle_constant,
+    quasi_triangle_ratio,
 )
 from .heatflow import (
     HeatError,
@@ -91,6 +92,7 @@ class Check(NamedTuple):
     anchor: str
     threshold: float
     scaled: bool = True  # False for violation counts, which the tolerance scale leaves alone
+    floor: float | None = None  # the value reported is max(raw, floor)
 
 
 ANCHORS = {
@@ -100,7 +102,9 @@ ANCHORS = {
     "algebra.law": Check(
         "associativity, inverse and dilation-automorphism laws of the exact group product", 0.5, scaled=False
     ),
-    "geometry.quasi_triangle": Check("pseudo-norm quasi-triangle inequality |xy| <= C(|x| + |y|)", 8.0),
+    "geometry.quasi_triangle": Check(  # y = 0 forces C >= 1
+        "pseudo-norm quasi-triangle inequality |xy| <= C(|x| + |y|)", 8.0, floor=1.0
+    ),
     "geometry.polar": Check("polar decomposition of the Haar integral against the sphere measure", 2e-2),
     "heat.mass": Check("unit mass of the heat kernel: integral of h_t equals 1", 1e-3),
     "heat.semigroup": Check("semigroup identity h_t * h_s = h_{t+s}", 1e-2),
@@ -116,7 +120,9 @@ ANCHORS = {
         "damped heat-ladder quadrature reproduces the spectral fractional power", 1e-3
     ),
     "sobolev.s_zero": Check("the order-zero Sobolev norm is the plain L^p norm", 1e-10),
-    "sobolev.interpolation": Check("interpolation inequality between Sobolev orders at p = 2", 1e-8),
+    "sobolev.interpolation": Check(
+        "interpolation inequality between Sobolev orders at p = 2", 1e-8, floor=0.0
+    ),
     "sobolev.duality": Check("self-adjointness of (I+R)^{s/nu} in the L^2 pairing", 1e-8),
     "sobolev.equivalence": Check("equivalence of the integer-order and spectral Sobolev norms", 20.0),
 }
@@ -129,6 +135,7 @@ class CheckResult:
     value: float
     threshold: float
     passed: bool
+    raw: float | None = None  # the value before the row's floor
 
 
 @dataclass
@@ -139,13 +146,16 @@ class VerificationReport:
     plans: list = field(default_factory=list)  # ``SpectralPlan.health`` of each plan built
 
     def add(self, check_id, value):
-        """Judge ``value`` against the check's threshold in ``ANCHORS``."""
+        """Judge ``value``, floored as its row says, against the check's threshold in ``ANCHORS``."""
         if check_id not in ANCHORS:
             raise KeyError(f"check id {check_id!r} has no anchor")
         row = ANCHORS[check_id]
         threshold = row.threshold * self.tol_scale if row.scaled else row.threshold
+        raw = None
+        if row.floor is not None:
+            raw, value = float(value), max(value, row.floor)
         self.checks.append(
-            CheckResult(check_id, row.anchor, float(value), float(threshold), bool(value < threshold))
+            CheckResult(check_id, row.anchor, float(value), float(threshold), bool(value < threshold), raw)
         )
 
     @property
@@ -162,6 +172,7 @@ class VerificationReport:
                     "value": c.value,
                     "threshold": c.threshold,
                     "pass": c.passed,
+                    **({} if c.raw is None else {"raw": c.raw}),
                 }
                 for c in self.checks
             ],
@@ -335,8 +346,7 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     report.add("algebra.law", 0.0)  # bch_group_law validated the laws on load
 
     nu0 = default_nu0(alg.weights)
-    C = quasi_triangle_constant(law, nu0, samples=20_000, seed=cfg.seed)
-    report.add("geometry.quasi_triangle", C)
+    report.add("geometry.quasi_triangle", quasi_triangle_ratio(law, nu0, samples=20_000, seed=cfg.seed))
 
     quad = SphereQuadrature.build(alg.weights, nu0, n_samples=1 << 14, seed=cfg.seed)
     widths = np.asarray(grid.half_widths) / 3.0
@@ -395,7 +405,7 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
         report.add(
             "sobolev.s_zero", abs(sobolev_norm(SobolevNormSpec(pplan, 0.0, 2), f0) - lp_norm(base, 2))
         )
-        worst = 0.0
+        worst = -np.inf
         a_ord, b_ord = 1.0, 3.0
         for f in fs[:10]:
             na = sobolev_norm(SobolevNormSpec(pplan, a_ord, 2), f)

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradecalc.cli import main
 from gradecalc.suite import ANCHORS, RunConfig, VerificationReport, run_group_check, run_verify
@@ -107,8 +109,28 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
     assert plans["heat"]["grid"]["periodic"] == [2]
     # the potential plan's heat source switches to its self-similar continuation
     assert 0 < pot["t_switch"] < 20 and abs(pot["mass_at_switch"] - 1) <= 5e-4
+    # eigensolve seconds and LAPACK driver: complex central-Fourier blocks, real blocks
+    assert plans["heat"]["eigh_driver"] == "evr" and pot["eigh_driver"] == "evd"
+    assert all(p["eigh_s"] > 0 for p in report["plans"])
     # the text report carries checks only
     assert "blocks" not in (tmp_path / "report.txt").read_text()
+
+
+def test_verify_json_keeps_raw_values_of_floored_checks(runner, tmp_path):
+    # geometry.quasi_triangle is floored at 1 and sobolev.interpolation at 0;
+    # report.json keeps the value before the floor, the text report does not
+    res = runner.invoke(main, ["--group", "abelian1", "--out", str(tmp_path), "verify"])
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "report.json").read_text())
+    raw = {c["id"]: c["raw"] for c in report["checks"] if "raw" in c}
+    assert sorted(raw) == ["geometry.quasi_triangle", "sobolev.interpolation"]
+    for c in report["checks"]:
+        if c["id"] in raw:
+            assert c["value"] == max(c["raw"], ANCHORS[c["id"]].floor)
+    assert raw["sobolev.interpolation"] < 0
+    assert "raw" not in (tmp_path / "report.txt").read_text()
+    # the abelian1 plans are Kronecker plans of real factors
+    assert [p["eigh_driver"] for p in report["plans"]] == ["evd"] * 3
 
 
 def test_verify_resolves_config_first(runner, monkeypatch):
@@ -119,7 +141,7 @@ def test_verify_resolves_config_first(runner, monkeypatch):
     def computed(*args, **kwargs):
         raise AssertionError("computation before the configuration was resolved")
 
-    monkeypatch.setattr(suite, "quasi_triangle_constant", computed)
+    monkeypatch.setattr(suite, "quasi_triangle_ratio", computed)
     monkeypatch.setattr(suite, "spectral_plan", computed)
     res = runner.invoke(main, ["--group", "abelian2", "verify"])
     assert res.exit_code == 2, res.output
@@ -280,6 +302,44 @@ def test_heisenberg358_coarse_verify_no_traceback(runner):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    "group,scale,points,command",
+    [
+        ("heisenberg", "1e300", "9", "heat"),  # R^2 overflows
+        ("abelian3", "1e-300", "3", "verify"),  # the cell volume underflows to 0
+        ("abelian1", "1e-300", "9", "heat"),  # the stencils overflow
+        ("heisenberg358", "1", "11", "norm"),  # a plan with a negative eigenvalue
+    ],
+)
+def test_degenerate_grid_exit_2(runner, group, scale, points, command):
+    res = runner.invoke(main, ["--group", group, "--scale", scale, "--points", points, command])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+_FUZZ_SCALE = st.one_of(
+    st.none(), st.sampled_from(["0.5", "1", "1.6", "2.5", "0", "-1", "abc", "", "1e300", "1e-300", "nan"])
+)
+_FUZZ_COUNT = st.sampled_from(["3", "5", "7", "9", "0", "-3", "1", "4", "abc", "", "1.5"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.sampled_from(["abelian1", "abelian2", "abelian3", "heisenberg", "heisenberg358"]),
+    scale=_FUZZ_SCALE,
+    points=st.lists(_FUZZ_COUNT, min_size=1, max_size=3).map(",".join),
+    command=st.sampled_from(["heat", "norm", "verify"]),
+)
+def test_cli_fuzz_tiny_grids(group, scale, points, command):
+    # every input ends in a result, check failures or a refusal, never a traceback
+    args = ["--group", group, *([] if scale is None else ["--scale", scale]), "--points", points, command]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 1, 2), (args, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (args, repr(res.exception))
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_thread_cap_takes_effect():
     # the cap must reach BLAS before numpy loads it: count this process's
@@ -296,6 +356,21 @@ def test_thread_cap_takes_effect():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["Threads:", "1"]
+
+
+def test_cli_import_skips_scipy_stats():
+    # every process imports the CLI; scipy.stats (which pulls in
+    # scipy.interpolate) cost about 1 s of that import
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import gradecalc.cli, sys\n"
+        "print([m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.interpolate'))])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_op_flag_parse_error_exit_2(runner):

@@ -25,7 +25,7 @@ from gradecalc.geometry import (
     quasi_triangle_constant,
     scaled_bump,
 )
-from gradecalc.geometry import _interpolated_convolve
+from gradecalc.geometry import _interpolated_convolve, _sobol
 
 SEED = 0xC0FFEE
 
@@ -419,3 +419,17 @@ def test_polar_integral_heisenberg():
     fn = lambda pts: np.exp(-np.sum((np.asarray(pts) / widths) ** 2, axis=-1))
     lhs, rhs = polar_integral_check(fn, g, quad)
     assert lhs == pytest.approx(rhs, rel=3e-2)
+
+
+def test_sobol_matches_scipy():
+    # the numpy sequence behind SphereQuadrature is scipy's scrambled Sobol'
+    # sequence bit for bit, in every dimension a grid can have
+    from scipy.stats import qmc
+
+    for d in range(1, 10):
+        for seed in (0, 7, 601, 0xC0FFEE):
+            for n in (1 << 10, 1 << 14):
+                ref = qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+                assert np.array_equal(_sobol(d, n, seed), ref), (d, seed, n)
+    with pytest.raises(GeometryError):
+        _sobol(10, 1 << 10, SEED)
