@@ -2,8 +2,9 @@
 
 Commands: ``group check``, ``heat``, ``kernel``, ``norm``, ``probe``,
 ``verify``, ``export``.  Exit codes: 0 all checks pass, 1 check failures
-(``heat``: a mass defect at or above the ``heat.mass`` threshold), 2 usage
-or configuration errors.  Reports and CSVs are deterministic for a fixed
+(``heat``: a mass defect at or above the ``heat.mass`` threshold; ``kernel
+--kind bessel``: an integral defect at or above ``potential.bessel_mass``),
+2 usage or configuration errors.  Reports and CSVs are deterministic for a fixed
 seed (modulo the timestamp line).
 """
 
@@ -120,16 +121,21 @@ def heat(cfg, times):
 @click.option("--a", "a", type=float, default=2.0, show_default=True)
 @click.pass_obj
 def kernel(cfg, kind, a):
-    """Compute a Bessel or Riesz potential kernel."""
+    """Compute a Bessel or Riesz potential kernel (Bessel: exit 1 on a mass breach)."""
     plan = cfg.plan("potential")
-    if kind == "bessel":
-        k = bessel_kernel(plan, a)
-        click.echo(f"B_{a:g}: integral {k.integral:.6f}, L1 on the box {k.l1_estimate:.6f}")
-    else:
-        k = riesz_kernel(plan, a)
-        click.echo(
-            f"I_{a:g}: exclusion radius {k.exclusion_radius:g}, late-time constant {k.tail_constant:.6g}"
-        )
+    judged = VerificationReport(tol_scale=cfg.tol_scale)
+    try:
+        if kind == "bessel":
+            k = bessel_kernel(plan, a)
+            judged.add("potential.bessel_mass", abs(k.integral - 1.0))
+            click.echo(f"B_{a:g}: integral {k.integral:.6f}, L1 on the box {k.l1_estimate:.6f}")
+        else:
+            k = riesz_kernel(plan, a)
+            click.echo(
+                f"I_{a:g}: exclusion radius {k.exclusion_radius:g}, late-time constant {k.tail_constant:.6g}"
+            )
+    except PotentialError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.out:
         path = os.path.join(_outdir(cfg), "kernel.csv")
         rows = [
@@ -139,6 +145,10 @@ def kernel(cfg, kind, a):
         ]
         _write_csv(path, [f"x{j + 1}" for j in range(plan.grid.ndim)] + ["a", "value"], rows)
         click.echo(f"wrote {path}")
+    if not judged.ok:
+        limit = judged.checks[0].threshold
+        click.echo(f"FAIL: integral defect at or above the potential.bessel_mass threshold {limit:.1e}")
+        sys.exit(1)
 
 
 @main.command()
@@ -165,9 +175,17 @@ def norm(cfg, s, p, flavor):
 
 
 def _probe_rows(cfg):
+    """The probe table; a norm or plan the probes refuse is a usage error (exit 2)."""
     plan = cfg.plan("potential")
+    try:
+        return _probe_table(plan, cfg.seed)
+    except (SobolevError, PotentialError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _probe_table(plan, seed):
     spec = plan.spec
-    fam = make_test_family(plan.grid, n=50, seed=cfg.seed)
+    fam = make_test_family(plan.grid, n=50, seed=seed)
     rows = []
     if spec.nu is not None:
         pr = equivalence_probe(

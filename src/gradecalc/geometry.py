@@ -15,9 +15,11 @@ other axes and offset, and the sum along the central axes is a Toeplitz
 product.  Values outside the box contribute zero.
 
 One routine, ``multilinear_interpolate``, is the only multilinear
-interpolation.  It serves the grid-function interpolants
-(``GridFunction.interpolator``, which sample at dilated points) and the
-interpolated axes of the box convolution.
+interpolation at arbitrary points.  It serves the grid-function interpolants
+(``GridFunction.interpolator``) and the interpolated axes of the box
+convolution.  A dilation D_r scales each axis by itself, so f(D_r x) on f's
+own grid is resampled one axis at a time (``resample_dilated``): the same
+multilinear interpolant, two nodes per axis instead of 2^n corners per point.
 
 The sphere quadrature of the polar decomposition projects scrambled Sobol'
 points onto the unit pseudo-sphere.  ``_sobol`` computes them with numpy
@@ -451,6 +453,41 @@ def multilinear_interpolate(grid, values, z, axes, flat=0, inside=None):
     return vals if inside is None else np.where(inside, vals, 0)
 
 
+def resample_dilated(f: GridFunction, r, weights) -> GridFunction:
+    """f(D_r x) at the nodes x of f's own grid, multilinear in f, zero outside the box.
+
+    D_r scales each axis by itself, so the multilinear interpolant of
+    ``multilinear_interpolate`` at the dilated nodes factors into one linear
+    interpolation per axis.  Each axis is a two-tap stencil: the node t_k =
+    (r^{v_k} x_k + R_k)/h_k is mixed from the nodes floor(t_k) and floor(t_k)
+    + 1 with one ``take`` each, along that axis only, so no temporary is
+    larger than the grid.  Periodic axes wrap by index mod N; along the
+    others a node with |r^{v_k} x_k| > R_k gives zero.
+    """
+    if r <= 0:
+        raise GeometryError("dilation parameter must be positive")
+    grid = f.grid
+    vals = f.reshape()
+    for k, scale in enumerate(float(r) ** np.asarray(weights, dtype=float)):
+        N, R = grid.counts[k], grid.half_widths[k]
+        z = scale * grid.axis(k)
+        t = (z + R) / grid.spacings[k]
+        if k in grid.periodic:
+            t = np.mod(t, N)
+            i0 = np.floor(t)
+            inside = True
+        else:
+            i0 = np.clip(np.floor(t), 0, N - 2)
+            inside = np.abs(z) <= R
+        w = t - i0
+        i0 = i0.astype(np.intp) % N
+        shape = [N if j == k else 1 for j in range(grid.ndim)]
+        w0 = np.where(inside, 1.0 - w, 0.0).reshape(shape)
+        w1 = np.where(inside, w, 0.0).reshape(shape)
+        vals = w0 * vals.take(i0, axis=k) + w1 * vals.take((i0 + 1) % N, axis=k)
+    return GridFunction(grid, vals.ravel())
+
+
 # ---------------------------------------------------------------------------
 # Group convolution
 
@@ -685,8 +722,5 @@ def _twisted_convolve(law, f, g, zero_tol):
 
 def scaled_bump(phi: GridFunction, t, weights):
     """phi_t(x) = t^{-Q} phi(D_{1/t} x), resampled on phi's grid."""
-    grid = phi.grid
     Q = sum(int(w) for w in weights)
-    pts = dilate(1.0 / t, grid.points(), weights)
-    vals = phi.interpolator()(pts) * t ** (-Q)
-    return GridFunction(grid, vals)
+    return resample_dilated(phi, 1.0 / t, weights) * t ** (-Q)

@@ -46,7 +46,15 @@ from .calculus import (
     left_invariant_fields,
     partial_matrix,
 )
-from .geometry import Grid, GridFunction, dilate, haar_integrate, lp_norm, node_shift_axes
+from .geometry import (
+    Grid,
+    GridFunction,
+    dilate,
+    haar_integrate,
+    lp_norm,
+    node_shift_axes,
+    resample_dilated,
+)
 
 
 class HeatError(ValueError):
@@ -82,6 +90,8 @@ class SpectralPlan:
     flip with the interior matrix (None on plans that take no flips).
     ``eigh_s`` is the time spent in the LAPACK eigensolves behind the
     eigenvectors, summed over blocks, and ``eigh_driver`` the driver used.
+    ``field_matrices`` holds the sparse left-invariant fields on the plan's
+    grid, built once on first use.
     """
 
     grid: Grid
@@ -97,6 +107,17 @@ class SpectralPlan:
     reflection_defect: float | None = None
     eigh_s: float = 0.0
     eigh_driver: str | None = None
+    # not an __init__ field, so that ``dilated_plan`` (on another grid) starts without it
+    _field_matrices: FieldMatrices | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def field_matrices(self) -> FieldMatrices:
+        """The ``FieldMatrices`` of the plan's law on its grid, built on first use."""
+        if self._field_matrices is None:
+            self._field_matrices = FieldMatrices(self.law, self.grid)
+        return self._field_matrices
 
     @property
     def lam_max(self):
@@ -635,14 +656,20 @@ def heat_kernel(plan: SpectralPlan, t) -> GridFunction:
 
 
 class HeatKernelSource:
-    """Evaluates h_t on the grid for any t > 0.
+    """Evaluates h_t on the grid for any t > 0, alone or in weighted sums.
 
     For small and moderate t the spectral plan is used directly.  Once the
     kernel outgrows the box (detected by mass loss), the scaling identity
     h_t(x) = (t/t0)^{-Q/nu} h_{t0}(D_{(t/t0)^{-1/nu}} x) continues it from a
-    well-resolved reference time t0.  The continuation requires a homogeneous
-    operator on a box grid; inhomogeneous operators, and periodic grids (whose
-    period a dilation would change), fall back to the direct route.
+    well-resolved reference time t0, resampled on the grid by
+    ``resample_dilated``.  The continuation requires a homogeneous operator
+    on a box grid; inhomogeneous operators, and periodic grids (whose period
+    a dilation would change), fall back to the direct route.
+
+    ``ladder_sum`` evaluates sum_i c_i h_{t_i}, the form of every potential
+    kernel.  On the direct route h_t is the synthesis of e^{-t lambda} c_delta,
+    linear in the multiplier, so all direct nodes share one multiplier and
+    one synthesis, and their masses come from the coefficients alone.
     """
 
     MASS_TOL = 5e-4  # largest mass defect of the direct route up to t_switch
@@ -654,6 +681,8 @@ class HeatKernelSource:
         self.nu = deg if isinstance(deg, int) else None
         self._c_delta = plan.delta_coefficients()
         self._lam = np.clip(plan.eigenvalues, 0.0, None)
+        # sum over the grid of a synthesis c is <analyze(1), c>
+        self._c_ones = plan.analyze(np.ones(plan.grid.size))
         self.t_switch = np.inf
         self.mass_at_switch = 1.0
         self._ref = None
@@ -667,29 +696,58 @@ class HeatKernelSource:
                     break
             if t_sw is not None:
                 self.t_switch = float(t_sw)
-                ref = self._direct(self.t_switch)
-                self.mass_at_switch = float(haar_integrate(ref))
-                self._ref = ref.interpolator()
+                self._ref = self._direct(self.t_switch)
+                self.mass_at_switch = float(haar_integrate(self._ref))
 
     def _direct(self, t) -> GridFunction:
         vals = self.plan.synthesize(np.exp(-t * self._lam) * self._c_delta)
         return GridFunction(self.plan.grid, vals.real)
+
+    def _continued(self, t):
+        """Grid values of h_t past the switch, by the scaling identity."""
+        r = (t / self.t_switch) ** (-1.0 / self.nu)
+        scale = (t / self.t_switch) ** (-self.Q / self.nu)
+        return scale * resample_dilated(self._ref, r, self.plan.law.algebra.weights).values
 
     def __call__(self, t) -> GridFunction:
         if t <= 0:
             raise HeatError("time must be positive")
         if t <= self.t_switch or self._ref is None:
             return self._direct(t)
-        r = (t / self.t_switch) ** (-1.0 / self.nu)
-        pts = dilate(r, self.plan.grid.points(), self.plan.law.algebra.weights)
-        scale = (t / self.t_switch) ** (-self.Q / self.nu)
-        return GridFunction(self.plan.grid, scale * self._ref(pts))
+        return GridFunction(self.plan.grid, self._continued(t))
+
+    def ladder_sum(self, times, coefs):
+        """sum_i c_i h_{t_i} as grid values, and its integral sum_i c_i int h_{t_i}.
+
+        The direct nodes (t_i <= t_switch) fold into the one multiplier
+        m = sum_i c_i e^{-t_i lambda} and one synthesis of m c_delta, whose
+        integral is dV <analyze(1), m c_delta>.  Each continuation node is one
+        resampling of the reference kernel and carries its mass
+        ``mass_at_switch``.  Equal to summing c_i ``self(t_i)`` up to rounding.
+        """
+        times, coefs = np.asarray(times, dtype=float), np.asarray(coefs, dtype=float)
+        if np.any(times <= 0):
+            raise HeatError("time must be positive")
+        direct = times <= self.t_switch
+        values = np.zeros(self.plan.grid.size)
+        mass = 0.0
+        if direct.any():
+            mult = np.zeros_like(self._lam)
+            for t, c in zip(times[direct], coefs[direct]):
+                mult += c * np.exp(-t * self._lam)
+            coef = mult * self._c_delta
+            values += self.plan.synthesize(coef).real
+            mass += self.plan.grid.cell_volume * np.vdot(self._c_ones, coef).real
+        for t, c in zip(times[~direct], coefs[~direct]):
+            values += c * self._continued(t)
+            mass += c * self.mass_at_switch
+        return values, float(mass)
 
     def value_at_origin_late(self):
         """t^{Q/nu} h_t(0) for large t (constant by self-similarity)."""
         if self._ref is None:
             raise HeatError("no self-similar continuation available")
-        h0 = float(self._ref(np.zeros((1, self.plan.grid.ndim)))[0])
+        h0 = float(self._ref.interpolator()(np.zeros((1, self.plan.grid.ndim)))[0])
         return self.t_switch ** (self.Q / self.nu) * h0
 
 

@@ -4,6 +4,13 @@ The kernels are quadratures of the heat family over a geometric time ladder
 (trapezoid in log t); fractional powers (I+R)^{s/nu} and R^{s/nu} act through
 the spectral plan.  The two routes cross-validate each other: the ladder
 applied to f reproduces the spectral multiplier up to quadrature error.
+
+A kernel is linear in h_t, so its whole ladder is one weighted sum
+``HeatKernelSource.ladder_sum``: the nodes on the direct route share one
+multiplier and one synthesis, and the nodes past the source's switch time
+are each one axis-by-axis resampling of the reference kernel.  Kernels and
+fractional powers refuse a plan with eigenvalues negative beyond rounding
+(``check_spectrum``).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .geometry import Grid, GridFunction, haar_integrate, lp_norm, pseudo_norm
+from .geometry import Grid, GridFunction, lp_norm, pseudo_norm
 from .heatflow import HeatKernelSource, SpectralPlan
 
 
@@ -69,7 +76,10 @@ def default_ladder(grid: Grid, nu) -> TLadder:
     """
     t_max = 50.0
     d_max = max(grid.spacings)
-    t_lo = (0.5 * d_max) ** nu
+    try:
+        t_lo = (0.5 * d_max) ** nu
+    except OverflowError:  # a high-degree operator on a coarse grid: far above t_max / 100
+        t_lo = math.inf
     return TLadder.geometric(min(t_lo, t_max / 100.0), t_max)
 
 
@@ -102,6 +112,18 @@ def _require_homogeneous(plan: SpectralPlan):
     return int(nu)
 
 
+def check_spectrum(plan: SpectralPlan):
+    """Refuse (PotentialError) a plan whose eigenvalues are negative beyond rounding.
+
+    The potentials clip the spectrum at 0, which is harmless only when the
+    negative eigenvalues are rounding: below -1e-6 max(|lam_max|, 1) the
+    discrete operator is not positive and every kernel built on it is wrong.
+    """
+    lam = plan.eigenvalues
+    if lam.min() < -1e-6 * max(abs(lam.max()), 1.0):
+        raise PotentialError(f"negative eigenvalue {lam.min()} beyond tolerance")
+
+
 def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
     """I_a = (1/Gamma(a/nu)) * integral of t^{a/nu - 1} h_t dt, 0 < a < Q.
 
@@ -115,13 +137,13 @@ def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
     Q = plan.law.algebra.homogeneous_dimension
     if not 0 < a < Q:
         raise PotentialError(f"Riesz exponent must satisfy 0 < a < Q = {Q}, got {a}")
+    check_spectrum(plan)
     ladder = default_ladder(plan.grid, nu)
     if source is None:
         source = HeatKernelSource(plan)
     norm = 1.0 / math.gamma(a / nu)
-    acc = np.zeros(plan.grid.size)
-    for t, w in zip(ladder.nodes, ladder.weights):
-        acc += w * (t ** (a / nu - 1.0)) * source(t).values
+    t = ladder.nodes
+    acc, _ = source.ladder_sum(t, ladder.weights * t ** (a / nu - 1.0))
     tail_c = 0.0
     if np.isfinite(source.t_switch):
         tail_c = source.value_at_origin_late()
@@ -142,27 +164,20 @@ def bessel_kernel(plan: SpectralPlan, a, source=None) -> BesselKernel:
 
     The reported ``integral`` integrates the in-model mass of h_t against the
     damped weight: below the ladder it uses exact mass conservation, on the
-    ladder the measured box mass (or the dilation-exact mass of the
-    continuation), and beyond t_hi the e^{-t} damping bounds the remainder.
+    ladder the box mass (or the dilation-exact mass of the continuation),
+    and beyond t_hi the e^{-t} damping bounds the remainder.
     """
     nu = _require_homogeneous(plan)
     if a <= 0:
         raise PotentialError(f"Bessel exponent must be positive, got {a}")
+    check_spectrum(plan)
     ladder = default_ladder(plan.grid, nu)
     if source is None:
         source = HeatKernelSource(plan)
     s = a / nu
     norm = 1.0 / math.gamma(s)
-    acc = np.zeros(plan.grid.size)
-    mass_integral = 0.0
-    for t, w in zip(ladder.nodes, ladder.weights):
-        h = source(t)
-        acc += w * (t ** (s - 1.0)) * math.exp(-t) * h.values
-        if t <= source.t_switch:
-            mass_t = float(haar_integrate(h))
-        else:
-            mass_t = source.mass_at_switch
-        mass_integral += w * (t ** (s - 1.0)) * math.exp(-t) * mass_t
+    t = ladder.nodes
+    acc, mass_integral = source.ladder_sum(t, ladder.weights * t ** (s - 1.0) * np.exp(-t))
     vals = norm * acc
     # analytic head [0, t_lo] (mass exactly 1 there) and tail bound beyond t_hi
     head = gammainc(s, ladder.t_lo)
@@ -224,16 +239,14 @@ def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False) 
     """(I+R)^{s/nu} f, or R^{s/nu} f when ``homogeneous``.
 
     Negative homogeneous powers exclude eigenvalues below
-    ``FLOOR_RATIO * lam_max`` (their coefficients are dropped); eigenvalues
-    more negative than the plan's tolerance raise an error.
+    ``FLOOR_RATIO * lam_max`` (their coefficients are dropped); a plan that
+    ``check_spectrum`` refuses raises an error.
     """
     nu = plan.spec.nu
     if nu is None:
         raise PotentialError("operator has no homogeneous degree")
-    lam = plan.eigenvalues
-    if lam.min() < -1e-6 * max(abs(lam.max()), 1.0):
-        raise PotentialError(f"negative eigenvalue {lam.min()} beyond tolerance")
-    lam = np.clip(lam, 0.0, None)
+    check_spectrum(plan)
+    lam = np.clip(plan.eigenvalues, 0.0, None)
     power = s / nu
     if homogeneous:
         if s < 0:

@@ -93,13 +93,18 @@ def _lp(spec: SobolevNormSpec, g: GridFunction):
     return lp_norm(g, spec.p)
 
 
-def sobolev_norm(spec: SobolevNormSpec, f: GridFunction, cache=None):
-    """The chosen Sobolev norm of f; s=0 inhomogeneous reduces to plain L^p."""
+def sobolev_norm(spec: SobolevNormSpec, f: GridFunction):
+    """The chosen Sobolev norm of f on the plan's grid; s=0 inhomogeneous reduces to plain L^p.
+
+    The integer flavor applies the words through the plan's
+    ``field_matrices``, built once per plan.
+    """
+    if f.grid != spec.plan.grid:
+        raise SobolevError("f must live on the plan's grid")
     if spec.flavor == "integer":
-        law = spec.plan.law
-        fm = cache if cache is not None else FieldMatrices(law, f.grid)
+        fm = spec.plan.field_matrices
         total = _lp(spec, f)
-        for word in words_of_degree(law.algebra.weights, spec.s):
+        for word in words_of_degree(spec.plan.law.algebra.weights, spec.s):
             g = GridFunction(f.grid, fm.apply_word(word, f.values))
             total += _lp(spec, g)
         return float(total)
@@ -188,13 +193,12 @@ def equivalence_probe(specA: SobolevNormSpec, specB: SobolevNormSpec, family: Te
     """min/max of ||f||_A / ||f||_B over the family."""
     if specA.plan.grid != specB.plan.grid:
         raise SobolevError("both norms must live on the same grid")
-    cache = FieldMatrices(specA.plan.law, specA.plan.grid)
     ratios = []
     for f in family.gridfunctions():
-        nb = sobolev_norm(specB, f, cache=cache)
+        nb = sobolev_norm(specB, f)
         if nb == 0:
             raise SobolevError("family member has zero denominator norm")
-        ratios.append(sobolev_norm(specA, f, cache=cache) / nb)
+        ratios.append(sobolev_norm(specA, f) / nb)
     return RatioProbe(
         numerator=specA,
         denominator=specB,
@@ -298,13 +302,12 @@ def bump_multiplication_probe(spec: SobolevNormSpec, phi: GridFunction, family: 
     """sup of ||f * phi||_{L^p_s} / ||f||_{L^p_s} for a fixed bump phi."""
     if phi.grid != spec.plan.grid:
         raise SobolevError("bump must live on the plan's grid")
-    cache = FieldMatrices(spec.plan.law, spec.plan.grid)
     sup = 0.0
     for f in family.gridfunctions():
-        den = sobolev_norm(spec, f, cache=cache)
+        den = sobolev_norm(spec, f)
         if den == 0:
             raise SobolevError("family member has zero norm")
-        sup = max(sup, sobolev_norm(spec, f * phi, cache=cache) / den)
+        sup = max(sup, sobolev_norm(spec, f * phi) / den)
     return float(sup)
 
 
@@ -316,13 +319,12 @@ def type0_probe(plan: SpectralPlan, word, family: TestFamily):
     """
     weights = plan.law.algebra.weights
     deg = sum(int(weights[j]) for j in word)
-    cache = FieldMatrices(plan.law, plan.grid)
     sup = 0.0
     for f in family.gridfunctions():
         den = lp_norm(f, 2)
         if den == 0:
             raise SobolevError("family member has zero norm")
-        g = GridFunction(plan.grid, cache.apply_word(tuple(word), f.values))
+        g = GridFunction(plan.grid, plan.field_matrices.apply_word(tuple(word), f.values))
         h = fractional_apply(plan, -float(deg), g, homogeneous=True)
         sup = max(sup, lp_norm(h, 2) / den)
     return float(sup)

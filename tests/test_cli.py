@@ -212,6 +212,36 @@ def test_kernel_command(runner, tmp_path):
     assert lines[0] == "x1,a,value"
 
 
+def test_kernel_command_judges_bessel_mass(runner):
+    # the default abelian1 kernel passes; the same integral fails against a
+    # potential.bessel_mass threshold scaled down to 1e-14
+    res = runner.invoke(main, ["--group", "abelian1", "kernel"])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["--group", "abelian1", "--tol-scale", "1e-12", "kernel"])
+    assert res.exit_code == 1, res.output
+    assert "potential.bessel_mass" in res.output
+
+
+@pytest.mark.parametrize("kind", ["bessel", "riesz"])
+def test_kernel_refuses_negative_spectrum(runner, kind):
+    # this heisenberg358 plan has an eigenvalue of -2.4e65: its kernels are
+    # refused, not printed with exit 0
+    args = ["--group", "heisenberg358", "--scale", "1", "--points", "11", "kernel", "--kind", kind]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "negative eigenvalue" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_kernel_high_degree_coarse_grid_no_traceback(runner):
+    # (h/2)^240 overflows a float: the degree-240 ladder once ended in an
+    # OverflowError traceback
+    res = runner.invoke(main, ["--group", "heisenberg358", "--points", "9", "kernel"])
+    assert res.exit_code in (0, 1, 2)
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Traceback" not in res.output
+
+
 def test_norm_command(runner):
     res = runner.invoke(main, ["--group", "abelian1", "norm", "--s", "1.5", "--p", "2"])
     assert res.exit_code == 0, res.output
@@ -309,6 +339,7 @@ def test_heisenberg358_coarse_verify_no_traceback(runner):
         ("abelian3", "1e-300", "3", "verify"),  # the cell volume underflows to 0
         ("abelian1", "1e-300", "9", "heat"),  # the stencils overflow
         ("heisenberg358", "1", "11", "norm"),  # a plan with a negative eigenvalue
+        ("heisenberg358", "1", "11", "probe"),  # an order-240 integer norm
     ],
 )
 def test_degenerate_grid_exit_2(runner, group, scale, points, command):
@@ -329,7 +360,7 @@ _FUZZ_COUNT = st.sampled_from(["3", "5", "7", "9", "0", "-3", "1", "4", "abc", "
     group=st.sampled_from(["abelian1", "abelian2", "abelian3", "heisenberg", "heisenberg358"]),
     scale=_FUZZ_SCALE,
     points=st.lists(_FUZZ_COUNT, min_size=1, max_size=3).map(",".join),
-    command=st.sampled_from(["heat", "norm", "verify"]),
+    command=st.sampled_from(["heat", "norm", "verify", "kernel", "probe"]),
 )
 def test_cli_fuzz_tiny_grids(group, scale, points, command):
     # every input ends in a result, check failures or a refusal, never a traceback

@@ -23,6 +23,7 @@ from gradecalc.geometry import (
     project_to_sphere,
     pseudo_norm,
     quasi_triangle_constant,
+    resample_dilated,
     scaled_bump,
 )
 from gradecalc.geometry import _interpolated_convolve, _sobol
@@ -386,6 +387,29 @@ def test_convolution_grid_mismatch(ab1_law):
     h = GridFunction(Grid((2.0,), (5,)), np.ones(5))
     with pytest.raises(GeometryError):
         group_convolve(ab1_law, f, h)
+
+
+@pytest.mark.parametrize(
+    "grid,weights",
+    [
+        (Grid((3.0,), (41,)), (1,)),
+        (Grid((1.6, 1.6, 2.56), (15, 15, 31)), (1, 1, 2)),  # heisenberg
+        (Grid((2.0, 2.0, 4.0, 8.0), (9, 9, 11, 13)), (1, 1, 2, 3)),  # engel
+    ],
+    ids=["1d", "heisenberg", "engel"],
+)
+@pytest.mark.parametrize("r", [0.3, 0.77, 1.4, 2.9])
+def test_resample_dilated_matches_interpolator(grid, weights, r):
+    # one two-tap stencil per axis reproduces the 2^n-corner interpolant at
+    # the dilated nodes, zero outside the box included
+    f = GridFunction(grid, np.random.default_rng(SEED).standard_normal(grid.size))
+    got = resample_dilated(f, r, weights).values
+    want = f.interpolator()(dilate(r, grid.points(), weights))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if r > 1:
+        assert np.count_nonzero(want == 0) > 0 and np.all(got[want == 0] == 0)
+    with pytest.raises(GeometryError):
+        resample_dilated(f, 0.0, weights)
 
 
 def test_scaled_bump_mass_invariance():

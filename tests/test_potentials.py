@@ -1,9 +1,14 @@
 """Riesz/Bessel kernels, fractional powers, classical oracles."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
-from gradecalc.geometry import GridFunction, group_convolve, lp_norm, pseudo_norm
+from gradecalc.geometry import GridFunction, group_convolve, haar_integrate, lp_norm, pseudo_norm
+from gradecalc.heatflow import HeatKernelSource
 from gradecalc.potentials import (
     PotentialError,
     TLadder,
@@ -69,6 +74,62 @@ def test_bessel_convolution_semigroup(ab1_pot_plan, ab1_pot_source, ab1_law):
     k2 = bessel_kernel(ab1_pot_plan, 2.0, source=ab1_pot_source)
     conv = group_convolve(ab1_law, k1.values, k1.values, zero_tol=1e-10)
     assert lp_norm(conv - k2.values, 1) < 5e-2
+
+
+def _per_node_kernel(source, ladder, coefs):
+    """sum_i c_i h_{t_i} and sum_i c_i (box mass of h_{t_i}), one source(t) per node."""
+    acc, mass = np.zeros(source.plan.grid.size), 0.0
+    for t, c in zip(ladder.nodes, coefs):
+        h = source(t)
+        acc += c * h.values
+        mass += c * (float(haar_integrate(h)) if t <= source.t_switch else source.mass_at_switch)
+    return acc, mass
+
+
+@pytest.mark.parametrize("name", ["ab1", "ab3", "h1"])
+def test_ladder_kernels_match_per_node_sum(name, request):
+    # the one-pass ladder equals the sum of the per-node heat kernels; the
+    # (direct, continuation) node counts cover both routes and their mix
+    plan = request.getfixturevalue(f"{name}_pot_plan")
+    source = request.getfixturevalue(f"{name}_pot_source") if name != "h1" else HeatKernelSource(plan)
+    ladder = default_ladder(plan.grid, plan.spec.nu)
+    direct = int(np.sum(ladder.nodes <= source.t_switch))
+    assert (direct, len(ladder.nodes) - direct) == {"ab1": (45, 15), "ab3": (17, 43), "h1": (0, 60)}[name]
+    for a in (1.0, 2.0):
+        s = a / plan.spec.nu
+        k = bessel_kernel(plan, a, source=source)
+        acc, mass = _per_node_kernel(source, ladder, ladder.weights * ladder.nodes ** (s - 1) * np.exp(-ladder.nodes))
+        want = acc / math.gamma(s)
+        assert np.max(np.abs(k.values.values - want)) <= 1e-13 * np.max(np.abs(want))
+        integral = mass / math.gamma(s) + gammainc(s, ladder.t_lo) + 1.0 - gammainc(s, ladder.t_hi)
+        assert abs(k.integral - integral) <= 1e-13
+    if plan.law.algebra.homogeneous_dimension > 2:
+        k = riesz_kernel(plan, 2.0, source=source)
+        nu, Q = plan.spec.nu, plan.law.algebra.homogeneous_dimension
+        acc, _ = _per_node_kernel(source, ladder, ladder.weights * ladder.nodes ** (2.0 / nu - 1))
+        acc += k.tail_constant * (nu / (Q - 2.0)) * ladder.t_hi ** ((2.0 - Q) / nu)
+        want = np.delete(acc / math.gamma(2.0 / nu), plan.grid.origin_index)
+        got = np.delete(k.values.values, plan.grid.origin_index)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_bessel_kernel_synthesizes_once(ab1_pot_plan, ab1_pot_source, monkeypatch):
+    # all 45 direct-route nodes share one synthesis; a per-node loop made 45
+    calls = []
+    synthesize = ab1_pot_plan.synthesize
+    monkeypatch.setattr(ab1_pot_plan, "synthesize", lambda c: calls.append(1) or synthesize(c))
+    bessel_kernel(ab1_pot_plan, 2.0, source=ab1_pot_source)
+    assert len(calls) <= 1
+
+
+def test_kernels_refuse_negative_spectrum(ab1_pot_plan):
+    lam = ab1_pot_plan.eigenvalues.copy()
+    lam[0] = -1e-3 * lam.max()
+    bad = dataclasses.replace(ab1_pot_plan, eigenvalues=lam)
+    for call in (lambda: bessel_kernel(bad, 2.0), lambda: riesz_kernel(bad, 0.5),
+                 lambda: fractional_apply(bad, 1.0, GridFunction(bad.grid, np.ones(bad.grid.size)))):
+        with pytest.raises(PotentialError, match="negative eigenvalue"):
+            call()
 
 
 def test_bessel_rejects_bad_exponent(ab1_pot_plan):

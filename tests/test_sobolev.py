@@ -209,6 +209,33 @@ def test_sup_embedding_morrey_oracle(ab1_pot_plan):
     assert ratio == pytest.approx(1.0 / den_oracle, rel=0.1)
 
 
+def test_plan_builds_field_matrices_once(ab1_pot_plan, monkeypatch):
+    # integer norms and the probes that apply words share one FieldMatrices
+    # per plan; a dilated plan lives on another grid and builds its own
+    import gradecalc.heatflow as heatflow
+
+    built = []
+
+    class Counting(heatflow.FieldMatrices):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(heatflow, "FieldMatrices", Counting)
+    plan = heatflow.dilated_plan(ab1_pot_plan, 2.0)
+    fam = make_test_family(plan.grid, n=3, seed=SEED)
+    spec = SobolevNormSpec(plan, 2.0, 2, "integer")
+    norms = [sobolev_norm(spec, f) for f in fam.gridfunctions() for _ in range(2)]
+    assert norms[0::2] == norms[1::2]
+    equivalence_probe(spec, SobolevNormSpec(plan, 2.0, 2), fam)
+    bump_multiplication_probe(spec, GridFunction(plan.grid, np.ones(plan.grid.size)), fam)
+    type0_probe(plan, (0,), fam)
+    assert len(built) == 1
+    assert plan.field_matrices.grid == plan.grid != ab1_pot_plan.grid
+    with pytest.raises(SobolevError, match="plan's grid"):
+        sobolev_norm(SobolevNormSpec(ab1_pot_plan, 2.0, 2, "integer"), fam.gridfunctions()[0])
+
+
 # ---------------------------------------------------------------------------
 # Multiplication and type-0 probes
 
