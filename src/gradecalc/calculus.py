@@ -2,16 +2,21 @@
 
 A left-invariant field X_j is computed from the group law as
 a_{jk}(x) = d/ds m_k(x, s e_j) |_{s=0}; the coefficients are exact rational
-polynomials.  Differential operators are formal sums of words in the fields,
-realized on grids through 4th-order finite differences (one-sided stencils at
-the boundary) composed with polynomial coefficient multiplication.
+polynomials.  Differential operators are formal sums of words in the fields.
+``discretize`` realizes them on grids: every letter pair of a word is expanded
+exactly into its normal form sum_alpha c_alpha(x) d^alpha, each d^alpha a
+tensor product of compact 1-D finite-difference stencils (4th order by
+default, one-sided at the boundary), and a word is the product of its pairs.
+``FieldMatrices`` applies words letter by letter through first-derivative
+stencils, as the integer-order Sobolev norms take them.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sparse
@@ -95,10 +100,8 @@ def along_axis(M, counts, axis):
 
 
 def partial_matrix(grid: Grid, axis, order=1, acc=4):
-    """n-D sparse matrix of d/dx_axis on the grid (C ordering)."""
-    N = grid.counts[axis]
-    D = _diff_matrix_1d(N, grid.spacings[axis], order, acc, axis in grid.periodic)
-    return along_axis(D, grid.counts, axis)
+    """n-D sparse matrix of (d/dx_axis)^order on the grid (C ordering)."""
+    return derivative_matrix(grid, tuple(order * (k == axis) for k in range(grid.ndim)), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +116,6 @@ class LeftInvariantField:
     coeffs: tuple  # sympy expressions in the x symbols
     xs: tuple
     weights: tuple
-
-    def coeff_values(self, points):
-        """Evaluate all a_{jk} at an array of points, shape (M, n)."""
-        out = []
-        for k, a in enumerate(self.coeffs):
-            if a == 0:
-                out.append(np.zeros(len(points)))
-            else:
-                fn = sp.lambdify(self.xs, a, "numpy")
-                vals = fn(*[points[:, i] for i in range(points.shape[1])])
-                out.append(np.broadcast_to(np.asarray(vals, float), (len(points),)).copy())
-        return out
 
 
 def left_invariant_fields(law: GroupLaw):
@@ -434,19 +425,8 @@ class FieldMatrices:
 
     def field(self, j):
         if j not in self._mats:
-            fld = self._fields[j]
-            pts = self.grid.points()
-            coeff_vals = fld.coeff_values(pts)
-            mat = None
-            for k, a in enumerate(coeff_vals):
-                if not np.any(a):
-                    continue
-                Dk = partial_matrix(self.grid, k, 1, self.acc)
-                term = sparse.diags(a) @ Dk
-                mat = term if mat is None else mat + term
-            if mat is None:
-                mat = sparse.csr_matrix((self.grid.size, self.grid.size))
-            self._mats[j] = mat.tocsr()
+            form = normal_form((j,), self._fields)
+            self._mats[j] = form_matrix(form, self.grid, self.law.xs, acc=self.acc)
         return self._mats[j]
 
     def apply_word(self, word, values):
@@ -462,16 +442,6 @@ class FieldMatrices:
             out = out + c * self.apply_word(w, values)
         return out
 
-    def matrix(self, expr: DiffOpExpr):
-        N = self.grid.size
-        out = sparse.csr_matrix((N, N))
-        for w, c in expr.terms.items():
-            m = sparse.identity(N, format="csr")
-            for j in w:
-                m = m @ self.field(j)
-            out = out + c * m
-        return out
-
 
 def apply_diffop(expr: DiffOpExpr, law: GroupLaw, f: GridFunction, cache=None) -> GridFunction:
     """Apply a left-invariant operator to grid samples."""
@@ -479,7 +449,75 @@ def apply_diffop(expr: DiffOpExpr, law: GroupLaw, f: GridFunction, cache=None) -
     return GridFunction(f.grid, fm.apply_expr(expr, f.values))
 
 
-def discretize(expr: DiffOpExpr, law: GroupLaw, grid: Grid, cache=None):
-    """Sparse matrix of the operator on the full grid."""
-    fm = cache if cache is not None else FieldMatrices(law, grid)
-    return fm.matrix(expr)
+def normal_form(word, fields):
+    """The exact normal form of the word X_w as {alpha: c_alpha}.
+
+    X_w = sum_alpha c_alpha(x) d^alpha, with d^alpha = d_1^alpha_1 ... d_n^alpha_n
+    and polynomial coefficients c_alpha, built letter by letter from the
+    right: X_j (c d^alpha) = sum_k a_jk ((d_k c) d^alpha + c d^(alpha + e_k)).
+    """
+    xs = fields[0].xs
+    form = {(0,) * len(xs): sp.Integer(1)}
+    for j in reversed(word):
+        out = {}
+        for alpha, c in form.items():
+            for k, a in enumerate(fields[j].coeffs):
+                if a == 0:
+                    continue
+                up = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
+                out[up] = out.get(up, 0) + a * c
+                out[alpha] = out.get(alpha, 0) + a * sp.diff(c, xs[k])
+        form = {alpha: e for alpha, c in out.items() if (e := sp.expand(c)) != 0}
+    return form
+
+
+def letter_pairs(word):
+    """The word cut into letter pairs from the left; an odd word ends in one letter."""
+    return [word[i : i + 2] for i in range(0, len(word), 2)]
+
+
+def derivative_matrix(grid: Grid, alpha, acc=4):
+    """Sparse d^alpha on the grid (C ordering): the tensor product of the 1-D
+    compact stencils of order alpha_k, the identity on axes with alpha_k = 0."""
+    factors = [
+        _diff_matrix_1d(N, h, a, acc, k in grid.periodic) if a else sparse.identity(N, format="csr")
+        for k, (N, h, a) in enumerate(zip(grid.counts, grid.spacings, alpha))
+    ]
+    return reduce(lambda A, B: sparse.kron(A, B, format="csr"), factors)
+
+
+def form_matrix(form, grid: Grid, xs, points=None, acc=4):
+    """Sparse sum_alpha diag(c_alpha) d^alpha of a normal form on the grid.
+
+    The coefficients, polynomials in ``xs``, are evaluated at ``points``
+    (default the grid's own); the multi-indices run over the grid's axes.
+    """
+    points = grid.points() if points is None else points
+    values = sp.lambdify(xs, list(form.values()), "numpy")(*points.T)
+    out = sparse.csr_matrix((grid.size, grid.size))
+    for alpha, vals in zip(form, values):
+        coeff = sparse.diags(np.broadcast_to(np.asarray(vals, float), (grid.size,)))
+        out = out + coeff @ derivative_matrix(grid, alpha, acc)
+    return out.tocsr()
+
+
+def discretize(expr: DiffOpExpr, law: GroupLaw, grid: Grid):
+    """Sparse matrix of the operator on the full grid, 4th-order stencils.
+
+    Each word is the product of its letter pairs, and each pair is assembled
+    from its exact normal form with compact stencils (``form_matrix``), so X^2
+    on an abelian axis is the compact second difference, whose symbol does
+    not vanish at the Nyquist frequency as that of D_1 D_1 does.  Longer
+    words are not expanded in one go: by pairs, the matrix of R^2 is the
+    square of the matrix of R when R's words have length 2, while the normal
+    form of whole words of length 4 need not discretize to a positive matrix.
+    """
+    fields = left_invariant_fields(law)
+    pairs = {pair for word in expr.terms for pair in letter_pairs(word)}
+    mats = {pair: form_matrix(normal_form(pair, fields), grid, law.xs) for pair in pairs}
+    N = grid.size
+    out = sparse.csr_matrix((N, N))
+    for word, c in expr.terms.items():
+        factors = [mats[pair] for pair in letter_pairs(word)]
+        out = out + c * (reduce(operator.matmul, factors) if factors else sparse.identity(N))
+    return out.tocsr()

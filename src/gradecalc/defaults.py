@@ -1,19 +1,13 @@
 """Default verification configurations for the built-in groups.
 
-Each entry fixes the grid geometry, interior margin and dissipation strength
-of the heat and potential plans, and the check times used by the
-verification suite.  The boxes are sized so that every identity is tested in
-the regime where the grid supports it: mass at small times (the kernel is
-contained and conservation is structural), the semigroup identity at
-moderate times, and self-similarity across a pair of dilation-related
+Each entry fixes the grid geometry and interior margin of the heat and
+potential plans, and the check times used by the verification suite.  No
+plan carries a dissipation term.  The boxes are sized so that every identity
+is tested in the regime where the grid supports it: mass at small times (the
+kernel is contained and conservation is structural), the semigroup identity
+at moderate times, and self-similarity across a pair of dilation-related
 solves.  The Heisenberg heat grid is periodic in the central coordinate,
 which selects the central-Fourier plan of ``heatflow``.
-
-The potential plans take a much larger dissipation strength than the heat
-plans: the kernels weight each eigenmode by an inverse power of its
-eigenvalue, so the spurious sawtooth modes of the composed stencils must sit
-at the top of the spectrum (not merely decay fast) or they pollute the near
-field.
 """
 
 from __future__ import annotations
@@ -22,10 +16,6 @@ from dataclasses import dataclass
 
 from .geometry import Grid
 
-# dissipation strength of each plan kind, unless an entry says otherwise
-REG_STRENGTH = {"heat": 0.05, "potential": 1.0}
-
-
 @dataclass(frozen=True)
 class PlanSettings:
     """Grid and plan settings of one spectral plan."""
@@ -33,7 +23,6 @@ class PlanSettings:
     half_widths: tuple
     counts: tuple
     margin: int = 4
-    reg_strength: float = REG_STRENGTH["heat"]
     periodic: tuple = ()
 
     def grid(self) -> Grid:
@@ -58,42 +47,37 @@ class GroupDefaults:
     times: CheckTimes = CheckTimes()
 
 
-def _potential(half_widths, counts, margin=4):
-    return PlanSettings(half_widths, counts, margin, REG_STRENGTH["potential"])
-
-
 DEFAULTS = {
     "abelian1": GroupDefaults(
         heat=PlanSettings((8.0,), (161,)),
-        potential=_potential((8.0,), (641,)),
+        potential=PlanSettings((8.0,), (641,)),
         times=CheckTimes(mass_times=(0.01, 0.02, 0.05, 0.1)),
     ),
     "abelian2": GroupDefaults(
         heat=PlanSettings((4.0, 4.0), (71, 71)),
         times=CheckTimes(mass_times=(0.01, 0.02, 0.05, 0.1)),
     ),
-    # 29 nodes per axis (interior 21^3, a Kronecker plan): at 25 the mass
-    # defect at t = 0.01 was 1.1e-3, above its 1e-3 threshold; here 3.9e-4
+    # 29 nodes per axis: the interior 21^3 is a Kronecker plan
     "abelian3": GroupDefaults(
         heat=PlanSettings((3.0, 3.0, 3.0), (29, 29, 29)),
-        potential=_potential((1.3, 1.3, 1.3), (27, 27, 27), margin=3),
+        potential=PlanSettings((1.3, 1.3, 1.3), (27, 27, 27), margin=3),
         times=CheckTimes(mass_times=(0.01, 0.02, 0.05)),
     ),
     # 31 samples over a central period of 1.1.  Half a period out, the
     # whole-group kernel is below 1e-3 of its peak at the check times
     # (t <= 0.2), so the periodic images barely move it.
     "heisenberg": GroupDefaults(
-        heat=PlanSettings((2.7, 2.7, 0.55 * 30 / 31), (33, 33, 31), reg_strength=0.0, periodic=(2,)),
-        potential=_potential((2.7, 2.7, 0.95), (19, 19, 53)),
+        heat=PlanSettings((2.7, 2.7, 0.55 * 30 / 31), (33, 33, 31), periodic=(2,)),
+        potential=PlanSettings((2.7, 2.7, 0.95), (19, 19, 53)),
     ),
 }
 
 # Why a built-in group has no default grids.  The stencils of calculus reach 2
-# nodes per letter of a word, so a grid needs that many margin nodes per side.
+# nodes per letter pair of a word, so a grid needs that many margin nodes per side.
 NO_DEFAULTS_WHY = {
     "heisenberg358": (
         "its default operator has degree 240; its words X^80, Y^48 and T^30 need margins "
-        "of 160, 96 and 60 nodes per side, and the smallest such grid, 321 x 193 x 121 "
+        "of 80, 48 and 30 nodes per side, and the smallest such grid, 161 x 97 x 61 "
         f"points, exceeds the {Grid.MAX_POINTS}-point grid cap"
     ),
 }

@@ -1,9 +1,10 @@
 """Heat semigroup e^{-tR} via symmetric eigendecomposition.
 
-The discretized operator is restricted to the interior of the grid
-(a Dirichlet-style mask), symmetrized, and diagonalized once; the resulting
-plan serves the heat flow, fractional powers and the potential kernels.  The
-plan follows the operator's structure.  On an abelian law with every word a
+The operator, assembled from the exact normal form of each letter pair with
+compact stencils (``calculus.discretize``), is restricted to the interior of
+the grid (a Dirichlet-style mask), symmetrized, and diagonalized once; the
+resulting plan serves the heat flow, fractional powers and the potential
+kernels.  The plan follows the operator's structure.  On an abelian law with every word a
 power of one letter the interior operator is a Kronecker sum, and the plan
 diagonalizes one small factor per axis (the fast diagonalization method of
 Lynch, Rice and Thomas).  On a grid with a periodic central axis it
@@ -35,16 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-import sympy as sp
 
 from .calculus import (
     FieldMatrices,
     RocklandSpec,
     along_axis,
+    derivative_matrix,
     discretize,
+    form_matrix,
     homogeneous_degree,
     left_invariant_fields,
-    partial_matrix,
+    letter_pairs,
+    normal_form,
 )
 from .geometry import (
     Grid,
@@ -280,8 +283,8 @@ def _dissipation_factor(N, p):
 def _dissipation_matrix(counts, p):
     """Symmetric PSD high-pass on a box, symbol sum_k ((1 - cos theta_k)/2)^p.
 
-    Vanishes to order 2p on smooth modes but is O(1) on the sawtooth modes
-    that the composed central-difference stencils cannot see.  The 1-D factor
+    Vanishes to order 2p on smooth modes but is O(1) on the sawtooth modes.
+    No default plan takes it (see ``spectral_plan``).  The 1-D factor
     is a quarter of the Neumann graph Laplacian (end rows [1, -1]/4), so the
     matrix annihilates constants exactly in rows *and* columns: adding it to
     a discretized operator never changes discrete mass balance.
@@ -294,20 +297,18 @@ def _dissipation_matrix(counts, p):
 
 
 def spectral_plan(
-    spec: RocklandSpec, law, grid: Grid, margin=4, reg_strength=0.25
+    spec: RocklandSpec, law, grid: Grid, margin=4, reg_strength=0.0
 ) -> SpectralPlan:
     """Discretize, restrict to the interior, symmetrize and diagonalize.
 
-    The margin (default 4 nodes, i.e. beyond the reach of the composed
-    one-sided boundary stencils) makes every retained row a pure central
-    stencil, so the restricted operator annihilates constants away from the
-    mask edge and discrete mass is conserved until the solution reaches it.
-
-    A high-order dissipation term (strength ``reg_strength`` relative to a
-    Gershgorin bound on the operator) pushes the spurious sawtooth modes of
-    the composed first-derivative stencils to the top of the spectrum without
-    degrading the accuracy of the resolved modes; it is assembled on the
-    interior box itself and is mass-neutral by construction.
+    The operator is assembled by ``calculus.discretize``.  The margin
+    (default 4 nodes, the reach of a product of two letter pairs) makes every
+    retained row a pure central stencil, so the restricted operator
+    annihilates constants away from the mask edge and discrete mass is
+    conserved until the solution reaches it.  ``reg_strength`` > 0 adds a
+    mass-neutral high-order dissipation term on the interior box, of that
+    strength relative to a Gershgorin bound on the operator; no default plan
+    takes one.
 
     On a grid with a periodic axis the plan is a ``CentralFourierPlan`` (see
     ``_central_fourier_plan``).  On a box grid it is a ``KroneckerPlan``
@@ -337,9 +338,7 @@ def spectral_plan(
         )
     mask = grid.interior_mask(margin)
     idx = np.flatnonzero(mask)
-    fm = FieldMatrices(law, grid)
-    A = discretize(spec.expr, law, grid, cache=fm)
-    A_int = A[np.ix_(idx, idx)]
+    A_int = discretize(spec.expr, law, grid)[np.ix_(idx, idx)]
     p = max(spec.expr.word_degrees(law.algebra.weights)) // 2 + 3
     dose = 0.0
     if reg_strength:
@@ -350,7 +349,7 @@ def spectral_plan(
     sym_defect = _frobenius(A_int - A_int.T) / norm if norm else 0.0
     fields = dict(grid=grid, spec=spec, law=law, mask=mask, sym_defect=sym_defect)
     if kronecker:
-        return _kronecker_plan(spec, grid, margin, inner_counts, fm.acc, dose, p, fields)
+        return _kronecker_plan(spec, grid, margin, inner_counts, dose, p, fields)
     return _reflection_plan(A_int, inner_counts, sign_flip_group(law.algebra, spec.expr), fields)
 
 
@@ -467,26 +466,26 @@ def _eigh(A, stats):
     return w, V
 
 
-def _kronecker_plan(spec, grid, margin, inner_counts, acc, dose, p, fields):
+def _kronecker_plan(spec, grid, margin, inner_counts, dose, p, fields):
     """The ``KroneckerPlan`` of an operator sum_w c_w X_{k(w)}^{|w|}.
 
-    With X_k = d/dx_k every word discretizes to I x ... x D_k^{|w|} x ... x I,
-    D_k the 1-D first-derivative matrix of ``partial_matrix``, and the
+    With X_k = d/dx_k each letter pair of a word is the compact 1-D stencil
+    D^(|pair|) along axis k, as in ``calculus.discretize``, and the
     restriction to the interior box restricts each factor.  Axis k's factor
-    collects its words (the identity word goes to axis 0) and its share
-    ``dose`` * T_k^p of the dissipation term, whose dose was set from the
-    Gershgorin bound of the whole interior operator.
+    is sum_w c_w prod_pairs D^(|pair|) over its words (the identity word goes
+    to axis 0) plus its share ``dose`` * T_k^p of the dissipation term, whose
+    dose was set from the Gershgorin bound of the whole interior operator.
     """
     factors = []
     stats = {}
     for k, (N, m, n) in enumerate(zip(grid.counts, margin, inner_counts)):
-        D = partial_matrix(Grid((grid.half_widths[k],), (N,)), 0, 1, acc)
+        axis = Grid((grid.half_widths[k],), (N,))
         F = sparse.csr_matrix((N, N))
         for word, c in spec.expr.terms.items():
             if (word[0] if word else 0) == k:
                 Dw = sparse.identity(N, format="csr")
-                for _ in word:
-                    Dw = Dw @ D
+                for pair in letter_pairs(word):
+                    Dw = Dw @ derivative_matrix(axis, (len(pair),))
                 F = F + c * Dw
         F = F[m : N - m, m : N - m].toarray()
         if dose:
@@ -501,45 +500,20 @@ def _kronecker_plan(spec, grid, margin, inner_counts, acc, dose, p, fields):
     )
 
 
-def _second_order_form(expr, law):
-    """Coefficients of an operator with words of length <= 2 as a PDE.
-
-    Returns (C, B, c0) with sum_{k,l} C[k][l] d_k d_l + sum_l B[l] d_l + c0:
-    the word X_i X_j contributes a_ik a_jl d_k d_l + a_ik (d_k a_jl) d_l.
-    """
-    a = [fld.coeffs for fld in left_invariant_fields(law)]
-    n, xs = law.algebra.n, law.xs
-    C = [[sp.Integer(0)] * n for _ in range(n)]
-    B = [sp.Integer(0)] * n
-    c0 = sp.Integer(0)
-    for word, c in expr.terms.items():
-        if not word:
-            c0 += c
-        elif len(word) == 1:
-            for l in range(n):
-                B[l] += c * a[word[0]][l]
-        else:
-            i, j = word
-            for k in range(n):
-                for l in range(n):
-                    C[k][l] += c * a[i][k] * a[j][l]
-                    B[l] += c * a[i][k] * sp.diff(a[j][l], xs[k])
-    return C, B, c0
-
-
 def _central_fourier_plan(spec, law, grid, margin, reg_strength):
     """Plan on a grid whose one periodic axis p is a central coordinate.
 
     When the operator's words have length at most 2 and the field
     coefficients do not involve x_p, the operator commutes with translations
     along p, and a DFT along p turns it into one operator per frequency xi on
-    the other axes: d_p becomes i xi.  For the Heisenberg sub-Laplacian that
-    block is L_xi = -Delta_xy + i xi (y d_x - x d_y) + xi^2 (x^2 + y^2)/4,
-    the structure behind the Mehler-type formula.  Pure second derivatives
-    use compact order-2 stencils, first and mixed ones the first-derivative
-    stencils, all of order 8 (central within a margin of 4); no dissipation
-    term is needed, so a nonzero ``reg_strength`` is refused, as are longer
-    words and coefficients in x_p.
+    the other axes: d_p becomes i xi.  The blocks are the exact normal form
+    of the operator grouped by the power alpha_p of d_p,
+    S + i xi T - xi^2 U, each group assembled by ``calculus.form_matrix``
+    with compact stencils of order 8 (central within a margin of 4).  For the
+    Heisenberg sub-Laplacian the block is
+    L_xi = -Delta_xy + i xi (y d_x - x d_y) + xi^2 (x^2 + y^2)/4, the
+    structure behind the Mehler-type formula.  A nonzero ``reg_strength`` is
+    refused, as are longer words and coefficients in x_p.
     """
     if reg_strength:
         raise HeatError("plans on periodic grids take no dissipation term (reg_strength 0)")
@@ -556,9 +530,14 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
             f"got {expr.max_word_length()}"
         )
     xs = law.xs
-    C, B, c0 = _second_order_form(expr, law)
-    coeffs = [c0, *B, *(c for row in C for c in row)]
-    if any(sp.sympify(c).has(xs[p]) for c in coeffs):
+    fields = left_invariant_fields(law)
+    groups = [{}, {}, {}]  # the normal form by the power of d_p, d_p dropped
+    for word, c in expr.terms.items():
+        for alpha, a in normal_form(word, fields).items():
+            group = groups[alpha[p]]
+            rest = alpha[:p] + alpha[p + 1 :]
+            group[rest] = group.get(rest, 0) + c * a
+    if any(a.has(xs[p]) for group in groups for a in group.values()):
         raise HeatError(f"operator coefficients involve the periodic coordinate {xs[p]}")
 
     sub = Grid(tuple(grid.half_widths[j] for j in others), tuple(grid.counts[j] for j in others))
@@ -568,26 +547,9 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
         raise HeatError(
             f"plan block of {len(idx)} interior nodes exceeds the bound of {MAX_DENSE_BLOCK}"
         )
-    acc = 8
     pts = np.zeros((sub.size, grid.ndim))
     pts[:, others] = sub.points()
-
-    def times(c, mat):
-        vals = sp.lambdify(xs, c, "numpy")(*pts.T)
-        return sparse.diags(np.broadcast_to(np.asarray(vals, float), (sub.size,))) @ mat
-
-    D1 = [partial_matrix(sub, a, 1, acc) for a in range(len(others))]
-    eye = sparse.identity(sub.size, format="csr")
-    S = times(c0, eye)  # frequency-free part
-    T = times(B[p], eye)  # coefficient of i xi
-    U = times(-C[p][p], eye)  # coefficient of xi^2
-    for a, k in enumerate(others):
-        S = S + times(C[k][k], partial_matrix(sub, a, 2, acc)) + times(B[k], D1[a])
-        T = T + times(C[k][p] + C[p][k], D1[a])
-        for b in range(a + 1, len(others)):
-            l = others[b]
-            S = S + times(C[k][l] + C[l][k], D1[a] @ D1[b])
-    S, T, U = (m.tocsr()[np.ix_(idx, idx)].toarray() for m in (S, T, U))
+    S, T, U = (form_matrix(g, sub, xs, pts, acc=8)[np.ix_(idx, idx)].toarray() for g in groups)
 
     M = grid.counts[p]
     xi = 2 * np.pi * np.fft.fftfreq(M, d=grid.spacings[p])
@@ -596,7 +558,7 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
     defect_num = defect_den = 0.0
     stats = {}
     for k in range(M // 2 + 1):
-        A = S + 1j * xi[k] * T + xi[k] ** 2 * U
+        A = S + 1j * xi[k] * T - xi[k] ** 2 * U
         pair = 1 if k == 0 else 2
         defect_num += pair * np.linalg.norm(A - A.conj().T) ** 2
         defect_den += pair * np.linalg.norm(A) ** 2
@@ -621,9 +583,11 @@ def dilated_plan(plan: SpectralPlan, rho) -> SpectralPlan:
     """The plan on the dilation image D_rho of the grid, without a new solve.
 
     A homogeneous operator of degree nu on the dilated grid is the entrywise
-    rescaling rho^{-nu} of the original matrix (the dissipation term rescales
-    identically), so the eigenvectors carry over and only the eigenvalues
-    change.
+    rescaling rho^{-nu} of the original matrix, since every term
+    c_alpha(x) d^alpha of a letter pair's normal form is homogeneous of the
+    pair's degree, stencils included (a dissipation term, when one is asked
+    for, rescales with its Gershgorin dose).  So the eigenvectors carry over
+    and only the eigenvalues change.
     """
     deg = homogeneous_degree(plan.spec.expr, plan.law.algebra.weights)
     if not isinstance(deg, int):

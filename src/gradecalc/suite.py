@@ -36,7 +36,7 @@ from .calculus import (
     parse_diffop,
     sublaplacian,
 )
-from .defaults import DEFAULTS, NO_DEFAULTS_WHY, REG_STRENGTH, CheckTimes, PlanSettings
+from .defaults import DEFAULTS, NO_DEFAULTS_WHY, CheckTimes, PlanSettings
 from .geometry import (
     GeometryError,
     Grid,
@@ -256,7 +256,7 @@ class RunConfig:
                 grid = Grid.from_scale(alg.weights, 2.0 if self.scale is None else self.scale, counts)
             except GeometryError as exc:
                 raise ConfigError(str(exc)) from exc
-            return PlanSettings(grid.half_widths, grid.counts, reg_strength=REG_STRENGTH[kind])
+            return PlanSettings(grid.half_widths, grid.counts)
         settings = getattr(DEFAULTS.get(self.group), kind, None)
         if settings is None:
             why = NO_DEFAULTS_WHY.get(self.group)
@@ -279,9 +279,7 @@ class RunConfig:
 def build_plan(spec, law, settings: PlanSettings, grid):
     """``spectral_plan``; a configuration it refuses is a usage error (exit 2)."""
     try:
-        return spectral_plan(
-            spec, law, grid, margin=settings.margin, reg_strength=settings.reg_strength
-        )
+        return spectral_plan(spec, law, grid, margin=settings.margin)
     except HeatError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -35,14 +35,14 @@ def h1t_law():
 def ab1_heat_plan(ab1_law):
     d = DEFAULTS["abelian1"].heat
     spec = sublaplacian(ab1_law.algebra)
-    return spectral_plan(spec, ab1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
+    return spectral_plan(spec, ab1_law, d.grid(), margin=d.margin)
 
 
 @pytest.fixture(scope="session")
 def ab1_pot_plan(ab1_law):
     d = DEFAULTS["abelian1"].potential
     spec = sublaplacian(ab1_law.algebra)
-    return spectral_plan(spec, ab1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
+    return spectral_plan(spec, ab1_law, d.grid(), margin=d.margin)
 
 
 @pytest.fixture(scope="session")
@@ -51,10 +51,17 @@ def ab1_pot_source(ab1_pot_plan):
 
 
 @pytest.fixture(scope="session")
+def ab3_heat_plan(ab3_law):
+    d = DEFAULTS["abelian3"].heat
+    spec = sublaplacian(ab3_law.algebra)
+    return spectral_plan(spec, ab3_law, d.grid(), margin=d.margin)
+
+
+@pytest.fixture(scope="session")
 def ab3_pot_plan(ab3_law):
     d = DEFAULTS["abelian3"].potential
     spec = sublaplacian(ab3_law.algebra)
-    return spectral_plan(spec, ab3_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
+    return spectral_plan(spec, ab3_law, d.grid(), margin=d.margin)
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +73,7 @@ def ab3_pot_source(ab3_pot_plan):
 def h1_heat_plan(h1_law):
     d = DEFAULTS["heisenberg"].heat
     spec = sublaplacian(h1_law.algebra)
-    return spectral_plan(spec, h1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
+    return spectral_plan(spec, h1_law, d.grid(), margin=d.margin)
 
 
 @pytest.fixture(scope="session")
@@ -76,18 +83,18 @@ def h1_heat_plan_scaled(h1_law):
     spec = sublaplacian(h1_law.algebra)
     r = (t2 / t1) ** (1.0 / spec.nu)
     grid = d.grid().dilated(r, h1_law.algebra.weights)
-    return spectral_plan(spec, h1_law, grid, margin=d.margin, reg_strength=d.reg_strength)
+    return spectral_plan(spec, h1_law, grid, margin=d.margin)
 
 
 @pytest.fixture(scope="session")
 def h1_pot_plan(h1_law):
     d = DEFAULTS["heisenberg"].potential
     spec = sublaplacian(h1_law.algebra)
-    return spectral_plan(spec, h1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
+    return spectral_plan(spec, h1_law, d.grid(), margin=d.margin)
 
 
 @pytest.fixture(scope="session")
 def h1_pot_plan_L2(h1_law):
     d = DEFAULTS["heisenberg"].potential
     spec = power(sublaplacian(h1_law.algebra), 2)
-    return spectral_plan(spec, h1_law, d.grid(), margin=d.margin, reg_strength=d.reg_strength)
+    return spectral_plan(spec, h1_law, d.grid(), margin=d.margin)

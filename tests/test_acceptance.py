@@ -107,7 +107,6 @@ def test_criterion_2_heat_identities(ab1_heat_plan, ab1_law, h1_heat_plan, h1_he
                 law,
                 plan.grid.dilated((t2 / t1) ** (1.0 / spec.nu), law.algebra.weights),
                 margin=d.margin,
-                reg_strength=d.reg_strength,
             )
         selfsim = check_self_similarity(plan, plan2, *times.selfsim_times)
         results[tag] = (mass, semi, sym, selfsim)

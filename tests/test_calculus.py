@@ -1,8 +1,14 @@
 """Left-invariant fields, finite differences, operator expressions."""
 
+import functools
+import itertools
+import operator
+
 import numpy as np
 import pytest
+import sympy as sp
 
+from gradecalc.algebra import algebra_from_dict, bch_group_law
 from gradecalc.calculus import (
     CalculusError,
     DiffOpExpr,
@@ -18,6 +24,7 @@ from gradecalc.calculus import (
     homogeneous_degree,
     is_stratified,
     left_invariant_fields,
+    normal_form,
     parse_diffop,
     partial_matrix,
     power,
@@ -52,14 +59,11 @@ def test_partial_matrix_periodic_axis():
 
 def test_left_invariant_fields_heisenberg(h1_law):
     # X = d/dx - (y/2) d/du, Y = d/dy + (x/2) d/du, T = d/du
-    fields = left_invariant_fields(h1_law)
-    pts = np.array([[0.7, -0.3, 0.2], [1.0, 2.0, -1.0]])
-    X, Y, T = fields
-    assert np.allclose(X.coeff_values(pts)[0], 1.0)
-    assert np.allclose(X.coeff_values(pts)[1], 0.0)
-    assert np.allclose(X.coeff_values(pts)[2], -pts[:, 1] / 2)
-    assert np.allclose(Y.coeff_values(pts)[2], pts[:, 0] / 2)
-    assert np.allclose(T.coeff_values(pts)[2], 1.0)
+    x, y, u = h1_law.xs
+    X, Y, T = left_invariant_fields(h1_law)
+    assert X.coeffs == (1, 0, -y / 2)
+    assert Y.coeffs == (0, 1, x / 2)
+    assert T.coeffs == (0, 0, 1)
 
 
 def test_field_commutators_match_brackets(h1_law):
@@ -160,5 +164,53 @@ def test_field_matrices_cache_consistency(h1_law):
     expr = sublaplacian(h1_law.algebra).expr
     f = np.random.default_rng(0xC0FFEE).standard_normal(g.size)
     direct = fm.apply_expr(expr, f)
-    via_matrix = fm.matrix(expr) @ f
+    via_matrix = sum(c * functools.reduce(operator.matmul, [fm.field(j) for j in w]) @ f for w, c in expr.terms.items())
     assert np.allclose(direct, via_matrix, atol=1e-10)
+
+
+def _engel_law():
+    alg = algebra_from_dict(
+        {
+            "n": 4,
+            "weights": [1, 1, 2, 3],
+            "brackets": [[1, 2, 3, 1, 1], [1, 3, 4, 1, 1]],
+            "labels": ["X", "Y", "Z", "W"],
+        }
+    )
+    return bch_group_law(alg)
+
+
+@pytest.mark.parametrize("group", ["heisenberg", "engel"])
+def test_normal_form_matches_fields(group, h1_law):
+    # sum_alpha c_alpha d^alpha p = X_w p for every word of length <= 4,
+    # with the fields applied symbolically to fixed polynomials p
+    law = h1_law if group == "heisenberg" else _engel_law()
+    fields = left_invariant_fields(law)
+    xs = law.xs
+
+    def poly(e):
+        return sp.Poly(e, *xs, domain="QQ")
+
+    x, y, z = xs[0], xs[1], xs[-1]
+    polys = [poly(e) for e in (x**4 * y**2 + z**3, x * y**3 * z**2 - 3 * x**2 * z, sp.prod(xs) ** 2 + y**4 * z)]
+    coeffs = [[poly(a) for a in fld.coeffs] for fld in fields]
+
+    @functools.lru_cache(maxsize=None)
+    def d(alpha, i):
+        p = polys[i]
+        return p.diff(*[(xk, a) for xk, a in zip(xs, alpha) if a]) if any(alpha) else p
+
+    @functools.lru_cache(maxsize=None)
+    def fields_on(word, i):
+        # X_w p, applied letter by letter from the right
+        if not word:
+            return polys[i]
+        g = fields_on(word[1:], i)
+        return sum((a * g.diff(xk) for a, xk in zip(coeffs[word[0]], xs)), poly(0))
+
+    for length in range(5):
+        for word in itertools.product(range(law.algebra.n), repeat=length):
+            form = [(alpha, poly(c)) for alpha, c in normal_form(word, fields).items()]
+            for i, p in enumerate(polys):
+                got = sum((c * d(alpha, i) for alpha, c in form), poly(0))
+                assert got == fields_on(word, i), (word, p)

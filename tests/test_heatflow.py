@@ -68,6 +68,20 @@ def test_gaussian_oracle_3d(ab3_pot_plan):
         assert err < 1e-2, f"t={t}: {err}"
 
 
+@pytest.mark.parametrize("name, bound", [("ab1", 1e-3), ("ab3", 1e-2)])
+def test_default_heat_plan_matches_gaussian(name, bound, request):
+    # the default heat plans against (4 pi t)^{-n/2} exp(-|x|^2/4t), relative
+    # L1 on the mask; composed first-derivative stencils with a dissipation
+    # term were off by 0.33 (abelian1) and 0.80 (abelian3) at t = 0.1
+    plan = request.getfixturevalue(f"{name}_heat_plan")
+    r2 = np.sum(plan.grid.points() ** 2, axis=1)[plan.mask]
+    for t in (0.1, 0.2):
+        h = heat_kernel(plan, t).values[plan.mask]
+        exact = np.exp(-r2 / (4 * t)) / (4 * np.pi * t) ** (plan.grid.ndim / 2)
+        err = np.sum(np.abs(h - exact)) / np.sum(exact)
+        assert err < bound, f"t={t}: {err}"
+
+
 def _mehler(t, pts, lam_max=80.0, n_lam=3000):
     """Independent oscillatory-integral formula for the stratified kernel
 
@@ -131,7 +145,7 @@ def test_self_similarity_1d(ab1_heat_plan, ab1_law):
     r = (t2 / t1) ** 0.5
     spec = sublaplacian(ab1_law.algebra)
     grid2 = ab1_heat_plan.grid.dilated(r, (1,))
-    plan2 = spectral_plan(spec, ab1_law, grid2, margin=4, reg_strength=0.05)
+    plan2 = spectral_plan(spec, ab1_law, grid2, margin=4)
     assert check_self_similarity(ab1_heat_plan, plan2, t1, t2) < 2e-2
 
 
@@ -167,6 +181,13 @@ def test_exact_discrete_symmetries_heisenberg(h1_heat_plan):
 # Plan mechanics
 
 
+def test_long_words_assemble_positive(h1_pot_plan_L2):
+    # (X^2+Y^2)^2 is assembled as the product of its letter pairs; from the
+    # normal form of whole words of length 4 its spectrum reached -1306
+    assert h1_pot_plan_L2.health()["negative"] == 0
+
+
+
 def test_heat_apply_time_zero(ab1_heat_plan):
     g = ab1_heat_plan.grid
     f = GridFunction(g, np.where(ab1_heat_plan.mask, np.sin(g.points()[:, 0]), 0.0))
@@ -186,14 +207,10 @@ def test_plan_eigenbasis_orthonormal(ab1_heat_plan):
 
 def test_dilated_plan_matches_fresh_solve(ab1_heat_plan, ab1_law, h1_law):
     # the abelian1 Kronecker plan, and a dense plan on a heisenberg box grid
-    h1_plan = spectral_plan(
-        sublaplacian(h1_law.algebra), h1_law, Grid((1.5, 1.5, 1.2), (13, 13, 21)), reg_strength=0.05
-    )
+    h1_plan = spectral_plan(sublaplacian(h1_law.algebra), h1_law, Grid((1.5, 1.5, 1.2), (13, 13, 21)))
     for plan, rho in ((ab1_heat_plan, 1.7), (h1_plan, 1.3)):
         law = plan.law
-        fresh = spectral_plan(
-            plan.spec, law, plan.grid.dilated(rho, law.algebra.weights), margin=4, reg_strength=0.05
-        )
+        fresh = spectral_plan(plan.spec, law, plan.grid.dilated(rho, law.algebra.weights), margin=4)
         cheap = dilated_plan(plan, rho)
         h1 = heat_kernel(cheap, 0.3).values
         h2 = heat_kernel(fresh, 0.3).values
@@ -232,7 +249,7 @@ def _small_periodic_grid():
 
 def test_central_fourier_plan_mechanics(h1_law):
     spec = sublaplacian(h1_law.algebra)
-    plan = spectral_plan(spec, h1_law, _small_periodic_grid(), reg_strength=0.0)
+    plan = spectral_plan(spec, h1_law, _small_periodic_grid())
     assert isinstance(plan, CentralFourierPlan)
     assert plan.eigenvectors.shape == (9, 81, 81)
     assert plan.eigenvalues.shape == (9 * 81,) and plan.mask.sum() == 9 * 81
@@ -248,9 +265,7 @@ def test_central_fourier_plan_mechanics(h1_law):
     assert np.allclose(plan.delta_coefficients(), closed.ravel(), atol=1e-10)
     # exact rescaling still holds on the dilated periodic grid
     rho = 1.3
-    fresh = spectral_plan(
-        spec, h1_law, plan.grid.dilated(rho, h1_law.algebra.weights), reg_strength=0.0
-    )
+    fresh = spectral_plan(spec, h1_law, plan.grid.dilated(rho, h1_law.algebra.weights))
     h1 = heat_kernel(dilated_plan(plan, rho), 0.2).values
     h2 = heat_kernel(fresh, 0.2).values
     assert np.max(np.abs(h1 - h2)) / np.max(np.abs(h2)) < 1e-10
@@ -264,13 +279,13 @@ def test_central_fourier_plan_refusals(h1_law):
     spec = sublaplacian(h1_law.algebra)
     grid = _small_periodic_grid()
     with pytest.raises(HeatError, match="length"):
-        spectral_plan(power(spec, 2), h1_law, grid, reg_strength=0.0)
+        spectral_plan(power(spec, 2), h1_law, grid)
     with pytest.raises(HeatError, match="dissipation"):
         spectral_plan(spec, h1_law, grid, reg_strength=0.05)
     # periodic in x: the field Y = d/dy + (x/2) d/du involves x
     grid_x = Grid((2.0, 2.0, 0.5), (9, 17, 17), periodic=(0,))
     with pytest.raises(HeatError, match="periodic coordinate"):
-        spectral_plan(spec, h1_law, grid_x, reg_strength=0.0)
+        spectral_plan(spec, h1_law, grid_x)
 
 
 def test_dense_block_bound(ab1_law):
