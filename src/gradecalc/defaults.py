@@ -5,8 +5,8 @@ potential plans, and the check times used by the verification suite.  No
 plan carries a dissipation term.  The boxes are sized so that every identity
 is tested in the regime where the grid supports it: mass at small times (the
 kernel is contained and conservation is structural), the semigroup identity
-at moderate times, and self-similarity across a pair of dilation-related
-solves.  The Heisenberg heat grid is periodic in the central coordinate,
+at moderate times, and self-similarity between the heat plan and its
+dilate.  The Heisenberg heat grid is periodic in the central coordinate,
 which selects the central-Fourier plan of ``heatflow``.
 """
 

@@ -777,13 +777,17 @@ def check_semigroup(family: HeatKernelFamily, law, pairs=None, mask=None):
 
 
 def check_self_similarity(plan: SpectralPlan, plan_scaled: SpectralPlan, t1, t2):
-    """Cross-check h_{t2} from one solve against the dilated h_{t1} from another.
+    """Cross-check h_{t2} on the scaled plan against the dilated h_{t1} on ``plan``.
 
     ``plan_scaled`` lives on the image of ``plan``'s grid under D_r with
     r = (t2/t1)^{1/nu}; the scaling identity predicts
     h_{t2}(x) = r^{-Q} h_{t1}(D_{1/r} x).  Returns the relative L1 defect on
     the scaled plan's interior mask, or inf when h_{t2} vanishes there (a
-    kernel too coarse to resolve).
+    kernel too coarse to resolve).  In ``verify`` the scaled plan is
+    ``dilated_plan(plan, r)``, the same solve rescaled, so the value reads
+    rounding and the row is a consistency check; against a fresh solve on
+    the dilated grid it reads rounding too, because the discrete operator
+    there is the base one times r^{-nu} (``dilated_plan``).
     """
     deg = homogeneous_degree(plan.spec.expr, plan.law.algebra.weights)
     if not isinstance(deg, int):

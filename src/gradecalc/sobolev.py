@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import DiffOpExpr, FieldMatrices, apply_diffop
-from .geometry import Grid, GridFunction, dilate, lp_norm
+from .geometry import Grid, GridFunction, dilate, lp_norm, sum_columns
 from .heatflow import SpectralPlan
 from .potentials import fractional_apply
 
@@ -145,8 +145,8 @@ class TestFamily:
 def _bump(center, width, lin, quad):
     def fn(pts):
         t = (np.asarray(pts, dtype=float) - center) / width
-        poly = 1.0 + t @ lin + (t**2) @ quad
-        return poly * np.exp(-np.sum(t**2, axis=-1))
+        t2 = t * t
+        return (1.0 + t @ lin + t2 @ quad) * np.exp(-sum_columns(t2))
 
     return fn
 

@@ -111,7 +111,10 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
     assert 0 < pot["t_switch"] < 20 and abs(pot["mass_at_switch"] - 1) <= 5e-4
     # eigensolve seconds and LAPACK driver: complex central-Fourier blocks, real blocks
     assert plans["heat"]["eigh_driver"] == "evr" and pot["eigh_driver"] == "evd"
-    assert all(p["eigh_s"] > 0 for p in report["plans"])
+    # heat.selfsim rescales the heat plan: no eigensolve of its own
+    assert [p["derived_from"] for p in report["plans"]] == [None, "heat", None]
+    for p in report["plans"]:
+        assert p["eigh_s"] > 0 if p["derived_from"] is None else p["eigh_s"] == 0.0
     # the text report carries checks only
     assert "blocks" not in (tmp_path / "report.txt").read_text()
 
@@ -147,6 +150,36 @@ def test_verify_resolves_config_first(runner, monkeypatch):
     assert res.exit_code == 2, res.output
     assert "no default grid" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "args, solves, derived",
+    [
+        # both plans take the --points grid: one solve for all three roles
+        (["--group", "heisenberg", "--scale", "1.2", "--points", "11,11,21"], 1, [None, "heat", "heat"]),
+        # distinct default heat and potential grids: one solve each
+        (["--group", "abelian1"], 2, [None, "heat", None]),
+        (["--group", "abelian3"], 2, [None, "heat", None]),
+    ],
+)
+def test_verify_solves_once_per_grid(runner, tmp_path, monkeypatch, args, solves, derived):
+    import gradecalc.suite as suite
+
+    solve, grids = suite.spectral_plan, []
+
+    def counted(spec, law, grid, **kwargs):
+        grids.append(grid)
+        return solve(spec, law, grid, **kwargs)
+
+    monkeypatch.setattr(suite, "spectral_plan", counted)
+    res = runner.invoke(main, [*args, "--out", str(tmp_path), "verify"])
+    assert res.exit_code in (0, 1) and "Traceback" not in res.output, res.output
+    assert len(grids) == solves
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [p["role"] for p in report["plans"]] == ["heat", "heat.selfsim", "potential"]
+    assert [p["derived_from"] for p in report["plans"]] == derived
+    for p in report["plans"]:
+        assert (p["eigh_s"] > 0) == (p["derived_from"] is None)
 
 
 def test_verify_deterministic_modulo_timestamp(runner, tmp_path):

@@ -205,13 +205,28 @@ def test_plan_eigenbasis_orthonormal(ab1_heat_plan):
     assert ab1_heat_plan.sym_defect < 1e-10
 
 
-def test_dilated_plan_matches_fresh_solve(ab1_heat_plan, ab1_law, h1_law):
-    # the abelian1 Kronecker plan, and a dense plan on a heisenberg box grid
+def test_dilated_plan_matches_fresh_solve(
+    ab1_heat_plan, ab3_law, h1_law, h1_heat_plan, h1_heat_plan_scaled
+):
+    # verify rescales its heat plan for heat.selfsim instead of solving on the
+    # dilated grid; this is the check that the two agree, on Kronecker plans
+    # (abelian1 defaults, a small abelian3 box), a dense plan on a heisenberg
+    # box grid and the default heisenberg central-Fourier plan at r = sqrt 2
+    ab3_plan = spectral_plan(sublaplacian(ab3_law.algebra), ab3_law, Grid((2.0, 2.5, 1.5), (13, 15, 11)))
     h1_plan = spectral_plan(sublaplacian(h1_law.algebra), h1_law, Grid((1.5, 1.5, 1.2), (13, 13, 21)))
-    for plan, rho in ((ab1_heat_plan, 1.7), (h1_plan, 1.3)):
+    t1, t2 = DEFAULTS["heisenberg"].times.selfsim_times
+    cases = (
+        (KroneckerPlan, ab1_heat_plan, 1.7, None),
+        (KroneckerPlan, ab3_plan, 1.3, None),
+        (SpectralPlan, h1_plan, 1.3, None),
+        (CentralFourierPlan, h1_heat_plan, (t2 / t1) ** 0.5, h1_heat_plan_scaled),
+    )
+    for kind, plan, rho, fresh in cases:
         law = plan.law
-        fresh = spectral_plan(plan.spec, law, plan.grid.dilated(rho, law.algebra.weights), margin=4)
+        if fresh is None:
+            fresh = spectral_plan(plan.spec, law, plan.grid.dilated(rho, law.algebra.weights), margin=4)
         cheap = dilated_plan(plan, rho)
+        assert type(cheap) is type(fresh) is kind and cheap.eigenvectors is plan.eigenvectors
         h1 = heat_kernel(cheap, 0.3).values
         h2 = heat_kernel(fresh, 0.3).values
         assert np.max(np.abs(h1 - h2)) / np.max(np.abs(h2)) < 1e-10

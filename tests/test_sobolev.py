@@ -34,6 +34,21 @@ def test_words_of_degree():
     assert (2,) in words and (0, 1) in words
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bump_matches_axis_sum_bit_for_bit(n):
+    # the column-by-column sum in _bump against the np.sum(axis=-1) form it replaced
+    from gradecalc.sobolev import _bump
+
+    rng = np.random.default_rng(SEED + n)
+    center = rng.uniform(-1.0, 1.0, n)
+    width = rng.uniform(0.1, 2.0, n)
+    lin, quad = rng.standard_normal(n), rng.standard_normal(n)
+    for pts in (rng.uniform(-3.0, 3.0, (4001, n)), rng.uniform(-3.0, 3.0, n)):
+        t = (pts - center) / width
+        old = (1.0 + t @ lin + (t**2) @ quad) * np.exp(-np.sum(t**2, axis=-1))
+        assert np.array_equal(_bump(center, width, lin, quad)(pts), old)
+
+
 def test_spec_validation(ab1_pot_plan):
     with pytest.raises(SobolevError):
         SobolevNormSpec(ab1_pot_plan, 1.0, 2, flavor="nonsense")
