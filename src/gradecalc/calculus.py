@@ -232,15 +232,6 @@ class DiffOpExpr:
     def max_word_length(self):
         return max((len(w) for w in self.terms), default=0)
 
-    def format(self, labels):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in sorted(self.terms.items()):
-            word = "I" if not w else " ".join(labels[j] for j in w)
-            parts.append(f"{c:+g} {word}")
-        return " ".join(parts)
-
 
 def homogeneous_degree(expr: DiffOpExpr, weights):
     """The common weighted degree, or a set of degrees if inhomogeneous."""
@@ -416,17 +407,16 @@ def parse_diffop(text, labels) -> DiffOpExpr:
 class FieldMatrices:
     """Cached sparse matrices of the basis fields on a fixed grid."""
 
-    def __init__(self, law: GroupLaw, grid: Grid, acc=4):
+    def __init__(self, law: GroupLaw, grid: Grid):
         self.law = law
         self.grid = grid
-        self.acc = acc
         self._fields = left_invariant_fields(law)
         self._mats = {}
 
     def field(self, j):
         if j not in self._mats:
             form = normal_form((j,), self._fields)
-            self._mats[j] = form_matrix(form, self.grid, self.law.xs, acc=self.acc)
+            self._mats[j] = form_matrix(form, self.grid, self.law.xs)
         return self._mats[j]
 
     def apply_word(self, word, values):

@@ -206,12 +206,12 @@ def _probe_table(plan, seed):
         )
     Q = plan.law.algebra.homogeneous_dimension
     b = Q * (0.5 - 0.25)
-    sup, drift = embedding_probe(plan, 2, 4, b, 0.0, fam, n_dilated=3)
+    sup, drift = embedding_probe(plan, 2, 4, b, 0.0, fam)
     rows.append(
         ["embedding.Lp-Lq", f"p=2;q=4;b={b:g};a=0", sup, drift, 2.0, "pass" if drift < 2.0 else "fail"]
     )
     s_sup = Q / 2.0 + 1.0
-    sup2, drift2 = sup_embedding_probe(plan, 2, s_sup, fam, n_dilated=3)
+    sup2, drift2 = sup_embedding_probe(plan, 2, s_sup, fam)
     rows.append(
         ["embedding.sup", f"p=2;s={s_sup:g}", sup2, drift2, 2.0, "pass" if drift2 < 2.0 else "fail"]
     )

@@ -2,26 +2,26 @@
 
 The operator, assembled from the exact normal form of each letter pair with
 compact stencils (``calculus.discretize``), is restricted to the interior of
-the grid (a Dirichlet-style mask), symmetrized, and diagonalized once; the
-resulting plan serves the heat flow, fractional powers and the potential
-kernels.  The plan follows the operator's structure.  On an abelian law with every word a
-power of one letter the interior operator is a Kronecker sum, and the plan
-diagonalizes one small factor per axis (the fast diagonalization method of
-Lynch, Rice and Thomas).  On a grid with a periodic central axis it
-diagonalizes one Hermitian block per frequency of that axis.  Any other
-operator on a box grid is split by its reflection symmetries: every
-coordinate sign flip that is an automorphism of the law and fixes the
-operator maps the box onto itself and commutes with the interior matrix, so
-the matrix is block diagonal in an orbit basis with one block per character
-of the group of such flips (Fassler and Stiefel, *Group Theoretical Methods
-and Their Applications*, 1992).  On the Heisenberg group the flips
+the grid (a Dirichlet-style mask), symmetrized, and diagonalized once; heat
+flow, potential kernels and fractional powers are all multipliers through the
+resulting plan (``SpectralPlan``), which follows the operator's structure.
+On an abelian law with every word a power of one letter the interior operator
+is a Kronecker sum, and the plan diagonalizes one small factor per axis (the
+fast diagonalization method of Lynch, Rice and Thomas).  On a grid with a
+periodic central axis it diagonalizes one Hermitian block per frequency of
+that axis.  Any other operator on a box grid is split by its reflection
+symmetries: every coordinate sign flip that is an automorphism of the law and
+fixes the operator maps the box onto itself and commutes with the interior
+matrix, so the matrix is block diagonal in an orbit basis with one block per
+character of the group of such flips (Fassler and Stiefel, *Group Theoretical
+Methods and Their Applications*, 1992).  On the Heisenberg group the flips
 (x, y, u) -> (a x, b y, ab u) give four blocks of about n/4 nodes, so the
 eigensolve costs about a sixteenth of the dense one.  The quarter turn
 (x, y) -> (y, -x) also commutes with the sub-Laplacian, but with the flips it
 generates the dihedral group of order 8, which has a 2-dimensional
-irreducible representation; it is left out, since the flips alone already
-cut the n = 5445 Heisenberg solve about 13-fold.  With no flip but the
-identity the plan is one dense block.
+irreducible representation; it is left out, since the flips alone already cut
+the n = 5445 Heisenberg solve about 13-fold.  With no flip but the identity
+the plan is one dense block.
 """
 
 from __future__ import annotations
@@ -74,27 +74,37 @@ MAX_DENSE_BLOCK = 10_000
 REFLECTION_TOL = 1e-12
 
 
+def _frozen(a):
+    """``a``, made read-only: a plan hands the same cached array to every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class SpectralPlan:
     """Eigendecomposition of the symmetrized, interior-restricted operator.
 
     ``eigenvectors`` has orthonormal columns in the plan's own layout, reached
     through ``analyze`` and ``synthesize``; ``block_sizes`` lists the sizes of
-    the dense eigensolves it packs.  On this plan the ``eigenvalues`` ascend;
-    structured plans keep their eigenvalues in their own layout, ascending
-    only within each factor or block.
+    the dense eigensolves it packs.  The ``eigenvalues`` follow that layout:
+    on every plan they ascend only within each block (or factor).
 
     This plan is block diagonal in the sparse orthonormal orbit basis
     ``basis`` (interior nodes by columns, grouped by block): each column is
     sum_g chi(g) e_{g.r} over the sign flips g of one character chi, normalized.
     ``eigenvectors`` packs each block's orthonormal eigenvector matrix, C
-    order, one after another, and ``order`` sorts the packed eigenvalues.
+    order, one after another.
     ``reflection_defect`` is the largest relative Frobenius commutator of a
     flip with the interior matrix (None on plans that take no flips).
     ``eigh_s`` is the time spent in the LAPACK eigensolves behind the
     eigenvectors, summed over blocks, and ``eigh_driver`` the driver used.
-    ``field_matrices`` holds the sparse left-invariant fields on the plan's
-    grid, built once on first use.
+
+    The plan owns the data its consumers share (``lam_plus``, the delta and
+    unit coefficients, ``field_matrices``), each a ``cached_property`` built
+    on first use (arrays read-only), which ``dilated_plan`` does not carry
+    over.  Every heat, potential and fractional routine is a multiplier
+    g(lam_plus): ``apply_multiplier`` on f, ``delta_kernel`` and
+    ``delta_mass`` on the delta.
     """
 
     grid: Grid
@@ -106,25 +116,33 @@ class SpectralPlan:
     sym_defect: float
     block_sizes: tuple = ()
     basis: object = None  # sparse (n, n)
-    order: np.ndarray = None
     reflection_defect: float | None = None
     eigh_s: float = 0.0
     eigh_driver: str | None = None
-    # not an __init__ field, so that ``dilated_plan`` (on another grid) starts without it
-    _field_matrices: FieldMatrices | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    @property
+    @functools.cached_property
     def field_matrices(self) -> FieldMatrices:
-        """The ``FieldMatrices`` of the plan's law on its grid, built on first use."""
-        if self._field_matrices is None:
-            self._field_matrices = FieldMatrices(self.law, self.grid)
-        return self._field_matrices
+        """The ``FieldMatrices`` of the plan's law on its grid."""
+        return FieldMatrices(self.law, self.grid)
 
-    @property
-    def lam_max(self):
-        return float(np.max(self.eigenvalues))
+    @functools.cached_property
+    def lam_plus(self):
+        """The eigenvalues clipped at 0, the argument of every multiplier."""
+        return _frozen(np.clip(self.eigenvalues, 0.0, None))
+
+    @functools.cached_property
+    def unit_coefficients(self):
+        """analyze(1): the grid sum of a synthesis of c is <analyze(1), c>."""
+        return _frozen(self.analyze(np.ones(self.grid.size)))
+
+    @functools.cached_property
+    def _delta_coefficients(self):
+        i = self.grid.origin_index
+        if not self.mask[i]:
+            raise HeatError("origin is not inside the interior mask")
+        delta = np.zeros(self.grid.size)
+        delta[i] = 1.0 / self.grid.cell_volume
+        return _frozen(self.analyze(delta))
 
     def restrict(self, values):
         return np.asarray(values)[self.mask]
@@ -144,14 +162,12 @@ class SpectralPlan:
     def analyze(self, values):
         """Eigen-coefficients of grid values, taken on the interior."""
         y = self.basis.T @ self.restrict(values)
-        return np.concatenate([V.T @ y[s] for s, V in self._blocks()])[self.order]
+        return np.concatenate([V.T @ y[s] for s, V in self._blocks()])
 
     def synthesize(self, coef):
         """Grid values of an eigen-expansion, zero outside the interior."""
         coef = np.asarray(coef)
-        packed = np.empty_like(coef)
-        packed[self.order] = coef
-        return self.embed(self.basis @ np.concatenate([V @ packed[s] for s, V in self._blocks()]))
+        return self.embed(self.basis @ np.concatenate([V @ coef[s] for s, V in self._blocks()]))
 
     def health(self):
         """Grid, size, spectrum, self-adjointness and eigensolve cost of the plan, as plain numbers."""
@@ -175,24 +191,28 @@ class SpectralPlan:
             "eigh_driver": self.eigh_driver,
         }
 
-    def apply_multiplier(self, g_of_lambda, f: GridFunction) -> GridFunction:
-        """V g(Lambda) V^* f, zero outside the interior mask.
+    def apply_multiplier(self, g, f: GridFunction) -> GridFunction:
+        """V g V^* f for the multiplier array g = g(lam_plus), zero outside the interior mask.
 
         The operator is real, so real f gives real values.
         """
-        out = self.synthesize(g_of_lambda(self.eigenvalues) * self.analyze(f.values))
+        out = self.synthesize(g * self.analyze(f.values))
         if not np.iscomplexobj(f.values):
             out = out.real
         return GridFunction(self.grid, out)
 
     def delta_coefficients(self):
-        """Eigen-coefficients of the discrete delta at the origin, mass 1/dV."""
-        i = self.grid.origin_index
-        if not self.mask[i]:
-            raise HeatError("origin is not inside the interior mask")
-        delta = np.zeros(self.grid.size)
-        delta[i] = 1.0 / self.grid.cell_volume
-        return self.analyze(delta)
+        """Eigen-coefficients of the discrete delta at the origin, mass 1/dV (read-only)."""
+        return self._delta_coefficients
+
+    def delta_kernel(self, g) -> GridFunction:
+        """g(R) delta: one synthesis of g c_delta."""
+        return GridFunction(self.grid, self.synthesize(g * self._delta_coefficients).real)
+
+    def delta_mass(self, g):
+        """The integral of g(R) delta, dV <analyze(1), g c_delta>, with no synthesis."""
+        coef = g * self._delta_coefficients
+        return float(self.grid.cell_volume * np.vdot(self.unit_coefficients, coef).real)
 
 
 @dataclass
@@ -210,12 +230,13 @@ class CentralFourierPlan(SpectralPlan):
 
     axis: int = 0
 
+    @functools.cached_property
     def _inner_shape(self):
         nodes = np.argwhere(self.mask.reshape(self.grid.counts))
         return tuple(int(n) for n in nodes.max(axis=0) - nodes.min(axis=0) + 1)
 
     def analyze(self, values):
-        lines = np.moveaxis(self.restrict(values).reshape(self._inner_shape()), self.axis, 0)
+        lines = np.moveaxis(self.restrict(values).reshape(self._inner_shape), self.axis, 0)
         lines = np.fft.ifftshift(lines, axes=0).reshape(len(lines), -1)
         F = np.fft.fft(lines, axis=0, norm="ortho")
         # c_k = V_k^* F_k for every frequency k
@@ -225,7 +246,7 @@ class CentralFourierPlan(SpectralPlan):
         V = self.eigenvectors
         F = (V @ np.reshape(coef, V.shape[:2])[:, :, None])[:, :, 0]
         lines = np.fft.fftshift(np.fft.ifft(F, axis=0, norm="ortho"), axes=0)
-        shape = list(self._inner_shape())
+        shape = list(self._inner_shape)
         shape.insert(0, shape.pop(self.axis))
         return self.embed(np.moveaxis(lines.reshape(shape), 0, self.axis).ravel())
 
@@ -242,13 +263,9 @@ class KroneckerPlan(SpectralPlan):
     factor.
     """
 
-    @property
-    def factor_sizes(self):
-        return self.block_sizes
-
     def _factors(self):
-        ends = np.cumsum(self.factor_sizes)
-        return [self.eigenvectors[e - n : e, e - n : e] for n, e in zip(self.factor_sizes, ends)]
+        ends = np.cumsum(self.block_sizes)
+        return [self.eigenvectors[e - n : e, e - n : e] for n, e in zip(self.block_sizes, ends)]
 
     def _contract(self, X, transpose):
         # apply each factor basis (or its transpose) along its own axis
@@ -257,11 +274,11 @@ class KroneckerPlan(SpectralPlan):
         return X
 
     def analyze(self, values):
-        X = self.restrict(values).reshape(self.factor_sizes)
+        X = self.restrict(values).reshape(self.block_sizes)
         return self._contract(X, transpose=True).ravel()
 
     def synthesize(self, coef):
-        X = np.reshape(coef, self.factor_sizes)
+        X = np.reshape(coef, self.block_sizes)
         return self.embed(self._contract(X, transpose=False).ravel())
 
 
@@ -434,8 +451,6 @@ def _reflection_plan(A_int, inner_counts, flips, fields):
         A *= 0.5
         plan.eigenvalues[s], V[...] = _eigh(A, stats)
     plan.eigh_s, plan.eigh_driver = stats["eigh_s"], stats["eigh_driver"]
-    plan.order = np.argsort(plan.eigenvalues, kind="stable")
-    plan.eigenvalues = plan.eigenvalues[plan.order]
     return plan
 
 
@@ -603,16 +618,14 @@ def heat_apply(plan: SpectralPlan, f: GridFunction, t) -> GridFunction:
     """e^{-tR} f (t = 0 is the identity on the interior)."""
     if t < 0:
         raise HeatError("time must be nonnegative")
-    return plan.apply_multiplier(lambda lam: np.exp(-t * np.clip(lam, 0.0, None)), f)
+    return plan.apply_multiplier(np.exp(-t * plan.lam_plus), f)
 
 
 def heat_kernel(plan: SpectralPlan, t) -> GridFunction:
     """h_t: heat flow started from the discrete delta at the origin."""
     if t < 0:
         raise HeatError("time must be nonnegative")
-    c = plan.delta_coefficients()
-    lam = np.clip(plan.eigenvalues, 0.0, None)
-    return GridFunction(plan.grid, plan.synthesize(np.exp(-t * lam) * c).real)
+    return plan.delta_kernel(np.exp(-t * plan.lam_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +635,9 @@ def heat_kernel(plan: SpectralPlan, t) -> GridFunction:
 class HeatKernelSource:
     """Evaluates h_t on the grid for any t > 0, alone or in weighted sums.
 
-    For small and moderate t the spectral plan is used directly.  Once the
-    kernel outgrows the box (detected by mass loss), the scaling identity
+    For small and moderate t, h_t is the plan's ``delta_kernel`` of
+    e^{-t lam_plus}.  Once the kernel outgrows the box (a mass loss, read off
+    the coefficients by ``delta_mass``), the scaling identity
     h_t(x) = (t/t0)^{-Q/nu} h_{t0}(D_{(t/t0)^{-1/nu}} x) continues it from a
     well-resolved reference time t0, resampled on the grid by
     ``resample_dilated``.  The continuation requires a homogeneous operator
@@ -631,9 +645,7 @@ class HeatKernelSource:
     a dilation would change), fall back to the direct route.
 
     ``ladder_sum`` evaluates sum_i c_i h_{t_i}, the form of every potential
-    kernel.  On the direct route h_t is the synthesis of e^{-t lambda} c_delta,
-    linear in the multiplier, so all direct nodes share one multiplier and
-    one synthesis, and their masses come from the coefficients alone.
+    kernel: all direct nodes share one multiplier and one synthesis.
     """
 
     MASS_TOL = 5e-4  # largest mass defect of the direct route up to t_switch
@@ -643,29 +655,20 @@ class HeatKernelSource:
         self.Q = plan.law.algebra.homogeneous_dimension
         deg = homogeneous_degree(plan.spec.expr, plan.law.algebra.weights)
         self.nu = deg if isinstance(deg, int) else None
-        self._c_delta = plan.delta_coefficients()
-        self._lam = np.clip(plan.eigenvalues, 0.0, None)
-        # sum over the grid of a synthesis c is <analyze(1), c>
-        self._c_ones = plan.analyze(np.ones(plan.grid.size))
         self.t_switch = np.inf
         self.mass_at_switch = 1.0
         self._ref = None
         if self.nu is not None and not plan.grid.periodic:
             t_sw = None
-            for t in np.geomspace(1e-3, 20.0, 36):
-                m = haar_integrate(self._direct(t))
-                if abs(m - 1.0) <= self.MASS_TOL:
+            for t in np.geomspace(1e-3, 20.0, 36):  # direct-route masses: t_switch is inf
+                if abs(self.mass(t) - 1.0) <= self.MASS_TOL:
                     t_sw = t
                 elif t_sw is not None:
                     break
             if t_sw is not None:
                 self.t_switch = float(t_sw)
-                self._ref = self._direct(self.t_switch)
-                self.mass_at_switch = float(haar_integrate(self._ref))
-
-    def _direct(self, t) -> GridFunction:
-        vals = self.plan.synthesize(np.exp(-t * self._lam) * self._c_delta)
-        return GridFunction(self.plan.grid, vals.real)
+                g = np.exp(-self.t_switch * plan.lam_plus)
+                self._ref, self.mass_at_switch = plan.delta_kernel(g), plan.delta_mass(g)
 
     def _continued(self, t):
         """Grid values of h_t past the switch, by the scaling identity."""
@@ -676,18 +679,24 @@ class HeatKernelSource:
     def __call__(self, t) -> GridFunction:
         if t <= 0:
             raise HeatError("time must be positive")
-        if t <= self.t_switch or self._ref is None:
-            return self._direct(t)
+        if t <= self.t_switch:
+            return self.plan.delta_kernel(np.exp(-t * self.plan.lam_plus))
         return GridFunction(self.plan.grid, self._continued(t))
+
+    def mass(self, t):
+        """int h_t: the plan's ``delta_mass`` up to t_switch, ``mass_at_switch`` past it."""
+        if t <= self.t_switch:
+            return self.plan.delta_mass(np.exp(-t * self.plan.lam_plus))
+        return self.mass_at_switch
 
     def ladder_sum(self, times, coefs):
         """sum_i c_i h_{t_i} as grid values, and its integral sum_i c_i int h_{t_i}.
 
         The direct nodes (t_i <= t_switch) fold into the one multiplier
-        m = sum_i c_i e^{-t_i lambda} and one synthesis of m c_delta, whose
-        integral is dV <analyze(1), m c_delta>.  Each continuation node is one
-        resampling of the reference kernel and carries its mass
-        ``mass_at_switch``.  Equal to summing c_i ``self(t_i)`` up to rounding.
+        m = sum_i c_i e^{-t_i lam_plus}: one ``delta_kernel`` and one
+        ``delta_mass`` of m.  Each continuation node is one resampling of the
+        reference kernel and carries its mass ``mass_at_switch``.  Equal to
+        summing c_i ``self(t_i)`` up to rounding.
         """
         times, coefs = np.asarray(times, dtype=float), np.asarray(coefs, dtype=float)
         if np.any(times <= 0):
@@ -696,12 +705,12 @@ class HeatKernelSource:
         values = np.zeros(self.plan.grid.size)
         mass = 0.0
         if direct.any():
-            mult = np.zeros_like(self._lam)
+            lam = self.plan.lam_plus
+            mult = np.zeros_like(lam)
             for t, c in zip(times[direct], coefs[direct]):
-                mult += c * np.exp(-t * self._lam)
-            coef = mult * self._c_delta
-            values += self.plan.synthesize(coef).real
-            mass += self.plan.grid.cell_volume * np.vdot(self._c_ones, coef).real
+                mult += c * np.exp(-t * lam)
+            values += self.plan.delta_kernel(mult).values
+            mass += self.plan.delta_mass(mult)
         for t, c in zip(times[~direct], coefs[~direct]):
             values += c * self._continued(t)
             mass += c * self.mass_at_switch
@@ -711,7 +720,7 @@ class HeatKernelSource:
         """t^{Q/nu} h_t(0) for large t (constant by self-similarity)."""
         if self._ref is None:
             raise HeatError("no self-similar continuation available")
-        h0 = float(self._ref.interpolator()(np.zeros((1, self.plan.grid.ndim)))[0])
+        h0 = float(self._ref.values[self.plan.grid.origin_index])  # the origin is a node
         return self.t_switch ** (self.Q / self.nu) * h0
 
 
@@ -792,10 +801,9 @@ def check_self_similarity(plan: SpectralPlan, plan_scaled: SpectralPlan, t1, t2)
     deg = homogeneous_degree(plan.spec.expr, plan.law.algebra.weights)
     if not isinstance(deg, int):
         raise HeatError("self-similarity requires a homogeneous operator")
-    nu = deg
     weights = plan.law.algebra.weights
     Q = plan.law.algebra.homogeneous_dimension
-    r = (t2 / t1) ** (1.0 / nu)
+    r = (t2 / t1) ** (1.0 / deg)
     expected = plan.grid.dilated(r, weights)
     if not np.allclose(expected.half_widths, plan_scaled.grid.half_widths, rtol=1e-9) \
             or expected.counts != plan_scaled.grid.counts:

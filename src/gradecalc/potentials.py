@@ -1,9 +1,11 @@
 """Riesz and Bessel potential kernels and fractional operator powers.
 
 The kernels are quadratures of the heat family over a geometric time ladder
-(trapezoid in log t); fractional powers (I+R)^{s/nu} and R^{s/nu} act through
-the spectral plan.  The two routes cross-validate each other: the ladder
-applied to f reproduces the spectral multiplier up to quadrature error.
+(trapezoid in log t); fractional powers (I+R)^{s/nu} and R^{s/nu} are
+multipliers g(lam_plus) of the plan's clipped spectrum, applied by
+``SpectralPlan.apply_multiplier``.  The two routes cross-validate each other:
+the ladder applied to f reproduces the spectral multiplier up to quadrature
+error.
 
 A kernel is linear in h_t, so its whole ladder is one weighted sum
 ``HeatKernelSource.ladder_sum``: the nodes on the direct route share one
@@ -163,9 +165,10 @@ def bessel_kernel(plan: SpectralPlan, a, source=None) -> BesselKernel:
     """B_a = (1/Gamma(a/nu)) * integral of t^{a/nu - 1} e^{-t} h_t dt, a > 0.
 
     The reported ``integral`` integrates the in-model mass of h_t against the
-    damped weight: below the ladder it uses exact mass conservation, on the
-    ladder the box mass (or the dilation-exact mass of the continuation),
-    and beyond t_hi the e^{-t} damping bounds the remainder.
+    damped weight: on the ladder the box mass (or the dilation-exact mass of
+    the continuation), below it the analytic head weighted by the source's
+    mass of h_{t_lo} (so that a kernel the grid cannot resolve reads as no
+    mass), and beyond t_hi the e^{-t} damping bounds the remainder.
     """
     nu = _require_homogeneous(plan)
     if a <= 0:
@@ -179,8 +182,8 @@ def bessel_kernel(plan: SpectralPlan, a, source=None) -> BesselKernel:
     t = ladder.nodes
     acc, mass_integral = source.ladder_sum(t, ladder.weights * t ** (s - 1.0) * np.exp(-t))
     vals = norm * acc
-    # analytic head [0, t_lo] (mass exactly 1 there) and tail bound beyond t_hi
-    head = gammainc(s, ladder.t_lo)
+    # analytic head [0, t_lo] carrying the mass of h_{t_lo}, and tail bound beyond t_hi
+    head = gammainc(s, ladder.t_lo) * source.mass(ladder.t_lo)
     tail = 1.0 - gammainc(s, ladder.t_hi)
     integral = norm * mass_integral + head + tail
     gf = GridFunction(plan.grid, vals)
@@ -242,11 +245,9 @@ def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False) 
     ``FLOOR_RATIO * lam_max`` (their coefficients are dropped); a plan that
     ``check_spectrum`` refuses raises an error.
     """
-    nu = plan.spec.nu
-    if nu is None:
-        raise PotentialError("operator has no homogeneous degree")
+    nu = _require_homogeneous(plan)
     check_spectrum(plan)
-    lam = np.clip(plan.eigenvalues, 0.0, None)
+    lam = plan.lam_plus
     power = s / nu
     if homogeneous:
         if s < 0:
@@ -256,7 +257,7 @@ def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False) 
             g = np.power(lam, power)
     else:
         g = np.power(1.0 + lam, power)
-    return plan.apply_multiplier(lambda _: g, f)
+    return plan.apply_multiplier(g, f)
 
 
 def bessel_apply_quadrature(plan: SpectralPlan, a, f: GridFunction) -> GridFunction:
@@ -270,10 +271,10 @@ def bessel_apply_quadrature(plan: SpectralPlan, a, f: GridFunction) -> GridFunct
         raise PotentialError("quadrature route needs a > 0")
     ladder = TLadder.geometric(1e-8, 50.0, n=600)
     s = a / nu
-    lam = np.clip(plan.eigenvalues, 0.0, None)
+    lam = plan.lam_plus
     # analytic head for (0, t_lo], where the integrand is ~ t^{s-1}
     g = (ladder.t_lo**s / s) * np.exp(-ladder.t_lo * (1.0 + lam))
     for t, w in zip(ladder.nodes, ladder.weights):
         g += w * (t ** (s - 1.0)) * np.exp(-t * (1.0 + lam))
     g /= math.gamma(s)
-    return plan.apply_multiplier(lambda _: g, f)
+    return plan.apply_multiplier(g, f)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .calculus import DiffOpExpr, FieldMatrices, apply_diffop
 from .geometry import Grid, GridFunction, dilate, lp_norm, sum_columns
-from .heatflow import SpectralPlan
+from .heatflow import SpectralPlan, dilated_plan
 from .potentials import fractional_apply
 
 
@@ -208,6 +208,11 @@ def equivalence_probe(specA: SobolevNormSpec, specB: SobolevNormSpec, family: Te
     )
 
 
+# the scales r at which the embedding probes stress the first N_DILATED members
+DILATIONS = (0.25, 0.5, 1.0, 2.0, 4.0)
+N_DILATED = 3
+
+
 def _dilated_pair(plan, family, i, r):
     """Member i as f(D_r x), sampled on the dilation image of the grid.
 
@@ -215,24 +220,21 @@ def _dilated_pair(plan, family, i, r):
     plan) keeps it equally resolved at every scale; on a fixed grid the copies
     leave the resolved band already at r = 4 for weight-2 coordinates.
     """
-    from .heatflow import dilated_plan
-
     weights = plan.law.algebra.weights
     plan_r = dilated_plan(plan, 1.0 / r)
     fn = family.dilated_member(i, r, weights)
     return plan_r, GridFunction(plan_r.grid, fn(plan_r.grid.points()))
 
 
-def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily,
-                    dilations=(0.25, 0.5, 1.0, 2.0, 4.0), n_dilated=5):
+def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily):
     """sup of ||f||_{L^q_a} / ||f||_{L^p_b} under the exponent relation.
 
     Requires 1 < p < q < inf and b - a = Q(1/p - 1/q); other inputs are
-    refused (no claim holds off the relation).  The first ``n_dilated`` family
+    refused (no claim holds off the relation).  The first ``N_DILATED`` family
     members are also stressed across scales: each is re-sampled as f(D_r x)
     on the dilation image of the grid, where the exponent relation makes the
-    homogeneous-seminorm form of the ratio scale-free, and the reported drift
-    is the max/min spread of that form across r.  Returns (sup ratio, drift).
+    homogeneous-seminorm form of the ratio scale-free; the drift is the
+    max/min spread of that form over ``DILATIONS``.  Returns (sup ratio, drift).
     """
     if not (1 < p < q < np.inf):
         raise SobolevError(f"need 1 < p < q < inf, got p={p}, q={q}")
@@ -252,9 +254,9 @@ def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily,
 
     sup = max(ratio(f, spec_num, spec_den) for f in family.gridfunctions())
     drift = 1.0
-    for i in range(min(n_dilated, len(family.members))):
+    for i in range(min(N_DILATED, len(family.members))):
         vals = []
-        for r in dilations:
+        for r in DILATIONS:
             plan_r, fr = _dilated_pair(plan, family, i, r)
             vals.append(
                 ratio(
@@ -267,14 +269,14 @@ def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily,
     return float(sup), float(drift)
 
 
-def sup_embedding_probe(plan: SpectralPlan, p, s, family: TestFamily,
-                        dilations=(0.25, 0.5, 1.0, 2.0, 4.0), n_dilated=5):
+def sup_embedding_probe(plan: SpectralPlan, p, s, family: TestFamily):
     """sup of ||f||_inf / ||f||_{L^p_s}, defined only for s > Q/p.
 
-    Returns (sup ratio, drift): the drift stresses the first members across
-    scales on dilation-image grids, in the scale-covariant form — the
-    homogeneous-seminorm ratio carries the exact dilation factor r^{s - Q/p},
-    which is divided out before comparing across r.
+    Returns (sup ratio, drift): the drift stresses the first ``N_DILATED``
+    members across the scales ``DILATIONS`` on dilation-image grids, in the
+    scale-covariant form — the homogeneous-seminorm ratio carries the exact
+    dilation factor r^{s - Q/p}, which is divided out before comparing
+    across r.
     """
     Q = plan.law.algebra.homogeneous_dimension
     if not s > Q / p:
@@ -287,9 +289,9 @@ def sup_embedding_probe(plan: SpectralPlan, p, s, family: TestFamily,
             raise SobolevError("family member has zero denominator norm")
         sup = max(sup, lp_norm(f, np.inf, mask=plan.mask) / den)
     drift = 1.0
-    for i in range(min(n_dilated, len(family.members))):
+    for i in range(min(N_DILATED, len(family.members))):
         vals = []
-        for r in dilations:
+        for r in DILATIONS:
             plan_r, fr = _dilated_pair(plan, family, i, r)
             den = sobolev_norm(SobolevNormSpec(plan_r, s, p, "homogeneous"), fr)
             num = lp_norm(fr, np.inf, mask=plan_r.mask)
@@ -334,15 +336,15 @@ def type0_probe(plan: SpectralPlan, word, family: TestFamily):
 # Sharpness table for the weights-(3,5,8) group
 
 
-def sharpness_probe_H1tilde(s_values=(6, 8, 10), r_values=(1.0, 2.0, 4.0),
-                            base_grid=None, law=None, member=None):
+def sharpness_probe_H1tilde(law=None):
     """Ratios ||(X^2+Y^2) f_r||_2 / (Goodman norm of order s) on weights (3,5,8).
 
-    f_r = f(D_r x) with the anisotropic dilations; each r gets the dilation
-    image of the base grid so the bump stays equally resolved.  The order-s
-    denominator is ||f||_2 + sum over words of weighted degree s.  The words
-    of degree 10 include Y^2, which matches the numerator's fastest-scaling
-    term, so that column stays bounded in r, while lower orders grow.
+    f_r = f(D_r x), r = 1, 2, 4, for a centred Gaussian f; each r gets the
+    dilation image of a 25^3 grid on [-3, 3]^3 so the bump stays equally
+    resolved.  The order-s denominator (s = 6, 8, 10) is ||f||_2 + sum over
+    words of weighted degree s.  The words of degree 10 include Y^2, which
+    matches the numerator's fastest-scaling term, so that column stays
+    bounded in r, while lower orders grow.
     """
     from .algebra import bch_group_law, builtin_group
 
@@ -351,15 +353,13 @@ def sharpness_probe_H1tilde(s_values=(6, 8, 10), r_values=(1.0, 2.0, 4.0),
     weights = law.algebra.weights
     if tuple(int(w) for w in weights) != (3, 5, 8):
         raise SobolevError("sharpness table is specific to dilation weights (3, 5, 8)")
-    if base_grid is None:
-        base_grid = Grid((3.0, 3.0, 3.0), (25, 25, 25))
-    if member is None:
-        member = _bump(np.zeros(3), np.full(3, 0.9), np.zeros(3), np.zeros(3))
+    base_grid = Grid((3.0, 3.0, 3.0), (25, 25, 25))
+    member = _bump(np.zeros(3), np.full(3, 0.9), np.zeros(3), np.zeros(3))
     L = -(DiffOpExpr.generator(0) ** 2) - (DiffOpExpr.generator(1) ** 2)
     table = {}
-    for s in s_values:
+    for s in (6, 8, 10):
         col = []
-        for r in r_values:
+        for r in (1.0, 2.0, 4.0):
             grid_r = base_grid.dilated(1.0 / r, weights)
             fr = GridFunction(grid_r, member(dilate(r, grid_r.points(), weights)))
             cache = FieldMatrices(law, grid_r)

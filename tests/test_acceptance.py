@@ -228,8 +228,8 @@ def test_criterion_6_norm_equivalences(h1_pot_plan, h1_pot_plan_L2):
 
 def test_criterion_7_embeddings(h1_pot_plan):
     fam = make_test_family(h1_pot_plan.grid, n=50, seed=SEED)
-    sup1, drift1 = embedding_probe(h1_pot_plan, 2, 4, 1.0, 0.0, fam, n_dilated=3)
-    sup2, drift2 = sup_embedding_probe(h1_pot_plan, 2, 3.0, fam, n_dilated=3)
+    sup1, drift1 = embedding_probe(h1_pot_plan, 2, 4, 1.0, 0.0, fam)
+    sup2, drift2 = sup_embedding_probe(h1_pot_plan, 2, 3.0, fam)
     refused = 0
     for call in (
         lambda: embedding_probe(h1_pot_plan, 2, 4, 2.0, 0.0, fam),

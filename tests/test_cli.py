@@ -268,11 +268,13 @@ def test_kernel_refuses_negative_spectrum(runner, kind):
 
 def test_kernel_high_degree_coarse_grid_no_traceback(runner):
     # (h/2)^240 overflows a float: the degree-240 ladder once ended in an
-    # OverflowError traceback
+    # OverflowError traceback.  Its kernel vanishes on this grid, so the
+    # Bessel integral must fail: an analytic head of unit mass once read 0.995
     res = runner.invoke(main, ["--group", "heisenberg358", "--points", "9", "kernel"])
-    assert res.exit_code in (0, 1, 2)
-    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
     assert "Traceback" not in res.output
+    assert "FAIL: integral defect" in res.output
 
 
 def test_norm_command(runner):

@@ -225,11 +225,43 @@ def test_dilated_plan_matches_fresh_solve(
         law = plan.law
         if fresh is None:
             fresh = spectral_plan(plan.spec, law, plan.grid.dilated(rho, law.algebra.weights), margin=4)
+        # fill the base plan's caches first: the dilated plan must build its own
+        heat_kernel(plan, 0.3)
         cheap = dilated_plan(plan, rho)
         assert type(cheap) is type(fresh) is kind and cheap.eigenvectors is plan.eigenvectors
+        assert cheap.lam_plus is not plan.lam_plus
         h1 = heat_kernel(cheap, 0.3).values
         h2 = heat_kernel(fresh, 0.3).values
         assert np.max(np.abs(h1 - h2)) / np.max(np.abs(h2)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["ab3_pot", "h1_pot", "h1_heat"])
+def test_delta_mass_matches_grid_sum(name, request):
+    # one route: the coefficient mass of g(R) delta equals the grid sum of its
+    # synthesis, on a Kronecker, a reflection-blocked and a central-Fourier plan
+    plan = request.getfixturevalue(f"{name}_plan")
+    assert type(plan) is {"ab3_pot": KroneckerPlan, "h1_pot": SpectralPlan, "h1_heat": CentralFourierPlan}[name]
+    lam = plan.lam_plus
+    for g in (np.exp(-0.05 * lam), (1.0 + lam) ** (-2.0 / plan.spec.nu)):
+        assert abs(plan.delta_mass(g) - float(haar_integrate(plan.delta_kernel(g)))) <= 1e-13
+    # the cached spectral data is shared, so it is read-only
+    for arr in (lam, plan.delta_coefficients(), plan.unit_coefficients):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_switch_times_on_potential_fixtures(ab1_pot_source, ab3_pot_source, h1_pot_plan):
+    # the switch scan reads masses off the coefficients; it picks the same
+    # node of its time grid as a scan of full grid syntheses did
+    h1_source = HeatKernelSource(h1_pot_plan)
+    for src, t_switch in (
+        (ab1_pot_source, 2.079397058211926),
+        (ab3_pot_source, 0.029829011093937204),
+        (h1_source, 0.09250924592278204),
+    ):
+        assert src.t_switch == t_switch
+        ref = float(haar_integrate(src(src.t_switch)))
+        assert abs(src.mass_at_switch - ref) <= 1e-14 and abs(ref - 1.0) <= src.MASS_TOL
 
 
 def test_source_continuation(ab1_pot_plan, ab1_pot_source):
@@ -340,8 +372,8 @@ def test_kronecker_plan_matches_dense(name, monkeypatch):
     monkeypatch.setattr(heatflow, "node_shift_axes", lambda law: ())
     dense = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
     assert isinstance(kron, KroneckerPlan) and not isinstance(dense, KroneckerPlan)
-    lam_max = dense.lam_max
-    assert np.max(np.abs(np.sort(kron.eigenvalues) - dense.eigenvalues)) < 1e-12 * lam_max
+    lam_max = dense.eigenvalues.max()
+    assert np.max(np.abs(np.sort(kron.eigenvalues) - np.sort(dense.eigenvalues))) < 1e-12 * lam_max
 
     def close(a, b):
         return np.max(np.abs(a.values - b.values)) < 1e-10 * np.max(np.abs(b.values))
@@ -362,7 +394,7 @@ def test_kronecker_plan_mechanics():
     grid, margin = _KRON_CASES["abelian3"]
     plan = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
     n = int(plan.mask.sum())
-    assert plan.factor_sizes == (5, 9, 3) and n == 5 * 9 * 3
+    assert plan.block_sizes == (5, 9, 3) and n == 5 * 9 * 3
     # plain arrays, as for every plan; the factor bases sit on the diagonal
     for arr in (plan.eigenvalues, plan.eigenvectors, plan.mask):
         assert type(arr) is np.ndarray
@@ -374,8 +406,8 @@ def test_kronecker_plan_mechanics():
     assert np.allclose(plan.synthesize(plan.analyze(v)), v, atol=1e-10)
     # the delta's coefficients in closed form: the origin is the centre of the
     # interior box, so they are the outer product of the factors' centre rows
-    ends = np.cumsum(plan.factor_sizes)
-    rows = [V[e - n + (n - 1) // 2, e - n : e] for n, e in zip(plan.factor_sizes, ends)]
+    ends = np.cumsum(plan.block_sizes)
+    rows = [V[e - n + (n - 1) // 2, e - n : e] for n, e in zip(plan.block_sizes, ends)]
     closed = functools.reduce(np.multiply.outer, rows).ravel() / grid.cell_volume
     assert np.allclose(plan.delta_coefficients(), closed, atol=1e-10)
     # exact rescaling against a fresh solve on the dilated grid
@@ -432,12 +464,14 @@ def test_reflection_plan_matches_dense(op, h1_law, monkeypatch):
     B = plan.basis
     assert abs(B.T @ B - eye).max() < 1e-14
     assert np.diff(B.tocsc().indptr).max() <= 4
-    # one packed ndarray; ascending eigenvalues, one per interior node
+    # one packed ndarray; eigenvalues ascending within each block, one per interior node
     assert type(plan.eigenvectors) is np.ndarray
     assert plan.eigenvectors.size == sum(b * b for b in plan.block_sizes)
-    assert plan.eigenvalues.shape == (n,) and np.all(np.diff(plan.eigenvalues) >= 0)
-    lam_max = dense.lam_max
-    assert np.max(np.abs(plan.eigenvalues - dense.eigenvalues)) < 1e-12 * lam_max
+    assert plan.eigenvalues.shape == (n,)
+    for s, _ in plan._blocks():
+        assert np.all(np.diff(plan.eigenvalues[s]) >= 0)
+    lam_max = dense.eigenvalues.max()
+    assert np.max(np.abs(np.sort(plan.eigenvalues) - dense.eigenvalues)) < 1e-12 * lam_max
     v = np.random.default_rng(SEED).standard_normal(grid.size) * plan.mask
     assert np.allclose(plan.synthesize(plan.analyze(v)), v, atol=1e-10)
 

@@ -170,7 +170,7 @@ def test_ratio_probe_validation(ab1_pot_plan):
 
 def test_embedding_probe_h1(h1_pot_plan):
     fam = make_test_family(h1_pot_plan.grid, n=50, seed=SEED)
-    sup, drift = embedding_probe(h1_pot_plan, 2, 4, 1.0, 0.0, fam, n_dilated=3)
+    sup, drift = embedding_probe(h1_pot_plan, 2, 4, 1.0, 0.0, fam)
     assert np.isfinite(sup) and sup > 0
     assert drift < 2.0
 
@@ -188,13 +188,13 @@ def test_embedding_probe_refuses_off_relation(h1_pot_plan):
 def test_embedding_probe_classical_1d(ab1_pot_plan):
     # abelian line, Q = 1: b - a = 1/2 - 1/4
     fam = make_test_family(ab1_pot_plan.grid, n=20, seed=SEED)
-    sup, drift = embedding_probe(ab1_pot_plan, 2, 4, 0.25, 0.0, fam, n_dilated=3)
+    sup, drift = embedding_probe(ab1_pot_plan, 2, 4, 0.25, 0.0, fam)
     assert np.isfinite(sup) and drift < 2.0
 
 
 def test_sup_embedding_probe_h1(h1_pot_plan):
     fam = make_test_family(h1_pot_plan.grid, n=50, seed=SEED)
-    sup, drift = sup_embedding_probe(h1_pot_plan, 2, 3.0, fam, n_dilated=3)
+    sup, drift = sup_embedding_probe(h1_pot_plan, 2, 3.0, fam)
     assert np.isfinite(sup) and sup > 0
     assert drift < 2.0
 
