@@ -121,7 +121,11 @@ class Grid:
                 f"grid has {self.size} points, budget is {self.MAX_POINTS}"
             )
         if not 0 < self.cell_volume < math.inf:
-            raise GeometryError(f"cell volume {self.cell_volume} of this grid is not positive and finite")
+            raise GeometryError(f"the cell volume {self.cell_volume:g} of {self} is not positive and finite")
+
+    def __str__(self):
+        counts = "x".join(map(str, self.counts))
+        return f"the {counts}-node grid over half-widths ({', '.join(f'{R:g}' for R in self.half_widths)})"
 
     @classmethod
     def from_scale(cls, weights, scale, counts):
@@ -129,7 +133,10 @@ class Grid:
         try:
             hw = tuple(float(scale) ** int(w) for w in weights)
         except OverflowError:
-            raise GeometryError(f"scale {scale} overflows the half-widths R^{tuple(weights)}") from None
+            raise GeometryError(
+                f"scale {scale} overflows the half-widths R^{tuple(weights)} "
+                f"of the {'x'.join(map(str, counts))}-node grid"
+            ) from None
         return cls(half_widths=hw, counts=tuple(counts))
 
     @property
@@ -146,7 +153,8 @@ class Grid:
 
     @property
     def cell_volume(self):
-        return float(np.prod(self.spacings))
+        # Python floats overflow to inf silently, where np.prod warns
+        return math.prod(self.spacings)
 
     def axis(self, j):
         return np.linspace(-self.half_widths[j], self.half_widths[j], self.counts[j])
@@ -395,24 +403,49 @@ class SphereQuadrature:
         return cls(weights_vec=weights, nu0=nu0, nodes=nodes, node_weights=wts)
 
 
-def polar_integral_check(fn, grid, quad):
-    """Return (lhs, rhs) for the polar-coordinates identity.
+POLAR_BLOCK = 16  # radii per exponent block: 16 radii x 16 384 sphere nodes is 2 MB
+# Exponents are raised to this floor: exp(-700) is 1e-304, so the terms it
+# changes lie far below the rounding of the sums, and numpy's exp runs about
+# ten times slower where its results would be subnormal.
+EXP_FLOOR = -700.0
 
-    lhs integrates ``fn`` over the grid box directly; rhs integrates
-    r^{Q-1} * f(D_r y) against the sphere quadrature and a 600-node radial
-    trapezoid out to 1.1 times the pseudo-norm of the box corner.
+
+def polar_integral_check(widths, grid, quad):
+    """Return (lhs, rhs) of the polar-coordinates identity for a Gaussian.
+
+    The test function is f(x) = exp(-sum_k (x_k / sigma_k)^2) with sigma =
+    ``widths``.  lhs is its Haar sum over the grid box; rhs integrates
+    r^{Q-1} * int_S f(D_r y) dsigma(y) against the sphere quadrature and a
+    600-node radial trapezoid out to 1.1 times the pseudo-norm of the box
+    corner.
+
+    On the sphere f(D_r y) = exp(-sum_k r^{2 v_k} a_k(y)) with a_k =
+    (y_k / sigma_k)^2, so the sphere sums of a block of radii are exp(-C A)
+    weighted by the node weights: C holds one row of r^{2 v_k} per radius,
+    A one column of a_k per node, and a block costs one small matrix
+    product, one exp and one weighted sum.  C takes the radii as fractions
+    of the largest, r_max, and A carries the factors r_max^{2 v_k}, so C
+    lies in (0, 1] on any grid whose corner pseudo-norm is finite.  A block
+    holds ``POLAR_BLOCK`` radii, which bounds the exponent array to
+    POLAR_BLOCK x nodes floats.
     """
-    weights = quad.weights_vec
-    Q = sum(weights)
-    lhs = float(np.real(haar_integrate(GridFunction(grid, fn(grid.points())))))
+    v = np.asarray(quad.weights_vec, dtype=float)
+    Q = sum(quad.weights_vec)
+    sigma = np.asarray(widths, dtype=float)
+    lhs = float(haar_integrate(GridFunction(grid, np.exp(-sum_columns((grid.points() / sigma) ** 2)))))
 
-    r_max = pseudo_norm(np.array(grid.half_widths), weights, quad.nu0) * 1.1
+    r_max = pseudo_norm(np.array(grid.half_widths), quad.weights_vec, quad.nu0) * 1.1
     rs = np.linspace(0.0, r_max, 600)[1:]
+    neg_a = -np.ascontiguousarray(((quad.nodes * r_max**v / sigma) ** 2).T)
+    c = (rs / r_max)[:, None] ** (2.0 * v)
     vals = np.empty(len(rs))
-    w = np.asarray(weights, dtype=float)
-    for i, r in enumerate(rs):
-        pts = quad.nodes * (r**w)
-        vals[i] = float(np.real(fn(pts)) @ quad.node_weights)
+    for i in range(0, len(rs), POLAR_BLOCK):
+        block = c[i : i + POLAR_BLOCK]
+        # a product over one axis is an outer product, which BLAS is slow at
+        e = block @ neg_a if len(v) > 1 else block * neg_a
+        np.maximum(e, EXP_FLOOR, out=e)
+        np.exp(e, out=e)
+        vals[i : i + POLAR_BLOCK] = e @ quad.node_weights
     rhs = float(np.trapezoid(vals * rs ** (Q - 1), rs))
     return lhs, rhs
 

@@ -10,7 +10,7 @@ regression baselines rather than proved bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,16 +121,20 @@ class TestFamily:
     """Reproducible smooth bumps: Gaussian envelopes with polynomial factors.
 
     Members are kept as callables so that dilated copies f(D_r x) can be
-    sampled exactly on any grid.
+    sampled exactly on any grid.  Their samples on ``grid`` are taken once,
+    on the first ``gridfunctions`` call, and shared by every later one.
     """
 
     grid: Grid
     members: list  # callables (M, n) -> (M,)
     seed: int
+    _sampled: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def gridfunctions(self):
-        pts = self.grid.points()
-        return [GridFunction(self.grid, m(pts)) for m in self.members]
+        if self._sampled is None:
+            pts = self.grid.points()
+            self._sampled = [GridFunction(self.grid, m(pts)) for m in self.members]
+        return list(self._sampled)
 
     def dilated_member(self, i, r, weights):
         fn = self.members[i]

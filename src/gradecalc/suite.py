@@ -32,6 +32,7 @@ from .calculus import (
     RocklandSpec,
     StratificationError,
     build_rockland_example,
+    fd_weights,
     homogeneous_degree,
     parse_diffop,
     sublaplacian,
@@ -47,8 +48,8 @@ from .geometry import (
     inner_product,
     lp_norm,
     polar_integral_check,
+    pseudo_norm,
     quasi_triangle_ratio,
-    sum_columns,
 )
 from .heatflow import (
     HeatError,
@@ -239,8 +240,11 @@ class RunConfig:
         except StratificationError:
             return build_rockland_example(alg, default_nu0(alg.weights))
 
-    def settings(self, alg, kind) -> PlanSettings:
-        """The ``kind`` ("heat" or "potential") plan settings: the grid flags, else the defaults."""
+    def settings(self, alg, spec, kind) -> PlanSettings:
+        """The ``kind`` ("heat" or "potential") plan settings: the grid flags, else the defaults.
+
+        The grid is checked against ``spec``'s operator by ``check_grid_range``.
+        """
         if self.scale is not None and self.points is None:
             raise ConfigError("--scale needs --points: the default grids fix their own scale")
         if self.points is not None:
@@ -258,8 +262,9 @@ class RunConfig:
                 grid = Grid.from_scale(alg.weights, 2.0 if self.scale is None else self.scale, counts)
             except GeometryError as exc:
                 raise ConfigError(str(exc)) from exc
-            return PlanSettings(grid.half_widths, grid.counts)
-        settings = getattr(DEFAULTS.get(self.group), kind, None)
+            settings = PlanSettings(grid.half_widths, grid.counts)
+        else:
+            settings = getattr(DEFAULTS.get(self.group), kind, None)
         if settings is None:
             why = NO_DEFAULTS_WHY.get(self.group)
             raise ConfigError(
@@ -267,6 +272,7 @@ class RunConfig:
                 + (f" ({why})" if why else "")
                 + "; pass --scale and --points"
             )
+        check_grid_range(settings.grid(), alg.weights, max(map(len, spec.expr.terms), default=0))
         return settings
 
     def plan(self, kind):
@@ -274,8 +280,39 @@ class RunConfig:
         alg = self.load_algebra()
         law = self.load_law(alg)
         spec = self.operator(alg)
-        settings = self.settings(alg, kind)
+        settings = self.settings(alg, spec, kind)
         return build_plan(spec, law, settings, settings.grid())
+
+
+# Nodes of the widest compact stencil of any plan: the 8th-order stencils of
+# the central-Fourier blocks; the box plans use 4th-order ones on 5 nodes.
+WIDEST_STENCIL = 9
+
+
+def check_grid_range(grid: Grid, weights, order):
+    """Refuse (exit 2) a grid whose numbers leave the float range.
+
+    Three quantities must be finite: the pseudo-norm of the box corner, out
+    to which the polar check integrates; the cell volume of the Haar sums,
+    which ``Grid`` itself checks; and the finite-difference weights.  The
+    Fornberg recursion of ``fd_weights`` multiplies up to 8 node gaps of the
+    widest stencil and divides by them, and the matrix of a word of length k
+    scales as h^{-k}, so at every spacing h the first- and second-derivative
+    weights of that stencil and h^{-order} are checked, ``order`` being the
+    length of the operator's longest word.
+    """
+    with np.errstate(all="ignore"):
+        corner = pseudo_norm(np.array(grid.half_widths), weights, default_nu0(weights))
+        if not np.isfinite(corner):
+            raise ConfigError(f"the pseudo-norm of the corner of {grid} overflows")
+        for h in grid.spacings:
+            nodes = h * np.arange(WIDEST_STENCIL)
+            stencils = [fd_weights(0.0, nodes, m) for m in (1, 2)]
+            if not (np.isfinite(stencils).all() and np.isfinite(np.float64(h) ** -order)):
+                raise ConfigError(
+                    f"the finite-difference weights of order up to {max(order, 2)} on {grid} "
+                    f"leave the float range at spacing {h:g}"
+                )
 
 
 def build_plan(spec, law, settings: PlanSettings, grid):
@@ -325,8 +362,8 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     law = cfg.load_law(alg)
     spec = cfg.operator(alg)
     # the whole configuration is resolved before any computation
-    hs = cfg.settings(alg, "heat")
-    ps = cfg.settings(alg, "potential")
+    hs = cfg.settings(alg, spec, "heat")
+    ps = cfg.settings(alg, spec, "potential")
     times = getattr(DEFAULTS.get(cfg.group), "times", CheckTimes())
     grid, pgrid = hs.grid(), ps.grid()
     if spec.nu is not None:
@@ -352,9 +389,7 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     report.add("geometry.quasi_triangle", quasi_triangle_ratio(law, nu0, samples=20_000, seed=cfg.seed))
 
     quad = SphereQuadrature.build(alg.weights, nu0, n_samples=1 << 14, seed=cfg.seed)
-    widths = np.asarray(grid.half_widths) / 3.0
-    gauss = lambda pts: np.exp(-sum_columns((np.asarray(pts) / widths) ** 2))
-    lhs, rhs = polar_integral_check(gauss, grid, quad)
+    lhs, rhs = polar_integral_check(np.asarray(grid.half_widths) / 3.0, grid, quad)
     report.add("geometry.polar", abs(lhs - rhs) / abs(lhs))
 
     plan = record("heat", build_plan(spec, law, hs, grid))

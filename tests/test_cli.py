@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -372,16 +373,25 @@ def test_heisenberg358_coarse_verify_no_traceback(runner):
     [
         ("heisenberg", "1e300", "9", "heat"),  # R^2 overflows
         ("abelian3", "1e-300", "3", "verify"),  # the cell volume underflows to 0
+        ("abelian3", "1e300", "5", "heat"),  # the cell volume overflows
+        ("abelian1", "1e300", "41", "verify"),  # the corner's pseudo-norm overflows
         ("abelian1", "1e-300", "9", "heat"),  # the stencils overflow
+        ("abelian1", "1e-100", "9", "heat"),  # the stencils' node-gap products underflow
         ("heisenberg358", "1", "11", "norm"),  # a plan with a negative eigenvalue
         ("heisenberg358", "1", "11", "probe"),  # an order-240 integer norm
     ],
 )
 def test_degenerate_grid_exit_2(runner, group, scale, points, command):
-    res = runner.invoke(main, ["--group", group, "--scale", scale, "--points", points, command])
+    # refused with a reason, and before any computation can overflow; every
+    # grid here but the heisenberg358 ones leaves the float range
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["--group", group, "--scale", scale, "--points", points, command])
     assert res.exit_code == 2, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
+    assert ("-node grid" in res.output) == (group != "heisenberg358"), res.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
 
 
 _FUZZ_SCALE = st.one_of(

@@ -426,23 +426,66 @@ def test_scaled_bump_mass_invariance():
 # Polar decomposition
 
 
+def _polar_reference(widths, grid, quad):
+    """The polar check radius by radius: one Gaussian sweep over the sphere nodes per radius."""
+    w = np.asarray(quad.weights_vec, dtype=float)
+    Q = sum(quad.weights_vec)
+    gauss = lambda pts: np.exp(-np.sum((pts / np.asarray(widths)) ** 2, axis=-1))
+    lhs = float(haar_integrate(GridFunction(grid, gauss(grid.points()))))
+    r_max = pseudo_norm(np.array(grid.half_widths), quad.weights_vec, quad.nu0) * 1.1
+    rs = np.linspace(0.0, r_max, 600)[1:]
+    vals = np.array([gauss(quad.nodes * r**w) @ quad.node_weights for r in rs])
+    return lhs, float(np.trapezoid(vals * rs ** (Q - 1), rs))
+
+
 def test_polar_integral_euclidean():
     g = Grid((2.5, 2.5), (51, 51))
     quad = SphereQuadrature.build((1, 1), 1, n_samples=1 << 14, seed=SEED)
     # isotropic weights: sphere measure total = Q * vol(unit ball) = 2*pi
     assert quad.total_measure == pytest.approx(2 * np.pi, rel=2e-2)
-    fn = lambda pts: np.exp(-np.sum(np.asarray(pts) ** 2, axis=-1))
-    lhs, rhs = polar_integral_check(fn, g, quad)
+    lhs, rhs = polar_integral_check((1.0, 1.0), g, quad)
     assert lhs == pytest.approx(rhs, rel=2e-2)
 
 
 def test_polar_integral_heisenberg():
     g = Grid((2.0, 2.0, 1.5), (17, 17, 35))
     quad = SphereQuadrature.build((1, 1, 2), 2, n_samples=1 << 15, seed=SEED)
-    widths = np.array([0.8, 0.8, 0.6])
-    fn = lambda pts: np.exp(-np.sum((np.asarray(pts) / widths) ** 2, axis=-1))
-    lhs, rhs = polar_integral_check(fn, g, quad)
+    lhs, rhs = polar_integral_check((0.8, 0.8, 0.6), g, quad)
     assert lhs == pytest.approx(rhs, rel=3e-2)
+
+
+@pytest.mark.parametrize(
+    "weights,grid,widths",
+    [
+        ((1, 1), Grid((2.5, 2.5), (51, 51)), (1.0, 1.0)),
+        ((1, 1, 2), Grid((2.0, 2.0, 1.5), (17, 17, 35)), (0.8, 0.8, 0.6)),
+        # the heisenberg default heat grid, whose exponents reach below -700
+        ((1, 1, 2), Grid((2.7, 2.7, 0.55 * 30 / 31), (33, 33, 31)), (0.9, 0.9, 0.55 * 10 / 31)),
+        ((1,), Grid((8.0,), (161,)), (8.0 / 3,)),
+    ],
+)
+def test_polar_blocks_match_radius_loop(weights, grid, widths):
+    # the exponent-block product reproduces the per-radius Gaussian sweeps
+    quad = SphereQuadrature.build(weights, default_nu0(weights), n_samples=1 << 14, seed=SEED)
+    lhs, rhs = polar_integral_check(widths, grid, quad)
+    ref_lhs, ref_rhs = _polar_reference(widths, grid, quad)
+    assert lhs == pytest.approx(ref_lhs, rel=1e-13, abs=0)
+    assert rhs == pytest.approx(ref_rhs, rel=1e-13, abs=0)
+
+
+def test_polar_check_memory_is_bounded():
+    # exponents are formed a block of radii at a time, never all 599 radii at once
+    import tracemalloc
+
+    g = Grid((2.0, 2.0, 1.5), (17, 17, 35))
+    quad = SphereQuadrature.build((1, 1, 2), 2, n_samples=1 << 14, seed=SEED)
+    tracemalloc.start()
+    try:
+        polar_integral_check((0.8, 0.8, 0.6), g, quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_sobol_matches_scipy():

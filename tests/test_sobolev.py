@@ -224,6 +224,20 @@ def test_sup_embedding_morrey_oracle(ab1_pot_plan):
     assert ratio == pytest.approx(1.0 / den_oracle, rel=0.1)
 
 
+def test_family_samples_its_members_once(ab1_pot_plan):
+    # a suite run and its equivalence probe share one sampling of the family
+    fam = make_test_family(ab1_pot_plan.grid, n=3, seed=SEED)
+    calls = []
+    fam.members = [lambda pts, m=m: calls.append(m) or m(pts) for m in fam.members]
+    first = fam.gridfunctions()
+    spec = SobolevNormSpec(ab1_pot_plan, 1.0, 2)
+    equivalence_probe(spec, SobolevNormSpec(ab1_pot_plan, 2.0, 2), fam)
+    again = fam.gridfunctions()
+    assert len(calls) == 3
+    assert all(f is g for f, g in zip(first, again))
+    assert again is not first  # callers get their own list
+
+
 def test_plan_builds_field_matrices_once(ab1_pot_plan, monkeypatch):
     # integer norms and the probes that apply words share one FieldMatrices
     # per plan; a dilated plan lives on another grid and builds its own
