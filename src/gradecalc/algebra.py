@@ -2,7 +2,8 @@
 
 The group law in exponential coordinates of the first kind is obtained from
 the Baker-Campbell-Hausdorff series in Dynkin form, truncated at the
-nilpotency step.  All coefficients are exact rationals, so the group axioms
+nilpotency step.  All coefficients are exact rationals, held in ``Poly``, a
+dictionary from exponent tuples to ``Fraction``s, so the group axioms
 (identity, inverse, associativity, dilation homogeneity) can be asserted as
 polynomial identities rather than sampled numerically.
 """
@@ -16,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 #: Largest nilpotency step for which BCH terms are generated.
 MAX_BCH_STEP = 6
@@ -32,6 +32,134 @@ class GroupFormatError(ValueError):
 
 class UnsupportedStepError(AlgebraError):
     """Nilpotency step beyond the supported BCH truncation depth."""
+
+
+# ---------------------------------------------------------------------------
+# Exact polynomials
+
+
+class Poly:
+    """A polynomial in ``nvars`` variables: a mapping exponent tuple -> coefficient.
+
+    Coefficients are ``Fraction``s for the group law and the fields; a float
+    factor (an operator coefficient) makes them floats.  Zero coefficients
+    are never stored, so two polynomials are equal exactly when their term
+    dictionaries are, and a scalar compares as the constant polynomial.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars, terms=()):
+        self.nvars = nvars
+        self.terms = {e: c for e, c in dict(terms).items() if c != 0}
+
+    @classmethod
+    def constant(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: c})
+
+    @classmethod
+    def variable(cls, nvars, i):
+        return cls(nvars, {tuple(int(k == i) for k in range(nvars)): Fraction(1)})
+
+    def _coerce(self, other):
+        return other if isinstance(other, Poly) else Poly.constant(self.nvars, other)
+
+    def __repr__(self):
+        return f"Poly({self.nvars}, {self.terms!r})"
+
+    def __eq__(self, other):
+        return self.terms == self._coerce(other).terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in self._coerce(other).terms.items():
+            out[e] = out.get(e, 0) + c
+        return Poly(self.nvars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return Poly(self.nvars, out)
+
+    def __rmul__(self, other):
+        return Poly(self.nvars, {e: other * c for e, c in self.terms.items()})
+
+    def diff(self, i):
+        """d/dx_i."""
+        return Poly(
+            self.nvars,
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]},
+        )
+
+    def involves(self, i):
+        """True iff some term has a positive power of variable i."""
+        return any(e[i] for e in self.terms)
+
+    def compose(self, subs):
+        """The polynomial with ``subs[i]`` put in for variable i; the ``subs``
+        are polynomials in one common set of variables."""
+        m = subs[0].nvars
+        powers = [[Poly.constant(m, 1)] for _ in subs]
+        out = {}
+        for e, c in self.terms.items():
+            t = Poly.constant(m, c)
+            for i, k in enumerate(e):
+                while len(powers[i]) <= k:
+                    powers[i].append(powers[i][-1] * subs[i])
+                if k:
+                    t = t * powers[i][k]
+            for f, d in t.terms.items():
+                out[f] = out.get(f, 0) + d
+        return Poly(m, out)
+
+    def at(self, values):
+        """The exact value at a point of ``Fraction``s (or ints)."""
+        acc = Fraction(0)
+        for e, c in self.terms.items():
+            for v, k in zip(values, e):
+                if k:
+                    c = c * v**k
+            acc += c
+        return acc
+
+    def evaluate(self, values):
+        """Float values at numpy arrays (broadcast together) of the variables.
+
+        Terms are summed by descending total degree, then descending
+        exponents, and each is the coefficient times its powers, left to right.
+        """
+
+        def power(i, k):
+            return values[i] if k == 1 else values[i] ** k
+
+        acc = 0.0
+        for j, e in enumerate(sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)):
+            c = float(self.terms[e])
+            factors = [(i, k) for i, k in enumerate(e) if k]
+            if not factors:
+                t = c
+            else:
+                t = power(*factors[0])
+                t = t if c == 1 else -t if c == -1 else c * t
+                for i, k in factors[1:]:
+                    t = t * power(i, k)
+            acc = t if j == 0 else acc + t
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +277,19 @@ def validate_algebra(alg: GradedLieAlgebra) -> ValidationReport:
         if w[j] > w[j + 1]:
             rep.add("weights", (j, j + 1), "weights must be sorted ascending")
 
+    inside = {}
     for (j, k, l), c in alg.brackets.items():
         if not (0 <= j < alg.n and 0 <= k < alg.n and 0 <= l < alg.n):
             rep.add("index", (j, k, l), "index out of range")
             continue
+        inside[j, k, l] = c
         if j == k and c != 0:
             rep.add("antisymmetry", (j, k, l), "[X,X] must vanish")
         other = alg.brackets.get((k, j, l))
         if other is not None and other != -c:
             rep.add("antisymmetry", (j, k, l), f"c_kj^l = {other} != -c_jk^l")
+    # grading and Jacobi read only the entries inside the index range
+    alg = GradedLieAlgebra(n=alg.n, weights=alg.weights, brackets=inside, labels=alg.labels)
 
     for j, k, l, c in alg.nonzero_constants():
         if j < k and w[l] != w[j] + w[k]:
@@ -229,7 +361,7 @@ def _dynkin_coefficients(step):
 
 
 def _bch_vector(alg, u, v, step):
-    """BCH(u, v) truncated at the given step; u, v are sympy coefficient vectors."""
+    """BCH(u, v) truncated at the given step; u, v are ``Poly`` coefficient vectors."""
     letters = (u, v)
     cache = {}
 
@@ -243,16 +375,15 @@ def _bch_vector(alg, u, v, step):
         cache[word] = res
         return res
 
-    z = [sp.Integer(0)] * alg.n
+    z = [Poly(u[0].nvars)] * alg.n
     for word, c in _dynkin_coefficients(step).items():
         if len(word) >= 2 and word[-1] == word[-2]:
             continue  # innermost bracket [x, x] vanishes
         vec = nested(word)
-        coeff = sp.Rational(c.numerator, c.denominator)
         for l in range(alg.n):
             if vec[l] != 0:
-                z[l] = z[l] + coeff * vec[l]
-    return [sp.expand(e) for e in z]
+                z[l] = z[l] + c * vec[l]
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -261,55 +392,19 @@ def _bch_vector(alg, u, v, step):
 
 @dataclass
 class GroupLaw:
-    """Polynomial multiplication map in exponential coordinates."""
+    """Polynomial multiplication map in exponential coordinates.
+
+    ``coords[l]`` is the l-th product coordinate m_l(x, y), a ``Poly`` in the
+    2n variables (x_1, ..., x_n, y_1, ..., y_n).
+    """
 
     algebra: GradedLieAlgebra
-    coords: tuple  # sympy expressions m_l(x, y)
-    xs: tuple
-    ys: tuple
-
-    def __post_init__(self):
-        self._monomials = None
-        self._numeric = None
-
-    # -- exact representation -------------------------------------------------
-
-    def monomial_form(self):
-        """Per coordinate: list of (Fraction coeff, exponent tuple over (x, y))."""
-        if self._monomials is None:
-            gens = self.xs + self.ys
-            out = []
-            for m in self.coords:
-                poly = sp.Poly(m, *gens)
-                terms = []
-                for exps, c in poly.terms():
-                    cq = sp.Rational(c)
-                    terms.append((Fraction(int(cq.p), int(cq.q)), exps))
-                out.append(terms)
-            self._monomials = out
-        return self._monomials
+    coords: tuple
 
     def multiply_exact(self, x, y):
         """Evaluate the law at rational points, exactly."""
         vals = tuple(Fraction(v) for v in x) + tuple(Fraction(v) for v in y)
-        out = []
-        for terms in self.monomial_form():
-            acc = Fraction(0)
-            for c, exps in terms:
-                t = c
-                for v, e in zip(vals, exps):
-                    if e:
-                        t *= v**e
-                acc += t
-            out.append(acc)
-        return tuple(out)
-
-    # -- numeric representation -----------------------------------------------
-
-    def _numeric_fn(self):
-        if self._numeric is None:
-            self._numeric = sp.lambdify(self.xs + self.ys, list(self.coords), "numpy")
-        return self._numeric
+        return tuple(m.at(vals) for m in self.coords)
 
     def multiply_arrays(self, x, y):
         """Vectorized evaluation; x, y are arrays of shape (..., n), broadcastable."""
@@ -318,7 +413,7 @@ class GroupLaw:
         args = [x[..., j] for j in range(self.algebra.n)] + [
             y[..., j] for j in range(self.algebra.n)
         ]
-        res = self._numeric_fn()(*args)
+        res = [m.evaluate(args) for m in self.coords]
         shape = np.broadcast(*(np.asarray(a) for a in args)).shape
         cols = [np.broadcast_to(np.asarray(r, dtype=float), shape) for r in res]
         return np.stack(cols, axis=-1)
@@ -347,10 +442,8 @@ def _weighted_degree_check(law):
     """Every monomial of m_l must have weighted degree exactly v_l."""
     w = law.algebra.weights
     gw = tuple(w) + tuple(w)
-    for l, terms in enumerate(law.monomial_form()):
-        for c, exps in terms:
-            if c == 0:
-                continue
+    for l, m in enumerate(law.coords):
+        for exps in m.terms:
             deg = sum(e * g for e, g in zip(exps, gw))
             if deg != w[l]:
                 raise AlgebraError(
@@ -363,7 +456,7 @@ def bch_group_law(alg: GradedLieAlgebra) -> GroupLaw:
     """Derive the exact group law from the truncated BCH series.
 
     All GroupLaw invariants (identity, inverse, dilation homogeneity and
-    associativity) are asserted symbolically at build time.
+    associativity) are asserted as exact polynomial identities at build time.
     """
     rep = validate_algebra(alg)
     if not rep.ok:
@@ -375,30 +468,26 @@ def bch_group_law(alg: GradedLieAlgebra) -> GroupLaw:
         )
 
     n = alg.n
-    xs = sp.symbols(f"x1:{n + 1}")
-    ys = sp.symbols(f"y1:{n + 1}")
-    coords = tuple(_bch_vector(alg, list(xs), list(ys), step))
-    law = GroupLaw(algebra=alg, coords=coords, xs=xs, ys=ys)
+    xy = [Poly.variable(2 * n, i) for i in range(2 * n)]
+    coords = tuple(_bch_vector(alg, xy[:n], xy[n:], step))
+    law = GroupLaw(algebra=alg, coords=coords)
 
-    zero = {s: 0 for s in ys}
-    for l in range(n):
-        if sp.expand(coords[l].subs(zero) - xs[l]) != 0:
+    xs = [Poly.variable(n, i) for i in range(n)]
+    zero = [Poly(n)] * n
+    neg = [-x for x in xs]
+    for l, m in enumerate(coords):
+        if m.compose(xs + zero) != xs[l] or m.compose(zero + xs) != xs[l]:
             raise AlgebraError(f"identity law fails in coordinate {l + 1}")
-        if sp.expand(coords[l].subs({s: 0 for s in xs}) - ys[l]) != 0:
-            raise AlgebraError(f"identity law fails in coordinate {l + 1}")
-        inv = {yy: -xx for yy, xx in zip(ys, xs)}
-        if sp.expand(coords[l].subs(inv)) != 0:
+        if m.compose(xs + neg) != 0:
             raise AlgebraError(f"inverse law fails in coordinate {l + 1}")
     _weighted_degree_check(law)
 
-    zs = sp.symbols(f"z1:{n + 1}")
-    sub_xy = dict(zip(xs, coords))  # x <- m(x, y)
-    left = [m.subs(dict(zip(ys, zs))).subs(sub_xy, simultaneous=True) for m in coords]
-    shift = {**dict(zip(xs, ys)), **dict(zip(ys, zs))}
-    inner = [m.subs(shift, simultaneous=True) for m in coords]
-    right = [m.subs(dict(zip(ys, inner)), simultaneous=True) for m in coords]
-    for l in range(n):
-        if sp.expand(left[l] - right[l]) != 0:
+    xyz = [Poly.variable(3 * n, i) for i in range(3 * n)]
+    x, y, z = xyz[:n], xyz[n : 2 * n], xyz[2 * n :]
+    left = [m.compose(x + y) for m in coords]  # xy, then (xy)z below
+    right = [m.compose(y + z) for m in coords]  # yz, then x(yz) below
+    for l, m in enumerate(coords):
+        if m.compose(left + z) != m.compose(x + right):
             raise AlgebraError(f"associativity fails in coordinate {l + 1}")
     return law
 
@@ -407,25 +496,41 @@ def bch_group_law(alg: GradedLieAlgebra) -> GroupLaw:
 # Group definition files
 
 
+def _whole(v):
+    """A JSON whole number as an int; anything else (2.7, "2", true) is a ValueError."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"{v!r} is not a whole number")
+
+
 def algebra_from_dict(data) -> GradedLieAlgebra:
     """Build an algebra from the JSON group-definition schema (1-based indices)."""
     try:
-        n = int(data["n"])
-        weights = tuple(int(w) for w in data["weights"])
-        raw = data.get("brackets", [])
+        n = _whole(data["n"])
+        weights = tuple(_whole(w) for w in data["weights"])
+        raw = list(data.get("brackets", []))
         labels = tuple(data.get("labels", [f"X{j + 1}" for j in range(n)]))
     except (KeyError, TypeError, ValueError) as exc:
         raise GroupFormatError(f"bad group definition: {exc}") from exc
 
     brackets = {}
     for entry in raw:
-        if len(entry) != 5:
-            raise GroupFormatError(f"bracket entry {entry} must be [j,k,l,num,den]")
-        j, k, l, num, den = entry
-        key = (int(j) - 1, int(k) - 1, int(l) - 1)
+        try:
+            j, k, l, num, den = (_whole(v) for v in entry)
+        except (TypeError, ValueError) as exc:
+            raise GroupFormatError(
+                f"bracket entry {entry} must be [j,k,l,num,den] of whole numbers"
+            ) from exc
+        if not all(1 <= i <= n for i in (j, k, l)):
+            raise GroupFormatError(f"bracket entry {entry}: indices must lie in 1..{n}")
+        if den == 0:
+            raise GroupFormatError(f"bracket entry {entry}: zero denominator")
+        key = (j - 1, k - 1, l - 1)
         if key in brackets:
             raise GroupFormatError(f"duplicate bracket entry for (j,k,l)={tuple(entry[:3])}")
-        brackets[key] = Fraction(int(num), int(den))
+        brackets[key] = Fraction(num, den)
     return GradedLieAlgebra(n=n, weights=weights, brackets=brackets, labels=labels)
 
 

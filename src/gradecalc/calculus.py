@@ -20,9 +20,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sparse
-import sympy as sp
 
-from .algebra import GroupLaw
+from .algebra import GroupLaw, Poly
 from .geometry import Grid, GridFunction
 
 
@@ -113,32 +112,29 @@ class LeftInvariantField:
     """X_j f = sum_k a_{jk}(x) df/dx_k with exact polynomial coefficients."""
 
     index: int
-    coeffs: tuple  # sympy expressions in the x symbols
-    xs: tuple
+    coeffs: tuple  # a Poly in x_1, ..., x_n per axis k
     weights: tuple
 
 
 def left_invariant_fields(law: GroupLaw):
-    """Derive the fields from the group law by differentiating at the identity."""
+    """Derive the fields from the group law by differentiating at the identity.
+
+    d/ds m_k(x, s e_j) at s = 0 is the part of m_k linear in y_j with the
+    other y set to 0.
+    """
     n = law.algebra.n
-    s = sp.Symbol("_s")
     fields = []
     for j in range(n):
-        coeffs = []
-        for k in range(n):
-            sub = {law.ys[i]: (s if i == j else 0) for i in range(n)}
-            a = sp.expand(sp.diff(law.coords[k].subs(sub), s).subs(s, 0))
-            coeffs.append(a)
-        fields.append(
-            LeftInvariantField(
-                index=j, coeffs=tuple(coeffs), xs=law.xs, weights=law.algebra.weights
-            )
+        unit = tuple(int(i == j) for i in range(n))
+        coeffs = tuple(
+            Poly(n, {e[:n]: c for e, c in m.terms.items() if e[n:] == unit}) for m in law.coords
         )
+        fields.append(LeftInvariantField(index=j, coeffs=coeffs, weights=law.algebra.weights))
     return fields
 
 
 def field_commutator_defect(law, fields=None):
-    """Symbolic defect of [X_j, X_k] - sum_l c_jk^l X_l, as coefficient polynomials.
+    """Exact defect of [X_j, X_k] - sum_l c_jk^l X_l, as coefficient polynomials.
 
     Returns the maximal number of nonzero defect polynomials (0 means the
     fields reproduce the structure constants exactly).
@@ -150,16 +146,16 @@ def field_commutator_defect(law, fields=None):
     for j in range(alg.n):
         for k in range(alg.n):
             for m in range(alg.n):
-                comm = sp.Integer(0)
+                comm = Poly(alg.n)
                 for l in range(alg.n):
-                    comm += fields[j].coeffs[l] * sp.diff(fields[k].coeffs[m], law.xs[l])
-                    comm -= fields[k].coeffs[l] * sp.diff(fields[j].coeffs[m], law.xs[l])
+                    comm += fields[j].coeffs[l] * fields[k].coeffs[m].diff(l)
+                    comm -= fields[k].coeffs[l] * fields[j].coeffs[m].diff(l)
                 expect = sum(
-                    sp.Rational(c.numerator, c.denominator) * fields[l].coeffs[m]
+                    c * fields[l].coeffs[m]
                     for jj, kk, l, c in alg.nonzero_constants()
                     if (jj, kk) == (j, k)
                 )
-                if sp.expand(comm - expect) != 0:
+                if comm != expect:
                     bad += 1
     return bad
 
@@ -296,8 +292,24 @@ def is_stratified(alg):
             break
         span.extend(nxt)
         current = nxt
-    mat = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in v] for v in span])
-    return mat.rank() == alg.n
+    return _rank(span) == alg.n
+
+
+def _rank(rows):
+    """Rank of a list of Fraction row vectors, by exact Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def sublaplacian(alg) -> RocklandSpec:
@@ -416,7 +428,7 @@ class FieldMatrices:
     def field(self, j):
         if j not in self._mats:
             form = normal_form((j,), self._fields)
-            self._mats[j] = form_matrix(form, self.grid, self.law.xs)
+            self._mats[j] = form_matrix(form, self.grid)
         return self._mats[j]
 
     def apply_word(self, word, values):
@@ -446,8 +458,8 @@ def normal_form(word, fields):
     and polynomial coefficients c_alpha, built letter by letter from the
     right: X_j (c d^alpha) = sum_k a_jk ((d_k c) d^alpha + c d^(alpha + e_k)).
     """
-    xs = fields[0].xs
-    form = {(0,) * len(xs): sp.Integer(1)}
+    n = len(fields)
+    form = {(0,) * n: Poly.constant(n, 1)}
     for j in reversed(word):
         out = {}
         for alpha, c in form.items():
@@ -456,8 +468,8 @@ def normal_form(word, fields):
                     continue
                 up = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
                 out[up] = out.get(up, 0) + a * c
-                out[alpha] = out.get(alpha, 0) + a * sp.diff(c, xs[k])
-        form = {alpha: e for alpha, c in out.items() if (e := sp.expand(c)) != 0}
+                out[alpha] = out.get(alpha, 0) + a * c.diff(k)
+        form = {alpha: c for alpha, c in out.items() if c != 0}
     return form
 
 
@@ -476,14 +488,15 @@ def derivative_matrix(grid: Grid, alpha, acc=4):
     return reduce(lambda A, B: sparse.kron(A, B, format="csr"), factors)
 
 
-def form_matrix(form, grid: Grid, xs, points=None, acc=4):
+def form_matrix(form, grid: Grid, points=None, acc=4):
     """Sparse sum_alpha diag(c_alpha) d^alpha of a normal form on the grid.
 
-    The coefficients, polynomials in ``xs``, are evaluated at ``points``
-    (default the grid's own); the multi-indices run over the grid's axes.
+    The coefficients, polynomials in the group coordinates, are evaluated at
+    ``points`` (default the grid's own); the multi-indices run over the
+    grid's axes.
     """
     points = grid.points() if points is None else points
-    values = sp.lambdify(xs, list(form.values()), "numpy")(*points.T)
+    values = [c.evaluate(points.T) for c in form.values()]
     out = sparse.csr_matrix((grid.size, grid.size))
     for alpha, vals in zip(form, values):
         coeff = sparse.diags(np.broadcast_to(np.asarray(vals, float), (grid.size,)))
@@ -504,7 +517,7 @@ def discretize(expr: DiffOpExpr, law: GroupLaw, grid: Grid):
     """
     fields = left_invariant_fields(law)
     pairs = {pair for word in expr.terms for pair in letter_pairs(word)}
-    mats = {pair: form_matrix(normal_form(pair, fields), grid, law.xs) for pair in pairs}
+    mats = {pair: form_matrix(normal_form(pair, fields), grid) for pair in pairs}
     N = grid.size
     out = sparse.csr_matrix((N, N))
     for word, c in expr.terms.items():

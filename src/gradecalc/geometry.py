@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import Poly
+
 
 class GeometryError(ValueError):
     pass
@@ -543,12 +545,11 @@ def node_shift_axes(law):
     Along such an axis y^{-1} x moves by x_k - y_k, so on a grid it maps
     nodes to nodes.  Every axis of an abelian law is one.
     """
-    import sympy as sp
-
+    n = law.algebra.n
     return tuple(
         k
         for k, m in enumerate(law.coords)
-        if sp.expand(m - law.xs[k] - law.ys[k]) == 0
+        if m == Poly.variable(2 * n, k) + Poly.variable(2 * n, n + k)
     )
 
 
@@ -560,12 +561,12 @@ def central_axes(law):
     the group (Folland & Stein, *Hardy Spaces on Homogeneous Groups*, 1982).
     Every axis of an abelian law is one; on the Heisenberg group only u is.
     """
-    import sympy as sp
+    n = law.algebra.n
 
     def central(k):
-        own = {law.xs[k], law.ys[k]}
-        rest = [m - law.xs[k] - law.ys[k] if j == k else m for j, m in enumerate(law.coords)]
-        return not any(sp.expand(r).free_symbols & own for r in rest)
+        shift = Poly.variable(2 * n, k) + Poly.variable(2 * n, n + k)
+        rest = [m - shift if j == k else m for j, m in enumerate(law.coords)]
+        return not any(r.involves(k) or r.involves(n + k) for r in rest)
 
     return tuple(k for k in range(len(law.coords)) if central(k))
 

@@ -544,7 +544,6 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
             f"plans on periodic grids need words of length at most 2, "
             f"got {expr.max_word_length()}"
         )
-    xs = law.xs
     fields = left_invariant_fields(law)
     groups = [{}, {}, {}]  # the normal form by the power of d_p, d_p dropped
     for word, c in expr.terms.items():
@@ -552,8 +551,8 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
             group = groups[alpha[p]]
             rest = alpha[:p] + alpha[p + 1 :]
             group[rest] = group.get(rest, 0) + c * a
-    if any(a.has(xs[p]) for group in groups for a in group.values()):
-        raise HeatError(f"operator coefficients involve the periodic coordinate {xs[p]}")
+    if any(a.involves(p) for group in groups for a in group.values()):
+        raise HeatError(f"operator coefficients involve the periodic coordinate x{p + 1}")
 
     sub = Grid(tuple(grid.half_widths[j] for j in others), tuple(grid.counts[j] for j in others))
     sub_margin = margin if isinstance(margin, int) else tuple(margin[j] for j in others)
@@ -564,7 +563,7 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
         )
     pts = np.zeros((sub.size, grid.ndim))
     pts[:, others] = sub.points()
-    S, T, U = (form_matrix(g, sub, xs, pts, acc=8)[np.ix_(idx, idx)].toarray() for g in groups)
+    S, T, U = (form_matrix(g, sub, pts, acc=8)[np.ix_(idx, idx)].toarray() for g in groups)
 
     M = grid.counts[p]
     xi = 2 * np.pi * np.fft.fftfreq(M, d=grid.spacings[p])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from gradecalc.algebra import bch_group_law, builtin_group
 from gradecalc.calculus import power, sublaplacian
@@ -9,6 +10,22 @@ from gradecalc.defaults import DEFAULTS
 from gradecalc.heatflow import HeatKernelSource, spectral_plan
 
 SEED = 0xC0FFEE
+
+
+def _as_sympy(p, gens):
+    return sp.Add(
+        *(
+            sp.Rational(c.numerator, c.denominator) * sp.Mul(*(g**k for g, k in zip(gens, e)))
+            for e, c in p.terms.items()
+        )
+    )
+
+
+@pytest.fixture(scope="session")
+def as_sympy():
+    """A ``Poly`` with rational coefficients as a sympy expression in ``gens``:
+    sympy is the tests' independent oracle for the exact polynomials."""
+    return _as_sympy
 
 
 @pytest.fixture(scope="session")

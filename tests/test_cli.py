@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -41,6 +42,17 @@ def test_group_check_malformed_json_exit_2(runner, tmp_path):
     res = runner.invoke(main, ["--group", str(bad), "group", "check"])
     assert res.exit_code == 2
     assert "invalid JSON" in res.output
+
+
+@pytest.mark.parametrize("entry", [[1, 2, 3, 1, 0], [1, 2, 4, 1, 1], [1, 2, 3, 1.5, 1]])
+def test_group_check_bad_bracket_entry_exit_2(runner, tmp_path, entry):
+    # a zero denominator, an index outside 1..n or a fractional number is
+    # refused, naming the entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "weights": [1, 1, 2], "brackets": [entry]}))
+    res = runner.invoke(main, ["--group", str(bad), "group", "check"])
+    assert res.exit_code == 2
+    assert str(entry) in res.output
 
 
 def test_group_check_jacobi_violation_exit_1(runner, tmp_path):
@@ -447,6 +459,60 @@ def test_cli_import_skips_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_no_process_imports_sympy():
+    # the exact polynomials are Fraction dictionaries; sympy is a test oracle only
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import sys\n"
+        "import gradecalc.cli\n"
+        "after_import = [m for m in sys.modules if m.split('.')[0] == 'sympy']\n"
+        "try:\n"
+        "    gradecalc.cli.main(['--group', 'abelian1', 'verify'], standalone_mode=False)\n"
+        "finally:\n"
+        "    after_verify = [m for m in sys.modules if m.split('.')[0] == 'sympy']\n"
+        "    print(after_import, after_verify, file=sys.stderr)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip().splitlines()[-1] == "[] []"
+
+
+def _random_group(rng):
+    n = int(rng.integers(0, 6))
+    data = {
+        "n": n,
+        "weights": [int(w) for w in rng.integers(-1, 5, n)],
+        "brackets": [
+            [int(i) for i in rng.integers(0, n + 2, 3)]
+            + [int(rng.integers(-2, 3)), int(rng.choice([-1, 0, 1, 2]))]
+            for _ in range(int(rng.integers(0, 5)))
+        ],
+    }
+    if rng.random() < 0.2:
+        data["labels"] = [f"L{j}" for j in range(max(0, n + int(rng.choice([-1, 1]))))]
+    return data
+
+
+def test_fuzz_group_files_end_cleanly(runner, tmp_path):
+    # every group file ends in exit 0, 1 or 2, never in a traceback
+    rng = np.random.default_rng(0xF022)
+    for i in range(300):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(_random_group(rng)))
+        commands = [["group", "check"]]
+        if i % 10 == 0:
+            commands.append(["--scale", "1", "--points", "7", "heat", "--t", "0.1"])
+        for cmd in commands:
+            res = runner.invoke(main, ["--group", str(path), *cmd])
+            assert res.exit_code in (0, 1, 2), (path.read_text(), cmd, res.output)
+            assert res.exception is None or isinstance(res.exception, SystemExit), (
+                path.read_text(),
+                cmd,
+                res.exception,
+            )
 
 
 def test_op_flag_parse_error_exit_2(runner):
