@@ -419,18 +419,6 @@ class GroupLaw:
         return np.stack(cols, axis=-1)
 
 
-def multiply(law: GroupLaw, x, y):
-    """Group product.  Exact for rational inputs, float otherwise."""
-    n = law.algebra.n
-    if len(x) != n or len(y) != n:
-        raise AlgebraError(f"points must have length {n}")
-    exact = all(not isinstance(v, (float, np.floating)) for v in tuple(x) + tuple(y))
-    if exact:
-        return law.multiply_exact(x, y)
-    out = law.multiply_arrays(np.asarray(x, float), np.asarray(y, float))
-    return tuple(out.tolist())
-
-
 def invert(law: GroupLaw, x):
     """Group inverse: negation in exponential coordinates of the first kind."""
     if len(x) != law.algebra.n:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .algebra import GroupLaw, Poly
-from .geometry import Grid, GridFunction
+from .geometry import Grid
 
 
 class CalculusError(ValueError):
@@ -96,11 +96,6 @@ def along_axis(M, counts, axis):
     left = sparse.identity(int(np.prod(counts[:axis])), format="csr")
     right = sparse.identity(int(np.prod(counts[axis + 1 :])), format="csr")
     return sparse.kron(sparse.kron(left, M, format="csr"), right, format="csr")
-
-
-def partial_matrix(grid: Grid, axis, order=1, acc=4):
-    """n-D sparse matrix of (d/dx_axis)^order on the grid (C ordering)."""
-    return derivative_matrix(grid, tuple(order * (k == axis) for k in range(grid.ndim)), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +211,6 @@ class DiffOpExpr:
             out = out * self
         return out
 
-    def transpose(self):
-        """Formal transpose: X_j^t = -X_j, words reversed."""
-        return DiffOpExpr(
-            {w[::-1]: c * (-1.0) ** len(w) for w, c in self.terms.items()}
-        )
-
     def word_degrees(self, weights):
         return {sum(weights[j] for j in w) for w in self.terms}
 
@@ -230,11 +219,13 @@ class DiffOpExpr:
 
 
 def homogeneous_degree(expr: DiffOpExpr, weights):
-    """The common weighted degree, or a set of degrees if inhomogeneous."""
+    """The common weighted degree of the words, or None when they differ.
+
+    A multiple of the identity has degree 0, which no dilation scales, so it
+    has no degree either.
+    """
     degs = expr.word_degrees(weights)
-    if len(degs) == 1:
-        return degs.pop()
-    return degs
+    return (degs.pop() or None) if len(degs) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +234,14 @@ def homogeneous_degree(expr: DiffOpExpr, weights):
 
 @dataclass
 class RocklandSpec:
-    """A candidate positive Rockland operator with its homogeneous degree."""
+    """A candidate positive Rockland operator with its homogeneous degree.
+
+    ``nu`` is decided once, by the constructor that builds the operator, and
+    is None for an inhomogeneous one; every consumer reads it from here.
+    """
 
     expr: DiffOpExpr
-    nu: int
-    provenance: str
-    algebra: object = None
-
-    def is_homogeneous(self, weights):
-        return self.expr.word_degrees(weights) == {self.nu}
+    nu: int | None
 
 
 def build_rockland_example(alg, nu0, c=None) -> RocklandSpec:
@@ -268,7 +258,7 @@ def build_rockland_example(alg, nu0, c=None) -> RocklandSpec:
     for j in range(alg.n):
         k = nu0 // weights[j]
         expr = expr + ((-1.0) ** k * float(c[j])) * (DiffOpExpr.generator(j) ** (2 * k))
-    return RocklandSpec(expr=expr, nu=2 * nu0, provenance="example-2nu0", algebra=alg)
+    return RocklandSpec(expr=expr, nu=2 * nu0)
 
 
 def is_stratified(alg):
@@ -322,30 +312,30 @@ def sublaplacian(alg) -> RocklandSpec:
     for j in range(alg.n):
         if alg.weights[j] == 1:
             expr = expr - DiffOpExpr.generator(j) ** 2
-    return RocklandSpec(expr=expr, nu=2, provenance="sublaplacian-negative", algebra=alg)
+    return RocklandSpec(expr=expr, nu=2)
 
 
 def power(spec: RocklandSpec, k) -> RocklandSpec:
     """R^k, homogeneous of degree k * nu."""
     if k < 1 or int(k) != k:
         raise CalculusError("power must be a positive integer")
-    return RocklandSpec(
-        expr=spec.expr ** int(k),
-        nu=spec.nu * int(k),
-        provenance="power",
-        algebra=spec.algebra,
-    )
+    return RocklandSpec(expr=spec.expr ** int(k), nu=None if spec.nu is None else spec.nu * int(k))
 
 
 # ---------------------------------------------------------------------------
 # Operator mini-language
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>[+-]?\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[\^*+-]))")
+# Numbers are unsigned: a sign is always a term's own (``parse_term``), so
+# "-X^2-1" and "-X^2 - 1" parse alike.
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[\^*+-]))")
 
 
 def parse_diffop(text, labels) -> DiffOpExpr:
-    """Parse expressions like ``X^4 + Y^4 - 1*T^2`` over the basis labels."""
+    """Parse expressions like ``X^4 + Y^4 - 1*T^2`` over the basis labels.
+
+    Exponents are whole numbers; a ``*`` must stand between two factors.
+    """
     labels = list(labels)
     pos = 0
     tokens = []
@@ -374,11 +364,15 @@ def parse_diffop(text, labels) -> DiffOpExpr:
                 i += 1
                 continue
             if kind == "op" and val == "*":
+                if not saw_factor or i + 1 == len(tokens) or tokens[i + 1][0] == "op":
+                    raise ParseError(f"'*' at position {at} does not stand between two factors")
                 i += 1
                 continue
             if kind == "num":
                 if "/" in val:
                     num, den = val.split("/")
+                    if not float(den):
+                        raise ParseError(f"zero denominator at position {at}")
                     coeff *= float(num) / float(den)
                 else:
                     coeff *= float(val)
@@ -390,10 +384,13 @@ def parse_diffop(text, labels) -> DiffOpExpr:
                     raise ParseError(f"unknown basis label {val!r} at position {at}")
                 j = labels.index(val)
                 e = 1
-                if i + 2 < len(tokens) and tokens[i + 1][:2] == ("op", "^"):
-                    if tokens[i + 2][0] != "num":
-                        raise ParseError(f"expected exponent at position {tokens[i + 2][2]}")
-                    e = int(float(tokens[i + 2][1]))
+                if i + 1 < len(tokens) and tokens[i + 1][:2] == ("op", "^"):
+                    nxt = tokens[i + 2] if i + 2 < len(tokens) else None
+                    if nxt is None or nxt[0] != "num" or not nxt[1].isdigit():
+                        raise ParseError(
+                            f"expected a whole-number exponent after '^' at position {tokens[i + 1][2]}"
+                        )
+                    e = int(nxt[1])
                     i += 2
                 word = word + (j,) * e
                 i += 1
@@ -443,12 +440,6 @@ class FieldMatrices:
         for w, c in expr.terms.items():
             out = out + c * self.apply_word(w, values)
         return out
-
-
-def apply_diffop(expr: DiffOpExpr, law: GroupLaw, f: GridFunction, cache=None) -> GridFunction:
-    """Apply a left-invariant operator to grid samples."""
-    fm = cache if cache is not None else FieldMatrices(law, f.grid)
-    return GridFunction(f.grid, fm.apply_expr(expr, f.values))
 
 
 def normal_form(word, fields):

@@ -255,9 +255,9 @@ def inner_product(f: GridFunction, g: GridFunction):
 def lp_norm(f: GridFunction, p, mask=None):
     """L^p norm; p = inf returns the max modulus (over ``mask`` if given)."""
     v = f.values if mask is None else f.values[mask]
-    if p == np.inf or p == "inf":
-        return float(np.max(np.abs(v))) if v.size else 0.0
     p = float(p)
+    if p == np.inf:
+        return float(np.max(np.abs(v))) if v.size else 0.0
     if p < 1:
         raise GeometryError("p must be >= 1")
     cell = f.grid.cell_volume
@@ -378,10 +378,6 @@ class SphereQuadrature:
     nu0: int
     nodes: np.ndarray
     node_weights: np.ndarray
-
-    @property
-    def total_measure(self):
-        return float(self.node_weights.sum())
 
     @classmethod
     def build(cls, weights, nu0, n_samples=1 << 15, seed=0xC0FFEE):
@@ -764,9 +760,3 @@ def _twisted_convolve(law, f, g, zero_tol):
     if not (np.iscomplexobj(f.values) or np.iscomplexobj(g.values)):
         vals = vals.real
     return GridFunction(grid, vals)
-
-
-def scaled_bump(phi: GridFunction, t, weights):
-    """phi_t(x) = t^{-Q} phi(D_{1/t} x), resampled on phi's grid."""
-    Q = sum(int(w) for w in weights)
-    return resample_dilated(phi, 1.0 / t, weights) * t ** (-Q)

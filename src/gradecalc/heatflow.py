@@ -6,22 +6,25 @@ the grid (a Dirichlet-style mask), symmetrized, and diagonalized once; heat
 flow, potential kernels and fractional powers are all multipliers through the
 resulting plan (``SpectralPlan``), which follows the operator's structure.
 On an abelian law with every word a power of one letter the interior operator
-is a Kronecker sum, and the plan diagonalizes one small factor per axis (the
-fast diagonalization method of Lynch, Rice and Thomas).  On a grid with a
-periodic central axis it diagonalizes one Hermitian block per frequency of
-that axis.  Any other operator on a box grid is split by its reflection
-symmetries: every coordinate sign flip that is an automorphism of the law and
-fixes the operator maps the box onto itself and commutes with the interior
-matrix, so the matrix is block diagonal in an orbit basis with one block per
-character of the group of such flips (Fassler and Stiefel, *Group Theoretical
-Methods and Their Applications*, 1992).  On the Heisenberg group the flips
-(x, y, u) -> (a x, b y, ab u) give four blocks of about n/4 nodes, so the
-eigensolve costs about a sixteenth of the dense one.  The quarter turn
-(x, y) -> (y, -x) also commutes with the sub-Laplacian, but with the flips it
-generates the dihedral group of order 8, which has a 2-dimensional
-irreducible representation; it is left out, since the flips alone already cut
-the n = 5445 Heisenberg solve about 13-fold.  With no flip but the identity
-the plan is one dense block.
+is a Kronecker sum, and the plan diagonalizes one small factor per axis, read
+off the assembled interior matrix (the fast diagonalization method of Lynch,
+Rice and Thomas).  On a grid with a periodic central axis it diagonalizes one
+Hermitian block per frequency of that axis.  Any other operator on a box
+grid is split by its reflection symmetries: every coordinate sign flip that is
+an automorphism of the law and fixes the operator maps the box onto itself and
+commutes with the interior matrix, so the matrix is block diagonal in an orbit
+basis with one block per character of the group of such flips (Fassler and
+Stiefel, *Group Theoretical Methods and Their Applications*, 1992).  On the
+Heisenberg group the flips (x, y, u) -> (a x, b y, ab u) give four blocks of
+about n/4 nodes, so the eigensolve costs about a sixteenth of the dense one.
+The quarter turn (x, y) -> (y, -x) also commutes with the sub-Laplacian, but
+on a box plan it generates with the flips the dihedral group of order 8,
+which has a 2-dimensional irreducible representation; it is left out, since
+the flips alone already cut the n = 5445 Heisenberg solve about 13-fold.
+That reason holds for box plans only: a central-Fourier block takes no flips,
+and there the turn generates the cyclic group of order 4, whose characters
+are all 1-dimensional.  With no flip but the identity the plan is one dense
+block.
 """
 
 from __future__ import annotations
@@ -41,18 +44,15 @@ from .calculus import (
     FieldMatrices,
     RocklandSpec,
     along_axis,
-    derivative_matrix,
     discretize,
     form_matrix,
-    homogeneous_degree,
     left_invariant_fields,
-    letter_pairs,
     normal_form,
 )
 from .geometry import (
     Grid,
     GridFunction,
-    dilate,
+    group_convolve,
     haar_integrate,
     lp_norm,
     node_shift_axes,
@@ -282,33 +282,29 @@ class KroneckerPlan(SpectralPlan):
         return self.embed(self._contract(X, transpose=False).ravel())
 
 
-def _dissipation_factor(N, p):
-    """The 1-D factor T^p of ``_dissipation_matrix`` on N nodes."""
-    diag = np.full(N, 0.5)
-    diag[0] = diag[-1] = 0.25
-    T = sparse.diags(
-        [np.full(N - 1, -0.25), diag, np.full(N - 1, -0.25)],
-        offsets=[-1, 0, 1],
-        format="csr",
-    )
-    Tk = T
-    for _ in range(p - 1):
-        Tk = Tk @ T
-    return Tk
-
-
 def _dissipation_matrix(counts, p):
     """Symmetric PSD high-pass on a box, symbol sum_k ((1 - cos theta_k)/2)^p.
 
     Vanishes to order 2p on smooth modes but is O(1) on the sawtooth modes.
-    No default plan takes it (see ``spectral_plan``).  The 1-D factor
-    is a quarter of the Neumann graph Laplacian (end rows [1, -1]/4), so the
-    matrix annihilates constants exactly in rows *and* columns: adding it to
-    a discretized operator never changes discrete mass balance.
+    No default plan takes it (see ``spectral_plan``).  The 1-D factor T^p
+    is the power of a quarter of the Neumann graph Laplacian (end rows
+    [1, -1]/4), so the matrix annihilates constants exactly in rows *and*
+    columns: adding it to a discretized operator never changes discrete mass
+    balance.
     """
     total = None
     for k, N in enumerate(counts):
-        out = along_axis(_dissipation_factor(N, p), counts, k)
+        diag = np.full(N, 0.5)
+        diag[0] = diag[-1] = 0.25
+        T = sparse.diags(
+            [np.full(N - 1, -0.25), diag, np.full(N - 1, -0.25)],
+            offsets=[-1, 0, 1],
+            format="csr",
+        )
+        Tk = T
+        for _ in range(p - 1):
+            Tk = Tk @ T
+        out = along_axis(Tk, counts, k)
         total = out if total is None else total + out
     return total
 
@@ -332,7 +328,8 @@ def spectral_plan(
     when every axis shifts by whole nodes (``node_shift_axes``: the fields
     are the plain partial derivatives) and every word is a power of one
     letter; the interior operator, dissipation term included, is then
-    exactly the Kronecker sum of one 1-D factor per axis.  Otherwise it is
+    exactly the Kronecker sum of one 1-D factor per axis, and the factors are
+    read off the assembled interior matrix.  Otherwise it is
     a ``SpectralPlan``, one dense eigensolve per block of the sign flips of
     ``sign_flip_group`` (see ``_reflection_plan``).  A whole interior (or
     one Kronecker factor) larger than ``MAX_DENSE_BLOCK`` nodes is refused
@@ -356,17 +353,15 @@ def spectral_plan(
     mask = grid.interior_mask(margin)
     idx = np.flatnonzero(mask)
     A_int = discretize(spec.expr, law, grid)[np.ix_(idx, idx)]
-    p = max(spec.expr.word_degrees(law.algebra.weights)) // 2 + 3
-    dose = 0.0
     if reg_strength:
         gersh = float(np.abs(A_int).sum(axis=1).max())
-        dose = reg_strength * gersh
-        A_int = A_int + dose * _dissipation_matrix(inner_counts, p)
+        p = max(spec.expr.word_degrees(law.algebra.weights)) // 2 + 3
+        A_int = A_int + reg_strength * gersh * _dissipation_matrix(inner_counts, p)
     norm = _frobenius(A_int)
     sym_defect = _frobenius(A_int - A_int.T) / norm if norm else 0.0
     fields = dict(grid=grid, spec=spec, law=law, mask=mask, sym_defect=sym_defect)
     if kronecker:
-        return _kronecker_plan(spec, grid, margin, inner_counts, dose, p, fields)
+        return _kronecker_plan(A_int, inner_counts, fields)
     return _reflection_plan(A_int, inner_counts, sign_flip_group(law.algebra, spec.expr), fields)
 
 
@@ -481,30 +476,25 @@ def _eigh(A, stats):
     return w, V
 
 
-def _kronecker_plan(spec, grid, margin, inner_counts, dose, p, fields):
-    """The ``KroneckerPlan`` of an operator sum_w c_w X_{k(w)}^{|w|}.
+def _kronecker_plan(A_int, inner_counts, fields):
+    """The ``KroneckerPlan`` of an interior matrix that is a Kronecker sum.
 
-    With X_k = d/dx_k each letter pair of a word is the compact 1-D stencil
-    D^(|pair|) along axis k, as in ``calculus.discretize``, and the
-    restriction to the interior box restricts each factor.  Axis k's factor
-    is sum_w c_w prod_pairs D^(|pair|) over its words (the identity word goes
-    to axis 0) plus its share ``dose`` * T_k^p of the dissipation term, whose
-    dose was set from the Gershgorin bound of the whole interior operator.
+    With A_int = sum_k I x ... x F_k x ... x I on the interior box, the block
+    of A_int on the line of interior nodes through node 0 along axis k is F_k
+    plus d_k I, d_k being the other factors' first diagonal entries.
+    Subtracting d = A_int[0, 0] from the diagonal of every block but axis
+    0's leaves factors that sum back to A_int, the identity word and the
+    dissipation term included.
     """
+    strides = np.cumprod((1,) + tuple(inner_counts[:0:-1]))[::-1]
+    d = A_int[0, 0]
     factors = []
     stats = {}
-    for k, (N, m, n) in enumerate(zip(grid.counts, margin, inner_counts)):
-        axis = Grid((grid.half_widths[k],), (N,))
-        F = sparse.csr_matrix((N, N))
-        for word, c in spec.expr.terms.items():
-            if (word[0] if word else 0) == k:
-                Dw = sparse.identity(N, format="csr")
-                for pair in letter_pairs(word):
-                    Dw = Dw @ derivative_matrix(axis, (len(pair),))
-                F = F + c * Dw
-        F = F[m : N - m, m : N - m].toarray()
-        if dose:
-            F = F + dose * _dissipation_factor(n, p).toarray()
+    for k, (n, stride) in enumerate(zip(inner_counts, strides)):
+        line = stride * np.arange(n)
+        F = A_int[np.ix_(line, line)].toarray()
+        if k:
+            F[np.diag_indices(n)] -= d
         factors.append(_eigh(0.5 * (F + F.T), stats))
     return KroneckerPlan(
         eigenvalues=functools.reduce(np.add.outer, [w for w, _ in factors]).ravel(),
@@ -603,13 +593,12 @@ def dilated_plan(plan: SpectralPlan, rho) -> SpectralPlan:
     for, rescales with its Gershgorin dose).  So the eigenvectors carry over
     and only the eigenvalues change.
     """
-    deg = homogeneous_degree(plan.spec.expr, plan.law.algebra.weights)
-    if not isinstance(deg, int):
+    if plan.spec.nu is None:
         raise HeatError("exact plan rescaling requires a homogeneous operator")
     return dataclasses.replace(
         plan,
         grid=plan.grid.dilated(rho, plan.law.algebra.weights),
-        eigenvalues=plan.eigenvalues * float(rho) ** (-deg),
+        eigenvalues=plan.eigenvalues * float(rho) ** (-plan.spec.nu),
     )
 
 
@@ -652,8 +641,7 @@ class HeatKernelSource:
     def __init__(self, plan: SpectralPlan):
         self.plan = plan
         self.Q = plan.law.algebra.homogeneous_dimension
-        deg = homogeneous_degree(plan.spec.expr, plan.law.algebra.weights)
-        self.nu = deg if isinstance(deg, int) else None
+        self.nu = plan.spec.nu
         self.t_switch = np.inf
         self.mass_at_switch = 1.0
         self._ref = None
@@ -731,12 +719,11 @@ class HeatKernelSource:
 class HeatKernelFamily:
     times: tuple
     kernels: list  # GridFunction per time
-    plan: SpectralPlan
 
 
 def build_family(plan: SpectralPlan, times) -> HeatKernelFamily:
     times = tuple(sorted(times))
-    return HeatKernelFamily(times=times, kernels=[heat_kernel(plan, t) for t in times], plan=plan)
+    return HeatKernelFamily(times=times, kernels=[heat_kernel(plan, t) for t in times])
 
 
 def check_mass(h: GridFunction):
@@ -757,8 +744,6 @@ def check_semigroup(family: HeatKernelFamily, law, pairs=None, mask=None):
     With ``mask`` (typically the plan's interior mask) the defect is measured
     away from the boundary stencil band, which carries no verification claim.
     """
-    from .geometry import group_convolve
-
     times = np.asarray(family.times, dtype=float)
 
     def _at(t):
@@ -789,30 +774,27 @@ def check_self_similarity(plan: SpectralPlan, plan_scaled: SpectralPlan, t1, t2)
 
     ``plan_scaled`` lives on the image of ``plan``'s grid under D_r with
     r = (t2/t1)^{1/nu}; the scaling identity predicts
-    h_{t2}(x) = r^{-Q} h_{t1}(D_{1/r} x).  Returns the relative L1 defect on
-    the scaled plan's interior mask, or inf when h_{t2} vanishes there (a
-    kernel too coarse to resolve).  In ``verify`` the scaled plan is
-    ``dilated_plan(plan, r)``, the same solve rescaled, so the value reads
-    rounding and the row is a consistency check; against a fresh solve on
-    the dilated grid it reads rounding too, because the discrete operator
-    there is the base one times r^{-nu} (``dilated_plan``).
+    h_{t2}(x) = r^{-Q} h_{t1}(D_{1/r} x).  Node i of the image grid is D_r of
+    node i of the base grid, so the prediction is r^{-Q} h_{t1} node for node.
+    Returns the relative L1 defect on the scaled plan's interior mask, or inf
+    when h_{t2} vanishes there (a kernel too coarse to resolve).  In
+    ``verify`` the scaled plan is ``dilated_plan(plan, r)``, the same solve
+    rescaled, so the value reads rounding and the row is a consistency
+    check; against a fresh solve on the dilated grid it reads rounding too,
+    because the discrete operator there is the base one times r^{-nu}
+    (``dilated_plan``).
     """
-    deg = homogeneous_degree(plan.spec.expr, plan.law.algebra.weights)
-    if not isinstance(deg, int):
+    nu = plan.spec.nu
+    if nu is None:
         raise HeatError("self-similarity requires a homogeneous operator")
-    weights = plan.law.algebra.weights
     Q = plan.law.algebra.homogeneous_dimension
-    r = (t2 / t1) ** (1.0 / deg)
-    expected = plan.grid.dilated(r, weights)
+    r = (t2 / t1) ** (1.0 / nu)
+    expected = plan.grid.dilated(r, plan.law.algebra.weights)
     if not np.allclose(expected.half_widths, plan_scaled.grid.half_widths, rtol=1e-9) \
             or expected.counts != plan_scaled.grid.counts:
         raise HeatError("scaled plan's grid is not the D_r image of the base grid")
-    h_small = heat_kernel(plan, t1)
     h_big = heat_kernel(plan_scaled, t2)
-    pts = dilate(1.0 / r, plan_scaled.grid.points(), weights)
-    predicted = GridFunction(
-        plan_scaled.grid, r ** (-Q) * h_small.interpolator()(pts)
-    )
+    predicted = GridFunction(plan_scaled.grid, r ** (-Q) * heat_kernel(plan, t1).values)
     mask = plan_scaled.mask
     num = lp_norm(h_big - predicted, 1, mask=mask)
     den = lp_norm(h_big, 1, mask=mask)

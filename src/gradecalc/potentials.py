@@ -94,7 +94,6 @@ class RieszKernel:
     a: float
     values: GridFunction
     exclusion_radius: float
-    ladder: TLadder
     tail_constant: float  # late-time t^{Q/nu} h_t(0), 0 if unavailable
 
 
@@ -104,7 +103,6 @@ class BesselKernel:
     values: GridFunction
     integral: float  # estimate of the full-group integral (= 1 in exact arithmetic)
     l1_estimate: float  # L1 norm of the grid function over the box
-    ladder: TLadder
 
 
 def _require_homogeneous(plan: SpectralPlan):
@@ -156,7 +154,6 @@ def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
         a=float(a),
         values=GridFunction(plan.grid, vals),
         exclusion_radius=3.0 * max(plan.grid.spacings),
-        ladder=ladder,
         tail_constant=tail_c,
     )
 
@@ -192,7 +189,6 @@ def bessel_kernel(plan: SpectralPlan, a, source=None) -> BesselKernel:
         values=gf,
         integral=float(integral),
         l1_estimate=lp_norm(gf, 1),
-        ladder=ladder,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import DiffOpExpr, FieldMatrices, apply_diffop
+from .calculus import DiffOpExpr, FieldMatrices
 from .geometry import Grid, GridFunction, dilate, lp_norm, sum_columns
 from .heatflow import SpectralPlan, dilated_plan
 from .potentials import fractional_apply
@@ -40,7 +40,7 @@ class SobolevNormSpec:
         if self.flavor not in FLAVORS:
             raise SobolevError(f"unknown flavor {self.flavor!r}; choose from {FLAVORS}")
         p = self.p
-        if not (p == np.inf or p == "inf" or (isinstance(p, (int, float)) and p > 1)):
+        if not (isinstance(p, (int, float)) and p > 1):
             raise SobolevError(f"exponent p must lie in (1, inf) or be inf, got {p}")
         if self.flavor == "integer":
             nu = self.plan.spec.nu
@@ -87,7 +87,7 @@ def words_of_degree(weights, degree):
 
 
 def _lp(spec: SobolevNormSpec, g: GridFunction):
-    if spec.p == np.inf or spec.p == "inf":
+    if spec.p == np.inf:
         # sup norms carry no claim on the boundary stencil band
         return lp_norm(g, np.inf, mask=spec.plan.mask)
     return lp_norm(g, spec.p)
@@ -182,9 +182,6 @@ def make_test_family(grid: Grid, n=50, seed=0xC0FFEE) -> TestFamily:
 class RatioProbe:
     """Observed norm-ratio interval for a pair of Sobolev norms."""
 
-    numerator: SobolevNormSpec
-    denominator: SobolevNormSpec
-    family_size: int
     min_ratio: float
     max_ratio: float
 
@@ -203,13 +200,7 @@ def equivalence_probe(specA: SobolevNormSpec, specB: SobolevNormSpec, family: Te
         if nb == 0:
             raise SobolevError("family member has zero denominator norm")
         ratios.append(sobolev_norm(specA, f) / nb)
-    return RatioProbe(
-        numerator=specA,
-        denominator=specB,
-        family_size=len(ratios),
-        min_ratio=float(min(ratios)),
-        max_ratio=float(max(ratios)),
-    )
+    return RatioProbe(min_ratio=float(min(ratios)), max_ratio=float(max(ratios)))
 
 
 # the scales r at which the embedding probes stress the first N_DILATED members
@@ -217,17 +208,25 @@ DILATIONS = (0.25, 0.5, 1.0, 2.0, 4.0)
 N_DILATED = 3
 
 
-def _dilated_pair(plan, family, i, r):
-    """Member i as f(D_r x), sampled on the dilation image of the grid.
+def _dilation_drift(plan, family, form):
+    """Largest max/min spread over ``DILATIONS`` of form(plan_r, f_r, r).
 
-    Evaluating the dilated copy on the image grid (with the exactly rescaled
-    plan) keeps it equally resolved at every scale; on a fixed grid the copies
-    leave the resolved band already at r = 4 for weight-2 coordinates.
+    For each of the first ``N_DILATED`` members, f_r is the member as
+    f(D_r x), sampled on the dilation image of the grid under the exactly
+    rescaled plan plan_r.  That keeps it equally resolved at every scale; on
+    a fixed grid the copies leave the resolved band already at r = 4 for
+    weight-2 coordinates.
     """
     weights = plan.law.algebra.weights
-    plan_r = dilated_plan(plan, 1.0 / r)
-    fn = family.dilated_member(i, r, weights)
-    return plan_r, GridFunction(plan_r.grid, fn(plan_r.grid.points()))
+    drift = 1.0
+    for i in range(min(N_DILATED, len(family.members))):
+        vals = []
+        for r in DILATIONS:
+            plan_r = dilated_plan(plan, 1.0 / r)
+            fn = family.dilated_member(i, r, weights)
+            vals.append(form(plan_r, GridFunction(plan_r.grid, fn(plan_r.grid.points())), r))
+        drift = max(drift, max(vals) / min(vals))
+    return drift
 
 
 def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily):
@@ -235,8 +234,8 @@ def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily):
 
     Requires 1 < p < q < inf and b - a = Q(1/p - 1/q); other inputs are
     refused (no claim holds off the relation).  The first ``N_DILATED`` family
-    members are also stressed across scales: each is re-sampled as f(D_r x)
-    on the dilation image of the grid, where the exponent relation makes the
+    members are also stressed across scales (``_dilation_drift``): on the
+    dilation image of the grid the exponent relation makes the
     homogeneous-seminorm form of the ratio scale-free; the drift is the
     max/min spread of that form over ``DILATIONS``.  Returns (sup ratio, drift).
     """
@@ -257,19 +256,15 @@ def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily):
         return sobolev_norm(num_spec, f) / den
 
     sup = max(ratio(f, spec_num, spec_den) for f in family.gridfunctions())
-    drift = 1.0
-    for i in range(min(N_DILATED, len(family.members))):
-        vals = []
-        for r in DILATIONS:
-            plan_r, fr = _dilated_pair(plan, family, i, r)
-            vals.append(
-                ratio(
-                    fr,
-                    SobolevNormSpec(plan_r, a, q, "homogeneous"),
-                    SobolevNormSpec(plan_r, b, p, "homogeneous"),
-                )
-            )
-        drift = max(drift, max(vals) / min(vals))
+    drift = _dilation_drift(
+        plan,
+        family,
+        lambda plan_r, fr, r: ratio(
+            fr,
+            SobolevNormSpec(plan_r, a, q, "homogeneous"),
+            SobolevNormSpec(plan_r, b, p, "homogeneous"),
+        ),
+    )
     return float(sup), float(drift)
 
 
@@ -277,10 +272,10 @@ def sup_embedding_probe(plan: SpectralPlan, p, s, family: TestFamily):
     """sup of ||f||_inf / ||f||_{L^p_s}, defined only for s > Q/p.
 
     Returns (sup ratio, drift): the drift stresses the first ``N_DILATED``
-    members across the scales ``DILATIONS`` on dilation-image grids, in the
-    scale-covariant form — the homogeneous-seminorm ratio carries the exact
-    dilation factor r^{s - Q/p}, which is divided out before comparing
-    across r.
+    members across the scales ``DILATIONS`` on dilation-image grids
+    (``_dilation_drift``), in the scale-covariant form — the
+    homogeneous-seminorm ratio carries the exact dilation factor
+    r^{s - Q/p}, which is divided out before comparing across r.
     """
     Q = plan.law.algebra.homogeneous_dimension
     if not s > Q / p:
@@ -292,15 +287,13 @@ def sup_embedding_probe(plan: SpectralPlan, p, s, family: TestFamily):
         if den == 0:
             raise SobolevError("family member has zero denominator norm")
         sup = max(sup, lp_norm(f, np.inf, mask=plan.mask) / den)
-    drift = 1.0
-    for i in range(min(N_DILATED, len(family.members))):
-        vals = []
-        for r in DILATIONS:
-            plan_r, fr = _dilated_pair(plan, family, i, r)
-            den = sobolev_norm(SobolevNormSpec(plan_r, s, p, "homogeneous"), fr)
-            num = lp_norm(fr, np.inf, mask=plan_r.mask)
-            vals.append((num / den) / float(r) ** (Q / p - s))
-        drift = max(drift, max(vals) / min(vals))
+
+    def scaled_ratio(plan_r, fr, r):
+        den = sobolev_norm(SobolevNormSpec(plan_r, s, p, "homogeneous"), fr)
+        num = lp_norm(fr, np.inf, mask=plan_r.mask)
+        return (num / den) / float(r) ** (Q / p - s)
+
+    drift = _dilation_drift(plan, family, scaled_ratio)
     return float(sup), float(drift)
 
 
@@ -367,7 +360,7 @@ def sharpness_probe_H1tilde(law=None):
             grid_r = base_grid.dilated(1.0 / r, weights)
             fr = GridFunction(grid_r, member(dilate(r, grid_r.points(), weights)))
             cache = FieldMatrices(law, grid_r)
-            num = lp_norm(apply_diffop(L, law, fr, cache=cache), 2)
+            num = lp_norm(GridFunction(grid_r, cache.apply_expr(L, fr.values)), 2)
             den = lp_norm(fr, 2)
             for word in words_of_degree(weights, s):
                 den += lp_norm(GridFunction(grid_r, cache.apply_word(word, fr.values)), 2)

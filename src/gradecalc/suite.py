@@ -232,9 +232,7 @@ class RunConfig:
                 expr = parse_diffop(self.op, alg.labels)
             except CalculusError as exc:
                 raise ConfigError(str(exc)) from exc
-            deg = homogeneous_degree(expr, alg.weights)
-            nu = deg if isinstance(deg, int) else None
-            return RocklandSpec(expr=expr, nu=nu, provenance="cli", algebra=alg)
+            return RocklandSpec(expr=expr, nu=homogeneous_degree(expr, alg.weights))
         try:
             return sublaplacian(alg)
         except StratificationError:

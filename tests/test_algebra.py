@@ -19,7 +19,6 @@ from gradecalc.algebra import (
     bch_group_law,
     builtin_group,
     invert,
-    multiply,
     validate_algebra,
 )
 
@@ -110,16 +109,6 @@ def test_dilation_homomorphism_exact(name, data, laws):
     y = tuple(data.draw(rationals()) for _ in range(n))
     dil = lambda p: tuple(v * r ** int(wj) for v, wj in zip(p, w))
     assert dil(law.multiply_exact(x, y)) == law.multiply_exact(dil(x), dil(y))
-
-
-def test_multiply_dispatch(laws):
-    law = laws["heisenberg"]
-    exact = multiply(law, (Fraction(1, 2), 0, 0), (0, Fraction(1, 3), 0))
-    assert isinstance(exact[2], Fraction)
-    approx = multiply(law, (0.5, 0.0, 0.0), (0.0, 1 / 3, 0.0))
-    assert approx[2] == pytest.approx(float(exact[2]))
-    with pytest.raises(AlgebraError):
-        multiply(law, (1, 2), (0, 0, 0))
 
 
 def test_multiply_arrays_matches_exact(laws):

@@ -54,3 +54,25 @@ def test_plan_work_counts_evaluate(h1_law, ab3_law):
     for plan in plans:
         assert counts["heatflow.spectral_plan.n"](plan) == plan.mask.sum()
         assert counts["heatflow.plan.bytes"](plan) > 0
+
+
+def test_query_worker_smoke(monkeypatch):
+    # the plan-queries workload's session, first query of each kind, checked
+    # against the identity the benchmark holds its output to
+    import json
+
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(bench)  # the worker imports its tracer by name
+    spec = importlib.util.spec_from_file_location("perfbench_worker", os.path.join(bench, "worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    with open(os.path.join(bench, "workloads.json")) as fh:
+        config = json.load(fh)["workloads"]["plan-queries-heisenberg"]["config"]
+    session = worker.QuerySession(config, 0xC0FFEE)
+    first = {}
+    for kind, q in session.stream:
+        first.setdefault(kind, q)
+    assert sorted(first) == sorted(worker.QUERY_KINDS)
+    for kind, q in first.items():
+        defect, threshold = session.check(kind, q, session.run(kind, q))
+        assert defect < threshold, kind

@@ -520,6 +520,20 @@ def test_op_flag_parse_error_exit_2(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("op", ["X^-2", "X^2.5", "X^1/2", "2*-X^2", "X^2*", "1/0*X^2"])
+def test_op_flag_malformed_exit_2(runner, op):
+    # these once parsed silently as something else, or ended in a traceback
+    res = runner.invoke(main, ["--group", "abelian1", "--op", op, "heat"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+
+
+def test_degree_zero_operator_is_refused(runner):
+    # a multiple of the identity has no dilation degree: the potentials
+    # refuse it (exit 2) instead of dividing by nu = 0
+    res = runner.invoke(main, ["--group", "abelian1", "--op", "2", "kernel"])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+
+
 # ---------------------------------------------------------------------------
 # export
 

@@ -24,7 +24,6 @@ from gradecalc.geometry import (
     pseudo_norm,
     quasi_triangle_constant,
     resample_dilated,
-    scaled_bump,
 )
 from gradecalc.geometry import _interpolated_convolve, _sobol
 
@@ -412,16 +411,6 @@ def test_resample_dilated_matches_interpolator(grid, weights, r):
         resample_dilated(f, 0.0, weights)
 
 
-def test_scaled_bump_mass_invariance():
-    g = Grid((4.0, 4.0), (41, 41))
-    pts = g.points()
-    phi = GridFunction(g, np.exp(-np.sum(pts**2, axis=1)))
-    m0 = float(haar_integrate(phi))
-    for t in (0.5, 0.8):
-        mt = float(haar_integrate(scaled_bump(phi, t, (1, 1))))
-        assert mt == pytest.approx(m0, rel=2e-2)
-
-
 # ---------------------------------------------------------------------------
 # Polar decomposition
 
@@ -442,7 +431,7 @@ def test_polar_integral_euclidean():
     g = Grid((2.5, 2.5), (51, 51))
     quad = SphereQuadrature.build((1, 1), 1, n_samples=1 << 14, seed=SEED)
     # isotropic weights: sphere measure total = Q * vol(unit ball) = 2*pi
-    assert quad.total_measure == pytest.approx(2 * np.pi, rel=2e-2)
+    assert quad.node_weights.sum() == pytest.approx(2 * np.pi, rel=2e-2)
     lhs, rhs = polar_integral_check((1.0, 1.0), g, quad)
     assert lhs == pytest.approx(rhs, rel=2e-2)
 

@@ -31,12 +31,14 @@ from gradecalc.algebra import bch_group_law, builtin_group
 from gradecalc.calculus import (
     RocklandSpec,
     build_rockland_example,
+    homogeneous_degree,
     parse_diffop,
     power,
     sublaplacian,
 )
 from gradecalc.potentials import fractional_apply
 from gradecalc.sobolev import make_test_family
+from gradecalc.suite import RunConfig
 
 SEED = 0xC0FFEE
 
@@ -197,6 +199,30 @@ def test_heat_apply_time_zero(ab1_heat_plan):
         heat_apply(ab1_heat_plan, f, -0.1)
     with pytest.raises(HeatError):
         heat_kernel(ab1_heat_plan, -1.0)
+
+
+def test_degree_has_one_owner(h1_law, h1t_law):
+    # the constructors decide nu, and it is the operator's weighted degree
+    alg, alg358 = h1_law.algebra, h1t_law.algebra
+    specs = [
+        (sublaplacian(alg), alg),
+        (build_rockland_example(alg358, 120), alg358),
+        (power(sublaplacian(alg), 2), alg),
+        (RunConfig(op="X^4+Y^4-T^2").operator(alg), alg),
+    ]
+    assert [spec.nu for spec, _ in specs] == [2, 240, 4, 4]
+    for spec, a in specs:
+        assert spec.nu == homogeneous_degree(spec.expr, a.weights)
+    # an inhomogeneous operator, here I + L, has no degree: no continuation,
+    # no rescaling (X^2+T would not do: T has weight 2)
+    spec = RunConfig(op="-X^2-Y^2+1").operator(alg)
+    assert spec.nu is None and homogeneous_degree(spec.expr, alg.weights) is None
+    plan = spectral_plan(spec, h1_law, Grid((1.5, 1.5, 1.2), (11, 11, 13)))
+    assert HeatKernelSource(plan).t_switch == np.inf
+    with pytest.raises(HeatError):
+        dilated_plan(plan, 1.5)
+    with pytest.raises(HeatError):
+        check_self_similarity(plan, plan, 0.1, 0.2)
 
 
 def test_plan_eigenbasis_orthonormal(ab1_heat_plan):
@@ -360,13 +386,20 @@ _KRON_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_KRON_CASES))
+@pytest.mark.parametrize("name", sorted(_KRON_CASES) + ["abelian2-X^4+Y^4+1"])
 def test_kronecker_plan_matches_dense(name, monkeypatch):
     import gradecalc.heatflow as heatflow
 
-    law = bch_group_law(builtin_group(name))
+    group, _, op = name.partition("-")
+    law = bch_group_law(builtin_group(group))
     spec = sublaplacian(law.algebra)
-    grid, margin = _KRON_CASES[name]
+    if op:
+        # the identity word sits on every axis's diagonal at once, which the
+        # factors must share out exactly
+        expr = parse_diffop(op, law.algebra.labels)
+        assert () in expr.terms
+        spec = RocklandSpec(expr=expr, nu=homogeneous_degree(expr, law.algebra.weights))
+    grid, margin = _KRON_CASES[group]
     kron = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
     # with no axis known to shift by whole nodes the plan is one dense solve
     monkeypatch.setattr(heatflow, "node_shift_axes", lambda law: ())
@@ -380,6 +413,8 @@ def test_kronecker_plan_matches_dense(name, monkeypatch):
 
     for t in (0.01, 0.1, 0.5):
         assert close(heat_kernel(kron, t), heat_kernel(dense, t))
+    if spec.nu is None:  # fractional powers need a degree
+        return
     f = make_test_family(grid, n=1, seed=SEED).gridfunctions()[0]
     for s, hom in ((1.5, False), (-1.0, False), (-2.0, True)):
         assert close(
@@ -426,12 +461,12 @@ def test_mixed_word_takes_dense_plan():
     # XY is not a power of one letter, so the operator is no Kronecker sum
     law = bch_group_law(builtin_group("abelian2"))
     expr = parse_diffop("X^2+Y^2+X*Y+Y*X", law.algebra.labels)
-    spec = RocklandSpec(expr=expr, nu=2, provenance="test", algebra=law.algebra)
+    spec = RocklandSpec(expr=expr, nu=2)
     grid, margin = _KRON_CASES["abelian2"]
     plan = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
     assert type(plan) is SpectralPlan
     single = parse_diffop("X^2+Y^2", law.algebra.labels)
-    spec2 = RocklandSpec(expr=single, nu=2, provenance="test", algebra=law.algebra)
+    spec2 = RocklandSpec(expr=single, nu=2)
     assert isinstance(spectral_plan(spec2, law, grid, margin=margin), KroneckerPlan)
 
 
@@ -447,7 +482,7 @@ def test_reflection_plan_matches_dense(op, h1_law, monkeypatch):
     spec = sublaplacian(law.algebra)
     if op != "sublaplacian":
         expr = parse_diffop(op, law.algebra.labels)
-        spec = RocklandSpec(expr=expr, nu=4, provenance="test", algebra=law.algebra)
+        spec = RocklandSpec(expr=expr, nu=4)
     grid = Grid((1.5, 1.5, 1.2), (15, 15, 21))
     plan = spectral_plan(spec, law, grid, reg_strength=0.3)
     # with no flip but the identity the plan is one dense block

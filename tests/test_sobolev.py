@@ -156,12 +156,11 @@ def test_equivalence_regression_stable(h1_pot_plan):
     assert abs(r1[0] - r2[0]) < 1e-10 and abs(r1[1] - r2[1]) < 1e-10
 
 
-def test_ratio_probe_validation(ab1_pot_plan):
-    spec = SobolevNormSpec(ab1_pot_plan, 1.0, 2)
+def test_ratio_probe_validation():
     with pytest.raises(SobolevError):
-        RatioProbe(spec, spec, 1, 0.0, 1.0)
+        RatioProbe(0.0, 1.0)
     with pytest.raises(SobolevError):
-        RatioProbe(spec, spec, 1, 2.0, 1.0)
+        RatioProbe(2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
