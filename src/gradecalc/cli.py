@@ -3,8 +3,10 @@
 Commands: ``group check``, ``heat``, ``kernel``, ``norm``, ``probe``,
 ``verify``, ``export``.  Exit codes: 0 all checks pass, 1 check failures
 (``heat``: a mass defect at or above the ``heat.mass`` threshold; ``kernel
---kind bessel``: an integral defect at or above ``potential.bessel_mass``),
-2 usage or configuration errors.  Reports and CSVs are deterministic for a fixed
+--kind bessel``: an integral defect at or above ``potential.bessel_mass``;
+``probe``: a ratio spread at or above ``sobolev.equivalence`` or
+``sobolev.embedding``; every threshold times ``--tol-scale``), 2 usage or
+configuration errors.  Reports and CSVs are deterministic for a fixed
 seed (modulo the timestamp line).
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -31,7 +34,6 @@ from .sobolev import (
     sup_embedding_probe,
 )
 from .suite import (
-    ANCHORS,
     DEFAULT_SEED,
     ConfigError,
     RunConfig,
@@ -96,12 +98,15 @@ def group_check(cfg):
 @click.pass_obj
 def heat(cfg, times):
     """Compute heat kernels h_t and judge their mass defects (exit 1 on a breach)."""
+    if not all(0 <= t < math.inf for t in times):
+        raise ConfigError(f"--t must be finite and nonnegative, got {', '.join(map(str, times))}")
     plan = cfg.plan("heat")
+    c = plan.spec.expr.terms.get((), 0.0)
     judged = VerificationReport(tol_scale=cfg.tol_scale)
     rows = []
     for t in sorted(times):
         h = heat_kernel(plan, t)
-        defect = check_mass(h)
+        defect = check_mass(h, c, t)
         judged.add("heat.mass", defect)
         click.echo(f"t={t:g}: mass defect {defect:.3e}, sup {lp_norm(h, np.inf):.6g}")
         for pt, v in zip(plan.grid.points(), h.values):
@@ -163,8 +168,11 @@ def kernel(cfg, kind, a):
 @click.pass_obj
 def norm(cfg, s, p, flavor):
     """Sobolev norm of a reference bump on the default grid."""
+    try:
+        pval = float(p)  # "inf" included
+    except ValueError:
+        raise ConfigError(f"--p must be a number or 'inf', got {p!r}") from None
     plan = cfg.plan("potential")
-    pval = np.inf if p == "inf" else float(p)
     fl = "inhomogeneous" if flavor == "spectral" else flavor
     f = make_test_family(plan.grid, n=1, seed=cfg.seed).gridfunctions()[0]
     try:
@@ -175,46 +183,39 @@ def norm(cfg, s, p, flavor):
 
 
 def _probe_rows(cfg):
-    """The probe table; a norm or plan the probes refuse is a usage error (exit 2)."""
+    """The probe table, judged against ``ANCHORS``; a norm or plan the probes refuse is exit 2."""
     plan = cfg.plan("potential")
     try:
-        return _probe_table(plan, cfg.seed)
+        return _probe_table(plan, cfg.seed, cfg.tol_scale)
     except (SobolevError, PotentialError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _probe_table(plan, seed):
+def _probe_table(plan, seed, tol_scale):
     spec = plan.spec
     fam = make_test_family(plan.grid, n=50, seed=seed)
+    judged = VerificationReport(tol_scale=tol_scale)
     rows = []
+
+    def row(check_id, probe_id, parameters, low, high, value):
+        c = judged.add(check_id, value)
+        rows.append([probe_id, parameters, low, high, c.threshold, "pass" if c.passed else "fail"])
+
     if spec.nu is not None:
         pr = equivalence_probe(
             SobolevNormSpec(plan, float(spec.nu), 2, "integer"),
             SobolevNormSpec(plan, float(spec.nu), 2),
             fam,
         )
-        bound = ANCHORS["sobolev.equivalence"].threshold
-        rows.append(
-            [
-                "equivalence.integer-vs-spectral",
-                f"s={spec.nu};p=2",
-                pr.min_ratio,
-                pr.max_ratio,
-                bound,
-                "pass" if pr.max_ratio / pr.min_ratio < bound else "fail",
-            ]
-        )
+        lo, hi = pr.min_ratio, pr.max_ratio
+        row("sobolev.equivalence", "equivalence.integer-vs-spectral", f"s={spec.nu};p=2", lo, hi, hi / lo)
     Q = plan.law.algebra.homogeneous_dimension
     b = Q * (0.5 - 0.25)
     sup, drift = embedding_probe(plan, 2, 4, b, 0.0, fam)
-    rows.append(
-        ["embedding.Lp-Lq", f"p=2;q=4;b={b:g};a=0", sup, drift, 2.0, "pass" if drift < 2.0 else "fail"]
-    )
+    row("sobolev.embedding", "embedding.Lp-Lq", f"p=2;q=4;b={b:g};a=0", sup, drift, drift)
     s_sup = Q / 2.0 + 1.0
     sup2, drift2 = sup_embedding_probe(plan, 2, s_sup, fam)
-    rows.append(
-        ["embedding.sup", f"p=2;s={s_sup:g}", sup2, drift2, 2.0, "pass" if drift2 < 2.0 else "fail"]
-    )
+    row("sobolev.embedding", "embedding.sup", f"p=2;s={s_sup:g}", sup2, drift2, drift2)
     return rows
 
 

@@ -130,8 +130,8 @@ def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
     The ladder covers [t_lo, t_hi]; beyond t_hi the self-similar decay
     h_t(x) ~ t^{-Q/nu} * C0 integrates to an explicit power-law tail which is
     added analytically (C0 from the late-time continuation).  The value at
-    the origin node is a non-finite sentinel, and values inside the exclusion
-    radius (3 * max spacing) carry no accuracy claim.
+    the origin node is a non-finite sentinel, and values inside the
+    ``exclusion_radius`` carry no accuracy claim.
     """
     nu = _require_homogeneous(plan)
     Q = plan.law.algebra.homogeneous_dimension
@@ -153,7 +153,7 @@ def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
     return RieszKernel(
         a=float(a),
         values=GridFunction(plan.grid, vals),
-        exclusion_radius=3.0 * max(plan.grid.spacings),
+        exclusion_radius=exclusion_radius(plan.grid),
         tail_constant=tail_c,
     )
 
@@ -168,8 +168,8 @@ def bessel_kernel(plan: SpectralPlan, a, source=None) -> BesselKernel:
     mass), and beyond t_hi the e^{-t} damping bounds the remainder.
     """
     nu = _require_homogeneous(plan)
-    if a <= 0:
-        raise PotentialError(f"Bessel exponent must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise PotentialError(f"Bessel exponent must be positive and finite, got {a}")
     check_spectrum(plan)
     ladder = default_ladder(plan.grid, nu)
     if source is None:
@@ -192,39 +192,45 @@ def bessel_kernel(plan: SpectralPlan, a, source=None) -> BesselKernel:
     )
 
 
-def riesz_homogeneity_defect(kern: RieszKernel, weights, nu0, Q, r=2, mask=None):
-    """Relative defect of I_a(D_r x) = r^{a-Q} I_a(x) at node pairs.
+def exclusion_radius(grid: Grid):
+    """3 * max spacing: the radius inside which a Riesz kernel carries no accuracy claim."""
+    return 3.0 * max(grid.spacings)
 
-    Only integer dilation factors map grid nodes to grid nodes; nodes inside
-    the exclusion radius or whose image leaves ``mask`` are skipped.  Returns
-    the median relative defect over the compatible pairs.
+
+def dilation_pairs(grid: Grid, weights, nu0, r, mask):
+    """Flat indices (x, D_r x) of the node pairs on which Riesz homogeneity is measured.
+
+    Only integer dilation factors map grid nodes to grid nodes; a pair needs
+    both nodes in ``mask`` and x outside the ``exclusion_radius``.  A grid
+    without such a pair is refused (PotentialError).
     """
-    grid = kern.values.grid
     counts = np.array(grid.counts)
     center = (counts - 1) // 2
     idx = np.array(np.unravel_index(np.arange(grid.size), grid.counts)).T - center
-    scales = np.array([int(round(float(r) ** int(w))) for w in weights])
-    img = idx * scales
-    ok = np.all(np.abs(img) <= (counts - 1) // 2 - 0, axis=1)
-    pts = grid.points()
-    rho = pseudo_norm(pts, weights, nu0)
-    ok &= rho >= kern.exclusion_radius
-    if mask is not None:
-        ok &= mask
+    img = idx * np.array([int(round(float(r) ** int(w))) for w in weights])
+    ok = np.all(np.abs(img) <= center, axis=1) & mask
+    ok &= pseudo_norm(grid.points(), weights, nu0) >= exclusion_radius(grid)
     img_flat = np.ravel_multi_index((img[ok] + center).T, grid.counts)
-    if mask is not None:
-        ok2 = mask[img_flat]
-        src = np.flatnonzero(ok)[ok2]
-        img_flat = img_flat[ok2]
-    else:
-        src = np.flatnonzero(ok)
+    inside = mask[img_flat]
+    if not inside.any():
+        raise PotentialError("no dilation-compatible nodes outside the exclusion radius")
+    return np.flatnonzero(ok)[inside], img_flat[inside]
+
+
+def riesz_homogeneity_defect(kern: RieszKernel, weights, nu0, Q, r=2, *, mask):
+    """Relative defect of I_a(D_r x) = r^{a-Q} I_a(x) at the ``dilation_pairs``.
+
+    Returns the median relative defect over the pairs where I_a is finite and
+    nonzero.
+    """
+    src, img = dilation_pairs(kern.values.grid, weights, nu0, r, mask)
     base = kern.values.values[src]
-    image = kern.values.values[img_flat]
+    image = kern.values.values[img]
     good = np.isfinite(base) & np.isfinite(image) & (np.abs(base) > 0)
     expected = float(r) ** (kern.a - Q)
     rel = np.abs(image[good] / base[good] - expected) / expected
     if rel.size == 0:
-        raise PotentialError("no dilation-compatible nodes outside the exclusion radius")
+        raise PotentialError("the Riesz kernel is not finite and nonzero at any dilation pair")
     return float(np.median(rel))
 
 

@@ -11,6 +11,7 @@ regression baselines rather than proved bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +40,8 @@ class SobolevNormSpec:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise SobolevError(f"unknown flavor {self.flavor!r}; choose from {FLAVORS}")
+        if not np.isfinite(self.s):
+            raise SobolevError(f"order s must be finite, got {self.s}")
         p = self.p
         if not (isinstance(p, (int, float)) and p > 1):
             raise SobolevError(f"exponent p must lie in (1, inf) or be inf, got {p}")
@@ -190,16 +193,22 @@ class RatioProbe:
             raise SobolevError("ratio interval must be positive and finite")
 
 
+def _ratios(fs, num, den):
+    """num(f) / den(f) for each f; den(f) is evaluated first, and a zero one is refused."""
+    ratios = []
+    for f in fs:
+        d = den(f)
+        if d == 0:
+            raise SobolevError("family member has zero denominator norm")
+        ratios.append(num(f) / d)
+    return ratios
+
+
 def equivalence_probe(specA: SobolevNormSpec, specB: SobolevNormSpec, family: TestFamily) -> RatioProbe:
     """min/max of ||f||_A / ||f||_B over the family."""
     if specA.plan.grid != specB.plan.grid:
         raise SobolevError("both norms must live on the same grid")
-    ratios = []
-    for f in family.gridfunctions():
-        nb = sobolev_norm(specB, f)
-        if nb == 0:
-            raise SobolevError("family member has zero denominator norm")
-        ratios.append(sobolev_norm(specA, f) / nb)
+    ratios = _ratios(family.gridfunctions(), partial(sobolev_norm, specA), partial(sobolev_norm, specB))
     return RatioProbe(min_ratio=float(min(ratios)), max_ratio=float(max(ratios)))
 
 
@@ -246,25 +255,13 @@ def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily):
         raise SobolevError(
             f"exponent relation violated: b-a={b - a} but Q(1/p-1/q)={Q * (1 / p - 1 / q)}"
         )
-    spec_num = SobolevNormSpec(plan, a, q)
-    spec_den = SobolevNormSpec(plan, b, p)
 
-    def ratio(f, num_spec, den_spec):
-        den = sobolev_norm(den_spec, f)
-        if den == 0:
-            raise SobolevError("family member has zero denominator norm")
-        return sobolev_norm(num_spec, f) / den
+    def ratios(fs, plan_r, flavor):
+        num, den = SobolevNormSpec(plan_r, a, q, flavor), SobolevNormSpec(plan_r, b, p, flavor)
+        return _ratios(fs, partial(sobolev_norm, num), partial(sobolev_norm, den))
 
-    sup = max(ratio(f, spec_num, spec_den) for f in family.gridfunctions())
-    drift = _dilation_drift(
-        plan,
-        family,
-        lambda plan_r, fr, r: ratio(
-            fr,
-            SobolevNormSpec(plan_r, a, q, "homogeneous"),
-            SobolevNormSpec(plan_r, b, p, "homogeneous"),
-        ),
-    )
+    sup = max(ratios(family.gridfunctions(), plan, "inhomogeneous"))
+    drift = _dilation_drift(plan, family, lambda plan_r, fr, r: ratios([fr], plan_r, "homogeneous")[0])
     return float(sup), float(drift)
 
 
@@ -281,12 +278,8 @@ def sup_embedding_probe(plan: SpectralPlan, p, s, family: TestFamily):
     if not s > Q / p:
         raise SobolevError(f"no boundedness claim for s={s} <= Q/p={Q / p}")
     spec_den = SobolevNormSpec(plan, s, p)
-    sup = 0.0
-    for f in family.gridfunctions():
-        den = sobolev_norm(spec_den, f)
-        if den == 0:
-            raise SobolevError("family member has zero denominator norm")
-        sup = max(sup, lp_norm(f, np.inf, mask=plan.mask) / den)
+    sup_norm = partial(lp_norm, p=np.inf, mask=plan.mask)
+    sup = max(_ratios(family.gridfunctions(), sup_norm, partial(sobolev_norm, spec_den)), default=0.0)
 
     def scaled_ratio(plan_r, fr, r):
         den = sobolev_norm(SobolevNormSpec(plan_r, s, p, "homogeneous"), fr)
@@ -301,13 +294,8 @@ def bump_multiplication_probe(spec: SobolevNormSpec, phi: GridFunction, family: 
     """sup of ||f * phi||_{L^p_s} / ||f||_{L^p_s} for a fixed bump phi."""
     if phi.grid != spec.plan.grid:
         raise SobolevError("bump must live on the plan's grid")
-    sup = 0.0
-    for f in family.gridfunctions():
-        den = sobolev_norm(spec, f)
-        if den == 0:
-            raise SobolevError("family member has zero norm")
-        sup = max(sup, sobolev_norm(spec, f * phi) / den)
-    return float(sup)
+    norm = partial(sobolev_norm, spec)
+    return float(max(_ratios(family.gridfunctions(), lambda f: norm(f * phi), norm), default=0.0))
 
 
 def type0_probe(plan: SpectralPlan, word, family: TestFamily):
@@ -318,15 +306,12 @@ def type0_probe(plan: SpectralPlan, word, family: TestFamily):
     """
     weights = plan.law.algebra.weights
     deg = sum(int(weights[j]) for j in word)
-    sup = 0.0
-    for f in family.gridfunctions():
-        den = lp_norm(f, 2)
-        if den == 0:
-            raise SobolevError("family member has zero norm")
+
+    def num(f):
         g = GridFunction(plan.grid, plan.field_matrices.apply_word(tuple(word), f.values))
-        h = fractional_apply(plan, -float(deg), g, homogeneous=True)
-        sup = max(sup, lp_norm(h, 2) / den)
-    return float(sup)
+        return lp_norm(fractional_apply(plan, -float(deg), g, homogeneous=True), 2)
+
+    return float(max(_ratios(family.gridfunctions(), num, partial(lp_norm, p=2)), default=0.0))
 
 
 # ---------------------------------------------------------------------------

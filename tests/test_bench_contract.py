@@ -1,9 +1,10 @@
-"""The library names and plan layout the benchmark's tracer reads must keep existing.
+"""The library names, plan layout and report format the benchmark reads must keep working.
 
 ``perfbench/tracer.py`` patches each ``(module, name)`` in ``TRACED`` and
 fails on a missing one, and it counts each plan's size and bytes from its
 arrays, so a rename, deletion or layout change here would break every
-traced benchmark run; these tests fail first.
+traced benchmark run; ``perfbench/gate.py`` judges every verify operation
+from its ``report.json``.  These tests fail first.
 """
 
 import importlib
@@ -54,6 +55,27 @@ def test_plan_work_counts_evaluate(h1_law, ab3_law):
     for plan in plans:
         assert counts["heatflow.spectral_plan.n"](plan) == plan.mask.sum()
         assert counts["heatflow.plan.bytes"](plan) > 0
+
+
+@pytest.mark.parametrize("workload", ["verify-heisenberg", "verify-abelian3"])
+def test_verify_report_passes_gate(tmp_path, workload):
+    # the benchmark judges each verify operation's report.json with this gate
+    import json
+
+    from click.testing import CliRunner
+
+    from gradecalc.cli import main
+
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_gate", os.path.join(bench, "gate.py"))
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)  # standard library only
+    with open(os.path.join(bench, "workloads.json")) as fh:
+        record = json.load(fh)["workloads"][workload]
+    args = [*record["config"]["args"], "--seed", str(0xC0FFEE), "--out", str(tmp_path), "verify"]
+    res = CliRunner().invoke(main, args)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert gate.verify_problems(record, res.exit_code, "", report) == []
 
 
 def test_query_worker_smoke(monkeypatch):

@@ -195,6 +195,79 @@ def test_verify_solves_once_per_grid(runner, tmp_path, monkeypatch, args, solves
         assert (p["eigh_s"] > 0) == (p["derived_from"] is None)
 
 
+_NO_DEGREE_ROWS = [
+    "heat.selfsim",
+    "potential.bessel_mass",
+    "potential.bessel_semigroup",
+    "potential.riesz_homogeneity",
+    "potential.fractional_roundtrip",
+    "potential.quadrature_gap",
+    "sobolev.s_zero",
+    "sobolev.interpolation",
+    "sobolev.duality",
+    "sobolev.equivalence",
+]
+
+
+_HEISENBERG_BENCH_GRID = ["--group", "heisenberg", "--scale", "1.6", "--points", "15,15,31"]
+
+
+@pytest.mark.parametrize(
+    "args, skipped, exit_code",
+    [
+        (["--group", "abelian1"], ["potential.riesz_homogeneity"], 0),  # Q = 1
+        (["--group", "abelian3"], ["potential.bessel_semigroup"], 0),
+        # exit 1 from the known heat.mass, heat.semigroup and heat.symmetry defects of this grid
+        (_HEISENBERG_BENCH_GRID, ["potential.bessel_semigroup", "potential.riesz_homogeneity"], 1),
+        (["--group", "abelian1", "--op", "-X^2+1"], _NO_DEGREE_ROWS, 0),
+    ],
+)
+def test_verify_skips_say_why(runner, tmp_path, args, skipped, exit_code):
+    # every row of the check table appears once, as a check or as a skip with its reason
+    res = runner.invoke(main, [*args, "--out", str(tmp_path), "verify"])
+    assert res.exit_code == exit_code, res.output
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert sorted(report["skipped"]) == sorted(skipped + ["sobolev.embedding"])
+    assert all(report["skipped"].values())
+    assert sorted([c["id"] for c in report["checks"]] + list(report["skipped"])) == sorted(ANCHORS)
+    # one [SKIP] line per skip, after the last check line, in table order, before RESULT
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    n = len(report["skipped"])
+    expected = [f"[SKIP] {cid:32s} {report['skipped'][cid]}" for cid in ANCHORS if cid in report["skipped"]]
+    assert lines[-1 - n : -1] == expected
+    assert lines[-2 - n].startswith(("[PASS]", "[FAIL]")) and lines[-1].startswith("RESULT")
+
+
+@pytest.mark.parametrize(
+    "args, absent, roles",
+    [
+        # no dilation pairs on this grid: no Riesz kernel is built
+        (_HEISENBERG_BENCH_GRID, "riesz_kernel", ["heat", "heat.selfsim", "potential"]),
+        # no homogeneous degree: no potential plan and no heat source for its kernels
+        (["--group", "abelian1", "--op", "-X^2+1"], "HeatKernelSource", ["heat"]),
+    ],
+)
+def test_verify_builds_nothing_it_skips(runner, tmp_path, monkeypatch, args, absent, roles):
+    import gradecalc.suite as suite
+
+    solve, grids = suite.spectral_plan, []
+
+    def counted(spec, law, grid, **kwargs):
+        grids.append(grid)
+        return solve(spec, law, grid, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{absent} called for a skipped row")
+
+    monkeypatch.setattr(suite, "spectral_plan", counted)
+    monkeypatch.setattr(suite, absent, refused)
+    res = runner.invoke(main, [*args, "--out", str(tmp_path), "verify"])
+    assert res.exit_code in (0, 1) and "Traceback" not in res.output, res.output
+    assert len(grids) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [p["role"] for p in report["plans"]] == roles
+
+
 def test_verify_deterministic_modulo_timestamp(runner, tmp_path):
     outs = []
     for sub in ("a", "b"):
@@ -310,6 +383,62 @@ def test_probe_command(runner):
     assert res.exit_code == 0, res.output
     assert "equivalence.integer-vs-spectral" in res.output
     assert "embedding.sup" in res.output
+
+
+def test_probe_obeys_tol_scale(runner, tmp_path):
+    # the probe rows are judged against sobolev.equivalence and sobolev.embedding
+    # times --tol-scale: the ratio spread 1.072 fails against 20 * 0.01
+    res = runner.invoke(main, ["--group", "abelian1", "--tol-scale", "0.01", "probe"])
+    assert res.exit_code == 1, res.output
+    rows = [ln.split(",") for ln in res.output.splitlines()[1:]]
+    assert [(r[4], r[5]) for r in rows] == [("0.2", "fail"), ("0.02", "fail"), ("0.02", "fail")]
+    # at the default scale the CSV keeps its values, and its baseline column reads 20 and 2
+    res = runner.invoke(main, ["--group", "abelian1", "--out", str(tmp_path), "export", "probes"])
+    assert res.exit_code == 0, res.output
+    expected = [
+        ["equivalence.integer-vs-spectral", "s=2;p=2", 1.0585211853500496, 1.1347830483376378, "20", "pass"],
+        ["embedding.Lp-Lq", "p=2;q=4;b=0.25;a=0", 0.82432129708025459, 1.0000000000000002, "2", "pass"],
+        ["embedding.sup", "p=2;s=1.5", 0.53782374139674338, 1.0000000000000002, "2", "pass"],
+    ]
+    lines = (tmp_path / "probes.csv").read_text().splitlines()
+    assert lines[0] == "probe id,parameters,min ratio,max ratio,baseline,pass"
+    for line, row in zip(lines[1:], expected, strict=True):
+        got = line.split(",")
+        assert got[:2] + got[4:] == row[:2] + row[4:]
+        assert [float(v) for v in got[2:4]] == pytest.approx(row[2:4], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["norm", "--p", "abc"],
+        ["norm", "--s", "nan"],
+        ["norm", "--s", "inf"],
+        ["heat", "--t", "-1"],
+        ["heat", "--t", "nan"],
+        ["heat", "--t", "inf"],
+        ["kernel", "--a", "nan"],
+    ],
+)
+def test_numeric_argument_refused_exit_2(runner, command):
+    # once a traceback, or a nan printed with exit 0 or judged as a check failure
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["--group", "abelian1", *command])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Traceback" not in res.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("op, exit_code", [("-X^2+1", 0), ("-X^2", 0), ("-X^2-0.5", 1)])
+def test_heat_mass_divides_out_identity_word(runner, op, exit_code):
+    # the heat kernel of L + cI has mass e^{-ct}: judged as |e^{ct} int h_t - 1|;
+    # c < 0 makes the operator not positive, and that still fails
+    res = runner.invoke(main, ["--group", "abelian1", "--op", op, "heat", "--t", "0.1"])
+    assert res.exit_code == exit_code, res.output
+    defect = float(res.output.split("mass defect ")[1].split(",")[0])
+    assert (defect < 1e-13) == (exit_code == 0)
 
 
 def test_op_flag_overrides_operator(runner):
