@@ -17,3 +17,7 @@ if os.environ.get("GRADECALC_THREADS"):
         os.environ.setdefault(_var, os.environ["GRADECALC_THREADS"])
 
 __version__ = "0.1.0"
+
+
+class GradecalcError(ValueError):
+    """Base class of every refusal the library raises; only the CLI maps it to an exit code."""

@@ -18,15 +18,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import GradecalcError
+
 #: Largest nilpotency step for which BCH terms are generated.
 MAX_BCH_STEP = 6
 
 
-class AlgebraError(ValueError):
+class AlgebraError(GradecalcError):
     """Invalid graded Lie algebra data."""
 
 
-class GroupFormatError(ValueError):
+class GroupFormatError(GradecalcError):
     """Malformed group definition file."""
 
 
@@ -523,9 +525,12 @@ def algebra_from_dict(data) -> GradedLieAlgebra:
 
 
 def load_group(path) -> GradedLieAlgebra:
-    """Load a group definition from a JSON file."""
-    with open(path) as fh:
-        text = fh.read()
+    """Load a group definition from a JSON file (UTF-8 text)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GroupFormatError(f"{path}: cannot read the file as UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

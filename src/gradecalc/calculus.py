@@ -21,11 +21,12 @@ from functools import lru_cache, reduce
 import numpy as np
 import scipy.sparse as sparse
 
+from . import GradecalcError
 from .algebra import GroupLaw, Poly
 from .geometry import Grid
 
 
-class CalculusError(ValueError):
+class CalculusError(GradecalcError):
     pass
 
 

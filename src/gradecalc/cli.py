@@ -6,8 +6,8 @@ Commands: ``group check``, ``heat``, ``kernel``, ``norm``, ``probe``,
 --kind bessel``: an integral defect at or above ``potential.bessel_mass``;
 ``probe``: a ratio spread at or above ``sobolev.equivalence`` or
 ``sobolev.embedding``; every threshold times ``--tol-scale``), 2 usage or
-configuration errors.  Reports and CSVs are deterministic for a fixed
-seed (modulo the timestamp line).
+configuration errors (every ``GradecalcError``; see ``MainGroup``).  Reports
+and CSVs are deterministic for a fixed seed (modulo the timestamp line).
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import sys
 import click
 import numpy as np
 
+from . import GradecalcError
 from .geometry import lp_norm
 from .heatflow import check_mass, heat_kernel
-from .potentials import PotentialError, bessel_kernel, riesz_kernel
+from .potentials import bessel_kernel, riesz_kernel
 from .sobolev import (
-    SobolevError,
     SobolevNormSpec,
     embedding_probe,
     equivalence_probe,
@@ -56,11 +56,26 @@ def _outdir(cfg):
     return out
 
 
+class Refusal(click.ClickException):
+    """A refused input: its reason is printed, and the exit code is 2."""
+    exit_code = 2
+
+
+class MainGroup(click.Group):
+    """The command group: a ``GradecalcError`` raised by any command is a ``Refusal``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GradecalcError as exc:
+            raise Refusal(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 
-@click.group()
+@click.group(cls=MainGroup)
 @click.option("--group", default="heisenberg", help="builtin group name or JSON file path")
 @click.option("--op", default=None, help="operator expression over the basis labels, e.g. 'X^4+Y^4-T^2'")
 @click.option("--scale", type=float, default=None, help="box scale R: half-width R^w_j along axis j")
@@ -129,18 +144,15 @@ def kernel(cfg, kind, a):
     """Compute a Bessel or Riesz potential kernel (Bessel: exit 1 on a mass breach)."""
     plan = cfg.plan("potential")
     judged = VerificationReport(tol_scale=cfg.tol_scale)
-    try:
-        if kind == "bessel":
-            k = bessel_kernel(plan, a)
-            judged.add("potential.bessel_mass", abs(k.integral - 1.0))
-            click.echo(f"B_{a:g}: integral {k.integral:.6f}, L1 on the box {k.l1_estimate:.6f}")
-        else:
-            k = riesz_kernel(plan, a)
-            click.echo(
-                f"I_{a:g}: exclusion radius {k.exclusion_radius:g}, late-time constant {k.tail_constant:.6g}"
-            )
-    except PotentialError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "bessel":
+        k = bessel_kernel(plan, a)
+        judged.add("potential.bessel_mass", abs(k.integral - 1.0))
+        click.echo(f"B_{a:g}: integral {k.integral:.6f}, L1 on the box {k.l1_estimate:.6f}")
+    else:
+        k = riesz_kernel(plan, a)
+        click.echo(
+            f"I_{a:g}: exclusion radius {k.exclusion_radius:g}, late-time constant {k.tail_constant:.6g}"
+        )
     if cfg.out:
         path = os.path.join(_outdir(cfg), "kernel.csv")
         rows = [
@@ -175,26 +187,16 @@ def norm(cfg, s, p, flavor):
     plan = cfg.plan("potential")
     fl = "inhomogeneous" if flavor == "spectral" else flavor
     f = make_test_family(plan.grid, n=1, seed=cfg.seed).gridfunctions()[0]
-    try:
-        val = sobolev_norm(SobolevNormSpec(plan, s, pval, fl), f)
-    except (SobolevError, PotentialError) as exc:
-        raise ConfigError(str(exc)) from exc
+    val = sobolev_norm(SobolevNormSpec(plan, s, pval, fl), f)
     click.echo(f"||f||_{{L^{p}_{s:g}}} ({flavor}) = {val:.10g}")
 
 
 def _probe_rows(cfg):
-    """The probe table, judged against ``ANCHORS``; a norm or plan the probes refuse is exit 2."""
+    """The probe table, judged against ``ANCHORS``."""
     plan = cfg.plan("potential")
-    try:
-        return _probe_table(plan, cfg.seed, cfg.tol_scale)
-    except (SobolevError, PotentialError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _probe_table(plan, seed, tol_scale):
     spec = plan.spec
-    fam = make_test_family(plan.grid, n=50, seed=seed)
-    judged = VerificationReport(tol_scale=tol_scale)
+    fam = make_test_family(plan.grid, n=50, seed=cfg.seed)
+    judged = VerificationReport(tol_scale=cfg.tol_scale)
     rows = []
 
     def row(check_id, probe_id, parameters, low, high, value):

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import GradecalcError
 from .algebra import Poly
 
 
-class GeometryError(ValueError):
+class GeometryError(GradecalcError):
     pass
 
 

@@ -40,6 +40,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
+from . import GradecalcError
 from .calculus import (
     FieldMatrices,
     RocklandSpec,
@@ -60,7 +61,7 @@ from .geometry import (
 )
 
 
-class HeatError(ValueError):
+class HeatError(GradecalcError):
     pass
 
 
@@ -87,7 +88,9 @@ class SpectralPlan:
     ``eigenvectors`` has orthonormal columns in the plan's own layout, reached
     through ``analyze`` and ``synthesize``; ``block_sizes`` lists the sizes of
     the dense eigensolves it packs.  The ``eigenvalues`` follow that layout:
-    on every plan they ascend only within each block (or factor).
+    on every plan they ascend only within each block (or factor).  Every
+    plan is positive up to rounding (``spectral_plan`` refuses any other),
+    so ``lam_plus`` clips only rounding.
 
     This plan is block diagonal in the sparse orthonormal orbit basis
     ``basis`` (interior nodes by columns, grouped by block): each column is
@@ -334,7 +337,19 @@ def spectral_plan(
     ``sign_flip_group`` (see ``_reflection_plan``).  A whole interior (or
     one Kronecker factor) larger than ``MAX_DENSE_BLOCK`` nodes is refused
     before anything is allocated.
+
+    Every multiplier clips the spectrum at 0, harmless only for rounding, so
+    an operator with an eigenvalue below -1e-6 max(|lam_max|, 1) is not
+    positive on the interior, and is refused (HeatError).
     """
+    plan = _solve_plan(spec, law, grid, margin, reg_strength)
+    lam = plan.eigenvalues
+    if lam.min() < -1e-6 * max(abs(lam.max()), 1.0):
+        raise HeatError(f"negative eigenvalue {lam.min()} beyond tolerance")
+    return plan
+
+
+def _solve_plan(spec, law, grid, margin, reg_strength):
     if grid.periodic:
         return _central_fourier_plan(spec, law, grid, margin, reg_strength)
     if isinstance(margin, int):

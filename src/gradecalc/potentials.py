@@ -10,9 +10,9 @@ error.
 A kernel is linear in h_t, so its whole ladder is one weighted sum
 ``HeatKernelSource.ladder_sum``: the nodes on the direct route share one
 multiplier and one synthesis, and the nodes past the source's switch time
-are each one axis-by-axis resampling of the reference kernel.  Kernels and
-fractional powers refuse a plan with eigenvalues negative beyond rounding
-(``check_spectrum``).
+are each one axis-by-axis resampling of the reference kernel.  Every plan is
+positive up to rounding (``spectral_plan``), so the clipping is harmless; a
+fractional power whose multiplier overflows is refused.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
+from . import GradecalcError
 from .geometry import Grid, GridFunction, lp_norm, pseudo_norm
 from .heatflow import HeatKernelSource, SpectralPlan
 
 
-class PotentialError(ValueError):
+class PotentialError(GradecalcError):
     pass
 
 
@@ -112,18 +113,6 @@ def _require_homogeneous(plan: SpectralPlan):
     return int(nu)
 
 
-def check_spectrum(plan: SpectralPlan):
-    """Refuse (PotentialError) a plan whose eigenvalues are negative beyond rounding.
-
-    The potentials clip the spectrum at 0, which is harmless only when the
-    negative eigenvalues are rounding: below -1e-6 max(|lam_max|, 1) the
-    discrete operator is not positive and every kernel built on it is wrong.
-    """
-    lam = plan.eigenvalues
-    if lam.min() < -1e-6 * max(abs(lam.max()), 1.0):
-        raise PotentialError(f"negative eigenvalue {lam.min()} beyond tolerance")
-
-
 def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
     """I_a = (1/Gamma(a/nu)) * integral of t^{a/nu - 1} h_t dt, 0 < a < Q.
 
@@ -137,7 +126,6 @@ def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
     Q = plan.law.algebra.homogeneous_dimension
     if not 0 < a < Q:
         raise PotentialError(f"Riesz exponent must satisfy 0 < a < Q = {Q}, got {a}")
-    check_spectrum(plan)
     ladder = default_ladder(plan.grid, nu)
     if source is None:
         source = HeatKernelSource(plan)
@@ -170,7 +158,6 @@ def bessel_kernel(plan: SpectralPlan, a, source=None) -> BesselKernel:
     nu = _require_homogeneous(plan)
     if not 0 < a < math.inf:
         raise PotentialError(f"Bessel exponent must be positive and finite, got {a}")
-    check_spectrum(plan)
     ladder = default_ladder(plan.grid, nu)
     if source is None:
         source = HeatKernelSource(plan)
@@ -244,21 +231,23 @@ def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False) 
     """(I+R)^{s/nu} f, or R^{s/nu} f when ``homogeneous``.
 
     Negative homogeneous powers exclude eigenvalues below
-    ``FLOOR_RATIO * lam_max`` (their coefficients are dropped); a plan that
-    ``check_spectrum`` refuses raises an error.
+    ``FLOOR_RATIO * lam_max`` (their coefficients are dropped).  An order
+    whose multiplier overflows on the plan's spectrum is refused.
     """
     nu = _require_homogeneous(plan)
-    check_spectrum(plan)
     lam = plan.lam_plus
     power = s / nu
-    if homogeneous:
-        if s < 0:
-            floor = FLOOR_RATIO * max(lam.max(), 1.0)
-            g = np.where(lam > floor, np.power(np.maximum(lam, floor), power), 0.0)
+    with np.errstate(over="ignore"):
+        if homogeneous:
+            if s < 0:
+                floor = FLOOR_RATIO * max(lam.max(), 1.0)
+                g = np.where(lam > floor, np.power(np.maximum(lam, floor), power), 0.0)
+            else:
+                g = np.power(lam, power)
         else:
-            g = np.power(lam, power)
-    else:
-        g = np.power(1.0 + lam, power)
+            g = np.power(1.0 + lam, power)
+    if not np.isfinite(g).all():
+        raise PotentialError(f"the multiplier of order s={s:g} overflows on the spectrum of the plan")
     return plan.apply_multiplier(g, f)
 
 

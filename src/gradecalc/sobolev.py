@@ -15,13 +15,14 @@ from functools import partial
 
 import numpy as np
 
+from . import GradecalcError
 from .calculus import DiffOpExpr, FieldMatrices
 from .geometry import Grid, GridFunction, dilate, lp_norm, sum_columns
 from .heatflow import SpectralPlan, dilated_plan
 from .potentials import fractional_apply
 
 
-class SobolevError(ValueError):
+class SobolevError(GradecalcError):
     pass
 
 

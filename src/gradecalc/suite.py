@@ -7,7 +7,7 @@ max(raw, floor) and keeps the raw value in ``report.json``.  A row that does
 not apply to a run is recorded as skipped, with its reason, before anything
 is computed for it; a skip neither passes nor fails.  ``RunConfig``
 resolves the group, operator and plan settings of a run before any
-computation; a configuration it cannot resolve is a ``ConfigError`` (exit 2).
+computation; a configuration it cannot resolve is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -17,20 +17,17 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import click
 import numpy as np
 
-from . import __version__
+from . import GradecalcError, __version__
 from .algebra import (
     AlgebraError,
-    GroupFormatError,
     bch_group_law,
     builtin_group,
     load_group,
     validate_algebra,
 )
 from .calculus import (
-    CalculusError,
     RocklandSpec,
     StratificationError,
     build_rockland_example,
@@ -41,7 +38,6 @@ from .calculus import (
 )
 from .defaults import DEFAULTS, NO_DEFAULTS_WHY, CheckTimes, PlanSettings
 from .geometry import (
-    GeometryError,
     Grid,
     GridFunction,
     SphereQuadrature,
@@ -54,7 +50,6 @@ from .geometry import (
     quasi_triangle_ratio,
 )
 from .heatflow import (
-    HeatError,
     HeatKernelSource,
     build_family,
     check_mass,
@@ -86,8 +81,8 @@ from .sobolev import (
 DEFAULT_SEED = 0xC0FFEE
 
 
-class ConfigError(click.ClickException):
-    exit_code = 2
+class ConfigError(GradecalcError):
+    """A run configuration that cannot be resolved."""
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +227,13 @@ class RunConfig:
     tol_scale: float = 1.0
 
     def load_algebra(self):
-        try:
-            if os.path.exists(self.group):
-                return load_group(self.group)
-            return builtin_group(self.group)
-        except (GroupFormatError, AlgebraError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def load_law(self, alg):
-        try:
-            return bch_group_law(alg)
-        except AlgebraError as exc:
-            raise ConfigError(str(exc)) from exc
+        if os.path.exists(self.group):
+            return load_group(self.group)
+        return builtin_group(self.group)
 
     def operator(self, alg) -> RocklandSpec:
         if self.op:
-            try:
-                expr = parse_diffop(self.op, alg.labels)
-            except CalculusError as exc:
-                raise ConfigError(str(exc)) from exc
+            expr = parse_diffop(self.op, alg.labels)
             return RocklandSpec(expr=expr, nu=homogeneous_degree(expr, alg.weights))
         try:
             return sublaplacian(alg)
@@ -275,10 +258,7 @@ class RunConfig:
                 counts = counts * alg.n
             if len(counts) != alg.n:
                 raise ConfigError(f"need {alg.n} point counts, got {counts}")
-            try:
-                grid = Grid.from_scale(alg.weights, 2.0 if self.scale is None else self.scale, counts)
-            except GeometryError as exc:
-                raise ConfigError(str(exc)) from exc
+            grid = Grid.from_scale(alg.weights, 2.0 if self.scale is None else self.scale, counts)
             settings = PlanSettings(grid.half_widths, grid.counts)
         else:
             settings = getattr(DEFAULTS.get(self.group), kind, None)
@@ -295,10 +275,10 @@ class RunConfig:
     def plan(self, kind):
         """The ``kind`` spectral plan of this configuration's operator."""
         alg = self.load_algebra()
-        law = self.load_law(alg)
+        law = bch_group_law(alg)
         spec = self.operator(alg)
         settings = self.settings(alg, spec, kind)
-        return build_plan(spec, law, settings, settings.grid())
+        return spectral_plan(spec, law, settings.grid(), margin=settings.margin)
 
 
 # Nodes of the widest compact stencil of any plan: the 8th-order stencils of
@@ -307,7 +287,7 @@ WIDEST_STENCIL = 9
 
 
 def check_grid_range(grid: Grid, weights, order):
-    """Refuse (exit 2) a grid whose numbers leave the float range.
+    """Refuse (ConfigError) a grid whose numbers leave the float range.
 
     Three quantities must be finite: the pseudo-norm of the box corner, out
     to which the polar check integrates; the cell volume of the Haar sums,
@@ -330,14 +310,6 @@ def check_grid_range(grid: Grid, weights, order):
                     f"the finite-difference weights of order up to {max(order, 2)} on {grid} "
                     f"leave the float range at spacing {h:g}"
                 )
-
-
-def build_plan(spec, law, settings: PlanSettings, grid):
-    """``spectral_plan``; a configuration it refuses is a usage error (exit 2)."""
-    try:
-        return spectral_plan(spec, law, grid, margin=settings.margin)
-    except HeatError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +338,9 @@ def run_group_check(cfg: RunConfig) -> VerificationReport:
     rep = validate_algebra(alg)
     report.add("algebra.validation", float(len(rep.violations)))
     try:
-        cfg.load_law(alg)
+        bch_group_law(alg)
         law_defect = 0.0
-    except ConfigError:
+    except AlgebraError:
         law_defect = 1.0
     report.add("algebra.law", law_defect)
     return report
@@ -376,7 +348,7 @@ def run_group_check(cfg: RunConfig) -> VerificationReport:
 
 def run_verify(cfg: RunConfig) -> VerificationReport:
     alg = cfg.load_algebra()
-    law = cfg.load_law(alg)
+    law = bch_group_law(alg)
     spec = cfg.operator(alg)
     # the whole configuration is resolved before any computation
     hs = cfg.settings(alg, spec, "heat")
@@ -386,7 +358,7 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     try:  # sobolev.equivalence takes the integer-order norm of order nu, if there is a nu
         check_word_count(alg.weights, spec.nu or 0)
     except SobolevError as exc:
-        raise ConfigError(f"sobolev.equivalence: {exc}") from exc
+        raise SobolevError(f"sobolev.equivalence: {exc}") from exc
     report = _report(cfg, alg)
 
     def record(role, plan, derived_from=None):
@@ -408,7 +380,7 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     lhs, rhs = polar_integral_check(np.asarray(grid.half_widths) / 3.0, grid, quad)
     report.add("geometry.polar", abs(lhs - rhs) / abs(lhs))
 
-    plan = record("heat", build_plan(spec, law, hs, grid))
+    plan = record("heat", spectral_plan(spec, law, grid, margin=hs.margin))
     c = spec.expr.terms.get((), 0.0)
     report.add("heat.mass", max(check_mass(heat_kernel(plan, t), c, t) for t in times.mass_times))
     fam = build_family(plan, times.family_times)
@@ -431,7 +403,7 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     if ps == hs:  # --points gives both plans the same settings
         pplan = record("potential", plan, derived_from="heat")
     else:
-        pplan = record("potential", build_plan(spec, law, ps, pgrid))
+        pplan = record("potential", spectral_plan(spec, law, pgrid, margin=ps.margin))
     source = HeatKernelSource(pplan)
     report.plans[-1].update(  # where the heat source switches to its self-similar continuation
         t_switch=source.t_switch if np.isfinite(source.t_switch) else None,

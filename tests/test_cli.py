@@ -44,6 +44,20 @@ def test_group_check_malformed_json_exit_2(runner, tmp_path):
     assert "invalid JSON" in res.output
 
 
+@pytest.mark.parametrize("kind", ["directory", "utf16"])
+def test_group_path_not_utf8_text_exit_2(runner, tmp_path, kind):
+    # once an IsADirectoryError or a UnicodeDecodeError traceback
+    path = tmp_path / "group.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    res = runner.invoke(main, ["--group", str(path), "verify"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert str(path) in res.output and "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("entry", [[1, 2, 3, 1, 0], [1, 2, 4, 1, 1], [1, 2, 3, 1.5, 1]])
 def test_group_check_bad_bracket_entry_exit_2(runner, tmp_path, entry):
     # a zero denominator, an index outside 1..n or a fractional number is
@@ -418,6 +432,10 @@ def test_probe_obeys_tol_scale(runner, tmp_path):
         ["heat", "--t", "nan"],
         ["heat", "--t", "inf"],
         ["kernel", "--a", "nan"],
+        # multipliers that overflow: once a nan printed with exit 0
+        ["norm", "--s", "1e308"],
+        ["norm", "--s", "400"],
+        ["norm", "--s", "-1e308", "--flavor", "homogeneous"],
     ],
 )
 def test_numeric_argument_refused_exit_2(runner, command):
@@ -431,14 +449,36 @@ def test_numeric_argument_refused_exit_2(runner, command):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("op, exit_code", [("-X^2+1", 0), ("-X^2", 0), ("-X^2-0.5", 1)])
-def test_heat_mass_divides_out_identity_word(runner, op, exit_code):
-    # the heat kernel of L + cI has mass e^{-ct}: judged as |e^{ct} int h_t - 1|;
-    # c < 0 makes the operator not positive, and that still fails
+@pytest.mark.parametrize("op", ["-X^2+1", "-X^2"])
+def test_heat_mass_divides_out_identity_word(runner, op):
+    # the heat kernel of L + cI has mass e^{-ct}: judged as |e^{ct} int h_t - 1|
     res = runner.invoke(main, ["--group", "abelian1", "--op", op, "heat", "--t", "0.1"])
-    assert res.exit_code == exit_code, res.output
+    assert res.exit_code == 0, res.output
     defect = float(res.output.split("mass defect ")[1].split(",")[0])
-    assert (defect < 1e-13) == (exit_code == 0)
+    assert defect < 1e-13
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # every eigenvalue clipped to 0: the kernel was the delta, with exit 0
+        ["--group", "abelian1", "--op", "X^2", "heat", "--t", "0.1"],
+        ["--group", "heisenberg", "--op", "X^2+Y^2", "heat"],
+        # once "all checks passed"
+        ["--group", "abelian1", "--op", "X^2-X^4", "verify"],
+        # once a PotentialError traceback
+        ["--group", "abelian1", "--op", "X^2", "verify"],
+        ["--group", "abelian3", "--scale", "3", "--points", "19", "--op", "X^2+Y^2+Z^2", "verify"],
+        # once a mass FAIL on a plan with lam_min = -0.458
+        ["--group", "abelian1", "--op", "-X^2-0.5", "heat", "--t", "0.1"],
+    ],
+)
+def test_non_positive_operator_refused(runner, args):
+    # the plan refuses an operator that is not positive on its grid, for every command
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "negative eigenvalue" in res.output and "Traceback" not in res.output
 
 
 def test_op_flag_overrides_operator(runner):
@@ -547,10 +587,19 @@ _FUZZ_COUNT = st.sampled_from(["3", "5", "7", "9", "0", "-3", "1", "4", "abc", "
     scale=_FUZZ_SCALE,
     points=st.lists(_FUZZ_COUNT, min_size=1, max_size=3).map(",".join),
     command=st.sampled_from(["heat", "norm", "verify", "kernel", "probe"]),
+    op=st.sampled_from([None, "X^2", "-X^2-0.5"]),  # X labels an axis of every bundled group
 )
-def test_cli_fuzz_tiny_grids(group, scale, points, command):
+def test_cli_fuzz_tiny_grids(group, scale, points, command, op):
     # every input ends in a result, check failures or a refusal, never a traceback
-    args = ["--group", group, *([] if scale is None else ["--scale", scale]), "--points", points, command]
+    args = [
+        "--group",
+        group,
+        *([] if scale is None else ["--scale", scale]),
+        *([] if op is None else ["--op", op]),
+        "--points",
+        points,
+        command,
+    ]
     res = CliRunner().invoke(main, args)
     assert res.exit_code in (0, 1, 2), (args, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), (args, repr(res.exception))
@@ -588,6 +637,44 @@ def test_cli_import_skips_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_library_import_skips_click():
+    # only the command line maps refusals to exit codes, so only it needs click
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import gradecalc.suite, gradecalc.potentials, gradecalc.sobolev, sys\n"
+        "print('click' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_every_library_error_is_a_gradecalc_error():
+    # the command line maps GradecalcError to exit 2 in one place, so every
+    # refusal the library raises must derive from it
+    import importlib
+    import inspect
+    import pkgutil
+
+    import gradecalc
+    from gradecalc import GradecalcError
+
+    found = []
+    for info in pkgutil.iter_modules(gradecalc.__path__):
+        module = importlib.import_module(f"gradecalc.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found.append(cls)
+    library = [cls for cls in found if cls.__module__ != "gradecalc.cli"]
+    assert len(library) >= 8, library
+    assert [cls for cls in library if not issubclass(cls, GradecalcError)] == []
+    # the click exception that carries exit code 2 lives in cli
+    exits = [cls for cls in found if getattr(cls, "exit_code", None) == 2]
+    assert [cls.__module__ for cls in exits] == ["gradecalc.cli"]
 
 
 def test_no_process_imports_sympy():

@@ -458,14 +458,19 @@ def test_kronecker_plan_mechanics():
 
 
 def test_mixed_word_takes_dense_plan():
-    # XY is not a power of one letter, so the operator is no Kronecker sum
+    # XY is not a power of one letter, so the operator is no Kronecker sum;
+    # its symbol xi^2 + eta^2 + xi eta is positive
     law = bch_group_law(builtin_group("abelian2"))
-    expr = parse_diffop("X^2+Y^2+X*Y+Y*X", law.algebra.labels)
-    spec = RocklandSpec(expr=expr, nu=2)
     grid, margin = _KRON_CASES["abelian2"]
-    plan = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
-    assert type(plan) is SpectralPlan
-    single = parse_diffop("X^2+Y^2", law.algebra.labels)
+    mixed = RocklandSpec(expr=parse_diffop("-X^2-Y^2-1/2*X*Y-1/2*Y*X", law.algebra.labels), nu=2)
+    for reg_strength in (0.0, 0.3):
+        plan = spectral_plan(mixed, law, grid, margin=margin, reg_strength=reg_strength)
+        assert type(plan) is SpectralPlan
+    # X^2+Y^2+XY+YX = (X+Y)^2 is negative: refused
+    expr = parse_diffop("X^2+Y^2+X*Y+Y*X", law.algebra.labels)
+    with pytest.raises(HeatError, match="negative eigenvalue"):
+        spectral_plan(RocklandSpec(expr=expr, nu=2), law, grid, margin=margin, reg_strength=0.3)
+    single = parse_diffop("-X^2-Y^2", law.algebra.labels)
     spec2 = RocklandSpec(expr=single, nu=2)
     assert isinstance(spectral_plan(spec2, law, grid, margin=margin), KroneckerPlan)
 

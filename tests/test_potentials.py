@@ -1,14 +1,15 @@
 """Riesz/Bessel kernels, fractional powers, classical oracles."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from gradecalc.calculus import RocklandSpec, parse_diffop
+from gradecalc.defaults import DEFAULTS
 from gradecalc.geometry import GridFunction, group_convolve, haar_integrate, lp_norm, pseudo_norm
-from gradecalc.heatflow import HeatKernelSource
+from gradecalc.heatflow import HeatError, HeatKernelSource, spectral_plan
 from gradecalc.potentials import (
     PotentialError,
     TLadder,
@@ -128,14 +129,13 @@ def test_bessel_kernel_synthesizes_once(ab1_pot_plan, ab1_pot_source, monkeypatc
     assert len(calls) <= 1
 
 
-def test_kernels_refuse_negative_spectrum(ab1_pot_plan):
-    lam = ab1_pot_plan.eigenvalues.copy()
-    lam[0] = -1e-3 * lam.max()
-    bad = dataclasses.replace(ab1_pot_plan, eigenvalues=lam)
-    for call in (lambda: bessel_kernel(bad, 2.0), lambda: riesz_kernel(bad, 0.5),
-                 lambda: fractional_apply(bad, 1.0, GridFunction(bad.grid, np.ones(bad.grid.size)))):
-        with pytest.raises(PotentialError, match="negative eigenvalue"):
-            call()
+def test_kernels_refuse_negative_spectrum(ab1_law):
+    # X^2 = d^2/dx^2 is negative: its plan is refused where it is built, so no
+    # kernel or fractional power ever meets a non-positive plan
+    d = DEFAULTS["abelian1"].potential
+    spec = RocklandSpec(expr=parse_diffop("X^2", ab1_law.algebra.labels), nu=2)
+    with pytest.raises(HeatError, match="negative eigenvalue"):
+        spectral_plan(spec, ab1_law, d.grid(), margin=d.margin)
 
 
 def test_bessel_rejects_bad_exponent(ab1_pot_plan):
