@@ -540,13 +540,20 @@ def load_group(path) -> GradedLieAlgebra:
     return algebra_from_dict(data)
 
 
-def builtin_group(name) -> GradedLieAlgebra:
-    """Load one of the bundled group definitions (e.g. ``heisenberg``)."""
+def builtin_groups() -> dict:
+    """The bundled group definitions, by name (e.g. ``heisenberg``)."""
     from importlib.resources import files
 
-    res = files("gradecalc") / "groups" / f"{name}.json"
-    try:
-        data = json.loads(res.read_text())
-    except FileNotFoundError:
+    return {
+        res.name.removesuffix(".json"): res
+        for res in (files("gradecalc") / "groups").iterdir()
+        if res.name.endswith(".json")
+    }
+
+
+def builtin_group(name) -> GradedLieAlgebra:
+    """Load one of the bundled group definitions (e.g. ``heisenberg``)."""
+    res = builtin_groups().get(name)
+    if res is None:
         raise GroupFormatError(f"unknown builtin group {name!r}")
-    return algebra_from_dict(data)
+    return algebra_from_dict(json.loads(res.read_text()))

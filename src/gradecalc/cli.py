@@ -1,13 +1,12 @@
 """Command-line interface: argument parsing and output; the suite is in ``suite``.
 
 Commands: ``group check``, ``heat``, ``kernel``, ``norm``, ``probe``,
-``verify``, ``export``.  Exit codes: 0 all checks pass, 1 check failures
-(``heat``: a mass defect at or above the ``heat.mass`` threshold; ``kernel
---kind bessel``: an integral defect at or above ``potential.bessel_mass``;
-``probe``: a ratio spread at or above ``sobolev.equivalence`` or
-``sobolev.embedding``; every threshold times ``--tol-scale``), 2 usage or
-configuration errors (every ``GradecalcError``; see ``MainGroup``).  Reports
-and CSVs are deterministic for a fixed seed (modulo the timestamp line).
+``verify``, ``export`` (fixed arguments onto ``heat``, ``kernel``, ``probe``).
+Every judging command returns its ``VerificationReport``, and only
+``MainGroup`` maps the outcome to an exit code: 0 all checks pass, 1 a
+returned report with a failed row (every threshold times ``--tol-scale``),
+2 usage or configuration errors (every ``GradecalcError``).  Reports and
+CSVs are deterministic for a fixed seed (modulo the timestamp line).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import datetime
 import json
 import math
 import os
-import sys
 
 import click
 import numpy as np
@@ -43,17 +41,18 @@ from .suite import (
 )
 
 
-def _write_csv(path, header, rows):
+def _write_csv(cfg, name, header, rows):
+    path = os.path.join(_outdir(cfg), name)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    click.echo(f"wrote {path}")
 
 
 def _outdir(cfg):
-    out = cfg.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(cfg.out, exist_ok=True)
+    return cfg.out
 
 
 class Refusal(click.ClickException):
@@ -62,13 +61,16 @@ class Refusal(click.ClickException):
 
 
 class MainGroup(click.Group):
-    """The command group: a ``GradecalcError`` raised by any command is a ``Refusal``."""
+    """The command group: a ``GradecalcError`` is a ``Refusal``, a returned report not ``ok`` exits 1."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            result = super().invoke(ctx)
         except GradecalcError as exc:
             raise Refusal(str(exc)) from exc
+        if isinstance(result, VerificationReport) and not result.ok:
+            ctx.exit(1)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +106,7 @@ def group_check(cfg):
     """Validate the algebra axioms and the exact group law."""
     report = run_group_check(cfg)
     click.echo(report.to_text(), nl=False)
-    if not report.ok:
-        sys.exit(1)
+    return report
 
 
 @main.command()
@@ -127,13 +128,11 @@ def heat(cfg, times):
         for pt, v in zip(plan.grid.points(), h.values):
             rows.append([*map(float, pt), float(t), float(v)])
     if cfg.out:
-        path = os.path.join(_outdir(cfg), "heat.csv")
-        _write_csv(path, [f"x{j + 1}" for j in range(plan.grid.ndim)] + ["t", "value"], rows)
-        click.echo(f"wrote {path}")
+        _write_csv(cfg, "heat.csv", [f"x{j + 1}" for j in range(plan.grid.ndim)] + ["t", "value"], rows)
     if not judged.ok:
         limit = judged.checks[0].threshold
         click.echo(f"FAIL: mass defect at or above the heat.mass threshold {limit:.1e}")
-        sys.exit(1)
+    return judged
 
 
 @main.command()
@@ -154,18 +153,16 @@ def kernel(cfg, kind, a):
             f"I_{a:g}: exclusion radius {k.exclusion_radius:g}, late-time constant {k.tail_constant:.6g}"
         )
     if cfg.out:
-        path = os.path.join(_outdir(cfg), "kernel.csv")
         rows = [
             [*map(float, pt), float(a), float(v)]
             for pt, v in zip(plan.grid.points(), k.values.values)
             if np.isfinite(v)
         ]
-        _write_csv(path, [f"x{j + 1}" for j in range(plan.grid.ndim)] + ["a", "value"], rows)
-        click.echo(f"wrote {path}")
+        _write_csv(cfg, "kernel.csv", [f"x{j + 1}" for j in range(plan.grid.ndim)] + ["a", "value"], rows)
     if not judged.ok:
         limit = judged.checks[0].threshold
         click.echo(f"FAIL: integral defect at or above the potential.bessel_mass threshold {limit:.1e}")
-        sys.exit(1)
+    return judged
 
 
 @main.command()
@@ -191,8 +188,10 @@ def norm(cfg, s, p, flavor):
     click.echo(f"||f||_{{L^{p}_{s:g}}} ({flavor}) = {val:.10g}")
 
 
-def _probe_rows(cfg):
-    """The probe table, judged against ``ANCHORS``."""
+@main.command()
+@click.pass_obj
+def probe(cfg):
+    """Run the Sobolev ratio probes, judged against ``ANCHORS``, and print their table."""
     plan = cfg.plan("potential")
     spec = plan.spec
     fam = make_test_family(plan.grid, n=50, seed=cfg.seed)
@@ -218,19 +217,13 @@ def _probe_rows(cfg):
     s_sup = Q / 2.0 + 1.0
     sup2, drift2 = sup_embedding_probe(plan, 2, s_sup, fam)
     row("sobolev.embedding", "embedding.sup", f"p=2;s={s_sup:g}", sup2, drift2, drift2)
-    return rows
-
-
-@main.command()
-@click.pass_obj
-def probe(cfg):
-    """Run the Sobolev ratio probes and print their table."""
-    rows = _probe_rows(cfg)
-    click.echo("probe id,parameters,min ratio,max ratio,baseline,pass")
-    for row in rows:
-        click.echo(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row))
-    if any(row[-1] == "fail" for row in rows):
-        sys.exit(1)
+    header = ["probe id", "parameters", "min ratio", "max ratio", "baseline", "pass"]
+    click.echo(",".join(header))
+    for r in rows:
+        click.echo(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in r))
+    if cfg.out:
+        _write_csv(cfg, "probes.csv", header, rows)
+    return judged
 
 
 @main.command()
@@ -248,33 +241,25 @@ def verify(cfg):
         with open(os.path.join(out, "report.json"), "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if not report.ok:
-        sys.exit(1)
+    return report
+
+
+EXPORTS = {
+    "heat": (heat, {"times": (0.1, 0.2)}),
+    "kernel": (kernel, {"kind": "bessel", "a": 2.0}),
+    "probes": (probe, {}),
+}
 
 
 @main.command()
-@click.argument("artifact")
+@click.argument("artifact", type=click.Choice(list(EXPORTS)))
 @click.pass_context
 def export(ctx, artifact):
-    """Export an artifact (heat | kernel | probes) as CSV."""
-    cfg = ctx.obj
-    if cfg.out is None:
-        cfg.out = "."
-    if artifact == "heat":
-        ctx.invoke(heat, times=(0.1, 0.2))
-    elif artifact == "kernel":
-        ctx.invoke(kernel, kind="bessel", a=2.0)
-    elif artifact == "probes":
-        rows = _probe_rows(cfg)
-        path = os.path.join(_outdir(cfg), "probes.csv")
-        _write_csv(
-            path,
-            ["probe id", "parameters", "min ratio", "max ratio", "baseline", "pass"],
-            rows,
-        )
-        click.echo(f"wrote {path}")
-    else:
-        raise click.UsageError(f"unknown artifact {artifact!r}; choose heat, kernel or probes")
+    """Run ``heat``, ``kernel`` or ``probe`` with fixed arguments, writing its CSV (--out default '.')."""
+    if ctx.obj.out is None:
+        ctx.obj.out = "."
+    command, kwargs = EXPORTS[artifact]
+    return ctx.invoke(command, **kwargs)
 
 
 if __name__ == "__main__":

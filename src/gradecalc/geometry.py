@@ -185,7 +185,7 @@ class Grid:
         hw = tuple(R * float(r) ** int(w) for R, w in zip(self.half_widths, weights))
         return Grid(half_widths=hw, counts=self.counts, periodic=self.periodic)
 
-    def interior_mask(self, margin=2):
+    def interior_mask(self, margin):
         """Flat boolean mask of nodes at least ``margin`` nodes from the boundary.
 
         Periodic axes have no boundary, so their margin is ignored.

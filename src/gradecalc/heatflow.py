@@ -227,19 +227,16 @@ class CentralFourierPlan(SpectralPlan):
     frequency xi, acting on the interior of the other axes.
     ``eigenvectors[k]`` holds block k's orthonormal eigenvectors as columns,
     and ``eigenvalues`` lists the blocks one after another, each ascending.
-    ``block_sizes`` lists one size per frequency.
+    ``block_sizes`` lists one size per frequency, and ``inner_shape`` is the
+    interior box, whole along ``axis``.
     The operator is real, so block -xi is the complex conjugate of block xi.
     """
 
     axis: int = 0
-
-    @functools.cached_property
-    def _inner_shape(self):
-        nodes = np.argwhere(self.mask.reshape(self.grid.counts))
-        return tuple(int(n) for n in nodes.max(axis=0) - nodes.min(axis=0) + 1)
+    inner_shape: tuple = ()
 
     def analyze(self, values):
-        lines = np.moveaxis(self.restrict(values).reshape(self._inner_shape), self.axis, 0)
+        lines = np.moveaxis(self.restrict(values).reshape(self.inner_shape), self.axis, 0)
         lines = np.fft.ifftshift(lines, axes=0).reshape(len(lines), -1)
         F = np.fft.fft(lines, axis=0, norm="ortho")
         # c_k = V_k^* F_k for every frequency k
@@ -249,7 +246,7 @@ class CentralFourierPlan(SpectralPlan):
         V = self.eigenvectors
         F = (V @ np.reshape(coef, V.shape[:2])[:, :, None])[:, :, 0]
         lines = np.fft.fftshift(np.fft.ifft(F, axis=0, norm="ortho"), axes=0)
-        shape = list(self._inner_shape)
+        shape = list(self.inner_shape)
         shape.insert(0, shape.pop(self.axis))
         return self.embed(np.moveaxis(lines.reshape(shape), 0, self.axis).ravel())
 
@@ -334,9 +331,11 @@ def spectral_plan(
     exactly the Kronecker sum of one 1-D factor per axis, and the factors are
     read off the assembled interior matrix.  Otherwise it is
     a ``SpectralPlan``, one dense eigensolve per block of the sign flips of
-    ``sign_flip_group`` (see ``_reflection_plan``).  A whole interior (or
-    one Kronecker factor) larger than ``MAX_DENSE_BLOCK`` nodes is refused
-    before anything is allocated.
+    ``sign_flip_group`` (see ``_reflection_plan``).  Every plan's interior
+    is the box of nodes ``margin`` or more from the boundary, whole along a
+    periodic axis; before anything is assembled, an interior fewer than 3
+    nodes wide along another axis (it holds no difference there) and a
+    largest dense block above ``MAX_DENSE_BLOCK`` nodes are refused.
 
     Every multiplier clips the spectrum at 0, harmless only for rounding, so
     an operator with an eigenvalue below -1e-6 max(|lam_max|, 1) is not
@@ -350,22 +349,29 @@ def spectral_plan(
 
 
 def _solve_plan(spec, law, grid, margin, reg_strength):
-    if grid.periodic:
-        return _central_fourier_plan(spec, law, grid, margin, reg_strength)
     if isinstance(margin, int):
         margin = (margin,) * grid.ndim
-    inner_counts = tuple(N - 2 * m for N, m in zip(grid.counts, margin))
-    if min(inner_counts) < 1:
-        raise HeatError(f"margin {margin} leaves no interior nodes on {grid.counts} points")
-    kronecker = node_shift_axes(law) == tuple(range(grid.ndim)) and all(
-        len(set(word)) <= 1 for word in spec.expr.terms
+    bounded = [j for j in range(grid.ndim) if j not in grid.periodic]
+    inner_counts = tuple(
+        N if j in grid.periodic else N - 2 * m for j, (N, m) in enumerate(zip(grid.counts, margin))
     )
-    block = max(inner_counts) if kronecker else int(np.prod(inner_counts))
+    for j in bounded:
+        if (w := max(inner_counts[j], 0)) < 3:
+            raise HeatError(
+                f"margin {margin[j]} leaves {w or 'no'} interior {'node' if w == 1 else 'nodes'} "
+                f"along axis {j + 1} of {grid.counts} points; a plan needs at least 3"
+            )
+    kronecker = not grid.periodic and node_shift_axes(law) == tuple(range(grid.ndim))
+    kronecker = kronecker and all(len(set(word)) <= 1 for word in spec.expr.terms)
+    # a central-Fourier block spans the non-periodic axes
+    block = max(inner_counts) if kronecker else math.prod(inner_counts[j] for j in bounded)
     if block > MAX_DENSE_BLOCK:
         raise HeatError(
             f"dense plan block of {block} interior nodes exceeds the bound of {MAX_DENSE_BLOCK}"
         )
     mask = grid.interior_mask(margin)
+    if grid.periodic:
+        return _central_fourier_plan(spec, law, grid, mask, inner_counts, reg_strength)
     idx = np.flatnonzero(mask)
     A_int = discretize(spec.expr, law, grid)[np.ix_(idx, idx)]
     if reg_strength:
@@ -520,8 +526,10 @@ def _kronecker_plan(A_int, inner_counts, fields):
     )
 
 
-def _central_fourier_plan(spec, law, grid, margin, reg_strength):
+def _central_fourier_plan(spec, law, grid, mask, inner_shape, reg_strength):
     """Plan on a grid whose one periodic axis p is a central coordinate.
+
+    ``mask`` and ``inner_shape`` are the interior that ``_solve_plan`` decided.
 
     When the operator's words have length at most 2 and the field
     coefficients do not involve x_p, the operator commutes with translations
@@ -560,12 +568,8 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
         raise HeatError(f"operator coefficients involve the periodic coordinate x{p + 1}")
 
     sub = Grid(tuple(grid.half_widths[j] for j in others), tuple(grid.counts[j] for j in others))
-    sub_margin = margin if isinstance(margin, int) else tuple(margin[j] for j in others)
-    idx = np.flatnonzero(sub.interior_mask(sub_margin))
-    if len(idx) > MAX_DENSE_BLOCK:
-        raise HeatError(
-            f"plan block of {len(idx)} interior nodes exceeds the bound of {MAX_DENSE_BLOCK}"
-        )
+    # the interior is the same on every line along p
+    idx = np.flatnonzero(np.take(mask.reshape(grid.counts), 0, axis=p))
     pts = np.zeros((sub.size, grid.ndim))
     pts[:, others] = sub.points()
     S, T, U = (form_matrix(g, sub, pts, acc=8)[np.ix_(idx, idx)].toarray() for g in groups)
@@ -588,12 +592,13 @@ def _central_fourier_plan(spec, law, grid, margin, reg_strength):
         grid=grid,
         spec=spec,
         law=law,
-        mask=grid.interior_mask(margin),
+        mask=mask,
         eigenvalues=w.ravel(),
         eigenvectors=V,
         sym_defect=float(np.sqrt(defect_num / defect_den)) if defect_den else 0.0,
         block_sizes=(len(idx),) * M,
         axis=p,
+        inner_shape=inner_shape,
         **stats,
     )
 

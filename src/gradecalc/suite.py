@@ -24,6 +24,7 @@ from .algebra import (
     AlgebraError,
     bch_group_law,
     builtin_group,
+    builtin_groups,
     load_group,
     validate_algebra,
 )
@@ -227,9 +228,10 @@ class RunConfig:
     tol_scale: float = 1.0
 
     def load_algebra(self):
-        if os.path.exists(self.group):
-            return load_group(self.group)
-        return builtin_group(self.group)
+        """The bundled group ``group`` names, even beside a path of that name; else the file at it."""
+        if self.group in builtin_groups() or not os.path.exists(self.group):
+            return builtin_group(self.group)
+        return load_group(self.group)
 
     def operator(self, alg) -> RocklandSpec:
         if self.op:

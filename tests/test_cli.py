@@ -36,6 +36,16 @@ def test_group_check_unknown_group_exit_2(runner):
     assert res.exit_code == 2
 
 
+def test_bundled_group_beside_a_path_of_its_name(runner, tmp_path, monkeypatch):
+    # a directory named abelian1 in the working directory once made the
+    # bundled group unreadable (exit 2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "abelian1").mkdir()
+    res = runner.invoke(main, ["--group", "abelian1", "group", "check"])
+    assert res.exit_code == 0, res.output
+    assert "# weights: (1,)" in res.output
+
+
 def test_group_check_malformed_json_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -368,13 +378,13 @@ def test_kernel_refuses_negative_spectrum(runner, kind):
 
 def test_kernel_high_degree_coarse_grid_no_traceback(runner):
     # (h/2)^240 overflows a float: the degree-240 ladder once ended in an
-    # OverflowError traceback.  Its kernel vanishes on this grid, so the
-    # Bessel integral must fail: an analytic head of unit mass once read 0.995
+    # OverflowError traceback, and then in a failed integral on an interior
+    # 1 node wide.  Such an interior holds no difference, so the plan is refused
     res = runner.invoke(main, ["--group", "heisenberg358", "--points", "9", "kernel"])
-    assert res.exit_code == 1, res.output
+    assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit), repr(res.exception)
     assert "Traceback" not in res.output
-    assert "FAIL: integral defect" in res.output
+    assert "1 interior node along axis 1" in res.output
 
 
 def test_norm_command(runner):
@@ -502,6 +512,17 @@ def test_empty_interior_exit_2(runner):
     res = runner.invoke(main, ["--group", "abelian1", "--points", "7", "heat"])
     assert res.exit_code == 2
     assert "no interior nodes" in res.output
+
+
+def test_one_node_interior_exit_2(runner, tmp_path):
+    # a margin of 4 on 9 points leaves an interior 1 node wide; it once
+    # reported "mass defect 1.000e+00" with exit 1 instead of a refusal
+    path = tmp_path / "w13.json"
+    path.write_text(json.dumps({"n": 2, "weights": [1, 3], "brackets": []}))
+    args = ["--group", str(path), "--scale", "1", "--points", "9", "heat", "--t", "0.1"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "1 interior node along axis 1" in res.output and "Traceback" not in res.output
 
 
 @pytest.mark.parametrize(
@@ -776,6 +797,50 @@ def test_export_heat_default_outdir(runner, tmp_path):
 def test_export_unknown_artifact_exit_2(runner):
     res = runner.invoke(main, ["--group", "abelian1", "export", "frobnicate"])
     assert res.exit_code == 2
+
+
+def test_probe_out_matches_export_probes(runner, tmp_path):
+    # export probes is probe with --out defaulting to "."
+    for sub, command in (("probe", ["probe"]), ("export", ["export", "probes"])):
+        res = runner.invoke(main, ["--group", "abelian1", "--out", str(tmp_path / sub), *command])
+        assert res.exit_code == 0, res.output
+    csv = [(tmp_path / sub / "probes.csv").read_bytes() for sub in ("probe", "export")]
+    assert csv[0] == csv[1]
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+@pytest.mark.parametrize("tol_scale", ["1", "0.01"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["group", "check"],
+        ["heat"],
+        ["kernel", "--kind", "bessel"],
+        ["probe"],
+        ["verify"],
+        ["export", "heat"],
+        ["export", "kernel"],
+        ["export", "probes"],
+    ],
+    ids=" ".join,
+)
+def test_exit_1_exactly_when_a_row_fails(runner, tmp_path, tol_scale, command):
+    # a printed row or a CSV row that fails exits 1; export probes once wrote
+    # three fail rows and exited 0
+    args = ["--group", "abelian1", "--tol-scale", tol_scale, "--out", str(tmp_path), *command]
+    res = runner.invoke(main, args)
+    assert res.exit_code in (0, 1) and "Traceback" not in res.output, res.output
+    lines = res.output.splitlines()
+    if (tmp_path / "probes.csv").exists():
+        lines += (tmp_path / "probes.csv").read_text().splitlines()
+    failed = any("FAIL" in ln or ln.endswith(",fail") for ln in lines)
+    assert res.exit_code == int(failed), res.output
+    # at the default scale every row passes; the probe rows fail at 0.01
+    if tol_scale == "1" or command[-1] in ("probe", "probes"):
+        assert failed == (tol_scale != "1")
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,17 @@ def test_dense_block_bound(ab1_law):
         spectral_plan(sublaplacian(ab1_law.algebra), ab1_law, grid)
 
 
+@pytest.mark.parametrize("periodic", [(), (2,)], ids=["box", "periodic-u"])
+def test_narrow_interior_is_refused(h1_law, periodic):
+    # a margin of 4 on 9 points leaves 1 node along x and y, where no
+    # difference fits; 11 points leave 3, the narrowest interior a plan takes
+    spec = sublaplacian(h1_law.algebra)
+    with pytest.raises(HeatError, match="1 interior node along axis 1"):
+        spectral_plan(spec, h1_law, Grid((2.0, 2.0, 0.5), (9, 9, 9), periodic))
+    plan = spectral_plan(spec, h1_law, Grid((2.0, 2.0, 0.5), (11, 11, 11), periodic))
+    assert plan.mask.sum() == 3 * 3 * (11 if periodic else 3)
+
+
 def test_dense_block_bound_heisenberg(h1_law):
     # no Kronecker structure: the whole 23^3 interior would be one dense block
     grid = Grid((2.0, 2.0, 2.0), (31, 31, 31))
