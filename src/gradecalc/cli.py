@@ -5,7 +5,8 @@ Commands: ``group check``, ``heat``, ``kernel``, ``norm``, ``probe``,
 Every judging command returns its ``VerificationReport``, and only
 ``MainGroup`` maps the outcome to an exit code: 0 all checks pass, 1 a
 returned report with a failed row (every threshold times ``--tol-scale``),
-2 usage or configuration errors (every ``GradecalcError``).  Reports and
+2 usage or configuration errors (every ``GradecalcError``, and every
+``OSError`` of a command, such as an ``--out`` path it cannot write).  Reports and
 CSVs are deterministic for a fixed seed (modulo the timestamp line).
 """
 
@@ -61,12 +62,12 @@ class Refusal(click.ClickException):
 
 
 class MainGroup(click.Group):
-    """The command group: a ``GradecalcError`` is a ``Refusal``, a returned report not ``ok`` exits 1."""
+    """The command group: a ``GradecalcError`` or ``OSError`` is a ``Refusal``; a report not ``ok`` exits 1."""
 
     def invoke(self, ctx):
         try:
             result = super().invoke(ctx)
-        except GradecalcError as exc:
+        except (GradecalcError, OSError) as exc:
             raise Refusal(str(exc)) from exc
         if isinstance(result, VerificationReport) and not result.ok:
             ctx.exit(1)
@@ -82,14 +83,14 @@ class MainGroup(click.Group):
 @click.option("--op", default=None, help="operator expression over the basis labels, e.g. 'X^4+Y^4-T^2'")
 @click.option("--scale", type=float, default=None, help="box scale R: half-width R^w_j along axis j")
 @click.option("--points", default=None, help="grid point counts, comma-separated (odd)")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True)
 @click.option("--out", default=None, help="output directory for reports and CSV files")
 @click.option("--tol-scale", type=float, default=1.0, show_default=True, help="multiplier on all thresholds")
 @click.pass_context
 def main(ctx, group, op, scale, points, seed, out, tol_scale):
     """Desk-scale verification suite for graded nilpotent Lie groups."""
-    if tol_scale <= 0:
-        raise ConfigError("tolerance scale must be positive")
+    if not 0 < tol_scale < math.inf:
+        raise ConfigError(f"tolerance scale must be positive and finite, got {tol_scale}")
     ctx.obj = RunConfig(
         group=group, op=op, scale=scale, points=points, seed=seed, out=out, tol_scale=tol_scale
     )

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 
 from .geometry import Grid
 
+
 @dataclass(frozen=True)
 class PlanSettings:
-    """Grid and plan settings of one spectral plan."""
+    """The grid of one spectral plan and the margin of its interior.
 
-    half_widths: tuple
-    counts: tuple
+    ``Grid`` is a frozen dataclass, so two settings are equal exactly when
+    their grids and margins are.
+    """
+
+    grid: Grid
     margin: int = 4
-    periodic: tuple = ()
-
-    def grid(self) -> Grid:
-        return Grid(self.half_widths, self.counts, self.periodic)
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class CheckTimes:
     """The times at which the suite checks the heat identities."""
 
     mass_times: tuple = (0.01, 0.02)
-    family_times: tuple = (0.1, 0.2)
     semigroup_pairs: tuple = ((0.1, 0.1),)
     symmetry_time: float = 0.15
     selfsim_times: tuple = (0.1, 0.2)
@@ -49,26 +48,26 @@ class GroupDefaults:
 
 DEFAULTS = {
     "abelian1": GroupDefaults(
-        heat=PlanSettings((8.0,), (161,)),
-        potential=PlanSettings((8.0,), (641,)),
+        heat=PlanSettings(Grid((8.0,), (161,))),
+        potential=PlanSettings(Grid((8.0,), (641,))),
         times=CheckTimes(mass_times=(0.01, 0.02, 0.05, 0.1)),
     ),
     "abelian2": GroupDefaults(
-        heat=PlanSettings((4.0, 4.0), (71, 71)),
+        heat=PlanSettings(Grid((4.0, 4.0), (71, 71))),
         times=CheckTimes(mass_times=(0.01, 0.02, 0.05, 0.1)),
     ),
     # 29 nodes per axis: the interior 21^3 is a Kronecker plan
     "abelian3": GroupDefaults(
-        heat=PlanSettings((3.0, 3.0, 3.0), (29, 29, 29)),
-        potential=PlanSettings((1.3, 1.3, 1.3), (27, 27, 27), margin=3),
+        heat=PlanSettings(Grid((3.0, 3.0, 3.0), (29, 29, 29))),
+        potential=PlanSettings(Grid((1.3, 1.3, 1.3), (27, 27, 27)), margin=3),
         times=CheckTimes(mass_times=(0.01, 0.02, 0.05)),
     ),
     # 31 samples over a central period of 1.1.  Half a period out, the
     # whole-group kernel is below 1e-3 of its peak at the check times
     # (t <= 0.2), so the periodic images barely move it.
     "heisenberg": GroupDefaults(
-        heat=PlanSettings((2.7, 2.7, 0.55 * 30 / 31), (33, 33, 31), periodic=(2,)),
-        potential=PlanSettings((2.7, 2.7, 0.95), (19, 19, 53)),
+        heat=PlanSettings(Grid((2.7, 2.7, 0.55 * 30 / 31), (33, 33, 31), periodic=(2,))),
+        potential=PlanSettings(Grid((2.7, 2.7, 0.95), (19, 19, 53))),
     ),
 }
 

@@ -15,11 +15,12 @@ other axes and offset, and the sum along the central axes is a Toeplitz
 product.  Values outside the box contribute zero.
 
 One routine, ``multilinear_interpolate``, is the only multilinear
-interpolation at arbitrary points.  It serves the grid-function interpolants
-(``GridFunction.interpolator``) and the interpolated axes of the box
-convolution.  A dilation D_r scales each axis by itself, so f(D_r x) on f's
-own grid is resampled one axis at a time (``resample_dilated``): the same
-multilinear interpolant, two nodes per axis instead of 2^n corners per point.
+interpolation at arbitrary points; it serves the interpolated axes of the
+box convolution.  A dilation D_r scales each axis by itself, so f(D_r x) on
+f's own box grid is resampled one axis at a time (``resample_dilated``): the
+same multilinear interpolant, two nodes per axis instead of 2^n corners per
+point.  A dilation changes the period of a periodic axis, so that resampling
+takes box grids only.
 
 The sphere quadrature of the polar decomposition projects scrambled Sobol'
 points onto the unit pseudo-sphere.  ``_sobol`` computes them with numpy
@@ -219,11 +220,6 @@ class GridFunction:
     def reshape(self):
         return self.values.reshape(self.grid.counts)
 
-    def interpolator(self):
-        """Multilinear interpolant (``multilinear_interpolate``), zero outside the box."""
-        grid, values, axes = self.grid, self.values, range(self.grid.ndim)
-        return lambda pts: multilinear_interpolate(grid, values, np.asarray(pts, dtype=float), axes)
-
     def flipped(self):
         """f(x^{-1}) = f(-x); exact on the symmetric grid."""
         rev = self.reshape()[(slice(None, None, -1),) * self.grid.ndim]
@@ -282,7 +278,7 @@ def quasi_triangle_ratio(law, nu0, samples, seed=0xC0FFEE):
         raise GeometryError("need at least one sample")
     weights = law.algebra.weights
     rng = np.random.default_rng(seed)
-    best = 0.0
+    peaks = []  # the largest ratio of each batch
     done = 0
     while done < samples:
         m = min(QUASI_TRIANGLE_BATCH, samples - done)
@@ -292,9 +288,9 @@ def quasi_triangle_ratio(law, nu0, samples, seed=0xC0FFEE):
         y = project_to_sphere(y, weights, nu0)
         prod = law.multiply_arrays(x, y)
         ratios = pseudo_norm(prod, weights, nu0) / 2.0
-        best = max(best, float(ratios.max()))
+        peaks.append(ratios.max())
         done += m
-    return best
+    return float(np.max(peaks))  # np.max keeps a NaN, which the built-in max may drop
 
 
 def quasi_triangle_constant(law, nu0, samples, seed=0xC0FFEE):
@@ -498,37 +494,35 @@ def multilinear_interpolate(grid, values, z, axes, flat=0, inside=None):
 
 
 def resample_dilated(f: GridFunction, r, weights) -> GridFunction:
-    """f(D_r x) at the nodes x of f's own grid, multilinear in f, zero outside the box.
+    """f(D_r x) at the nodes x of f's own box grid, multilinear in f, zero outside the box.
 
     D_r scales each axis by itself, so the multilinear interpolant of
     ``multilinear_interpolate`` at the dilated nodes factors into one linear
     interpolation per axis.  Each axis is a two-tap stencil: the node t_k =
     (r^{v_k} x_k + R_k)/h_k is mixed from the nodes floor(t_k) and floor(t_k)
     + 1 with one ``take`` each, along that axis only, so no temporary is
-    larger than the grid.  Periodic axes wrap by index mod N; along the
-    others a node with |r^{v_k} x_k| > R_k gives zero.
+    larger than the grid.  A node with |r^{v_k} x_k| > R_k gives zero.  A
+    dilation changes the period of a periodic axis, so a periodic grid is
+    refused (GeometryError).
     """
     if r <= 0:
         raise GeometryError("dilation parameter must be positive")
     grid = f.grid
+    if grid.periodic:
+        raise GeometryError(f"a dilation changes the period of the periodic axes {grid.periodic}")
     vals = f.reshape()
     for k, scale in enumerate(float(r) ** np.asarray(weights, dtype=float)):
         N, R = grid.counts[k], grid.half_widths[k]
         z = scale * grid.axis(k)
         t = (z + R) / grid.spacings[k]
-        if k in grid.periodic:
-            t = np.mod(t, N)
-            i0 = np.floor(t)
-            inside = True
-        else:
-            i0 = np.clip(np.floor(t), 0, N - 2)
-            inside = np.abs(z) <= R
+        i0 = np.clip(np.floor(t), 0, N - 2)
+        inside = np.abs(z) <= R
         w = t - i0
-        i0 = i0.astype(np.intp) % N
+        i0 = i0.astype(np.intp)
         shape = [N if j == k else 1 for j in range(grid.ndim)]
         w0 = np.where(inside, 1.0 - w, 0.0).reshape(shape)
         w1 = np.where(inside, w, 0.0).reshape(shape)
-        vals = w0 * vals.take(i0, axis=k) + w1 * vals.take((i0 + 1) % N, axis=k)
+        vals = w0 * vals.take(i0, axis=k) + w1 * vals.take(i0 + 1, axis=k)
     return GridFunction(grid, vals.ravel())
 
 

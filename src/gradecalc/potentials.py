@@ -204,13 +204,14 @@ def dilation_pairs(grid: Grid, weights, nu0, r, mask):
     return np.flatnonzero(ok)[inside], img_flat[inside]
 
 
-def riesz_homogeneity_defect(kern: RieszKernel, weights, nu0, Q, r=2, *, mask):
-    """Relative defect of I_a(D_r x) = r^{a-Q} I_a(x) at the ``dilation_pairs``.
+def riesz_homogeneity_defect(kern: RieszKernel, pairs, Q, r=2):
+    """Relative defect of I_a(D_r x) = r^{a-Q} I_a(x) at the node pairs ``pairs``.
 
-    Returns the median relative defect over the pairs where I_a is finite and
-    nonzero.
+    ``pairs`` is the (src, img) that ``dilation_pairs`` returns for the same
+    r on the kernel's grid.  Returns the median relative defect over the
+    pairs where I_a is finite and nonzero.
     """
-    src, img = dilation_pairs(kern.values.grid, weights, nu0, r, mask)
+    src, img = pairs
     base = kern.values.values[src]
     image = kern.values.values[img]
     good = np.isfinite(base) & np.isfinite(image) & (np.abs(base) > 0)

@@ -228,15 +228,15 @@ def _dilation_drift(plan, family, form):
     weight-2 coordinates.
     """
     weights = plan.law.algebra.weights
-    drift = 1.0
+    spreads = [1.0]
     for i in range(min(N_DILATED, len(family.members))):
         vals = []
         for r in DILATIONS:
             plan_r = dilated_plan(plan, 1.0 / r)
             fn = family.dilated_member(i, r, weights)
             vals.append(form(plan_r, GridFunction(plan_r.grid, fn(plan_r.grid.points())), r))
-        drift = max(drift, max(vals) / min(vals))
-    return drift
+        spreads.append(np.max(vals) / np.min(vals))
+    return np.max(spreads)  # np.max keeps a NaN, which the built-in max may drop
 
 
 def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily):
@@ -261,7 +261,7 @@ def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily):
         num, den = SobolevNormSpec(plan_r, a, q, flavor), SobolevNormSpec(plan_r, b, p, flavor)
         return _ratios(fs, partial(sobolev_norm, num), partial(sobolev_norm, den))
 
-    sup = max(ratios(family.gridfunctions(), plan, "inhomogeneous"))
+    sup = np.max(ratios(family.gridfunctions(), plan, "inhomogeneous"))
     drift = _dilation_drift(plan, family, lambda plan_r, fr, r: ratios([fr], plan_r, "homogeneous")[0])
     return float(sup), float(drift)
 
@@ -280,7 +280,7 @@ def sup_embedding_probe(plan: SpectralPlan, p, s, family: TestFamily):
         raise SobolevError(f"no boundedness claim for s={s} <= Q/p={Q / p}")
     spec_den = SobolevNormSpec(plan, s, p)
     sup_norm = partial(lp_norm, p=np.inf, mask=plan.mask)
-    sup = max(_ratios(family.gridfunctions(), sup_norm, partial(sobolev_norm, spec_den)), default=0.0)
+    sup = np.max(_ratios(family.gridfunctions(), sup_norm, partial(sobolev_norm, spec_den)), initial=0.0)
 
     def scaled_ratio(plan_r, fr, r):
         den = sobolev_norm(SobolevNormSpec(plan_r, s, p, "homogeneous"), fr)

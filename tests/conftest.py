@@ -52,14 +52,14 @@ def h1t_law():
 def ab1_heat_plan(ab1_law):
     d = DEFAULTS["abelian1"].heat
     spec = sublaplacian(ab1_law.algebra)
-    return spectral_plan(spec, ab1_law, d.grid(), margin=d.margin)
+    return spectral_plan(spec, ab1_law, d.grid, margin=d.margin)
 
 
 @pytest.fixture(scope="session")
 def ab1_pot_plan(ab1_law):
     d = DEFAULTS["abelian1"].potential
     spec = sublaplacian(ab1_law.algebra)
-    return spectral_plan(spec, ab1_law, d.grid(), margin=d.margin)
+    return spectral_plan(spec, ab1_law, d.grid, margin=d.margin)
 
 
 @pytest.fixture(scope="session")
@@ -71,14 +71,14 @@ def ab1_pot_source(ab1_pot_plan):
 def ab3_heat_plan(ab3_law):
     d = DEFAULTS["abelian3"].heat
     spec = sublaplacian(ab3_law.algebra)
-    return spectral_plan(spec, ab3_law, d.grid(), margin=d.margin)
+    return spectral_plan(spec, ab3_law, d.grid, margin=d.margin)
 
 
 @pytest.fixture(scope="session")
 def ab3_pot_plan(ab3_law):
     d = DEFAULTS["abelian3"].potential
     spec = sublaplacian(ab3_law.algebra)
-    return spectral_plan(spec, ab3_law, d.grid(), margin=d.margin)
+    return spectral_plan(spec, ab3_law, d.grid, margin=d.margin)
 
 
 @pytest.fixture(scope="session")
@@ -90,7 +90,7 @@ def ab3_pot_source(ab3_pot_plan):
 def h1_heat_plan(h1_law):
     d = DEFAULTS["heisenberg"].heat
     spec = sublaplacian(h1_law.algebra)
-    return spectral_plan(spec, h1_law, d.grid(), margin=d.margin)
+    return spectral_plan(spec, h1_law, d.grid, margin=d.margin)
 
 
 @pytest.fixture(scope="session")
@@ -99,7 +99,7 @@ def h1_heat_plan_scaled(h1_law):
     t1, t2 = DEFAULTS["heisenberg"].times.selfsim_times
     spec = sublaplacian(h1_law.algebra)
     r = (t2 / t1) ** (1.0 / spec.nu)
-    grid = d.grid().dilated(r, h1_law.algebra.weights)
+    grid = d.grid.dilated(r, h1_law.algebra.weights)
     return spectral_plan(spec, h1_law, grid, margin=d.margin)
 
 
@@ -107,11 +107,11 @@ def h1_heat_plan_scaled(h1_law):
 def h1_pot_plan(h1_law):
     d = DEFAULTS["heisenberg"].potential
     spec = sublaplacian(h1_law.algebra)
-    return spectral_plan(spec, h1_law, d.grid(), margin=d.margin)
+    return spectral_plan(spec, h1_law, d.grid, margin=d.margin)
 
 
 @pytest.fixture(scope="session")
 def h1_pot_plan_L2(h1_law):
     d = DEFAULTS["heisenberg"].potential
     spec = power(sublaplacian(h1_law.algebra), 2)
-    return spectral_plan(spec, h1_law, d.grid(), margin=d.margin)
+    return spectral_plan(spec, h1_law, d.grid, margin=d.margin)

@@ -18,7 +18,6 @@ from gradecalc.calculus import sublaplacian
 from gradecalc.defaults import DEFAULTS
 from gradecalc.geometry import GridFunction, group_convolve, lp_norm
 from gradecalc.heatflow import (
-    build_family,
     check_mass,
     check_self_similarity,
     check_semigroup,
@@ -28,6 +27,7 @@ from gradecalc.heatflow import (
 from gradecalc.potentials import (
     bessel_apply_quadrature,
     bessel_kernel,
+    dilation_pairs,
     fractional_apply,
     riesz_homogeneity_defect,
     riesz_kernel,
@@ -94,8 +94,7 @@ def test_criterion_2_heat_identities(ab1_heat_plan, ab1_law, h1_heat_plan, h1_he
     ):
         d, times = DEFAULTS[tag].heat, DEFAULTS[tag].times
         mass = max(check_mass(heat_kernel(plan, t)) for t in times.mass_times)
-        fam = build_family(plan, times.family_times)
-        semi = check_semigroup(fam, law, pairs=times.semigroup_pairs, mask=plan.mask)
+        semi = check_semigroup(plan, law, times.semigroup_pairs)
         sym = check_symmetry(heat_kernel(plan, times.symmetry_time))
         if plan2 is None:
             from gradecalc.heatflow import spectral_plan
@@ -156,7 +155,8 @@ def test_criterion_4_potential_identities(ab1_pot_plan, ab1_pot_source, ab1_law,
     conv = group_convolve(ab1_law, kernels[1].values, kernels[1].values, zero_tol=1e-10)
     e_semi = lp_norm(conv - kernels[2].values, 1)
     kr = riesz_kernel(ab3_pot_plan, 2.0, source=ab3_pot_source)
-    e_hom = riesz_homogeneity_defect(kr, (1, 1, 1), 1, 3, r=2, mask=ab3_pot_plan.mask)
+    pairs = dilation_pairs(ab3_pot_plan.grid, (1, 1, 1), 1, 2, ab3_pot_plan.mask)
+    e_hom = riesz_homogeneity_defect(kr, pairs, 3, r=2)
     ok = e_mass < 1e-2 and e_semi < 5e-2 and e_hom < 2e-2
     assert _line(
         4,

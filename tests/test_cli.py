@@ -100,8 +100,37 @@ def test_group_check_jacobi_violation_exit_1(runner, tmp_path):
 
 
 def test_bad_tol_scale_exit_2(runner):
-    res = runner.invoke(main, ["--tol-scale", "-1", "--group", "abelian1", "group", "check"])
-    assert res.exit_code == 2
+    # nan once failed every row (exit 1), and inf passed every row (exit 0)
+    for value in ("-1", "nan", "inf"):
+        res = runner.invoke(main, ["--tol-scale", value, "--group", "abelian1", "group", "check"])
+        assert res.exit_code == 2, (value, res.output)
+        assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", [["verify"], ["probe"], ["norm"]])
+def test_negative_seed_exit_2(runner, command):
+    # once numpy's "expected non-negative integer" traceback, exit 1
+    res = runner.invoke(main, ["--group", "abelian1", "--seed", "-1", *command])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "out, command",
+    [
+        # a directory under a regular file: once a NotADirectoryError traceback
+        ("file/sub", ["verify"]),
+        # a regular file as the directory: once a FileExistsError traceback
+        ("file", ["export", "probes"]),
+    ],
+)
+def test_unwritable_out_exit_2(runner, tmp_path, out, command):
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / out)
+    res = runner.invoke(main, ["--group", "abelian1", "--out", path, *command])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert path in res.output
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +321,39 @@ def test_verify_builds_nothing_it_skips(runner, tmp_path, monkeypatch, args, abs
     assert [p["role"] for p in report["plans"]] == roles
 
 
+def test_verify_selects_dilation_pairs_once(runner, tmp_path, monkeypatch):
+    # the pairs that decide the potential.riesz_homogeneity row are the ones it measures
+    import gradecalc.potentials as potentials
+    import gradecalc.suite as suite
+
+    select, calls = potentials.dilation_pairs, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "dilation_pairs", counted)
+    monkeypatch.setattr(potentials, "dilation_pairs", counted)
+    args = ["--group", "abelian3", "--scale", "3", "--points", "19", "--out", str(tmp_path), "verify"]
+    res = runner.invoke(main, args)
+    assert res.exit_code in (0, 1) and "Traceback" not in res.output, res.output
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "potential.riesz_homogeneity" in [c["id"] for c in report["checks"]]
+    assert len(calls) == 1
+
+
+def test_verify_nan_defect_fails(runner, tmp_path):
+    # at t = 0.1 e^{800} overflows and the mass underflows to 0, so that
+    # time's heat.mass defect is NaN; the built-in max once dropped it and
+    # the row passed at 4.5e-13
+    args = ["--group", "abelian1", "--op", "-X^2+8000", "--out", str(tmp_path), "verify"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert "[FAIL] heat.mass" in res.output and "value=nan" in res.output
+    row = {c["id"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}["heat.mass"]
+    assert np.isnan(row["value"]) and row["pass"] is False
+
+
 def test_verify_deterministic_modulo_timestamp(runner, tmp_path):
     outs = []
     for sub in ("a", "b"):
@@ -333,7 +395,7 @@ def test_heat_command(runner, tmp_path):
 
     lines = (tmp_path / "heat.csv").read_text().splitlines()
     assert lines[0] == "x1,t,value"
-    assert len(lines) == 1 + 2 * DEFAULTS["abelian1"].heat.counts[0]
+    assert len(lines) == 1 + 2 * DEFAULTS["abelian1"].heat.grid.counts[0]
 
 
 def test_heat_command_judges_mass_defect(runner):

@@ -19,6 +19,7 @@ from gradecalc.geometry import (
     haar_integrate,
     inner_product,
     lp_norm,
+    multilinear_interpolate,
     polar_integral_check,
     project_to_sphere,
     pseudo_norm,
@@ -28,6 +29,11 @@ from gradecalc.geometry import (
 from gradecalc.geometry import _interpolated_convolve, _sobol
 
 SEED = 0xC0FFEE
+
+
+def _interpolate(f, pts):
+    """The multilinear interpolant of f at the points pts, zero outside the box."""
+    return multilinear_interpolate(f.grid, f.values, np.asarray(pts, dtype=float), range(f.grid.ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +140,11 @@ def test_periodic_grid():
     assert g.interior_mask(1).reshape(5, 9).sum(axis=1).tolist() == [0, 9, 9, 9, 0]
     u = g.points()[:, 1]
     f = GridFunction(g, np.cos(2 * np.pi * u / 1.8))
-    interp = f.interpolator()
     # beyond the last node the interpolant runs on into the first one ...
     mid = np.array([[0.0, 0.9], [0.0, -0.9]])
-    assert np.allclose(interp(mid), 0.5 * (f.reshape()[2, -1] + f.reshape()[2, 0]))
+    assert np.allclose(_interpolate(f, mid), 0.5 * (f.reshape()[2, -1] + f.reshape()[2, 0]))
     # ... and whole periods away it repeats
-    assert np.allclose(interp(g.points() + [0.0, 3 * 1.8]), f.values)
+    assert np.allclose(_interpolate(f, g.points() + [0.0, 3 * 1.8]), f.values)
     with pytest.raises(GeometryError):
         Grid((1.0, 1.0), (5, 5), periodic=(2,))
 
@@ -156,7 +161,7 @@ def test_interpolator_matches_scipy():
     pts = g.points()
     # exact nodes, the edges included, and points dilated in and out of the box
     for z in (pts, dilate(0.7, pts, (1, 1, 2)), dilate(1.2, pts, (1, 1, 2))):
-        assert np.max(np.abs(f.interpolator()(z) - reference(z))) < 1e-13 * np.max(np.abs(f.values))
+        assert np.max(np.abs(_interpolate(f, z) - reference(z))) < 1e-13 * np.max(np.abs(f.values))
     # a periodic axis: points periods away wrap onto the period, which scipy
     # sees closed by a copy of the first node one spacing on
     g = Grid((1.0, 0.8), (5, 9), periodic=(1,))
@@ -167,7 +172,7 @@ def test_interpolator_matches_scipy():
     z = dilate(0.9, g.points(), (1, 1)) + [0.0, 0.37 - 3 * g.period(1)]
     wrapped = z.copy()
     wrapped[:, 1] = np.mod(z[:, 1] + g.half_widths[1], g.period(1)) - g.half_widths[1]
-    assert np.max(np.abs(f.interpolator()(z) - reference(wrapped))) < 1e-13 * np.max(np.abs(f.values))
+    assert np.max(np.abs(_interpolate(f, z) - reference(wrapped))) < 1e-13 * np.max(np.abs(f.values))
 
 
 def test_interior_mask():
@@ -199,9 +204,7 @@ def test_flipped_is_inversion():
     g = Grid((1.0, 1.0), (5, 5))
     f = GridFunction(g, np.arange(25.0))
     pts = g.points()
-    flipped = f.flipped()
-    interp = f.interpolator()
-    assert np.allclose(flipped.values, interp(-pts))
+    assert np.allclose(f.flipped().values, _interpolate(f, -pts))
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +406,21 @@ def test_resample_dilated_matches_interpolator(grid, weights, r):
     # the dilated nodes, zero outside the box included
     f = GridFunction(grid, np.random.default_rng(SEED).standard_normal(grid.size))
     got = resample_dilated(f, r, weights).values
-    want = f.interpolator()(dilate(r, grid.points(), weights))
+    want = _interpolate(f, dilate(r, grid.points(), weights))
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     if r > 1:
         assert np.count_nonzero(want == 0) > 0 and np.all(got[want == 0] == 0)
     with pytest.raises(GeometryError):
         resample_dilated(f, 0.0, weights)
+
+
+def test_resample_dilated_refuses_periodic_grid():
+    # a dilation changes the period, so the late-time heat source never
+    # resamples on a periodic grid, and the routine takes box grids only
+    g = Grid((1.0, 0.8), (5, 9), periodic=(1,))
+    f = GridFunction(g, np.ones(g.size))
+    with pytest.raises(GeometryError, match="period"):
+        resample_dilated(f, 1.5, (1, 2))
 
 
 # ---------------------------------------------------------------------------

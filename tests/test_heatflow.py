@@ -16,7 +16,6 @@ from gradecalc.heatflow import (
     HeatKernelSource,
     KroneckerPlan,
     SpectralPlan,
-    build_family,
     check_mass,
     check_self_similarity,
     check_semigroup,
@@ -130,16 +129,20 @@ def test_symmetry_1d(ab1_heat_plan):
     assert check_symmetry(heat_kernel(ab1_heat_plan, 0.15)) < 1e-3
 
 
-def test_semigroup_1d(ab1_heat_plan, ab1_law):
-    fam = build_family(ab1_heat_plan, (0.1, 0.2))
-    defect = check_semigroup(fam, ab1_law, mask=ab1_heat_plan.mask)
+def test_semigroup_1d(ab1_heat_plan, ab1_law, monkeypatch):
+    # the pairs share h_0.1 and h_0.2: each of the three times is built once
+    import gradecalc.heatflow as heatflow
+
+    build, times = heatflow.heat_kernel, []
+    monkeypatch.setattr(heatflow, "heat_kernel", lambda plan, t: times.append(t) or build(plan, t))
+    defect = check_semigroup(ab1_heat_plan, ab1_law, [(0.1, 0.1), (0.1, 0.2)])
+    assert sorted(times) == [0.1, 0.2, pytest.approx(0.3)]
     assert defect < 1e-2
 
 
 def test_semigroup_requires_pairs(ab1_heat_plan, ab1_law):
-    fam = build_family(ab1_heat_plan, (0.1, 0.3))
     with pytest.raises(HeatError):
-        check_semigroup(fam, ab1_law)
+        check_semigroup(ab1_heat_plan, ab1_law, [])
 
 
 def test_self_similarity_1d(ab1_heat_plan, ab1_law):
@@ -271,7 +274,7 @@ def test_delta_mass_matches_grid_sum(name, request):
     for g in (np.exp(-0.05 * lam), (1.0 + lam) ** (-2.0 / plan.spec.nu)):
         assert abs(plan.delta_mass(g) - float(haar_integrate(plan.delta_kernel(g)))) <= 1e-13
     # the cached spectral data is shared, so it is read-only
-    for arr in (lam, plan.delta_coefficients(), plan.unit_coefficients):
+    for arr in (lam, plan.delta_coefficients, plan.unit_coefficients):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -335,7 +338,7 @@ def test_central_fourier_plan_mechanics(h1_law):
     # row of V_k over sqrt(M) dV
     V, M = plan.eigenvectors, plan.grid.counts[2]
     closed = V[:, V.shape[1] // 2, :].conj() / (np.sqrt(M) * plan.grid.cell_volume)
-    assert np.allclose(plan.delta_coefficients(), closed.ravel(), atol=1e-10)
+    assert np.allclose(plan.delta_coefficients, closed.ravel(), atol=1e-10)
     # exact rescaling still holds on the dilated periodic grid
     rho = 1.3
     fresh = spectral_plan(spec, h1_law, plan.grid.dilated(rho, h1_law.algebra.weights))
@@ -455,7 +458,7 @@ def test_kronecker_plan_mechanics():
     ends = np.cumsum(plan.block_sizes)
     rows = [V[e - n + (n - 1) // 2, e - n : e] for n, e in zip(plan.block_sizes, ends)]
     closed = functools.reduce(np.multiply.outer, rows).ravel() / grid.cell_volume
-    assert np.allclose(plan.delta_coefficients(), closed, atol=1e-10)
+    assert np.allclose(plan.delta_coefficients, closed, atol=1e-10)
     # exact rescaling against a fresh solve on the dilated grid
     rho = 1.3
     fresh = spectral_plan(

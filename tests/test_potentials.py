@@ -16,6 +16,7 @@ from gradecalc.potentials import (
     bessel_apply_quadrature,
     bessel_kernel,
     default_ladder,
+    dilation_pairs,
     fractional_apply,
     riesz_homogeneity_defect,
     riesz_kernel,
@@ -135,7 +136,7 @@ def test_kernels_refuse_negative_spectrum(ab1_law):
     d = DEFAULTS["abelian1"].potential
     spec = RocklandSpec(expr=parse_diffop("X^2", ab1_law.algebra.labels), nu=2)
     with pytest.raises(HeatError, match="negative eigenvalue"):
-        spectral_plan(spec, ab1_law, d.grid(), margin=d.margin)
+        spectral_plan(spec, ab1_law, d.grid, margin=d.margin)
 
 
 def test_bessel_rejects_bad_exponent(ab1_pot_plan):
@@ -162,9 +163,8 @@ def test_riesz_newtonian_oracle(ab3_pot_plan, ab3_pot_source):
 
 def test_riesz_homogeneity(ab3_pot_plan, ab3_pot_source):
     k = riesz_kernel(ab3_pot_plan, 2.0, source=ab3_pot_source)
-    defect = riesz_homogeneity_defect(
-        k, (1, 1, 1), 1, 3, r=2, mask=ab3_pot_plan.mask
-    )
+    pairs = dilation_pairs(ab3_pot_plan.grid, (1, 1, 1), 1, 2, ab3_pot_plan.mask)
+    defect = riesz_homogeneity_defect(k, pairs, 3, r=2)
     assert defect < 2e-2
 
 
