@@ -246,7 +246,7 @@ def verify(cfg):
 
 
 EXPORTS = {
-    "heat": (heat, {"times": (0.1, 0.2)}),
+    "heat": (heat, {"times": (0.1, 0.15)}),
     "kernel": (kernel, {"kind": "bessel", "a": 2.0}),
     "probes": (probe, {}),
 }

@@ -251,14 +251,21 @@ def inner_product(f: GridFunction, g: GridFunction):
 
 def lp_norm(f: GridFunction, p, mask=None):
     """L^p norm; p = inf returns the max modulus (over ``mask`` if given)."""
-    v = f.values if mask is None else f.values[mask]
+    return float(lp_norms(f.grid, f.values, p, mask))
+
+
+def lp_norms(grid: Grid, values, p, mask=None):
+    """``lp_norm`` of grid values along the last axis: one per row of a stack (m, grid size)."""
+    values = np.asarray(values)
+    v = values if mask is None else np.compress(mask, values, axis=-1)
     p = float(p)
     if p == np.inf:
-        return float(np.max(np.abs(v))) if v.size else 0.0
+        return np.max(np.abs(v), axis=-1, initial=0.0)
     if p < 1:
         raise GeometryError("p must be >= 1")
-    cell = f.grid.cell_volume
-    return float((cell * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+    a = np.abs(v)
+    a **= p  # in place: a stack's temporaries stay one copy of it
+    return (grid.cell_volume * np.sum(a, axis=-1)) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,13 @@ That reason holds for box plans only: a central-Fourier block takes no flips,
 and there the turn generates the cyclic group of order 4, whose characters
 are all 1-dimensional.  With no flip but the identity the plan is one dense
 block.
+
+Every plan's transforms (``analyze``, ``synthesize``, ``apply_multiplier``)
+act on the last axis of their input, so a stack of m functions, shape
+(m, grid size), is one matrix product per block (or factor, or frequency)
+instead of m matrix-vector products; one vector is the case m = 1.  The
+heat source's ``ladder_sum`` uses that to build every potential kernel of a
+plan in one pass, one coefficient row per kernel.
 """
 
 from __future__ import annotations
@@ -148,12 +155,20 @@ class SpectralPlan:
         delta[i] = 1.0 / self.grid.cell_volume
         return _frozen(self.analyze(delta))
 
+    @functools.cached_property
+    def interior_index(self):
+        """Flat indices of the interior nodes (``mask``), ascending."""
+        return _frozen(np.flatnonzero(self.mask))
+
     def restrict(self, values):
-        return np.asarray(values)[self.mask]
+        """The interior entries of grid values, along the last axis."""
+        return np.take(values, self.interior_index, axis=-1)
 
     def embed(self, interior_values):
-        out = np.zeros(self.grid.size, dtype=np.asarray(interior_values).dtype)
-        out[self.mask] = interior_values
+        """Grid values, zero outside the interior, from interior ones along the last axis."""
+        interior_values = np.asarray(interior_values)
+        out = np.zeros(interior_values.shape[:-1] + (self.grid.size,), dtype=interior_values.dtype)
+        out[..., self.interior_index] = interior_values
         return out
 
     def _blocks(self):
@@ -164,14 +179,20 @@ class SpectralPlan:
             start, pos = start + b, pos + b * b
 
     def analyze(self, values):
-        """Eigen-coefficients of grid values, taken on the interior."""
-        y = self.basis.T @ self.restrict(values)
-        return np.concatenate([V.T @ y[s] for s, V in self._blocks()])
+        """Eigen-coefficients of grid values, taken on the interior.
+
+        ``values`` is one vector or a stack (m, grid size); every transform of
+        a plan acts on the last axis, so a stack costs one matrix product per
+        block where m vectors would cost m.
+        """
+        y = (self.basis.T @ self.restrict(values).T).T
+        return np.concatenate([y[..., s] @ V for s, V in self._blocks()], axis=-1)
 
     def synthesize(self, coef):
-        """Grid values of an eigen-expansion, zero outside the interior."""
+        """Grid values of an eigen-expansion, zero outside the interior (a stack row by row)."""
         coef = np.asarray(coef)
-        return self.embed(self.basis @ np.concatenate([V @ coef[s] for s, V in self._blocks()]))
+        y = np.concatenate([coef[..., s] @ V.T for s, V in self._blocks()], axis=-1)
+        return self.embed((self.basis @ y.T).T)
 
     def health(self):
         """Grid, size, spectrum, self-adjointness and eigensolve cost of the plan, as plain numbers."""
@@ -195,15 +216,14 @@ class SpectralPlan:
             "eigh_driver": self.eigh_driver,
         }
 
-    def apply_multiplier(self, g, f: GridFunction) -> GridFunction:
-        """V g V^* f for the multiplier array g = g(lam_plus), zero outside the interior mask.
+    def apply_multiplier(self, g, values):
+        """V g V^* values for the multiplier array g = g(lam_plus), zero outside the interior mask.
 
-        The operator is real, so real f gives real values.
+        ``values`` is one vector or a stack (m, grid size).  The operator is
+        real, so real values give real values.
         """
-        out = self.synthesize(g * self.analyze(f.values))
-        if not np.iscomplexobj(f.values):
-            out = out.real
-        return GridFunction(self.grid, out)
+        out = self.synthesize(g * self.analyze(values))
+        return out if np.iscomplexobj(values) else out.real
 
     def delta_kernel(self, g) -> GridFunction:
         """g(R) delta: one synthesis of g c_delta."""
@@ -233,19 +253,24 @@ class CentralFourierPlan(SpectralPlan):
     inner_shape: tuple = ()
 
     def analyze(self, values):
-        lines = np.moveaxis(self.restrict(values).reshape(self.inner_shape), self.axis, 0)
-        lines = np.fft.ifftshift(lines, axes=0).reshape(len(lines), -1)
-        F = np.fft.fft(lines, axis=0, norm="ortho")
-        # c_k = V_k^* F_k for every frequency k
-        return (F.conj()[:, None, :] @ self.eigenvectors)[:, 0, :].conj().ravel()
+        X = self.restrict(values)
+        rows = X.reshape((-1,) + tuple(self.inner_shape))
+        # lines along the axis, frequency first: (M, m, rest of the interior)
+        lines = np.moveaxis(rows, 1 + self.axis, 0).reshape(self.inner_shape[self.axis], len(rows), -1)
+        F = np.fft.fft(np.fft.ifftshift(lines, axes=0), axis=0, norm="ortho")
+        # c_k = V_k^* F_k for every frequency k, one product per k for the whole stack
+        C = (F.conj() @ self.eigenvectors).conj()
+        return np.moveaxis(C, 0, 1).reshape(X.shape[:-1] + (-1,))
 
     def synthesize(self, coef):
+        coef = np.asarray(coef)
         V = self.eigenvectors
-        F = (V @ np.reshape(coef, V.shape[:2])[:, :, None])[:, :, 0]
-        lines = np.fft.fftshift(np.fft.ifft(F, axis=0, norm="ortho"), axes=0)
+        C = np.ascontiguousarray(np.moveaxis(coef.reshape((-1,) + V.shape[:2]), 0, -1))  # (M, b, m)
+        lines = np.fft.fftshift(np.fft.ifft(V @ C, axis=0, norm="ortho"), axes=0)  # F_k = V_k c_k
         shape = list(self.inner_shape)
         shape.insert(0, shape.pop(self.axis))
-        return self.embed(np.moveaxis(lines.reshape(shape), 0, self.axis).ravel())
+        rows = np.moveaxis(lines, -1, 0).reshape([C.shape[-1]] + shape)
+        return self.embed(np.moveaxis(rows, 1, 1 + self.axis).reshape(coef.shape[:-1] + (-1,)))
 
 
 @dataclass
@@ -265,18 +290,19 @@ class KroneckerPlan(SpectralPlan):
         return [self.eigenvectors[e - n : e, e - n : e] for n, e in zip(self.block_sizes, ends)]
 
     def _contract(self, X, transpose):
-        # apply each factor basis (or its transpose) along its own axis
-        for k, V in enumerate(self._factors()):
+        # apply each factor basis (or its transpose) along its own axis of
+        # each flat row of X
+        lead = X.shape[:-1]
+        X = X.reshape(lead + tuple(self.block_sizes))
+        for k, V in enumerate(self._factors(), start=len(lead)):
             X = np.moveaxis(np.tensordot(V.T if transpose else V, X, axes=(1, k)), 0, k)
-        return X
+        return X.reshape(lead + (-1,))
 
     def analyze(self, values):
-        X = self.restrict(values).reshape(self.block_sizes)
-        return self._contract(X, transpose=True).ravel()
+        return self._contract(self.restrict(values), transpose=True)
 
     def synthesize(self, coef):
-        X = np.reshape(coef, self.block_sizes)
-        return self.embed(self._contract(X, transpose=False).ravel())
+        return self.embed(self._contract(np.asarray(coef), transpose=False))
 
 
 def _dissipation_matrix(counts, p):
@@ -623,7 +649,7 @@ def heat_apply(plan: SpectralPlan, f: GridFunction, t) -> GridFunction:
     """e^{-tR} f (t = 0 is the identity on the interior)."""
     if t < 0:
         raise HeatError("time must be nonnegative")
-    return plan.apply_multiplier(np.exp(-t * plan.lam_plus), f)
+    return GridFunction(plan.grid, plan.apply_multiplier(np.exp(-t * plan.lam_plus), f.values))
 
 
 def heat_kernel(plan: SpectralPlan, t) -> GridFunction:
@@ -650,7 +676,9 @@ class HeatKernelSource:
     a dilation would change), fall back to the direct route.
 
     ``ladder_sum`` evaluates sum_i c_i h_{t_i}, the form of every potential
-    kernel: all direct nodes share one multiplier and one synthesis.
+    kernel, for one row of coefficients c per kernel: each row's direct
+    nodes fold into one multiplier, all rows share one stacked synthesis,
+    and each continuation time is resampled once for all rows.
     """
 
     MASS_TOL = 5e-4  # largest mass defect of the direct route up to t_switch
@@ -694,31 +722,39 @@ class HeatKernelSource:
         return self.mass_at_switch
 
     def ladder_sum(self, times, coefs):
-        """sum_i c_i h_{t_i} as grid values, and its integral sum_i c_i int h_{t_i}.
+        """sum_i c_i h_{t_i} as grid values, and its integral sum_i c_i int h_{t_i}, per row of ``coefs``.
 
-        The direct nodes (t_i <= t_switch) fold into the one multiplier
-        m = sum_i c_i e^{-t_i lam_plus}: one ``delta_kernel`` and one
-        ``delta_mass`` of m.  Each continuation node is one resampling of the
-        reference kernel and carries its mass ``mass_at_switch``.  Equal to
-        summing c_i ``self(t_i)`` up to rounding.
+        ``coefs`` holds one row of n weights per kernel, shape (k, n) for
+        the n ``times``; then the values are (k, grid size) and the integrals
+        (k,).  A 1-D ``coefs`` is the case k = 1 and gives one vector and one
+        float.  The direct nodes (t_i <= t_switch) fold into one multiplier
+        row m = sum_i c_i e^{-t_i lam_plus} per kernel: the rows share one
+        stacked synthesis of m c_delta, and each row's integral is the
+        ``delta_mass`` of its m.  Each continuation node is one resampling of
+        the reference kernel, added into every row, and carries its mass
+        ``mass_at_switch``.  Equal to summing c_i ``self(t_i)`` up to
+        rounding.
         """
         times, coefs = np.asarray(times, dtype=float), np.asarray(coefs, dtype=float)
         if np.any(times <= 0):
             raise HeatError("time must be positive")
+        rows = coefs.reshape(-1, len(times))
         direct = times <= self.t_switch
-        values = np.zeros(self.plan.grid.size)
-        mass = 0.0
+        values = np.zeros((len(rows), self.plan.grid.size))
+        mass = np.zeros(len(rows))
         if direct.any():
             lam = self.plan.lam_plus
-            mult = np.zeros_like(lam)
-            for t, c in zip(times[direct], coefs[direct]):
-                mult += c * np.exp(-t * lam)
-            values += self.plan.delta_kernel(mult).values
-            mass += self.plan.delta_mass(mult)
-        for t, c in zip(times[~direct], coefs[~direct]):
-            values += c * self._continued(t)
+            mult = np.zeros((len(rows), lam.size))
+            for t, c in zip(times[direct], rows[:, direct].T):
+                mult += c[:, None] * np.exp(-t * lam)
+            values += self.plan.synthesize(mult * self.plan.delta_coefficients).real
+            mass += [self.plan.delta_mass(m) for m in mult]
+        for t, c in zip(times[~direct], rows[:, ~direct].T):
+            values += c[:, None] * self._continued(t)
             mass += c * self.mass_at_switch
-        return values, float(mass)
+        if coefs.ndim == 1:
+            return values[0], float(mass[0])
+        return values, mass
 
     def value_at_origin_late(self):
         """t^{Q/nu} h_t(0) for large t (constant by self-similarity)."""

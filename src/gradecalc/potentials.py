@@ -8,11 +8,14 @@ the ladder applied to f reproduces the spectral multiplier up to quadrature
 error.
 
 A kernel is linear in h_t, so its whole ladder is one weighted sum
-``HeatKernelSource.ladder_sum``: the nodes on the direct route share one
-multiplier and one synthesis, and the nodes past the source's switch time
-are each one axis-by-axis resampling of the reference kernel.  Every plan is
-positive up to rounding (``spectral_plan``), so the clipping is harmless; a
-fractional power whose multiplier overflows is refused.
+``HeatKernelSource.ladder_sum``, and every kernel of a plan is one row of
+the same pass (``potential_kernels``; ``bessel_kernel`` and
+``riesz_kernel`` are its one-exponent cases): the nodes on the direct route
+fold into one multiplier per kernel and share one stacked synthesis, and
+each node past the source's switch time is one axis-by-axis resampling of
+the reference kernel, added into every kernel.  Every plan is positive up
+to rounding (``spectral_plan``), so the clipping is harmless; a fractional
+power whose multiplier overflows is refused (``fractional_multiplier``).
 """
 
 from __future__ import annotations
@@ -113,70 +116,87 @@ def _require_homogeneous(plan: SpectralPlan):
     return int(nu)
 
 
-def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
-    """I_a = (1/Gamma(a/nu)) * integral of t^{a/nu - 1} h_t dt, 0 < a < Q.
+def potential_kernels(plan: SpectralPlan, bessel=(), riesz=(), source=None):
+    """The Bessel kernels B_a for a in ``bessel`` and the Riesz kernels I_a for a in ``riesz``.
 
+    Returns the two lists of kernels, in the order of the exponents.  Every
+    kernel is a weighted sum of the same heat kernels over the plan's
+    ``default_ladder``, so all of them are one ``ladder_sum`` pass with one
+    coefficient row per kernel: the direct nodes share one stacked
+    synthesis, and each continuation time is resampled once.
+
+    B_a = (1/Gamma(a/nu)) * integral of t^{a/nu - 1} e^{-t} h_t dt, a > 0.
+    Its reported ``integral`` integrates the in-model mass of h_t against the
+    damped weight: on the ladder the box mass (or the dilation-exact mass of
+    the continuation), below it the analytic head weighted by the source's
+    mass of h_{t_lo} (so that a kernel the grid cannot resolve reads as no
+    mass), and beyond t_hi the e^{-t} damping bounds the remainder.
+
+    I_a = (1/Gamma(a/nu)) * integral of t^{a/nu - 1} h_t dt, 0 < a < Q.
     The ladder covers [t_lo, t_hi]; beyond t_hi the self-similar decay
     h_t(x) ~ t^{-Q/nu} * C0 integrates to an explicit power-law tail which is
     added analytically (C0 from the late-time continuation).  The value at
     the origin node is a non-finite sentinel, and values inside the
     ``exclusion_radius`` carry no accuracy claim.
+
+    Every exponent is checked before anything is computed.
     """
     nu = _require_homogeneous(plan)
     Q = plan.law.algebra.homogeneous_dimension
-    if not 0 < a < Q:
-        raise PotentialError(f"Riesz exponent must satisfy 0 < a < Q = {Q}, got {a}")
+    for a in bessel:
+        if not 0 < a < math.inf:
+            raise PotentialError(f"Bessel exponent must be positive and finite, got {a}")
+    for a in riesz:
+        if not 0 < a < Q:
+            raise PotentialError(f"Riesz exponent must satisfy 0 < a < Q = {Q}, got {a}")
     ladder = default_ladder(plan.grid, nu)
     if source is None:
         source = HeatKernelSource(plan)
-    norm = 1.0 / math.gamma(a / nu)
     t = ladder.nodes
-    acc, _ = source.ladder_sum(t, ladder.weights * t ** (a / nu - 1.0))
-    tail_c = 0.0
-    if np.isfinite(source.t_switch):
-        tail_c = source.value_at_origin_late()
-        acc += tail_c * (nu / (Q - a)) * ladder.t_hi ** ((a - Q) / nu)
-    vals = norm * acc
-    vals[plan.grid.origin_index] = np.inf
-    return RieszKernel(
-        a=float(a),
-        values=GridFunction(plan.grid, vals),
-        exclusion_radius=exclusion_radius(plan.grid),
-        tail_constant=tail_c,
-    )
+    rows = [ladder.weights * t ** (a / nu - 1.0) * np.exp(-t) for a in bessel]
+    rows += [ladder.weights * t ** (a / nu - 1.0) for a in riesz]
+    acc, masses = source.ladder_sum(t, np.reshape(rows, (len(rows), len(t))))
+
+    bessels = []
+    for a, vals, mass_integral in zip(bessel, acc, masses):
+        s = a / nu
+        norm = 1.0 / math.gamma(s)
+        # analytic head [0, t_lo] carrying the mass of h_{t_lo}, and tail bound beyond t_hi
+        head = gammainc(s, ladder.t_lo) * source.mass(ladder.t_lo)
+        tail = 1.0 - gammainc(s, ladder.t_hi)
+        gf = GridFunction(plan.grid, norm * vals)
+        bessels.append(
+            BesselKernel(
+                a=float(a),
+                values=gf,
+                integral=float(norm * mass_integral + head + tail),
+                l1_estimate=lp_norm(gf, 1),
+            )
+        )
+    tail_c = source.value_at_origin_late() if np.isfinite(source.t_switch) else 0.0
+    rieszes = []
+    for a, vals in zip(riesz, acc[len(bessel) :]):
+        vals = (vals + tail_c * (nu / (Q - a)) * ladder.t_hi ** ((a - Q) / nu)) * (1.0 / math.gamma(a / nu))
+        vals[plan.grid.origin_index] = np.inf
+        rieszes.append(
+            RieszKernel(
+                a=float(a),
+                values=GridFunction(plan.grid, vals),
+                exclusion_radius=exclusion_radius(plan.grid),
+                tail_constant=tail_c,
+            )
+        )
+    return bessels, rieszes
 
 
 def bessel_kernel(plan: SpectralPlan, a, source=None) -> BesselKernel:
-    """B_a = (1/Gamma(a/nu)) * integral of t^{a/nu - 1} e^{-t} h_t dt, a > 0.
+    """B_a alone: the one-exponent case of ``potential_kernels``."""
+    return potential_kernels(plan, bessel=(a,), source=source)[0][0]
 
-    The reported ``integral`` integrates the in-model mass of h_t against the
-    damped weight: on the ladder the box mass (or the dilation-exact mass of
-    the continuation), below it the analytic head weighted by the source's
-    mass of h_{t_lo} (so that a kernel the grid cannot resolve reads as no
-    mass), and beyond t_hi the e^{-t} damping bounds the remainder.
-    """
-    nu = _require_homogeneous(plan)
-    if not 0 < a < math.inf:
-        raise PotentialError(f"Bessel exponent must be positive and finite, got {a}")
-    ladder = default_ladder(plan.grid, nu)
-    if source is None:
-        source = HeatKernelSource(plan)
-    s = a / nu
-    norm = 1.0 / math.gamma(s)
-    t = ladder.nodes
-    acc, mass_integral = source.ladder_sum(t, ladder.weights * t ** (s - 1.0) * np.exp(-t))
-    vals = norm * acc
-    # analytic head [0, t_lo] carrying the mass of h_{t_lo}, and tail bound beyond t_hi
-    head = gammainc(s, ladder.t_lo) * source.mass(ladder.t_lo)
-    tail = 1.0 - gammainc(s, ladder.t_hi)
-    integral = norm * mass_integral + head + tail
-    gf = GridFunction(plan.grid, vals)
-    return BesselKernel(
-        a=float(a),
-        values=gf,
-        integral=float(integral),
-        l1_estimate=lp_norm(gf, 1),
-    )
+
+def riesz_kernel(plan: SpectralPlan, a, source=None) -> RieszKernel:
+    """I_a alone: the one-exponent case of ``potential_kernels``."""
+    return potential_kernels(plan, riesz=(a,), source=source)[1][0]
 
 
 def exclusion_radius(grid: Grid):
@@ -228,8 +248,8 @@ def riesz_homogeneity_defect(kern: RieszKernel, pairs, Q, r=2):
 FLOOR_RATIO = 1e-12
 
 
-def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False) -> GridFunction:
-    """(I+R)^{s/nu} f, or R^{s/nu} f when ``homogeneous``.
+def fractional_multiplier(plan: SpectralPlan, s, homogeneous=False):
+    """The multiplier of (I+R)^{s/nu}, or of R^{s/nu} when ``homogeneous``, on lam_plus.
 
     Negative homogeneous powers exclude eigenvalues below
     ``FLOOR_RATIO * lam_max`` (their coefficients are dropped).  An order
@@ -249,7 +269,13 @@ def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False) 
             g = np.power(1.0 + lam, power)
     if not np.isfinite(g).all():
         raise PotentialError(f"the multiplier of order s={s:g} overflows on the spectrum of the plan")
-    return plan.apply_multiplier(g, f)
+    return g
+
+
+def fractional_apply(plan: SpectralPlan, s, f: GridFunction, homogeneous=False) -> GridFunction:
+    """(I+R)^{s/nu} f, or R^{s/nu} f when ``homogeneous`` (``fractional_multiplier``)."""
+    g = fractional_multiplier(plan, s, homogeneous)
+    return GridFunction(plan.grid, plan.apply_multiplier(g, f.values))
 
 
 def bessel_apply_quadrature(plan: SpectralPlan, a, f: GridFunction) -> GridFunction:
@@ -269,4 +295,4 @@ def bessel_apply_quadrature(plan: SpectralPlan, a, f: GridFunction) -> GridFunct
     for t, w in zip(ladder.nodes, ladder.weights):
         g += w * (t ** (s - 1.0)) * np.exp(-t * (1.0 + lam))
     g /= math.gamma(s)
-    return plan.apply_multiplier(g, f)
+    return GridFunction(plan.grid, plan.apply_multiplier(g, f.values))

@@ -5,7 +5,9 @@ homogeneous flavor uses R^{s/nu}; the integer flavor is the Goodman-style sum
 ||f||_p + sum over words of weighted degree s of ||X^alpha f||_p.  Probes
 report min/max norm ratios over a reproducible family of smooth bumps: the
 equivalence constants are empirical, so the observed intervals serve as
-regression baselines rather than proved bounds.
+regression baselines rather than proved bounds.  Norms and probes take the
+family as one stack of rows (``sobolev_norms``), in blocks of
+``STACK_BLOCK`` rows, so each block is one stacked transform of the plan.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import numpy as np
 
 from . import GradecalcError
 from .calculus import DiffOpExpr, FieldMatrices
-from .geometry import Grid, GridFunction, dilate, lp_norm, sum_columns
+from .geometry import Grid, GridFunction, dilate, lp_norm, lp_norms, sum_columns
 from .heatflow import SpectralPlan, dilated_plan
-from .potentials import fractional_apply
+from .potentials import fractional_multiplier
 
 
 class SobolevError(GradecalcError):
@@ -90,30 +92,68 @@ def words_of_degree(weights, degree):
     return out
 
 
-def _lp(spec: SobolevNormSpec, g: GridFunction):
-    if spec.p == np.inf:
-        # sup norms carry no claim on the boundary stencil band
-        return lp_norm(g, np.inf, mask=spec.plan.mask)
-    return lp_norm(g, spec.p)
+# Rows of a stack that one pass takes at once: every temporary of a stacked
+# norm or probe is at most STACK_BLOCK times the grid size.
+STACK_BLOCK = 8
+
+
+def _by_blocks(fn, values):
+    """fn of each block of ``STACK_BLOCK`` rows of ``values``, its per-row results joined."""
+    out = np.empty(len(values))
+    for i in range(0, len(values), STACK_BLOCK):
+        out[i : i + STACK_BLOCK] = fn(values[i : i + STACK_BLOCK])
+    return out
+
+
+def _word_rows(fm: FieldMatrices, word, block):
+    """X^word applied to each row of ``block`` at once (sparse times dense), rows kept contiguous."""
+    return np.ascontiguousarray(fm.apply_word(tuple(word), block.T).T)
+
+
+def _lp(spec: SobolevNormSpec, values):
+    # sup norms carry no claim on the boundary stencil band
+    mask = spec.plan.mask if spec.p == np.inf else None
+    return lp_norms(spec.plan.grid, values, spec.p, mask=mask)
+
+
+def sobolev_norms(spec: SobolevNormSpec, values):
+    """The chosen Sobolev norm of each row of ``values``, a stack (m, grid size) on the plan's grid.
+
+    The rows go through in blocks of ``STACK_BLOCK``.  The spectral flavors
+    take one stacked multiplier pass per block; the integer flavor applies
+    each word to a whole block through the plan's ``field_matrices``, built
+    once per plan.
+    """
+    values = np.asarray(values)
+    plan = spec.plan
+    if values.ndim != 2 or values.shape[1] != plan.grid.size:
+        raise SobolevError(f"values must be a stack of rows on the plan's grid, got shape {values.shape}")
+    if spec.flavor == "integer":
+        words = words_of_degree(plan.law.algebra.weights, spec.s)
+
+        def block_norms(block):
+            total = _lp(spec, block)
+            for word in words:
+                total += _lp(spec, _word_rows(plan.field_matrices, word, block))
+            return total
+
+    else:
+        g = fractional_multiplier(plan, spec.s, homogeneous=(spec.flavor == "homogeneous"))
+
+        def block_norms(block):
+            return _lp(spec, plan.apply_multiplier(g, block))
+
+    return _by_blocks(block_norms, values)
 
 
 def sobolev_norm(spec: SobolevNormSpec, f: GridFunction):
     """The chosen Sobolev norm of f on the plan's grid; s=0 inhomogeneous reduces to plain L^p.
 
-    The integer flavor applies the words through the plan's
-    ``field_matrices``, built once per plan.
+    The one-row case of ``sobolev_norms``.
     """
     if f.grid != spec.plan.grid:
         raise SobolevError("f must live on the plan's grid")
-    if spec.flavor == "integer":
-        fm = spec.plan.field_matrices
-        total = _lp(spec, f)
-        for word in words_of_degree(spec.plan.law.algebra.weights, spec.s):
-            g = GridFunction(f.grid, fm.apply_word(word, f.values))
-            total += _lp(spec, g)
-        return float(total)
-    g = fractional_apply(spec.plan, spec.s, f, homogeneous=(spec.flavor == "homogeneous"))
-    return float(_lp(spec, g))
+    return float(sobolev_norms(spec, f.values[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +166,33 @@ class TestFamily:
 
     Members are kept as callables so that dilated copies f(D_r x) can be
     sampled exactly on any grid.  Their samples on ``grid`` are taken once,
-    on the first ``gridfunctions`` call, and shared by every later one.
+    on first use, into one read-only array ``values`` of shape
+    (members, grid size), one row per member.  ``gridfunctions`` wraps the
+    rows as views, so no second copy of the family exists.
     """
 
     grid: Grid
     members: list  # callables (M, n) -> (M,)
     seed: int
-    _sampled: list | None = field(default=None, init=False, repr=False, compare=False)
+    _values: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _functions: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def values(self):
+        if self._values is None:
+            pts = self.grid.points()
+            values = np.empty((len(self.members), self.grid.size))
+            for row, m in zip(values, self.members):
+                row[:] = m(pts)
+            values.flags.writeable = False
+            self._values = values
+        return self._values
 
     def gridfunctions(self):
-        if self._sampled is None:
-            pts = self.grid.points()
-            self._sampled = [GridFunction(self.grid, m(pts)) for m in self.members]
-        return list(self._sampled)
+        """The members' samples as ``GridFunction``s on row views of ``values``, in a new list."""
+        if self._functions is None:
+            self._functions = [GridFunction(self.grid, row) for row in self.values]
+        return list(self._functions)
 
     def dilated_member(self, i, r, weights):
         fn = self.members[i]
@@ -194,23 +248,28 @@ class RatioProbe:
             raise SobolevError("ratio interval must be positive and finite")
 
 
-def _ratios(fs, num, den):
-    """num(f) / den(f) for each f; den(f) is evaluated first, and a zero one is refused."""
-    ratios = []
-    for f in fs:
-        d = den(f)
-        if d == 0:
-            raise SobolevError("family member has zero denominator norm")
-        ratios.append(num(f) / d)
-    return ratios
+def _family_values(family: TestFamily, plan: SpectralPlan):
+    """The family's sampled stack, refused (SobolevError) unless it lives on the plan's grid."""
+    if family.grid != plan.grid:
+        raise SobolevError("the family must live on the plan's grid")
+    return family.values
+
+
+def _ratios(values, num, den):
+    """num / den of each row of ``values``; den is evaluated first, and a zero one is refused."""
+    d = den(values)
+    if np.any(d == 0):
+        raise SobolevError("family member has zero denominator norm")
+    return num(values) / d
 
 
 def equivalence_probe(specA: SobolevNormSpec, specB: SobolevNormSpec, family: TestFamily) -> RatioProbe:
     """min/max of ||f||_A / ||f||_B over the family."""
     if specA.plan.grid != specB.plan.grid:
         raise SobolevError("both norms must live on the same grid")
-    ratios = _ratios(family.gridfunctions(), partial(sobolev_norm, specA), partial(sobolev_norm, specB))
-    return RatioProbe(min_ratio=float(min(ratios)), max_ratio=float(max(ratios)))
+    values = _family_values(family, specA.plan)
+    ratios = _ratios(values, partial(sobolev_norms, specA), partial(sobolev_norms, specB))
+    return RatioProbe(min_ratio=float(np.min(ratios)), max_ratio=float(np.max(ratios)))
 
 
 # the scales r at which the embedding probes stress the first N_DILATED members
@@ -219,24 +278,26 @@ N_DILATED = 3
 
 
 def _dilation_drift(plan, family, form):
-    """Largest max/min spread over ``DILATIONS`` of form(plan_r, f_r, r).
+    """Largest max/min spread over ``DILATIONS`` of form(plan_r, values_r, r), per member.
 
     For each of the first ``N_DILATED`` members, f_r is the member as
     f(D_r x), sampled on the dilation image of the grid under the exactly
     rescaled plan plan_r.  That keeps it equally resolved at every scale; on
     a fixed grid the copies leave the resolved band already at r = 4 for
-    weight-2 coordinates.
+    weight-2 coordinates.  ``values_r`` stacks those members' f_r, one row
+    each, and ``form`` returns one value per row.
     """
     weights = plan.law.algebra.weights
-    spreads = [1.0]
-    for i in range(min(N_DILATED, len(family.members))):
-        vals = []
-        for r in DILATIONS:
-            plan_r = dilated_plan(plan, 1.0 / r)
-            fn = family.dilated_member(i, r, weights)
-            vals.append(form(plan_r, GridFunction(plan_r.grid, fn(plan_r.grid.points())), r))
-        spreads.append(np.max(vals) / np.min(vals))
-    return np.max(spreads)  # np.max keeps a NaN, which the built-in max may drop
+    k = min(N_DILATED, len(family.members))
+    vals = []
+    for r in DILATIONS:
+        plan_r = dilated_plan(plan, 1.0 / r)
+        pts = plan_r.grid.points()
+        rows = np.array([family.dilated_member(i, r, weights)(pts) for i in range(k)], dtype=float)
+        vals.append(form(plan_r, rows.reshape(k, plan_r.grid.size), r))
+    vals = np.array(vals).reshape(len(DILATIONS), k)
+    # np.max keeps a NaN, which the built-in max may drop
+    return np.max(vals.max(axis=0) / vals.min(axis=0), initial=1.0)
 
 
 def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily):
@@ -257,12 +318,12 @@ def embedding_probe(plan: SpectralPlan, p, q, b, a, family: TestFamily):
             f"exponent relation violated: b-a={b - a} but Q(1/p-1/q)={Q * (1 / p - 1 / q)}"
         )
 
-    def ratios(fs, plan_r, flavor):
+    def ratios(plan_r, values, flavor):
         num, den = SobolevNormSpec(plan_r, a, q, flavor), SobolevNormSpec(plan_r, b, p, flavor)
-        return _ratios(fs, partial(sobolev_norm, num), partial(sobolev_norm, den))
+        return _ratios(values, partial(sobolev_norms, num), partial(sobolev_norms, den))
 
-    sup = np.max(ratios(family.gridfunctions(), plan, "inhomogeneous"))
-    drift = _dilation_drift(plan, family, lambda plan_r, fr, r: ratios([fr], plan_r, "homogeneous")[0])
+    sup = np.max(ratios(plan, _family_values(family, plan), "inhomogeneous"))
+    drift = _dilation_drift(plan, family, lambda plan_r, rows, r: ratios(plan_r, rows, "homogeneous"))
     return float(sup), float(drift)
 
 
@@ -279,12 +340,13 @@ def sup_embedding_probe(plan: SpectralPlan, p, s, family: TestFamily):
     if not s > Q / p:
         raise SobolevError(f"no boundedness claim for s={s} <= Q/p={Q / p}")
     spec_den = SobolevNormSpec(plan, s, p)
-    sup_norm = partial(lp_norm, p=np.inf, mask=plan.mask)
-    sup = np.max(_ratios(family.gridfunctions(), sup_norm, partial(sobolev_norm, spec_den)), initial=0.0)
+    sup_norms = partial(lp_norms, plan.grid, p=np.inf, mask=plan.mask)
+    values = _family_values(family, plan)
+    sup = np.max(_ratios(values, sup_norms, partial(sobolev_norms, spec_den)), initial=0.0)
 
-    def scaled_ratio(plan_r, fr, r):
-        den = sobolev_norm(SobolevNormSpec(plan_r, s, p, "homogeneous"), fr)
-        num = lp_norm(fr, np.inf, mask=plan_r.mask)
+    def scaled_ratio(plan_r, rows, r):
+        den = sobolev_norms(SobolevNormSpec(plan_r, s, p, "homogeneous"), rows)
+        num = lp_norms(plan_r.grid, rows, np.inf, mask=plan_r.mask)
         return (num / den) / float(r) ** (Q / p - s)
 
     drift = _dilation_drift(plan, family, scaled_ratio)
@@ -295,8 +357,9 @@ def bump_multiplication_probe(spec: SobolevNormSpec, phi: GridFunction, family: 
     """sup of ||f * phi||_{L^p_s} / ||f||_{L^p_s} for a fixed bump phi."""
     if phi.grid != spec.plan.grid:
         raise SobolevError("bump must live on the plan's grid")
-    norm = partial(sobolev_norm, spec)
-    return float(max(_ratios(family.gridfunctions(), lambda f: norm(f * phi), norm), default=0.0))
+    norms = partial(sobolev_norms, spec)
+    num = partial(_by_blocks, lambda block: norms(block * phi.values))
+    return float(np.max(_ratios(_family_values(family, spec.plan), num, norms), initial=0.0))
 
 
 def type0_probe(plan: SpectralPlan, word, family: TestFamily):
@@ -307,12 +370,14 @@ def type0_probe(plan: SpectralPlan, word, family: TestFamily):
     """
     weights = plan.law.algebra.weights
     deg = sum(int(weights[j]) for j in word)
+    g = fractional_multiplier(plan, -float(deg), homogeneous=True)
 
-    def num(f):
-        g = GridFunction(plan.grid, plan.field_matrices.apply_word(tuple(word), f.values))
-        return lp_norm(fractional_apply(plan, -float(deg), g, homogeneous=True), 2)
+    def num(block):
+        return lp_norms(plan.grid, plan.apply_multiplier(g, _word_rows(plan.field_matrices, word, block)), 2)
 
-    return float(max(_ratios(family.gridfunctions(), num, partial(lp_norm, p=2)), default=0.0))
+    values = _family_values(family, plan)
+    ratios = _ratios(values, partial(_by_blocks, num), partial(lp_norms, plan.grid, p=2))
+    return float(np.max(ratios, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,17 @@ def test_verify_builds_nothing_it_skips(runner, tmp_path, monkeypatch, args, abs
         raise AssertionError(f"{absent} called for a skipped row")
 
     monkeypatch.setattr(suite, "spectral_plan", counted)
-    monkeypatch.setattr(suite, absent, refused)
+    if absent == "riesz_kernel":  # a Riesz kernel is a riesz exponent of potential_kernels
+        kernels = suite.potential_kernels
+
+        def bessel_only(plan, bessel=(), riesz=(), source=None):
+            if riesz:
+                refused()
+            return kernels(plan, bessel=bessel, source=source)
+
+        monkeypatch.setattr(suite, "potential_kernels", bessel_only)
+    else:
+        monkeypatch.setattr(suite, absent, refused)
     res = runner.invoke(main, [*args, "--out", str(tmp_path), "verify"])
     assert res.exit_code in (0, 1) and "Traceback" not in res.output, res.output
     assert len(grids) == 1
@@ -854,6 +864,15 @@ def test_export_heat_default_outdir(runner, tmp_path):
         assert (tmp_path / "heat.csv").exists()
     finally:
         os.chdir(cwd)
+
+
+def test_export_heat_abelian3_defaults_pass(runner, tmp_path):
+    # the export times stay inside the default heat plan's resolved band: at
+    # t = 0.2 the abelian3 kernel has reached the interior edge and its mass
+    # defect (1.3e-3) breaches heat.mass; at 0.15 it reads 8.2e-5
+    res = runner.invoke(main, ["--group", "abelian3", "--out", str(tmp_path), "export", "heat"])
+    assert res.exit_code == 0, res.output
+    assert [ln.split(":")[0] for ln in res.output.splitlines() if ln.startswith("t=")] == ["t=0.1", "t=0.15"]
 
 
 def test_export_unknown_artifact_exit_2(runner):

@@ -351,6 +351,35 @@ def test_central_fourier_plan_mechanics(h1_law):
     assert np.array_equal(src(5.0).values, heat_kernel(plan, 5.0).values)
 
 
+@pytest.mark.parametrize("kind", [SpectralPlan, KroneckerPlan, CentralFourierPlan])
+def test_stacked_transforms_match_rows(kind, h1_law, ab3_law):
+    # a stack (m, grid size) goes through analyze and synthesize as m rows
+    # would, on all three plan kinds (the grids of test_plan_work_counts_evaluate)
+    h1 = sublaplacian(h1_law.algebra)
+    plan = {
+        SpectralPlan: lambda: spectral_plan(h1, h1_law, Grid((1.5, 1.5, 1.2), (11, 11, 13)), reg_strength=0.3),
+        KroneckerPlan: lambda: spectral_plan(
+            sublaplacian(ab3_law.algebra), ab3_law, Grid((2.0, 2.0, 2.0), (11, 13, 15))
+        ),
+        CentralFourierPlan: lambda: spectral_plan(h1, h1_law, Grid((2.0, 2.0, 0.5 * 8 / 9), (13, 13, 9), periodic=(2,))),
+    }[kind]()
+    assert type(plan) is kind
+    values = np.random.default_rng(SEED).standard_normal((5, plan.grid.size))
+    coef = plan.analyze(values)
+    rows = np.array([plan.analyze(v) for v in values])
+    assert coef.shape == rows.shape
+    assert np.max(np.abs(coef - rows)) <= 1e-12 * np.max(np.abs(rows))
+    back = plan.synthesize(coef)
+    back_rows = np.array([plan.synthesize(c) for c in coef])
+    assert back.shape == values.shape
+    assert np.max(np.abs(back - back_rows)) <= 1e-12 * np.max(np.abs(back_rows))
+    g = np.exp(-0.1 * plan.lam_plus)
+    stacked = plan.apply_multiplier(g, values)
+    assert not np.iscomplexobj(stacked)
+    for v, w in zip(values, stacked):
+        assert np.max(np.abs(w - plan.apply_multiplier(g, v))) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_central_fourier_plan_refusals(h1_law):
     spec = sublaplacian(h1_law.algebra)
     grid = _small_periodic_grid()

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from gradecalc.calculus import RocklandSpec, parse_diffop
+from gradecalc import heatflow
+from gradecalc.calculus import RocklandSpec, parse_diffop, sublaplacian
 from gradecalc.defaults import DEFAULTS
-from gradecalc.geometry import GridFunction, group_convolve, haar_integrate, lp_norm, pseudo_norm
+from gradecalc.geometry import Grid, GridFunction, group_convolve, haar_integrate, lp_norm, pseudo_norm
 from gradecalc.heatflow import HeatError, HeatKernelSource, spectral_plan
 from gradecalc.potentials import (
     PotentialError,
@@ -18,6 +19,7 @@ from gradecalc.potentials import (
     default_ladder,
     dilation_pairs,
     fractional_apply,
+    potential_kernels,
     riesz_homogeneity_defect,
     riesz_kernel,
 )
@@ -121,13 +123,75 @@ def test_ladder_kernels_match_per_node_sum(name, request):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_bessel_kernel_synthesizes_once(ab1_pot_plan, ab1_pot_source, monkeypatch):
+def test_bessel_kernel_synthesizes_once(ab1_pot_plan, ab1_pot_source, ab3_pot_plan, ab3_pot_source, monkeypatch):
     # all 45 direct-route nodes share one synthesis; a per-node loop made 45
     calls = []
     synthesize = ab1_pot_plan.synthesize
     monkeypatch.setattr(ab1_pot_plan, "synthesize", lambda c: calls.append(1) or synthesize(c))
     bessel_kernel(ab1_pot_plan, 2.0, source=ab1_pot_source)
     assert len(calls) <= 1
+    # B_1, B_2, B_3 and I_2 in one pass: still one synthesis, and each of the
+    # 45 continuation times resampled once (a pass per kernel made 4 x 45)
+    calls.clear()
+    resampled = []
+    synthesize3 = ab3_pot_plan.synthesize
+    resample = heatflow.resample_dilated
+    monkeypatch.setattr(ab3_pot_plan, "synthesize", lambda c: calls.append(1) or synthesize3(c))
+    monkeypatch.setattr(heatflow, "resample_dilated", lambda f, r, w: resampled.append(r) or resample(f, r, w))
+    potential_kernels(ab3_pot_plan, bessel=(1.0, 2.0, 3.0), riesz=(2.0,), source=ab3_pot_source)
+    ladder = default_ladder(ab3_pot_plan.grid, ab3_pot_plan.spec.nu)
+    assert len(calls) <= 1
+    assert len(resampled) == len(set(resampled)) == int(np.sum(ladder.nodes > ab3_pot_source.t_switch)) == 45
+
+
+def _heisenberg_bench_box(h1_law):
+    # the verify-heisenberg grid: every ladder node lies past the switch time
+    spec = sublaplacian(h1_law.algebra)
+    return spectral_plan(spec, h1_law, Grid.from_scale(h1_law.algebra.weights, 1.6, (15, 15, 31)))
+
+
+@pytest.mark.parametrize("name", ["ab1", "h1_box"])
+def test_ladder_rows_match_single_rows(name, request):
+    # k coefficient rows in one ladder_sum equal k separate one-row calls
+    if name == "ab1":
+        plan, source = request.getfixturevalue("ab1_pot_plan"), request.getfixturevalue("ab1_pot_source")
+    else:
+        plan = _heisenberg_bench_box(request.getfixturevalue("h1_law"))
+        source = HeatKernelSource(plan)
+    ladder = default_ladder(plan.grid, plan.spec.nu)
+    direct = int(np.sum(ladder.nodes <= source.t_switch))
+    assert (direct, len(ladder.nodes) - direct) == {"ab1": (45, 15), "h1_box": (0, 60)}[name]
+    t = ladder.nodes
+    coefs = np.array([ladder.weights * t ** (s - 1.0) * np.exp(-t) for s in (0.5, 1.0, 1.5)])
+    values, masses = source.ladder_sum(t, coefs)
+    assert values.shape == (3, plan.grid.size) and masses.shape == (3,)
+    for row, v, m in zip(coefs, values, masses):
+        v1, m1 = source.ladder_sum(t, row)
+        assert v1.shape == (plan.grid.size,) and isinstance(m1, float)
+        assert np.max(np.abs(v - v1)) <= 1e-13 * np.max(np.abs(v1))
+        assert m == pytest.approx(m1, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["ab1", "ab3"])
+def test_shared_kernels_match_standalone(name, request):
+    plan, source = request.getfixturevalue(f"{name}_pot_plan"), request.getfixturevalue(f"{name}_pot_source")
+    riesz = (2.0,) if plan.law.algebra.homogeneous_dimension > 2 else (0.5,)
+    bessels, rieszes = potential_kernels(plan, bessel=(1.0, 2.0, 3.0), riesz=riesz, source=source)
+    assert [k.a for k in bessels] == [1.0, 2.0, 3.0] and [k.a for k in rieszes] == list(riesz)
+    for k in bessels:
+        alone = bessel_kernel(plan, k.a, source=source)
+        assert np.max(np.abs(k.values.values - alone.values.values)) <= 1e-13 * np.max(alone.values.values)
+        assert k.integral == pytest.approx(alone.integral, rel=1e-13)
+        assert k.l1_estimate == pytest.approx(alone.l1_estimate, rel=1e-13)
+    for k in rieszes:
+        alone = riesz_kernel(plan, k.a, source=source)
+        got, want = (np.delete(x.values.values, plan.grid.origin_index) for x in (k, alone))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert k.values.values[plan.grid.origin_index] == np.inf
+        assert (k.tail_constant, k.exclusion_radius) == (alone.tail_constant, alone.exclusion_radius)
+    # every exponent is checked before any work
+    with pytest.raises(PotentialError, match="Riesz exponent"):
+        potential_kernels(plan, bessel=(1.0,), riesz=(plan.law.algebra.homogeneous_dimension,))
 
 
 def test_kernels_refuse_negative_spectrum(ab1_law):
@@ -228,5 +292,5 @@ def test_homogeneous_negative_power_riesz_consistency(ab3_pot_plan, ab3_pot_sour
     g = np.zeros_like(lam)
     for t, w in zip(lad.nodes, lad.weights):
         g += w * np.exp(-t * lam)
-    quad = ab3_pot_plan.apply_multiplier(g, f)
+    quad = GridFunction(ab3_pot_plan.grid, ab3_pot_plan.apply_multiplier(g, f.values))
     assert lp_norm(quad - target, 2) / lp_norm(target, 2) < 1e-3

@@ -6,6 +6,7 @@ import pytest
 from gradecalc.geometry import GridFunction, lp_norm, inner_product
 from gradecalc.potentials import fractional_apply
 from gradecalc.sobolev import (
+    STACK_BLOCK,
     RatioProbe,
     SobolevError,
     SobolevNormSpec,
@@ -15,6 +16,7 @@ from gradecalc.sobolev import (
     make_test_family,
     sharpness_probe_H1tilde,
     sobolev_norm,
+    sobolev_norms,
     sup_embedding_probe,
     type0_probe,
     words_of_degree,
@@ -223,6 +225,39 @@ def test_sup_embedding_morrey_oracle(ab1_pot_plan):
     assert ratio == pytest.approx(1.0 / den_oracle, rel=0.1)
 
 
+@pytest.mark.parametrize("flavor, s, p", [
+    ("inhomogeneous", 1.5, 2), ("homogeneous", 1.0, 3), ("integer", 2.0, 2), ("inhomogeneous", 2.0, np.inf),
+])
+@pytest.mark.parametrize("name", ["ab1", "h1"])
+def test_stacked_norms_match_rows(name, flavor, s, p, request):
+    # 11 rows cross a STACK_BLOCK boundary; each equals its one-row norm
+    plan = request.getfixturevalue(f"{name}_pot_plan")
+    spec = SobolevNormSpec(plan, s, p, flavor)
+    fam = make_test_family(plan.grid, n=STACK_BLOCK + 3, seed=SEED)
+    stacked = sobolev_norms(spec, fam.values)
+    rows = [sobolev_norm(spec, f) for f in fam.gridfunctions()]
+    assert stacked.shape == (len(rows),)
+    assert np.allclose(stacked, rows, rtol=1e-12, atol=0)
+    with pytest.raises(SobolevError, match="plan's grid"):
+        sobolev_norms(spec, fam.values[:, :-1])
+
+
+def test_probes_transform_stacks(ab1_pot_plan, monkeypatch):
+    # no Sobolev probe sends the family through analyze one vector at a time,
+    # and no stack is larger than a block
+    cls = type(ab1_pot_plan)
+    analyze, shapes = cls.analyze, []
+    monkeypatch.setattr(cls, "analyze", lambda self, v: shapes.append(np.shape(v)) or analyze(self, v))
+    fam = make_test_family(ab1_pot_plan.grid, n=20, seed=SEED)
+    spec = SobolevNormSpec(ab1_pot_plan, 2.0, 2)
+    equivalence_probe(SobolevNormSpec(ab1_pot_plan, 2.0, 2, "integer"), spec, fam)
+    embedding_probe(ab1_pot_plan, 2, 4, 0.25, 0.0, fam)
+    sup_embedding_probe(ab1_pot_plan, 2, 1.0, fam)
+    bump_multiplication_probe(spec, GridFunction(ab1_pot_plan.grid, np.ones(ab1_pot_plan.grid.size)), fam)
+    type0_probe(ab1_pot_plan, (0,), fam)
+    assert shapes and all(len(shape) == 2 and shape[0] <= STACK_BLOCK for shape in shapes)
+
+
 def test_family_samples_its_members_once(ab1_pot_plan):
     # a suite run and its equivalence probe share one sampling of the family
     fam = make_test_family(ab1_pot_plan.grid, n=3, seed=SEED)
@@ -235,6 +270,9 @@ def test_family_samples_its_members_once(ab1_pot_plan):
     assert len(calls) == 3
     assert all(f is g for f, g in zip(first, again))
     assert again is not first  # callers get their own list
+    # one (members, grid size) array holds the family; the functions are row views
+    assert fam.values.shape == (3, ab1_pot_plan.grid.size) and not fam.values.flags.writeable
+    assert all(np.shares_memory(f.values, fam.values) for f in first)
 
 
 def test_plan_builds_field_matrices_once(ab1_pot_plan, monkeypatch):
