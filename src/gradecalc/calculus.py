@@ -69,26 +69,43 @@ def fd_weights(z, x, m):
     return c[:, m]
 
 
+def _stencil_width(order, acc):
+    """Nodes of the ``acc``-order stencil of the ``order``-th derivative."""
+    return 2 * ((order + 1) // 2) - 1 + acc
+
+
+@lru_cache(maxsize=None)
+def _stencil_table(order, acc):
+    """Row p: the weights of the ``order``-th derivative at node p of the
+    window 0, 1, ..., width - 1 (unit spacing), read-only."""
+    width = _stencil_width(order, acc)
+    nodes = np.arange(width, dtype=float)
+    table = np.array([fd_weights(float(p), nodes, order) for p in range(width)])
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=None)
 def _diff_matrix_1d(n, dx, order=1, acc=4, periodic=False):
     """Sparse 1-D derivative matrix, ``acc``-order stencils.
 
     Stencils are one-sided at the edges, or central and wrapped around on a
-    periodic axis.
+    periodic axis.  On a uniform axis the weights of row i depend only on
+    where i sits in its window of ``width`` nodes, so every row is a row of
+    one table (``_stencil_table``: the central stencil and the one-sided edge
+    ones, at unit spacing), scaled by dx^-order (Fornberg, Math. Comp. 51,
+    1988, for the weights); the rows, columns and values are index
+    arithmetic, with no loop over the rows.
     """
-    width = 2 * ((order + 1) // 2) - 1 + acc
+    width = _stencil_width(order, acc)
     if n < width:
         raise CalculusError(f"grid axis with {n} points too small for the stencil")
-    rows, cols, vals = [], [], []
     half = (width - 1) // 2
-    for i in range(n):
-        lo = i - half if periodic else min(max(i - half, 0), n - width)
-        nodes = np.arange(lo, lo + width)
-        w = fd_weights(i * dx, nodes * dx, order)
-        rows.extend([i] * width)
-        cols.extend((nodes % n).tolist())
-        vals.extend(w.tolist())
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    i = np.arange(n)
+    lo = i - half if periodic else np.clip(i - half, 0, n - width)
+    cols = (lo[:, None] + np.arange(width)) % n
+    vals = _stencil_table(order, acc)[i - lo] * float(dx) ** -order
+    return sparse.csr_matrix((vals.ravel(), (np.repeat(i, width), cols.ravel())), shape=(n, n))
 
 
 def along_axis(M, counts, axis):
@@ -314,6 +331,30 @@ def sublaplacian(alg) -> RocklandSpec:
         if alg.weights[j] == 1:
             expr = expr - DiffOpExpr.generator(j) ** 2
     return RocklandSpec(expr=expr, nu=2)
+
+
+def characters_missed(expr: DiffOpExpr, alg):
+    """The generators on whose 1-D representations the operator's top-degree symbol vanishes.
+
+    Every 1-D representation of G factors through g/[g, g].  For a basis
+    vector X_j that no bracket reaches (c_ab^j = 0 for all a, b), one of
+    them maps X_j to i xi and every other basis vector to 0, so the symbol
+    of the top-degree part there is c (i xi)^k, c the coefficient of the
+    pure power X_j^k among the top-degree words: nonzero for xi != 0
+    exactly when that word is present.  A Rockland operator's top-degree
+    part is injective on every nontrivial representation, so an operator
+    that misses some X_j is not Rockland.  Returns the missed indices j,
+    ascending; the test is necessary, not sufficient.
+    """
+    weights = alg.weights
+    top = max((sum(weights[i] for i in w) for w in expr.terms), default=0)
+    reached = {l for _, _, l, _ in alg.nonzero_constants()}
+    return [
+        j
+        for j in range(alg.n)
+        if j not in reached
+        and not (top % weights[j] == 0 and expr.terms.get((j,) * (top // weights[j]), 0.0) != 0.0)
+    ]
 
 
 def power(spec: RocklandSpec, k) -> RocklandSpec:

@@ -263,7 +263,8 @@ def lp_norms(grid: Grid, values, p, mask=None):
         return np.max(np.abs(v), axis=-1, initial=0.0)
     if p < 1:
         raise GeometryError("p must be >= 1")
-    a = np.abs(v)
+    # C order, so that a transposed stack sums along contiguous rows, as a copy would
+    a = np.abs(v, order="C")
     a **= p  # in place: a stack's temporaries stay one copy of it
     return (grid.cell_volume * np.sum(a, axis=-1)) ** (1.0 / p)
 

@@ -110,6 +110,33 @@ def _word_rows(fm: FieldMatrices, word, block):
     return np.ascontiguousarray(fm.apply_word(tuple(word), block.T).T)
 
 
+def _word_norms(spec: SobolevNormSpec, words, block):
+    """The L^p norms of X^word applied to each row of ``block``, one array per word, in ``words`` order.
+
+    A word is applied from its last letter, so words that end in the same
+    letters share that suffix's sparse products: the words are taken in the
+    order of their reversed letters, a depth-first walk of the trie of
+    suffixes, and ``stack`` keeps one intermediate per trie level (the
+    product of the current word's last d letters at depth d).  Every
+    product is the one ``FieldMatrices.apply_word`` forms, so the norms are
+    bit-identical to applying each word on its own.
+    """
+    fm = spec.plan.field_matrices
+    norms = [None] * len(words)
+    stack, prev = [block.T], ()
+    for i in sorted(range(len(words)), key=lambda i: words[i][::-1]):
+        rev = words[i][::-1]
+        common = 0  # letters shared with the previous word's suffix
+        while common < min(len(rev), len(prev)) and rev[common] == prev[common]:
+            common += 1
+        del stack[common + 1 :]
+        for j in rev[common:]:
+            stack.append(fm.field(j) @ stack[-1])
+        norms[i] = _lp(spec, stack[-1].T)
+        prev = rev
+    return norms
+
+
 def _lp(spec: SobolevNormSpec, values):
     # sup norms carry no claim on the boundary stencil band
     mask = spec.plan.mask if spec.p == np.inf else None
@@ -122,7 +149,8 @@ def sobolev_norms(spec: SobolevNormSpec, values):
     The rows go through in blocks of ``STACK_BLOCK``.  The spectral flavors
     take one stacked multiplier pass per block; the integer flavor applies
     each word to a whole block through the plan's ``field_matrices``, built
-    once per plan.
+    once per plan, sharing the products of common suffixes (``_word_norms``)
+    and summing the norms in word order.
     """
     values = np.asarray(values)
     plan = spec.plan
@@ -133,8 +161,8 @@ def sobolev_norms(spec: SobolevNormSpec, values):
 
         def block_norms(block):
             total = _lp(spec, block)
-            for word in words:
-                total += _lp(spec, _word_rows(plan.field_matrices, word, block))
+            for norm in _word_norms(spec, words, block):
+                total += norm
             return total
 
     else:

@@ -32,6 +32,7 @@ from .calculus import (
     RocklandSpec,
     StratificationError,
     build_rockland_example,
+    characters_missed,
     fd_weights,
     homogeneous_degree,
     parse_diffop,
@@ -233,13 +234,27 @@ class RunConfig:
         return load_group(self.group)
 
     def operator(self, alg) -> RocklandSpec:
+        """``--op`` over the basis labels, else the group's default operator.
+
+        An operator whose top-degree symbol vanishes on a 1-D representation
+        (``characters_missed``) is not Rockland, and is refused.
+        """
         if self.op:
             expr = parse_diffop(self.op, alg.labels)
-            return RocklandSpec(expr=expr, nu=homogeneous_degree(expr, alg.weights))
-        try:
-            return sublaplacian(alg)
-        except StratificationError:
-            return build_rockland_example(alg, default_nu0(alg.weights))
+            spec = RocklandSpec(expr=expr, nu=homogeneous_degree(expr, alg.weights))
+        else:
+            try:
+                spec = sublaplacian(alg)
+            except StratificationError:
+                spec = build_rockland_example(alg, default_nu0(alg.weights))
+        missed = [alg.labels[j] for j in characters_missed(spec.expr, alg)]
+        if missed:
+            raise ConfigError(
+                f"the operator is not Rockland: its top-degree words hold no pure power of "
+                f"{', '.join(missed)}, so its symbol vanishes on the 1-D representations along "
+                f"{'that generator' if len(missed) == 1 else 'those generators'}"
+            )
+        return spec
 
     def settings(self, alg, spec, kind) -> PlanSettings:
         """The ``kind`` ("heat" or "potential") plan settings: the grid flags, else the defaults.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from gradecalc.algebra import algebra_from_dict, bch_group_law
+from gradecalc.algebra import algebra_from_dict, bch_group_law, builtin_group
 from gradecalc.calculus import (
     CalculusError,
     DiffOpExpr,
@@ -16,7 +16,9 @@ from gradecalc.calculus import (
     ParseError,
     RocklandSpec,
     StratificationError,
+    _diff_matrix_1d,
     build_rockland_example,
+    characters_missed,
     derivative_matrix,
     discretize,
     fd_weights,
@@ -36,6 +38,30 @@ def test_fd_weights_first_derivative():
     # 4th-order central stencil for f'
     w = fd_weights(0.0, np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), 1)
     assert np.allclose(w, [1 / 12, -8 / 12, 0.0, 8 / 12, -1 / 12])
+
+
+def _diff_matrix_by_rows(n, dx, order, acc, periodic):
+    """Each row's stencil from its own Fornberg weights at the grid's coordinates."""
+    width = 2 * ((order + 1) // 2) - 1 + acc
+    half = (width - 1) // 2
+    M = np.zeros((n, n))
+    for i in range(n):
+        lo = i - half if periodic else min(max(i - half, 0), n - width)
+        nodes = np.arange(lo, lo + width)
+        np.add.at(M[i], nodes % n, fd_weights(i * dx, nodes * dx, order))
+    return M
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["box", "periodic"])
+@pytest.mark.parametrize("acc", [4, 8])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_diff_matrix_matches_per_row_weights(order, acc, periodic):
+    # the table of window positions gives every row's stencil, scaled by dx^-order
+    for n, dx in itertools.product((11, 23, 64), (0.1, 0.37, 1.3)):
+        ref = _diff_matrix_by_rows(n, dx, order, acc, periodic)
+        M = _diff_matrix_1d(n, dx, order, acc, periodic).toarray()
+        scale = np.abs(ref).max(axis=1)
+        assert np.all(np.abs(M - ref).max(axis=1) <= 1e-12 * scale), (n, dx)
 
 
 def test_partial_matrix_accuracy():
@@ -146,6 +172,32 @@ def test_sublaplacian_requires_stratified(h1t_law):
     assert not is_stratified(h1t_law.algebra)
     with pytest.raises(StratificationError):
         sublaplacian(h1t_law.algebra)
+
+
+@pytest.mark.parametrize(
+    "group, op, missed",
+    [
+        ("heisenberg", "-X^2-Y^2", []),
+        ("heisenberg", "X^4+Y^4-T^2", []),
+        ("heisenberg", "-X^2", ["Y"]),
+        ("heisenberg", "X^4-T^2", ["Y"]),
+        # T = [X, Y] is sent to 0 by every 1-D representation: no T word is needed or counts
+        ("heisenberg", "-T^2", ["X", "Y"]),
+        ("abelian2", "-X^2", ["Y"]),
+        ("abelian2", "X^4", ["Y"]),
+        # only top-degree words count: Y^2 is below the degree 4 of X^4
+        ("abelian2", "X^4-Y^2", ["Y"]),
+        ("abelian2", "-X^2-Y^2-1/2*X*Y-1/2*Y*X", []),
+        ("abelian3", "-X^2", ["Y", "Z"]),
+        ("abelian3", "-X^2-Y^2-Z^2+1", []),
+    ],
+)
+def test_characters_missed(group, op, missed):
+    # the symbol on the 1-D representation along X_j is c (i xi)^k for the
+    # top-degree pure power c X_j^k, and vanishes when there is none
+    alg = builtin_group(group)
+    expr = parse_diffop(op, alg.labels)
+    assert [alg.labels[j] for j in characters_missed(expr, alg)] == missed
 
 
 def test_rockland_example_weights_358(h1t_law):

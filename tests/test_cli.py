@@ -563,6 +563,32 @@ def test_non_positive_operator_refused(runner, args):
     assert "negative eigenvalue" in res.output and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    "args, missed",
+    [
+        # these once ran every row they could and passed, with exit 0, on a heat
+        # kernel that is a delta along Y (Z)
+        (["--group", "abelian2", "--op", "-X^2", "--scale", "3", "--points", "21", "verify"], "Y"),
+        (["--group", "abelian3", "--op", "-X^2", "verify"], "Y, Z"),
+        (["--group", "heisenberg", "--op", "-X^2", "--scale", "1.6", "--points", "15,15,31", "verify"], "Y"),
+    ],
+)
+def test_non_rockland_operator_refused(runner, args, missed):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "not Rockland" in res.output and f"pure power of {missed}," in res.output
+    assert "Traceback" not in res.output
+
+
+def test_default_operators_are_not_refused():
+    # each group's default operator passes the character test
+    from gradecalc.algebra import builtin_group, builtin_groups
+
+    for name in builtin_groups():
+        RunConfig(group=name).operator(builtin_group(name))
+
+
 def test_op_flag_overrides_operator(runner):
     res = runner.invoke(
         main,

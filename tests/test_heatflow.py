@@ -500,6 +500,82 @@ def test_kronecker_plan_mechanics():
     assert np.max(np.abs(h1 - h2)) / np.max(np.abs(h2)) < 1e-10
 
 
+@pytest.mark.parametrize("reg_strength", [0.0, 0.3])
+@pytest.mark.parametrize("name", ["abelian1-defaults"] + sorted(_KRON_CASES))
+def test_split_kronecker_plan_matches_unsplit(name, reg_strength, monkeypatch):
+    import gradecalc.heatflow as heatflow
+
+    if name == "abelian1-defaults":
+        group, d = "abelian1", DEFAULTS["abelian1"].potential
+        grid, margin = d.grid, d.margin
+    else:
+        group, (grid, margin) = name, _KRON_CASES[name]
+    law = bch_group_law(builtin_group(group))
+    spec = sublaplacian(law.algebra)
+    split = spectral_plan(spec, law, grid, margin=margin, reg_strength=reg_strength)
+    # with no flip but the identity every factor is one block
+    monkeypatch.setattr(heatflow, "sign_flip_group", lambda alg, expr: np.ones((1, alg.n), int))
+    whole = spectral_plan(spec, law, grid, margin=margin, reg_strength=reg_strength)
+    assert isinstance(split, KroneckerPlan) and isinstance(whole, KroneckerPlan)
+    assert split.reflection_defect < 1e-12 and whole.reflection_defect == 0.0
+    assert split.block_sizes == whole.block_sizes
+    # each factor's eigenvalues still ascend (the spectrum is their outer
+    # sum, so they are its lines through index 0), and its basis is orthonormal
+    lam = split.eigenvalues.reshape(split.block_sizes)
+    for k, V in enumerate(split._factors()):
+        line = np.moveaxis(lam, k, 0)[(slice(None),) + (0,) * (lam.ndim - 1)]
+        assert np.all(np.diff(line) >= 0)
+        assert np.abs(V.T @ V - np.eye(len(V))).max() < 1e-12
+    lam_max = whole.eigenvalues.max()
+    assert np.max(np.abs(np.sort(split.eigenvalues) - np.sort(whole.eigenvalues))) < 1e-12 * lam_max
+
+    def close(a, b):
+        return np.max(np.abs(a.values - b.values)) < 1e-10 * np.max(np.abs(b.values))
+
+    for t in (0.01, 0.1, 0.5):
+        assert close(heat_kernel(split, t), heat_kernel(whole, t))
+    f = make_test_family(grid, n=1, seed=SEED).gridfunctions()[0]
+    for s, hom in ((1.5, False), (-1.0, False), (-2.0, True)):
+        assert close(fractional_apply(split, s, f, homogeneous=hom), fractional_apply(whole, s, f, homogeneous=hom))
+
+
+def test_factor_without_its_flip_is_one_block(monkeypatch):
+    import gradecalc.heatflow as heatflow
+
+    # the odd word Y keeps the flip of y out of the group, so only the x
+    # factor (13 interior nodes) splits, into its even and odd halves; the
+    # y factor (11 nodes) is solved whole
+    law = bch_group_law(builtin_group("abelian2"))
+    grid, margin = _KRON_CASES["abelian2"]
+    expr = parse_diffop("-X^2-Y^2+Y", law.algebra.labels)
+    assert sign_flip_group(law.algebra, expr).tolist() == [[1, 1], [-1, 1]]
+    sizes = []
+    eigh = heatflow._eigh
+    monkeypatch.setattr(heatflow, "_eigh", lambda A, stats: sizes.append(len(A)) or eigh(A, stats))
+    plan = spectral_plan(RocklandSpec(expr=expr, nu=None), law, grid, margin=margin)
+    assert isinstance(plan, KroneckerPlan) and plan.block_sizes == (13, 11)
+    assert sizes == [6, 7, 11]
+    assert plan.reflection_defect < 1e-12
+
+
+def test_kronecker_plan_memory_is_bounded(ab1_law):
+    # the abelian1 default potential plan (633 interior nodes) takes two
+    # half-size solves and writes their eigenvectors straight into the plan;
+    # solved as one dense factor and copied into place, its build peaked at
+    # 13.0 MB
+    import tracemalloc
+
+    d = DEFAULTS["abelian1"].potential
+    spec = sublaplacian(ab1_law.algebra)
+    tracemalloc.start()
+    try:
+        spectral_plan(spec, ab1_law, d.grid, margin=d.margin)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.0e6
+
+
 def test_mixed_word_takes_dense_plan():
     # XY is not a power of one letter, so the operator is no Kronecker sum;
     # its symbol xi^2 + eta^2 + xi eta is positive

@@ -242,6 +242,35 @@ def test_stacked_norms_match_rows(name, flavor, s, p, request):
         sobolev_norms(spec, fam.values[:, :-1])
 
 
+@pytest.mark.parametrize("order, products", [(2, 7), (4, 48)])
+def test_integer_norms_share_word_suffixes(h1_law, order, products):
+    # words that end in the same letters share that suffix's products, one
+    # product per distinct suffix: on heisenberg 7 per block at order 2 (XX,
+    # XY, YX, YY, T; word by word takes 9) and 48 at order 4 (102); the norms
+    # are bit-identical to applying each word on its own
+    from gradecalc.calculus import sublaplacian
+    from gradecalc.geometry import Grid, lp_norms
+    from gradecalc.heatflow import spectral_plan
+
+    plan = spectral_plan(sublaplacian(h1_law.algebra), h1_law, Grid((1.5, 1.5, 1.2), (11, 11, 13)))
+    fam = make_test_family(plan.grid, n=STACK_BLOCK, seed=SEED)
+    spec = SobolevNormSpec(plan, order, 2, "integer")
+    fm = plan.field_matrices
+    words = words_of_degree(h1_law.algebra.weights, order)
+    reference = lp_norms(plan.grid, fam.values, 2)
+    for word in words:
+        reference += lp_norms(plan.grid, np.ascontiguousarray(fm.apply_word(word, fam.values.T).T), 2)
+    field, calls = fm.field, []
+    fm.field = lambda j: calls.append(j) or field(j)
+    try:
+        norms = sobolev_norms(spec, fam.values)
+    finally:
+        del fm.field
+    assert np.array_equal(norms, reference)
+    suffixes = {w[len(w) - d :] for w in words for d in range(1, len(w) + 1)}
+    assert len(calls) == len(suffixes) == products
+
+
 def test_probes_transform_stacks(ab1_pot_plan, monkeypatch):
     # no Sobolev probe sends the family through analyze one vector at a time,
     # and no stack is larger than a block
