@@ -46,7 +46,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 
 from . import GradecalcError
@@ -110,7 +109,10 @@ class SpectralPlan:
     flip with the interior matrix (on a ``KroneckerPlan``, of an axis flip
     with its factor; None on a ``CentralFourierPlan``, which takes no flips).
     ``eigh_s`` is the time spent in the LAPACK eigensolves behind the
-    eigenvectors, summed over blocks, and ``eigh_driver`` the driver used.
+    eigenvectors, summed over blocks, ``eigh_driver`` the driver used, and
+    ``solves`` the size of each eigensolve (on a ``KroneckerPlan`` the halves
+    of its split factors; on a ``CentralFourierPlan`` one per frequency up to
+    the conjugate pairs, which share a solve).
 
     The plan owns the data its consumers share (``lam_plus``, the delta and
     unit coefficients, ``field_matrices``), each a ``cached_property`` built
@@ -132,6 +134,7 @@ class SpectralPlan:
     reflection_defect: float | None = None
     eigh_s: float = 0.0
     eigh_driver: str | None = None
+    solves: tuple = ()
 
     @functools.cached_property
     def field_matrices(self) -> FieldMatrices:
@@ -210,6 +213,7 @@ class SpectralPlan:
             },
             "n": int(self.mask.sum()),
             "blocks": [int(b) for b in self.block_sizes],
+            "solves": [int(b) for b in self.solves],
             "lam_min": float(lam.min()),
             "lam_max": float(lam.max()),
             "negative": int((lam < 0).sum()),
@@ -513,34 +517,43 @@ def _reflection_plan(A_int, inner_counts, flips, fields):
     )
     for B, (s, V) in zip(blocks, plan._blocks()):
         plan.eigenvalues[s], V[...] = _block_eigh(A_int, B, stats)
-    plan.eigh_s, plan.eigh_driver = stats["eigh_s"], stats["eigh_driver"]
-    return plan
+    return dataclasses.replace(plan, **stats)
 
 
 def _eigh(A, stats):
-    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian A, overwriting A.
+    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian A.
 
-    Adds the seconds spent to ``stats["eigh_s"]`` and records the LAPACK
-    driver in ``stats["eigh_driver"]``, for the plan's ``health``.
+    Adds the seconds spent to ``stats["eigh_s"]``, records the LAPACK driver
+    in ``stats["eigh_driver"]`` and appends the size of the solve to
+    ``stats["solves"]``, for the plan's ``health``.  A matrix with a NaN or
+    an infinite entry (a degenerate grid) is refused before LAPACK sees it.
 
-    Real matrices go to divide and conquer (LAPACK ``dsyevd``; Gu and
-    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), 1.55x faster than
-    ``dsyevr`` on the n = 5445 Heisenberg plan; complex blocks stay with
-    ``zheevr``, which beats ``zheevd`` on the central-Fourier blocks.  LAPACK
-    reads the Fortran-ordered view A.T, which is A when A is real and its
-    conjugate when A is complex, so it makes no copy; eigenvectors of the
-    conjugate are conjugated back.
+    Real matrices go to numpy's divide and conquer (LAPACK ``dsyevd``; Gu
+    and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), 1.55x faster than
+    ``dsyevr`` on the n = 5445 Heisenberg plan.  Complex blocks stay with
+    scipy's ``zheevr``, which takes about 0.6 of the time of numpy's
+    ``zheevd`` at 625 nodes, so ``scipy.linalg`` is imported only by a plan
+    that has them.  There A is overwritten: LAPACK reads the Fortran-ordered
+    view A.T, the conjugate of A, so it makes no copy, and the eigenvectors
+    of the conjugate are conjugated back.
     """
+    if not np.isfinite(A).all():
+        raise HeatError("eigendecomposition failed: the matrix has a non-finite entry")
     driver = "evr" if np.iscomplexobj(A) else "evd"
+    if driver == "evr":
+        import scipy.linalg  # before the clock starts: eigh_s times LAPACK alone
     start = time.perf_counter()
     try:
-        w, V = scipy.linalg.eigh(A.T, driver=driver, overwrite_a=True)
-    except ValueError as exc:  # LinAlgError, or a matrix not finite on a degenerate grid
+        if driver == "evd":
+            w, V = np.linalg.eigh(A)
+        else:
+            w, V = scipy.linalg.eigh(A.T, driver="evr", overwrite_a=True, check_finite=False)
+            np.conjugate(V, out=V)
+    except np.linalg.LinAlgError as exc:
         raise HeatError(f"eigendecomposition failed: {exc}") from exc
     stats["eigh_s"] = stats.get("eigh_s", 0.0) + time.perf_counter() - start
     stats["eigh_driver"] = driver
-    if np.iscomplexobj(V):
-        np.conjugate(V, out=V)
+    stats["solves"] = stats.get("solves", ()) + (len(w),)
     return w, V
 
 

@@ -21,10 +21,10 @@ power whose multiplier overflows is refused (``fractional_multiplier``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from . import GradecalcError
 from .geometry import Grid, GridFunction, lp_norm, pseudo_norm
@@ -87,6 +87,48 @@ def default_ladder(grid: Grid, nu) -> TLadder:
     except OverflowError:  # a high-degree operator on a coarse grid: far above t_max / 100
         t_lo = math.inf
     return TLadder.geometric(min(t_lo, t_max / 100.0), t_max)
+
+
+def _incomplete_gamma(s, x):
+    """The regularized incomplete gamma functions (P(s, x), Q(s, x)), s > 0, x >= 0.
+
+    P = gamma(s, x) / Gamma(s) and Q = 1 - P = Gamma(s, x) / Gamma(s), each
+    within 1e-14 absolute.  Below x = s + 1 the power series of P
+    converges fast; from there on Q is the continued fraction
+    1/(x + 1 - s - 1(1 - s)/(x + 3 - s - 2(2 - s)/(x + 5 - s - ...))),
+    evaluated by the modified Lentz method (Numerical Recipes, 3rd ed.,
+    section 6.2).  Either way the other function is one minus it, which
+    loses nothing where that one is the small one.
+    """
+    if x == 0:
+        return 0.0, 1.0
+    eps, tiny = sys.float_info.epsilon, sys.float_info.min
+    prefactor = math.exp(s * math.log(x) - x - math.lgamma(s))
+    if x < s + 1:
+        term = total = 1.0 / s
+        n = s
+        while term > total * eps:
+            n += 1
+            term *= x / n
+            total += term
+        p = prefactor * total
+        return p, 1.0 - p
+    b = x + 1.0 - s
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    delta, i = 0.0, 0
+    while abs(delta - 1.0) > eps:
+        i += 1
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        c = b + an / c
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = c if abs(c) > tiny else tiny
+        delta = d * c
+        h *= delta
+    q = prefactor * h
+    return 1.0 - q, q
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +204,8 @@ def potential_kernels(plan: SpectralPlan, bessel=(), riesz=(), source=None):
         s = a / nu
         norm = 1.0 / math.gamma(s)
         # analytic head [0, t_lo] carrying the mass of h_{t_lo}, and tail bound beyond t_hi
-        head = gammainc(s, ladder.t_lo) * source.mass(ladder.t_lo)
-        tail = 1.0 - gammainc(s, ladder.t_hi)
+        head = _incomplete_gamma(s, ladder.t_lo)[0] * source.mass(ladder.t_lo)
+        tail = _incomplete_gamma(s, ladder.t_hi)[1]
         gf = GridFunction(plan.grid, norm * vals)
         bessels.append(
             BesselKernel(

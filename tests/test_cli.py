@@ -177,6 +177,9 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
     assert 0 < pot["t_switch"] < 20 and abs(pot["mass_at_switch"] - 1) <= 5e-4
     # eigensolve seconds and LAPACK driver: complex central-Fourier blocks, real blocks
     assert plans["heat"]["eigh_driver"] == "evr" and pot["eigh_driver"] == "evd"
+    # one solve per reflection block; one per frequency up to conjugate pairs
+    assert pot["solves"] == pot["blocks"]
+    assert plans["heat"]["solves"] == [plans["heat"]["n"] // 31] * 16
     # heat.selfsim rescales the heat plan: no eigensolve of its own
     assert [p["derived_from"] for p in report["plans"]] == [None, "heat", None]
     for p in report["plans"]:
@@ -198,8 +201,11 @@ def test_verify_json_keeps_raw_values_of_floored_checks(runner, tmp_path):
             assert c["value"] == max(c["raw"], ANCHORS[c["id"]].floor)
     assert raw["sobolev.interpolation"] < 0
     assert "raw" not in (tmp_path / "report.txt").read_text()
-    # the abelian1 plans are Kronecker plans of real factors
+    # the abelian1 plans are Kronecker plans of real factors, each solved
+    # as its even and odd halves
     assert [p["eigh_driver"] for p in report["plans"]] == ["evd"] * 3
+    pot = report["plans"][2]
+    assert pot["blocks"] == [633] and pot["solves"] == [316, 317]
 
 
 def test_verify_resolves_config_first(runner, monkeypatch):
@@ -756,6 +762,40 @@ def test_cli_import_skips_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_box_grid_verify_skips_scipy_linalg_and_special():
+    # real blocks solve through numpy's dsyevd and the Bessel tails through
+    # an in-house incomplete gamma: neither the CLI import nor a verify on
+    # box grids loads scipy.linalg or scipy.special.  Only a plan with
+    # complex central-Fourier blocks imports scipy.linalg, for zheevr.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), GRADECALC_THREADS="1")
+    code = (
+        "import contextlib, os, sys, tempfile\n"
+        "import gradecalc.cli as cli\n"
+        "def loaded(stage):\n"
+        "    names = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.special')))\n"
+        "    print(stage, names[:1])\n"
+        "loaded('import')\n"
+        "with tempfile.TemporaryDirectory() as out, open(os.devnull, 'w') as sink:\n"
+        "    with contextlib.redirect_stdout(sink):\n"
+        "        report = cli.main(['--group', 'abelian1', '--out', out, 'verify'], standalone_mode=False)\n"
+        "assert report.ok\n"
+        "loaded('verify')\n"
+        "from gradecalc.algebra import bch_group_law, builtin_group\n"
+        "from gradecalc.calculus import sublaplacian\n"
+        "from gradecalc.geometry import Grid\n"
+        "from gradecalc.heatflow import CentralFourierPlan, spectral_plan\n"
+        "law = bch_group_law(builtin_group('heisenberg'))\n"
+        "grid = Grid((2.0, 2.0, 0.5), (13, 13, 5), periodic=(2,))\n"
+        "assert isinstance(spectral_plan(sublaplacian(law.algebra), law, grid), CentralFourierPlan)\n"
+        "loaded('central-fourier')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["import []", "verify []", "central-fourier ['scipy.linalg']"]
 
 
 def test_library_import_skips_click():

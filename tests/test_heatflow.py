@@ -647,6 +647,43 @@ def test_reflection_plan_matches_dense(op, h1_law, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigh_refuses_a_non_finite_matrix(bad, dtype):
+    import warnings
+
+    from gradecalc.heatflow import _eigh
+
+    A = np.eye(5, dtype=dtype)
+    A[1, 3] = A[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HeatError, match="non-finite"):
+            _eigh(A, {})
+
+
+def test_reflection_plan_matches_scipy_evd(monkeypatch):
+    import scipy.linalg
+
+    import gradecalc.heatflow as heatflow
+
+    # numpy's eigh runs LAPACK dsyevd, the routine of scipy's driver="evd":
+    # the verify-heisenberg plan's blocks, each against scipy on the same matrix
+    reference = []
+    eigh = heatflow._eigh
+
+    def recorded(A, stats):
+        reference.append(scipy.linalg.eigh(A, driver="evd", eigvals_only=True))
+        return eigh(A, stats)
+
+    monkeypatch.setattr(heatflow, "_eigh", recorded)
+    plan = RunConfig(group="heisenberg", scale=1.6, points="15,15,31").plan("heat")
+    assert type(plan) is SpectralPlan and plan.eigh_driver == "evd"
+    assert plan.solves == plan.block_sizes == tuple(len(w) for w in reference) and len(reference) == 4
+    for (s, _), w in zip(plan._blocks(), reference):
+        assert np.max(np.abs(plan.eigenvalues[s] - w) / np.abs(w)) <= 1e-12
+
+
 def test_sign_flip_group(h1_law, h1t_law):
     alg = h1_law.algebra
     flips = sign_flip_group(alg, sublaplacian(alg).expr)

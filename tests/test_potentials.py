@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 from gradecalc import heatflow
 from gradecalc.calculus import RocklandSpec, parse_diffop, sublaplacian
@@ -14,6 +14,7 @@ from gradecalc.heatflow import HeatError, HeatKernelSource, spectral_plan
 from gradecalc.potentials import (
     PotentialError,
     TLadder,
+    _incomplete_gamma,
     bessel_apply_quadrature,
     bessel_kernel,
     default_ladder,
@@ -30,6 +31,16 @@ SEED = 0xC0FFEE
 
 # ---------------------------------------------------------------------------
 # Ladders
+
+
+@pytest.mark.parametrize("s", [1 / 240, 2 / 240, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0])
+def test_incomplete_gamma_matches_scipy(s):
+    # the Bessel head and tail weights P(s, t_lo) and Q(s, t_hi): s = a/nu
+    # reaches 1/240 on heisenberg358's degree-240 operator
+    for x in [0.0, *np.geomspace(1e-6, 500)]:
+        p, q = _incomplete_gamma(s, x)
+        assert abs(p - gammainc(s, x)) <= 1e-14, x
+        assert abs(q - gammaincc(s, x)) <= 1e-14, x
 
 
 def test_tladder_quadrature():
