@@ -93,26 +93,26 @@ def _frozen(a):
 class SpectralPlan:
     """Eigendecomposition of the symmetrized, interior-restricted operator.
 
-    ``eigenvectors`` has orthonormal columns in the plan's own layout, reached
-    through ``analyze`` and ``synthesize``; ``block_sizes`` lists the sizes of
-    the dense eigensolves it packs.  The ``eigenvalues`` follow that layout:
-    on every plan they ascend only within each block (or factor).  Every
-    plan is positive up to rounding (``spectral_plan`` refuses any other),
-    so ``lam_plus`` clips only rounding.
+    ``eigenvectors`` packs one orthonormal eigenvector matrix per block (or
+    factor, or frequency), of the sizes ``block_sizes``, each in C order,
+    one after another; ``_blocks`` reads them back, and ``analyze`` and
+    ``synthesize`` reach them.  The ``eigenvalues`` follow that layout: on
+    every plan they ascend only within each block (or factor).  Every plan
+    is positive up to rounding (``spectral_plan`` refuses any other), so
+    ``lam_plus`` clips only rounding.
 
     This plan is block diagonal in the sparse orthonormal orbit basis
     ``basis`` (interior nodes by columns, grouped by block): each column is
     sum_g chi(g) e_{g.r} over the sign flips g of one character chi, normalized.
-    ``eigenvectors`` packs each block's orthonormal eigenvector matrix, C
-    order, one after another.
     ``reflection_defect`` is the largest relative Frobenius commutator of a
     flip with the interior matrix (on a ``KroneckerPlan``, of an axis flip
     with its factor; None on a ``CentralFourierPlan``, which takes no flips).
     ``eigh_s`` is the time spent in the LAPACK eigensolves behind the
-    eigenvectors, summed over blocks, ``eigh_driver`` the driver used, and
-    ``solves`` the size of each eigensolve (on a ``KroneckerPlan`` the halves
-    of its split factors; on a ``CentralFourierPlan`` one per frequency up to
-    the conjugate pairs, which share a solve).
+    eigenvectors, summed over blocks, ``eigh_driver`` the driver, read off
+    their dtype as ``_eigh`` picks it, and ``solves`` the size of each
+    eigensolve (on a ``KroneckerPlan`` the halves of its split factors; on a
+    ``CentralFourierPlan`` one per frequency up to the conjugate pairs,
+    which share a solve).
 
     The plan owns the data its consumers share (``lam_plus``, the delta and
     unit coefficients, ``field_matrices``), each a ``cached_property`` built
@@ -127,14 +127,18 @@ class SpectralPlan:
     law: object
     mask: np.ndarray  # flat boolean, interior nodes
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns orthonormal
+    eigenvectors: np.ndarray  # packed blocks, each with orthonormal columns
     sym_defect: float
     block_sizes: tuple = ()
     basis: object = None  # sparse (n, n)
     reflection_defect: float | None = None
     eigh_s: float = 0.0
-    eigh_driver: str | None = None
     solves: tuple = ()
+
+    @property
+    def eigh_driver(self):
+        """The LAPACK driver ``_eigh`` used: ``"evr"`` for complex eigenvectors, ``"evd"`` for real ones."""
+        return "evr" if np.iscomplexobj(self.eigenvectors) else "evd"
 
     @functools.cached_property
     def field_matrices(self) -> FieldMatrices:
@@ -178,10 +182,11 @@ class SpectralPlan:
         return out
 
     def _blocks(self):
-        """(coefficient slice, eigenvector matrix) of each packed block."""
+        """(coefficient slice, eigenvector matrix) of each packed block, the matrix a view."""
+        packed = self.eigenvectors.reshape(-1)
         start = pos = 0
         for b in self.block_sizes:
-            yield slice(start, start + b), self.eigenvectors[pos : pos + b * b].reshape(b, b)
+            yield slice(start, start + b), packed[pos : pos + b * b].reshape(b, b)
             start, pos = start + b, pos + b * b
 
     def analyze(self, values):
@@ -249,8 +254,9 @@ class CentralFourierPlan(SpectralPlan):
     A unitary DFT along the periodic ``axis`` (FFT frequency order, u = 0 at
     index 0) splits the interior operator into one Hermitian block per
     frequency xi, acting on the interior of the other axes.
-    ``eigenvectors[k]`` holds block k's orthonormal eigenvectors as columns,
-    and ``eigenvalues`` lists the blocks one after another, each ascending.
+    ``eigenvectors[k]`` holds block k's orthonormal eigenvectors as columns
+    (the packed layout, shaped (frequencies, b, b)), and ``eigenvalues``
+    lists the blocks one after another, each ascending.
     ``block_sizes`` lists one size per frequency, and ``inner_shape`` is the
     interior box, whole along ``axis``.
     The operator is real, so block -xi is the complex conjugate of block xi.
@@ -286,8 +292,8 @@ class KroneckerPlan(SpectralPlan):
 
     The interior operator is sum_k I x ... x F_k x ... x I, so its
     eigenvectors are tensor products of the factors' eigenvectors.
-    ``eigenvectors`` is block diagonal, one orthonormal factor basis per axis
-    (of sizes ``block_sizes``, the interior box), and ``eigenvalues`` is the
+    ``eigenvectors`` packs one orthonormal factor basis per axis (of sizes
+    ``block_sizes``, the interior box), and ``eigenvalues`` is the
     outer sum of the factor spectra in C order, ascending only within each
     factor.  A factor solved as its even and odd halves under its axis flip
     (``_kronecker_plan``) keeps this layout: its basis vectors are exactly
@@ -295,16 +301,12 @@ class KroneckerPlan(SpectralPlan):
     a flip with its factor (0 when no factor takes one).
     """
 
-    def _factors(self):
-        ends = np.cumsum(self.block_sizes)
-        return [self.eigenvectors[e - n : e, e - n : e] for n, e in zip(self.block_sizes, ends)]
-
     def _contract(self, X, transpose):
         # apply each factor basis (or its transpose) along its own axis of
         # each flat row of X
         lead = X.shape[:-1]
         X = X.reshape(lead + tuple(self.block_sizes))
-        for k, V in enumerate(self._factors(), start=len(lead)):
+        for k, (_, V) in enumerate(self._blocks(), start=len(lead)):
             X = np.moveaxis(np.tensordot(V.T if transpose else V, X, axes=(1, k)), 0, k)
         return X.reshape(lead + (-1,))
 
@@ -367,8 +369,9 @@ def spectral_plan(
     ``sign_flip_group`` (see ``_reflection_plan``).  Every plan's interior
     is the box of nodes ``margin`` or more from the boundary, whole along a
     periodic axis; before anything is assembled, an interior fewer than 3
-    nodes wide along another axis (it holds no difference there) and a
-    largest dense block above ``MAX_DENSE_BLOCK`` nodes are refused.
+    nodes wide along another axis (it holds no difference there), a
+    largest dense block above ``MAX_DENSE_BLOCK`` nodes and a dissipation
+    term on a periodic grid are refused, in that order.
 
     Every multiplier clips the spectrum at 0, harmless only for rounding, so
     an operator with an eigenvalue below -1e-6 max(|lam_max|, 1) is not
@@ -402,9 +405,11 @@ def _solve_plan(spec, law, grid, margin, reg_strength):
         raise HeatError(
             f"dense plan block of {block} interior nodes exceeds the bound of {MAX_DENSE_BLOCK}"
         )
+    if grid.periodic and reg_strength:
+        raise HeatError("plans on periodic grids take no dissipation term (reg_strength 0)")
     mask = grid.interior_mask(margin)
     if grid.periodic:
-        return _central_fourier_plan(spec, law, grid, mask, inner_counts, reg_strength)
+        return _central_fourier_plan(spec, law, grid, mask, inner_counts)
     idx = np.flatnonzero(mask)
     A_int = discretize(spec.expr, law, grid)[np.ix_(idx, idx)]
     if reg_strength:
@@ -523,10 +528,10 @@ def _reflection_plan(A_int, inner_counts, flips, fields):
 def _eigh(A, stats):
     """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian A.
 
-    Adds the seconds spent to ``stats["eigh_s"]``, records the LAPACK driver
-    in ``stats["eigh_driver"]`` and appends the size of the solve to
-    ``stats["solves"]``, for the plan's ``health``.  A matrix with a NaN or
-    an infinite entry (a degenerate grid) is refused before LAPACK sees it.
+    Adds the seconds spent to ``stats["eigh_s"]`` and appends the size of
+    the solve to ``stats["solves"]``, for the plan's ``health``.  A matrix
+    with a NaN or an infinite entry (a degenerate grid) is refused before
+    LAPACK sees it.
 
     Real matrices go to numpy's divide and conquer (LAPACK ``dsyevd``; Gu
     and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), 1.55x faster than
@@ -552,7 +557,6 @@ def _eigh(A, stats):
     except np.linalg.LinAlgError as exc:
         raise HeatError(f"eigendecomposition failed: {exc}") from exc
     stats["eigh_s"] = stats.get("eigh_s", 0.0) + time.perf_counter() - start
-    stats["eigh_driver"] = driver
     stats["solves"] = stats.get("solves", ()) + (len(w),)
     return w, V
 
@@ -572,18 +576,23 @@ def _kronecker_plan(A_int, inner_counts, flips, fields):
     (``_flip_blocks`` on the line), each solved on its own: two solves of
     about n/2 nodes cost about a quarter of one solve of n.  Each half's
     eigenvectors go through the sparse orbit basis straight into the
-    factor's block of ``eigenvectors``, which is then re-sorted so that the
-    factor's eigenvalues ascend.  A factor whose flip is not in the group is
+    factor's packed block of ``eigenvectors``, as ``_reflection_plan``
+    writes its blocks, which is then re-sorted so that the factor's
+    eigenvalues ascend.  A factor whose flip is not in the group is
     one block.
     """
     strides = np.cumprod((1,) + tuple(inner_counts[:0:-1]))[::-1]
-    ends = np.cumsum(inner_counts)
     d = A_int[0, 0]
-    eigenvectors = np.zeros((ends[-1], ends[-1]))
+    plan = KroneckerPlan(
+        eigenvalues=np.empty(A_int.shape[0]),
+        eigenvectors=np.empty(sum(n * n for n in inner_counts)),
+        block_sizes=tuple(inner_counts),
+        **fields,
+    )
     spectra = []
     defect = 0.0
     stats = {}
-    for k, (n, stride, e) in enumerate(zip(inner_counts, strides, ends)):
+    for k, (n, stride, (_, V)) in enumerate(zip(inner_counts, strides, plan._blocks())):
         line = stride * np.arange(n)
         F = A_int[np.ix_(line, line)]
         if k:
@@ -592,7 +601,6 @@ def _kronecker_plan(A_int, inner_counts, flips, fields):
         split = (flips == own).all(axis=1).any()
         blocks, dk = _flip_blocks(F, (n,), np.array([[1], [-1]] if split else [[1]]))
         defect = max(defect, dk)
-        V = eigenvectors[e - n : e, e - n : e]
         w = np.empty(n)
         start = 0
         for B in blocks:
@@ -603,17 +611,11 @@ def _kronecker_plan(A_int, inner_counts, flips, fields):
         order = np.argsort(w, kind="stable")
         V[...] = V[:, order]
         spectra.append(w[order])
-    return KroneckerPlan(
-        eigenvalues=functools.reduce(np.add.outer, spectra).ravel(),
-        eigenvectors=eigenvectors,
-        block_sizes=tuple(inner_counts),
-        reflection_defect=defect,
-        **fields,
-        **stats,
-    )
+    plan.eigenvalues[:] = functools.reduce(np.add.outer, spectra).ravel()
+    return dataclasses.replace(plan, reflection_defect=defect, **stats)
 
 
-def _central_fourier_plan(spec, law, grid, mask, inner_shape, reg_strength):
+def _central_fourier_plan(spec, law, grid, mask, inner_shape):
     """Plan on a grid whose one periodic axis p is a central coordinate.
 
     ``mask`` and ``inner_shape`` are the interior that ``_solve_plan`` decided.
@@ -627,11 +629,9 @@ def _central_fourier_plan(spec, law, grid, mask, inner_shape, reg_strength):
     with compact stencils of order 8 (central within a margin of 4).  For the
     Heisenberg sub-Laplacian the block is
     L_xi = -Delta_xy + i xi (y d_x - x d_y) + xi^2 (x^2 + y^2)/4, the
-    structure behind the Mehler-type formula.  A nonzero ``reg_strength`` is
-    refused, as are longer words and coefficients in x_p.
+    structure behind the Mehler-type formula.  Longer words and coefficients
+    in x_p are refused.
     """
-    if reg_strength:
-        raise HeatError("plans on periodic grids take no dissipation term (reg_strength 0)")
     if len(grid.periodic) != 1:
         raise HeatError("a central-Fourier plan needs exactly one periodic axis")
     (p,) = grid.periodic

@@ -12,14 +12,14 @@ family as one stack of rows (``sobolev_norms``), in blocks of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import GradecalcError
 from .calculus import DiffOpExpr, FieldMatrices
-from .geometry import Grid, GridFunction, dilate, lp_norm, lp_norms, sum_columns
+from .geometry import Grid, GridFunction, lp_norm, lp_norms, sum_columns
 from .heatflow import SpectralPlan, dilated_plan
 from .potentials import fractional_multiplier
 
@@ -188,61 +188,44 @@ def sobolev_norm(spec: SobolevNormSpec, f: GridFunction):
 # Test family
 
 
-@dataclass
+@dataclass(eq=False)
 class TestFamily:
-    """Reproducible smooth bumps: Gaussian envelopes with polynomial factors.
+    """Reproducible smooth bumps, Gaussians times polynomials, sampled once on ``grid``.
 
-    Members are kept as callables so that dilated copies f(D_r x) can be
-    sampled exactly on any grid.  Their samples on ``grid`` are taken once,
-    on first use, into one read-only array ``values`` of shape
-    (members, grid size), one row per member.  ``gridfunctions`` wraps the
-    rows as views, so no second copy of the family exists.
+    ``members`` holds one sample row per member; ``make_test_family`` passes
+    them as one read-only array of shape (members, grid size).  The samples
+    are all a probe needs: node i of the dilation image D_{1/r} of ``grid``
+    is D_{1/r} of node i, so there the sample of f(D_r x) is the sample of
+    f.  ``values`` is the family as one read-only stack (a list of rows is
+    stacked once), and ``gridfunctions`` wraps its rows as views, so no
+    second copy of the family exists.
     """
 
     grid: Grid
-    members: list  # callables (M, n) -> (M,)
+    members: np.ndarray  # (members, grid size), or a list of rows
     seed: int
-    _values: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _functions: list | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def values(self):
-        if self._values is None:
-            pts = self.grid.points()
-            values = np.empty((len(self.members), self.grid.size))
-            for row, m in zip(values, self.members):
-                row[:] = m(pts)
-            values.flags.writeable = False
-            self._values = values
-        return self._values
+        # a read-only view, so that a caller's own array stays writeable
+        values = np.asarray(self.members, dtype=float).view()
+        values.flags.writeable = False
+        return values
 
     def gridfunctions(self):
-        """The members' samples as ``GridFunction``s on row views of ``values``, in a new list."""
-        if self._functions is None:
-            self._functions = [GridFunction(self.grid, row) for row in self.values]
-        return list(self._functions)
-
-    def dilated_member(self, i, r, weights):
-        fn = self.members[i]
-        w = np.asarray(weights, dtype=float)
-
-        def g(pts):
-            return fn(np.asarray(pts, dtype=float) * (float(r) ** w))
-
-        return g
+        """The members as ``GridFunction``s on row views of ``values``, in a new list."""
+        return [GridFunction(self.grid, row) for row in self.values]
 
 
-def _bump(center, width, lin, quad):
-    def fn(pts):
-        t = (np.asarray(pts, dtype=float) - center) / width
-        t2 = t * t
-        return (1.0 + t @ lin + t2 @ quad) * np.exp(-sum_columns(t2))
-
-    return fn
+def _bump(pts, center, width, lin, quad):
+    """(1 + t.lin + t^2.quad) exp(-|t|^2) at each point of ``pts``, t = (pts - center) / width."""
+    t = (np.asarray(pts, dtype=float) - center) / width
+    t2 = t * t
+    return (1.0 + t @ lin + t2 @ quad) * np.exp(-sum_columns(t2))
 
 
 def make_test_family(grid: Grid, n=50, seed=0xC0FFEE) -> TestFamily:
-    """n Gaussian-times-polynomial bumps with quasi-random centers and widths.
+    """n Gaussian-times-polynomial bumps with quasi-random centers and widths, sampled on ``grid``.
 
     Centers stay within the inner quarter of the box and widths are a fraction
     of the half-widths, so every member is numerically negligible on the
@@ -250,14 +233,16 @@ def make_test_family(grid: Grid, n=50, seed=0xC0FFEE) -> TestFamily:
     """
     rng = np.random.default_rng(seed)
     hw = np.asarray(grid.half_widths, dtype=float)
-    members = []
-    for _ in range(int(n)):
+    pts = grid.points()
+    values = np.empty((int(n), grid.size))
+    for row in values:
         center = rng.uniform(-0.25, 0.25, grid.ndim) * hw
         width = rng.uniform(0.12, 0.3, grid.ndim) * hw
         lin = rng.standard_normal(grid.ndim) * 0.5
         quad = rng.standard_normal(grid.ndim) * 0.25
-        members.append(_bump(center, width, lin, quad))
-    return TestFamily(grid=grid, members=members, seed=seed)
+        row[:] = _bump(pts, center, width, lin, quad)
+    values.flags.writeable = False
+    return TestFamily(grid=grid, members=values, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +291,18 @@ N_DILATED = 3
 
 
 def _dilation_drift(plan, family, form):
-    """Largest max/min spread over ``DILATIONS`` of form(plan_r, values_r, r), per member.
+    """Largest max/min spread over ``DILATIONS`` of form(plan_r, rows, r), per member.
 
-    For each of the first ``N_DILATED`` members, f_r is the member as
-    f(D_r x), sampled on the dilation image of the grid under the exactly
-    rescaled plan plan_r.  That keeps it equally resolved at every scale; on
-    a fixed grid the copies leave the resolved band already at r = 4 for
-    weight-2 coordinates.  ``values_r`` stacks those members' f_r, one row
-    each, and ``form`` returns one value per row.
+    ``rows`` are the samples of the first ``N_DILATED`` members, and plan_r
+    is the plan exactly rescaled to the dilation image D_{1/r} of the grid.
+    Node i there is D_{1/r} of base node i, so the sample of
+    f_r = f(D_r x) on it is the base sample (bit for bit at the scales
+    ``DILATIONS``, powers of two): each f_r is equally resolved at every
+    scale, where on a fixed grid the copies leave the resolved band already
+    at r = 4 for weight-2 coordinates.  ``form`` returns one value per row.
     """
-    weights = plan.law.algebra.weights
-    k = min(N_DILATED, len(family.members))
-    vals = []
-    for r in DILATIONS:
-        plan_r = dilated_plan(plan, 1.0 / r)
-        pts = plan_r.grid.points()
-        rows = np.array([family.dilated_member(i, r, weights)(pts) for i in range(k)], dtype=float)
-        vals.append(form(plan_r, rows.reshape(k, plan_r.grid.size), r))
-    vals = np.array(vals).reshape(len(DILATIONS), k)
+    rows = _family_values(family, plan)[:N_DILATED]
+    vals = np.array([form(dilated_plan(plan, 1.0 / r), rows, r) for r in DILATIONS])
     # np.max keeps a NaN, which the built-in max may drop
     return np.max(vals.max(axis=0) / vals.min(axis=0), initial=1.0)
 
@@ -430,19 +409,18 @@ def sharpness_probe_H1tilde(law=None):
     if tuple(int(w) for w in weights) != (3, 5, 8):
         raise SobolevError("sharpness table is specific to dilation weights (3, 5, 8)")
     base_grid = Grid((3.0, 3.0, 3.0), (25, 25, 25))
-    member = _bump(np.zeros(3), np.full(3, 0.9), np.zeros(3), np.zeros(3))
+    # node i of each dilation image D_{1/r} is D_{1/r} of base node i, so the
+    # sample of f_r there is the base sample of f
+    f = _bump(base_grid.points(), np.zeros(3), np.full(3, 0.9), np.zeros(3), np.zeros(3))
     L = -(DiffOpExpr.generator(0) ** 2) - (DiffOpExpr.generator(1) ** 2)
-    table = {}
-    for s in (6, 8, 10):
-        col = []
-        for r in (1.0, 2.0, 4.0):
-            grid_r = base_grid.dilated(1.0 / r, weights)
-            fr = GridFunction(grid_r, member(dilate(r, grid_r.points(), weights)))
-            cache = FieldMatrices(law, grid_r)
-            num = lp_norm(GridFunction(grid_r, cache.apply_expr(L, fr.values)), 2)
-            den = lp_norm(fr, 2)
+    table = {6: [], 8: [], 10: []}
+    for r in (1.0, 2.0, 4.0):
+        grid_r = base_grid.dilated(1.0 / r, weights)
+        fm = FieldMatrices(law, grid_r)
+        num = lp_norm(GridFunction(grid_r, fm.apply_expr(L, f)), 2)
+        for s, col in table.items():
+            den = lp_norm(GridFunction(grid_r, f), 2)
             for word in words_of_degree(weights, s):
-                den += lp_norm(GridFunction(grid_r, cache.apply_word(word, fr.values)), 2)
+                den += lp_norm(GridFunction(grid_r, fm.apply_word(word, f)), 2)
             col.append(num / den)
-        table[s] = tuple(col)
-    return table
+    return {s: tuple(col) for s, col in table.items()}

@@ -229,8 +229,8 @@ def test_degree_has_one_owner(h1_law, h1t_law):
 
 
 def test_plan_eigenbasis_orthonormal(ab1_heat_plan):
-    V = ab1_heat_plan.eigenvectors
-    assert np.allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-10)
+    for _, V in ab1_heat_plan._blocks():
+        assert np.allclose(V.T @ V, np.eye(len(V)), atol=1e-10)
     assert ab1_heat_plan.sym_defect < 1e-10
 
 
@@ -473,19 +473,20 @@ def test_kronecker_plan_mechanics():
     plan = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
     n = int(plan.mask.sum())
     assert plan.block_sizes == (5, 9, 3) and n == 5 * 9 * 3
-    # plain arrays, as for every plan; the factor bases sit on the diagonal
+    # plain arrays, as for every plan; the factor bases packed one after another
     for arr in (plan.eigenvalues, plan.eigenvectors, plan.mask):
         assert type(arr) is np.ndarray
-    V = plan.eigenvectors
-    assert plan.eigenvalues.shape == (n,) and V.shape == (17, 17)
-    assert np.allclose(V.T @ V, np.eye(17), atol=1e-10)
+    Vs = [V for _, V in plan._blocks()]
+    assert plan.eigenvalues.shape == (n,) and plan.eigenvectors.shape == (5 * 5 + 9 * 9 + 3 * 3,)
+    assert [V.shape for V in Vs] == [(5, 5), (9, 9), (3, 3)]
+    for V in Vs:
+        assert np.allclose(V.T @ V, np.eye(len(V)), atol=1e-10)
     # analyze and synthesize are inverse on the interior
     v = np.random.default_rng(SEED).standard_normal(grid.size) * plan.mask
     assert np.allclose(plan.synthesize(plan.analyze(v)), v, atol=1e-10)
     # the delta's coefficients in closed form: the origin is the centre of the
     # interior box, so they are the outer product of the factors' centre rows
-    ends = np.cumsum(plan.block_sizes)
-    rows = [V[e - n + (n - 1) // 2, e - n : e] for n, e in zip(plan.block_sizes, ends)]
+    rows = [V[(len(V) - 1) // 2] for V in Vs]
     closed = functools.reduce(np.multiply.outer, rows).ravel() / grid.cell_volume
     assert np.allclose(plan.delta_coefficients, closed, atol=1e-10)
     # exact rescaling against a fresh solve on the dilated grid
@@ -522,7 +523,7 @@ def test_split_kronecker_plan_matches_unsplit(name, reg_strength, monkeypatch):
     # each factor's eigenvalues still ascend (the spectrum is their outer
     # sum, so they are its lines through index 0), and its basis is orthonormal
     lam = split.eigenvalues.reshape(split.block_sizes)
-    for k, V in enumerate(split._factors()):
+    for k, (_, V) in enumerate(split._blocks()):
         line = np.moveaxis(lam, k, 0)[(slice(None),) + (0,) * (lam.ndim - 1)]
         assert np.all(np.diff(line) >= 0)
         assert np.abs(V.T @ V - np.eye(len(V))).max() < 1e-12

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from gradecalc.geometry import GridFunction, lp_norm, inner_product
+from gradecalc.calculus import DiffOpExpr, FieldMatrices
+from gradecalc.geometry import Grid, GridFunction, lp_norm, lp_norms, inner_product
+from gradecalc.heatflow import dilated_plan
 from gradecalc.potentials import fractional_apply
 from gradecalc.sobolev import (
+    DILATIONS,
+    N_DILATED,
     STACK_BLOCK,
     RatioProbe,
     SobolevError,
@@ -48,7 +52,7 @@ def test_bump_matches_axis_sum_bit_for_bit(n):
     for pts in (rng.uniform(-3.0, 3.0, (4001, n)), rng.uniform(-3.0, 3.0, n)):
         t = (pts - center) / width
         old = (1.0 + t @ lin + (t**2) @ quad) * np.exp(-np.sum(t**2, axis=-1))
-        assert np.array_equal(_bump(center, width, lin, quad)(pts), old)
+        assert np.array_equal(_bump(pts, center, width, lin, quad), old)
 
 
 def test_spec_validation(ab1_pot_plan):
@@ -288,20 +292,102 @@ def test_probes_transform_stacks(ab1_pot_plan, monkeypatch):
 
 
 def test_family_samples_its_members_once(ab1_pot_plan):
-    # a suite run and its equivalence probe share one sampling of the family
+    # one read-only (members, grid size) array holds the family: every call
+    # and every probe reads it, and the functions are views of its rows
     fam = make_test_family(ab1_pot_plan.grid, n=3, seed=SEED)
-    calls = []
-    fam.members = [lambda pts, m=m: calls.append(m) or m(pts) for m in fam.members]
-    first = fam.gridfunctions()
-    spec = SobolevNormSpec(ab1_pot_plan, 1.0, 2)
-    equivalence_probe(spec, SobolevNormSpec(ab1_pot_plan, 2.0, 2), fam)
-    again = fam.gridfunctions()
-    assert len(calls) == 3
-    assert all(f is g for f, g in zip(first, again))
+    values = fam.values
+    assert values.shape == (3, ab1_pot_plan.grid.size) and not values.flags.writeable
+    equivalence_probe(SobolevNormSpec(ab1_pot_plan, 1.0, 2), SobolevNormSpec(ab1_pot_plan, 2.0, 2), fam)
+    assert fam.values is values
+    first, again = fam.gridfunctions(), fam.gridfunctions()
     assert again is not first  # callers get their own list
-    # one (members, grid size) array holds the family; the functions are row views
-    assert fam.values.shape == (3, ab1_pot_plan.grid.size) and not fam.values.flags.writeable
-    assert all(np.shares_memory(f.values, fam.values) for f in first)
+    for row, f, g in zip(values, first, again):
+        assert f.values.ctypes.data == g.values.ctypes.data == row.ctypes.data
+        assert f.values.base is not None and np.array_equal(f.values, row)
+    # a family built from a list of rows stacks them once, into its own array
+    sub = type(fam)(grid=fam.grid, members=[fam.members[2], fam.members[0]], seed=fam.seed)
+    assert np.array_equal(sub.values, values[[2, 0]]) and not sub.values.flags.writeable
+    assert sub.values is sub.values and not np.shares_memory(sub.values, values)
+
+
+def _reference_members(grid, n, seed):
+    """(center, width, lin, quad) of the first n bumps, drawn as ``make_test_family`` draws them."""
+    rng = np.random.default_rng(seed)
+    hw = np.asarray(grid.half_widths, dtype=float)
+    members = []
+    for _ in range(n):
+        center = rng.uniform(-0.25, 0.25, grid.ndim) * hw
+        width = rng.uniform(0.12, 0.3, grid.ndim) * hw
+        lin = rng.standard_normal(grid.ndim) * 0.5
+        quad = rng.standard_normal(grid.ndim) * 0.25
+        members.append((center, width, lin, quad))
+    return members
+
+
+def _reference_samples(grid, r, weights, members):
+    """Each bump f at the nodes of ``grid`` moved by D_r: one row of f(D_r x) per member."""
+    axes = [np.linspace(-R, R, N) for R, N in zip(grid.half_widths, grid.counts)]
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    x = nodes * float(r) ** np.asarray(weights, dtype=float)
+    rows = []
+    for center, width, lin, quad in members:
+        t = (x - center) / width
+        rows.append((1.0 + t @ lin + (t**2) @ quad) * np.exp(-np.sum(t**2, axis=-1)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("plan_name", ["ab1_pot_plan", "ab3_pot_plan", "h1_pot_plan"])
+def test_embedding_drifts_equal_resampled_members(plan_name, request):
+    # on the dilation image D_{1/r} of the grid, f(D_r x) sampled at the
+    # image nodes is the base sample bit for bit, so the drifts measured on
+    # the family's rows equal those of members resampled at every scale
+    plan = request.getfixturevalue(plan_name)
+    alg = plan.law.algebra
+    Q = alg.homogeneous_dimension
+    b, s = Q * (0.5 - 0.25), Q / 2.0 + 1.0  # the parameters of `gradecalc probe`
+    fam = make_test_family(plan.grid, n=N_DILATED, seed=SEED)
+    members = _reference_members(plan.grid, N_DILATED, SEED)
+    emb, sup = [], []
+    for r in DILATIONS:
+        plan_r = dilated_plan(plan, 1.0 / r)
+        rows = _reference_samples(plan_r.grid, r, alg.weights, members)
+        assert np.array_equal(rows, fam.values)
+        num, den, den_s = (
+            sobolev_norms(SobolevNormSpec(plan_r, order, p, "homogeneous"), rows)
+            for order, p in ((0.0, 4), (b, 2), (s, 2))
+        )
+        emb.append(num / den)
+        sup.append((lp_norms(plan_r.grid, rows, np.inf, mask=plan_r.mask) / den_s) / float(r) ** (Q / 2 - s))
+
+    def drift(vals):
+        vals = np.array(vals)
+        return float(np.max(vals.max(axis=0) / vals.min(axis=0)))
+
+    assert embedding_probe(plan, 2, 4, b, 0.0, fam)[1] == drift(emb)
+    assert sup_embedding_probe(plan, 2, s, fam)[1] == drift(sup)
+
+
+def test_sharpness_table_equals_resampled_bump(h1t_law):
+    # each r's bump f_r = f(D_r x), sampled at the nodes of the dilation
+    # image D_{1/r} of the 25^3 grid, is the base sample bit for bit
+    weights = h1t_law.algebra.weights
+    base = Grid((3.0, 3.0, 3.0), (25, 25, 25))
+    bump = [(np.zeros(3), np.full(3, 0.9), np.zeros(3), np.zeros(3))]
+    (f,) = _reference_samples(base, 1.0, weights, bump)
+    L = -(DiffOpExpr.generator(0) ** 2) - (DiffOpExpr.generator(1) ** 2)
+    expected = {6: [], 8: [], 10: []}
+    for r in (1.0, 2.0, 4.0):
+        grid_r = base.dilated(1.0 / r, weights)
+        (fr,) = _reference_samples(grid_r, r, weights, bump)
+        assert np.array_equal(fr, f)
+        fm = FieldMatrices(h1t_law, grid_r)
+        num = lp_norm(GridFunction(grid_r, fm.apply_expr(L, fr)), 2)
+        for order, col in expected.items():
+            den = lp_norm(GridFunction(grid_r, fr), 2)
+            for word in words_of_degree(weights, order):
+                den += lp_norm(GridFunction(grid_r, fm.apply_word(word, fr)), 2)
+            col.append(num / den)
+    assert sharpness_probe_H1tilde(law=h1t_law) == {order: tuple(col) for order, col in expected.items()}
 
 
 def test_plan_builds_field_matrices_once(ab1_pot_plan, monkeypatch):
