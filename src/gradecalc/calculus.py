@@ -3,23 +3,26 @@
 A left-invariant field X_j is computed from the group law as
 a_{jk}(x) = d/ds m_k(x, s e_j) |_{s=0}; the coefficients are exact rational
 polynomials.  Differential operators are formal sums of words in the fields.
-``discretize`` realizes them on grids: every letter pair of a word is expanded
-exactly into its normal form sum_alpha c_alpha(x) d^alpha, each d^alpha a
-tensor product of compact 1-D finite-difference stencils (4th order by
+``discretize`` realizes them on grids as a ``KroneckerOperator``, a short sum
+of Kronecker products of dense 1-D matrices: every letter pair of a word is
+expanded exactly into its normal form sum_alpha c_alpha(x) d^alpha, each
+monomial x^e of c_alpha times d^alpha is a product over the axes of
+diag(x_k^e_k) times a compact 1-D finite-difference stencil (4th order by
 default, one-sided at the boundary), and a word is the product of its pairs.
 ``FieldMatrices`` applies words letter by letter through first-derivative
-stencils, as the integer-order Sobolev norms take them.
+stencils, one small matrix product per axis, as the integer-order Sobolev
+norms take them.  No sparse matrix library is needed.
 """
 
 from __future__ import annotations
 
-import operator
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import GradecalcError
 from .algebra import GroupLaw, Poly
@@ -85,17 +88,16 @@ def _stencil_table(order, acc):
     return table
 
 
-@lru_cache(maxsize=None)
 def _diff_matrix_1d(n, dx, order=1, acc=4, periodic=False):
-    """Sparse 1-D derivative matrix, ``acc``-order stencils.
+    """Dense 1-D derivative matrix, ``acc``-order stencils.
 
     Stencils are one-sided at the edges, or central and wrapped around on a
     periodic axis.  On a uniform axis the weights of row i depend only on
     where i sits in its window of ``width`` nodes, so every row is a row of
     one table (``_stencil_table``: the central stencil and the one-sided edge
     ones, at unit spacing), scaled by dx^-order (Fornberg, Math. Comp. 51,
-    1988, for the weights); the rows, columns and values are index
-    arithmetic, with no loop over the rows.
+    1988, for the weights); the columns are index arithmetic, with no loop
+    over the rows.
     """
     width = _stencil_width(order, acc)
     if n < width:
@@ -103,17 +105,94 @@ def _diff_matrix_1d(n, dx, order=1, acc=4, periodic=False):
     half = (width - 1) // 2
     i = np.arange(n)
     lo = i - half if periodic else np.clip(i - half, 0, n - width)
-    cols = (lo[:, None] + np.arange(width)) % n
-    vals = _stencil_table(order, acc)[i - lo] * float(dx) ** -order
-    return sparse.csr_matrix((vals.ravel(), (np.repeat(i, width), cols.ravel())), shape=(n, n))
+    M = np.zeros((n, n))
+    M[i[:, None], (lo[:, None] + np.arange(width)) % n] = _stencil_table(order, acc)[i - lo] * float(dx) ** -order
+    return M
 
 
-def along_axis(M, counts, axis):
-    """The sparse I x ... x M x ... x I: the 1-D matrix M acting along ``axis``
-    of a box of ``counts`` nodes (C ordering)."""
-    left = sparse.identity(int(np.prod(counts[:axis])), format="csr")
-    right = sparse.identity(int(np.prod(counts[axis + 1 :])), format="csr")
-    return sparse.kron(sparse.kron(left, M, format="csr"), right, format="csr")
+def along_axis(M, X, axis):
+    """The matrix M applied along ``axis`` of the array X.
+
+    One matrix product when the axis is the first or the last; otherwise
+    one per index of the axes before it, broadcast.
+    """
+    shape = X.shape
+    before, n, after = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1 :])
+    if before == 1:
+        out = M @ X.reshape(n, after)
+    elif after == 1:
+        out = X.reshape(before, n) @ M.T
+    else:
+        out = np.matmul(M, X.reshape(before, n, after))
+    return out.reshape(shape[:axis] + (M.shape[0],) + shape[axis + 1 :])
+
+
+@dataclass(frozen=True)
+class KroneckerOperator:
+    """A matrix on a box of nodes as a short sum of Kronecker products of 1-D matrices.
+
+    ``terms`` lists pairs (c, factors): the matrix is
+    sum_t c_t M_{t,1} x ... x M_{t,n} in C order, each M_{t,k} a dense
+    read-only (counts[k], counts[k]) array on axis k, or None for the
+    identity.  ``discretize`` builds one term per monomial of every normal
+    form coefficient, so each factor is a product of 1-D stencils and
+    diagonals x_k^e (Van Loan, J. Comput. Appl. Math. 123, 2000, on the
+    algebra of such sums).
+    """
+
+    counts: tuple
+    terms: tuple
+
+    @property
+    def shape(self):
+        size = math.prod(self.counts)
+        return (size, size)
+
+    @property
+    def nnz(self):
+        """Entries of the expanded terms, a bound on the nonzeros of the assembled matrix."""
+        return sum(
+            math.prod(n if M is None else int(np.count_nonzero(M)) for n, M in zip(self.counts, factors))
+            for _, factors in self.terms
+        )
+
+    def __add__(self, other):
+        return KroneckerOperator(self.counts, self.terms + other.terms)
+
+    def restrict(self, box):
+        """The operator on the sub-box ``box`` (one slice per axis), its rows and columns both restricted."""
+        terms = tuple(
+            (c, tuple(None if M is None else M[s, s] for M, s in zip(factors, box)))
+            for c, factors in self.terms
+        )
+        counts = tuple(len(range(*s.indices(n))) for s, n in zip(box, self.counts))
+        return KroneckerOperator(counts, terms)
+
+    def transpose(self):
+        return KroneckerOperator(
+            self.counts, tuple((c, tuple(None if M is None else M.T for M in f)) for c, f in self.terms)
+        )
+
+    def __matmul__(self, values):
+        """The operator applied to grid values on the first axis, shape (size,) or (size, m)."""
+        values = np.asarray(values)
+        box = values.reshape(tuple(self.counts) + values.shape[1:])
+        out = np.zeros(box.shape, dtype=np.result_type(values, float))
+        for c, factors in self.terms:
+            y = box
+            for k, M in enumerate(factors):
+                if M is not None:
+                    y = along_axis(M, y, k)
+            out += c * y
+        return out.reshape(values.shape)
+
+    def toarray(self):
+        """The dense matrix, term by term a Kronecker product of its factors."""
+        out = np.zeros(self.shape)
+        for c, factors in self.terms:
+            dense = [np.eye(n) if M is None else M for n, M in zip(self.counts, factors)]
+            out += c * reduce(np.kron, dense)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,25 +534,78 @@ def parse_diffop(text, labels) -> DiffOpExpr:
 # Discretization
 
 
+# Rows of a 1-D stencil that one product takes: a longer axis is applied in
+# blocks of rows, each against the columns its stencils reach, so that the
+# cost grows with the axis and not with its square.
+STENCIL_ROWS = 128
+
+
+def _row_chunks(D):
+    """(rows, columns, D[rows, columns]) for blocks of ``STENCIL_ROWS`` rows of D."""
+    chunks = []
+    for start in range(0, len(D), STENCIL_ROWS):
+        rows = slice(start, start + STENCIL_ROWS)
+        cols = np.flatnonzero(D[rows].any(axis=0))
+        cols = slice(cols[0], cols[-1] + 1)
+        chunks.append((rows, cols, D[rows, cols]))
+    return chunks
+
+
 class FieldMatrices:
-    """Cached sparse matrices of the basis fields on a fixed grid."""
+    """The basis fields on a fixed grid, each applied axis by axis.
+
+    X_j = sum_k a_jk(x) d_k: each d_k is the 4th-order first-derivative
+    stencil, applied along axis k of the grid-shaped values as one small
+    matrix product (``along_axis``; one per block of rows on an axis longer
+    than ``STENCIL_ROWS``), and each a_jk is sampled on the grid once.
+    Values carry the grid on their first axis: one vector, or a stack
+    (grid size, m) of columns.
+    """
 
     def __init__(self, law: GroupLaw, grid: Grid):
         self.law = law
         self.grid = grid
         self._fields = left_invariant_fields(law)
-        self._mats = {}
+        self._parts = {}
 
-    def field(self, j):
-        if j not in self._mats:
-            form = normal_form((j,), self._fields)
-            self._mats[j] = form_matrix(form, self.grid)
-        return self._mats[j]
+    def _field_parts(self, j):
+        """(k, a_jk on the grid or None where it is 1, d_k) for every nonzero a_jk."""
+        if j not in self._parts:
+            grid = self.grid
+            parts = []
+            for k, a in enumerate(self._fields[j].coeffs):
+                if a == 0:
+                    continue
+                coef = None
+                if a != 1:
+                    coef = np.broadcast_to(np.asarray(a.evaluate(grid.points().T), float), (grid.size,))
+                D = _diff_matrix_1d(grid.counts[k], grid.spacings[k], 1, 4, k in grid.periodic)
+                parts.append((k, coef, _row_chunks(D)))
+            self._parts[j] = parts
+        return self._parts[j]
+
+    def apply_field(self, j, values):
+        """X_j applied to grid values, shape (grid size,) or (grid size, m)."""
+        box = values.reshape(tuple(self.grid.counts) + values.shape[1:])
+        out = None
+        for k, coef, chunks in self._field_parts(j):
+            if len(chunks) == 1:
+                d = along_axis(chunks[0][2], box, k)
+            else:
+                d = np.empty(box.shape)
+                at = (slice(None),) * k
+                for rows, cols, D in chunks:
+                    d[at + (rows,)] = along_axis(D, box[at + (cols,)], k)
+            d = d.reshape(values.shape)
+            if coef is not None:
+                d = coef.reshape(coef.shape + (1,) * (values.ndim - 1)) * d
+            out = d if out is None else out + d
+        return out
 
     def apply_word(self, word, values):
         out = values
         for j in reversed(word):
-            out = self.field(j) @ out
+            out = self.apply_field(j, out)
         return out
 
     def apply_expr(self, expr: DiffOpExpr, values):
@@ -512,48 +644,148 @@ def letter_pairs(word):
 
 
 def derivative_matrix(grid: Grid, alpha, acc=4):
-    """Sparse d^alpha on the grid (C ordering): the tensor product of the 1-D
-    compact stencils of order alpha_k, the identity on axes with alpha_k = 0."""
-    factors = [
-        _diff_matrix_1d(N, h, a, acc, k in grid.periodic) if a else sparse.identity(N, format="csr")
-        for k, (N, h, a) in enumerate(zip(grid.counts, grid.spacings, alpha))
-    ]
-    return reduce(lambda A, B: sparse.kron(A, B, format="csr"), factors)
+    """d^alpha on the grid: the tensor product of the 1-D compact stencils
+    of order alpha_k, the identity on axes with alpha_k = 0."""
+    return kronecker_operator({tuple(((0, a),) if a else () for a in alpha): 1}, grid, acc)
 
 
-def form_matrix(form, grid: Grid, points=None, acc=4):
-    """Sparse sum_alpha diag(c_alpha) d^alpha of a normal form on the grid.
+def form_terms(form, variables):
+    """A normal form {alpha: c_alpha} split monomial by monomial, as {key: coefficient}.
 
-    The coefficients, polynomials in the group coordinates, are evaluated at
-    ``points`` (default the grid's own); the multi-indices run over the
-    grid's axes.
+    Axis k is the coordinate ``variables[k]``, and alpha runs over the axes.
+    The key of a term a x^e d^alpha lists, per axis, its factors
+    (e_k, alpha_k), meaning diag(x_k^e_k) d_k^alpha_k, from left to right;
+    () is the identity.
     """
-    points = grid.points() if points is None else points
-    values = [c.evaluate(points.T) for c in form.values()]
-    out = sparse.csr_matrix((grid.size, grid.size))
-    for alpha, vals in zip(form, values):
-        coeff = sparse.diags(np.broadcast_to(np.asarray(vals, float), (grid.size,)))
-        out = out + coeff @ derivative_matrix(grid, alpha, acc)
-    return out.tocsr()
+    out = {}
+    for alpha, c in form.items():
+        for e, a in c.terms.items():
+            key = tuple(((e[v], ak),) if e[v] or ak else () for v, ak in zip(variables, alpha))
+            out[key] = out.get(key, 0) + a
+    return out
 
 
-def discretize(expr: DiffOpExpr, law: GroupLaw, grid: Grid):
-    """Sparse matrix of the operator on the full grid, 4th-order stencils.
+def _product_terms(A, B):
+    """The product of two {key: coefficient} forms: per axis, A's factors then B's; equal keys merge."""
+    out = {}
+    for ka, a in A.items():
+        for kb, b in B.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + a * b
+    return out
 
-    Each word is the product of its letter pairs, and each pair is assembled
-    from its exact normal form with compact stencils (``form_matrix``), so X^2
-    on an abelian axis is the compact second difference, whose symbol does
-    not vanish at the Nyquist frequency as that of D_1 D_1 does.  Longer
-    words are not expanded in one go: by pairs, the matrix of R^2 is the
-    square of the matrix of R when R's words have length 2, while the normal
-    form of whole words of length 4 need not discretize to a positive matrix.
+
+def kronecker_operator(terms, grid: Grid, acc=4):
+    """The ``KroneckerOperator`` on the grid of a {key: coefficient} form (``form_terms``).
+
+    Each distinct factor of an axis is built once, as the product of its
+    diagonals x_k^e and ``acc``-order stencils d_k^a from left to right.
+    """
+    factors = {}
+
+    def factor(k, key):
+        if not key:
+            return None
+        if (k, key) not in factors:
+            x, M = grid.axis(k), None
+            for e, a in key:
+                if a:
+                    F = _diff_matrix_1d(grid.counts[k], grid.spacings[k], a, acc, k in grid.periodic)
+                    F = (x**e)[:, None] * F if e else F
+                else:
+                    F = np.diag(x**e)
+                M = F if M is None else M @ F
+            M.flags.writeable = False
+            factors[k, key] = M
+        return factors[k, key]
+
+    return KroneckerOperator(
+        tuple(grid.counts),
+        tuple((float(c), tuple(factor(k, f) for k, f in enumerate(key))) for key, c in terms.items() if c != 0),
+    )
+
+
+# Most Kronecker terms a word's pairs multiply out into; a longer word is
+# assembled through its interior matrix (``discretize``).
+MAX_TERMS = 4096
+
+
+def discretize(expr: DiffOpExpr, law: GroupLaw, grid: Grid, box=None) -> KroneckerOperator:
+    """The operator on the grid, or on its sub-box ``box`` (one slice per
+    axis, default the whole grid), as a ``KroneckerOperator``, 4th-order
+    stencils.
+
+    Each word is the product of its letter pairs, and each pair is its exact
+    normal form with compact stencils, split monomial by monomial into
+    Kronecker terms (``form_terms``); the terms of a word are the products
+    of its pairs' terms, factor by factor, with equal terms merged exactly,
+    and the box restricts every factor.  So X^2 on an abelian axis is the
+    compact second difference, whose symbol does not vanish at the Nyquist
+    frequency as that of D_1 D_1 does.  Longer words are not expanded in one
+    go: by pairs, the matrix of R^2 is the square of the matrix of R when
+    R's words have length 2, while the normal form of whole words of length
+    4 need not discretize to a positive matrix.
+
+    A word whose pairs multiply out into more than ``MAX_TERMS`` terms (a
+    power X^80, whose pair X^2 has three) is applied pair by pair to the
+    unit vectors of the box instead, and its box matrix enters as one term
+    per pair of nodes of the leading axes, whose last-axis factor is the
+    dense block; more than ``MAX_TERMS`` of those are refused.
     """
     fields = left_invariant_fields(law)
-    pairs = {pair for word in expr.terms for pair in letter_pairs(word)}
-    mats = {pair: form_matrix(normal_form(pair, fields), grid) for pair in pairs}
-    N = grid.size
-    out = sparse.csr_matrix((N, N))
+    axes = range(grid.ndim)
+    box = tuple(slice(None) for _ in axes) if box is None else tuple(box)
+    pairs = {
+        pair: form_terms(normal_form(pair, fields), axes)
+        for word in expr.terms
+        for pair in letter_pairs(word)
+    }
+    terms, long_words = {}, {}
     for word, c in expr.terms.items():
-        factors = [mats[pair] for pair in letter_pairs(word)]
-        out = out + c * (reduce(operator.matmul, factors) if factors else sparse.identity(N))
-    return out.tocsr()
+        forms = [pairs[pair] for pair in letter_pairs(word)]
+        if math.prod(map(len, forms)) > MAX_TERMS:
+            long_words[word] = c
+            continue
+        for key, a in reduce(_product_terms, forms, {((),) * grid.ndim: 1}).items():
+            terms[key] = terms.get(key, 0) + c * a
+    out = kronecker_operator(terms, grid).restrict(box)
+    if long_words:
+        ops = {pair: kronecker_operator(form, grid) for pair, form in pairs.items()}
+        out = out + _box_matrix_terms(long_words, ops, grid, box)
+    return out
+
+
+def _box_matrix_terms(words, ops, grid: Grid, box):
+    """sum_w c_w P_w,1 ... P_w,m on the box, as a ``KroneckerOperator`` of its matrix.
+
+    Each word applies its pair operators ``ops`` to the unit vectors of the
+    box, and keeps the rows of the box.  The box matrix A is then one term per
+    pair of nodes (I, J) of the leading axes: the unit matrix e_i e_j^T on
+    each leading axis, times the dense last-axis block A[(I, .), (J, .)].
+    """
+    inside = np.zeros(grid.counts, dtype=bool)
+    inside[box] = True
+    idx = np.flatnonzero(inside)
+    shape = inside[box].shape
+    lead = math.prod(shape[:-1])
+    if lead * lead > MAX_TERMS:
+        raise CalculusError(
+            f"the operator's long words on a box of {len(idx)} nodes take {lead * lead} "
+            f"Kronecker terms, more than {MAX_TERMS}"
+        )
+    A = np.zeros((len(idx), len(idx)))
+    for word, c in words.items():
+        Y = np.zeros((grid.size, len(idx)))
+        Y[idx, np.arange(len(idx))] = 1.0
+        for pair in reversed(letter_pairs(word)):
+            Y = ops[pair] @ Y
+        A += c * Y[idx]
+    blocks = A.reshape(lead, shape[-1], lead, shape[-1])
+    terms = []
+    for I, J in itertools.product(range(lead), repeat=2):
+        if blocks[I, :, J].any():
+            units = [np.zeros((n, n)) for n in shape[:-1]]
+            for E, i, j in zip(units, np.unravel_index(I, shape[:-1]), np.unravel_index(J, shape[:-1])):
+                E[i, j] = 1.0
+            terms.append((1.0, (*units, blocks[I, :, J])))
+    return KroneckerOperator(shape, tuple(terms))

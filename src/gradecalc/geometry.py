@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft
+import numpy.random
 
 from . import GradecalcError
 from .algebra import Poly

@@ -1,24 +1,26 @@
 """Heat semigroup e^{-tR} via symmetric eigendecomposition.
 
-The operator, assembled from the exact normal form of each letter pair with
-compact stencils (``calculus.discretize``), is restricted to the interior of
-the grid (a Dirichlet-style mask), symmetrized, and diagonalized once; heat
-flow, potential kernels and fractional powers are all multipliers through the
-resulting plan (``SpectralPlan``), which follows the operator's structure.
+The operator, assembled on the interior of the grid (a Dirichlet-style mask)
+from the exact normal form of each letter pair with compact stencils
+(``calculus.discretize``) as a short sum of Kronecker products of 1-D
+matrices, is symmetrized and diagonalized once; heat flow, potential kernels
+and fractional powers are all multipliers through the resulting plan
+(``SpectralPlan``), which follows the operator's structure.
 On an abelian law with every word a power of one letter the interior operator
-is a Kronecker sum, and the plan diagonalizes one small factor per axis, read
-off the assembled interior matrix (the fast diagonalization method of Lynch,
-Rice and Thomas); a factor whose axis flip x_k -> -x_k fixes the operator
-takes that flip, as the box plans below take theirs, and is solved as its
-even and odd halves.  On a grid with a periodic central axis it diagonalizes one
-Hermitian block per frequency of that axis.  Any other operator on a box
-grid is split by its reflection symmetries: every coordinate sign flip that is
-an automorphism of the law and fixes the operator maps the box onto itself and
-commutes with the interior matrix, so the matrix is block diagonal in an orbit
-basis with one block per character of the group of such flips (Fassler and
-Stiefel, *Group Theoretical Methods and Their Applications*, 1992).  On the
-Heisenberg group the flips (x, y, u) -> (a x, b y, ab u) give four blocks of
-about n/4 nodes, so the eigensolve costs about a sixteenth of the dense one.
+is a Kronecker sum, and the plan diagonalizes one small factor per axis, the
+sum of the operator's terms on that axis (the fast diagonalization method of
+Lynch, Rice and Thomas); a factor whose axis flip x_k -> -x_k fixes the
+operator takes that flip, as the box plans below take theirs, and is solved
+as its even and odd halves.  On a grid with a periodic central axis it
+diagonalizes one Hermitian block per frequency of that axis.  Any other
+operator on a box grid is split by its reflection symmetries: every
+coordinate sign flip that is an automorphism of the law and fixes the
+operator maps the box onto itself and commutes with the interior matrix, so
+the matrix is block diagonal in a basis of tensor products of per-axis even
+and odd vectors, one block per character of the group of such flips (Fassler
+and Stiefel, *Group Theoretical Methods and Their Applications*, 1992).  On
+the Heisenberg group the flips (x, y, u) -> (a x, b y, ab u) give four blocks
+of about n/4 nodes, so the eigensolve costs about a sixteenth of the dense one.
 The quarter turn (x, y) -> (y, -x) also commutes with the sub-Laplacian, but
 on a box plan it generates with the flips the dihedral group of order 8,
 which has a 2-dimensional irreducible representation; it is left out, since
@@ -46,15 +48,17 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
+import numpy.fft
 
 from . import GradecalcError
 from .calculus import (
     FieldMatrices,
+    KroneckerOperator,
     RocklandSpec,
     along_axis,
     discretize,
-    form_matrix,
+    form_terms,
+    kronecker_operator,
     left_invariant_fields,
     normal_form,
 )
@@ -73,9 +77,9 @@ class HeatError(GradecalcError):
     pass
 
 
-# Largest interior (or Kronecker factor, or central-Fourier block) a plan
-# takes: as one dense block its eigenvectors alone take 0.8 GB in float64
-# (1.6 GB complex).
+# Largest dense block (reflection block, Kronecker factor or central-Fourier
+# block) a plan takes: its eigenvectors alone take 0.8 GB in float64 (1.6 GB
+# complex).
 MAX_DENSE_BLOCK = 10_000
 
 # Largest relative commutator of a sign flip with the interior matrix; the
@@ -101,9 +105,13 @@ class SpectralPlan:
     is positive up to rounding (``spectral_plan`` refuses any other), so
     ``lam_plus`` clips only rounding.
 
-    This plan is block diagonal in the sparse orthonormal orbit basis
-    ``basis`` (interior nodes by columns, grouped by block): each column is
-    sum_g chi(g) e_{g.r} over the sign flips g of one character chi, normalized.
+    This plan is block diagonal in a tensor-product parity basis of its
+    interior box ``inner_shape``: ``axis_bases`` holds, per axis, the
+    orthogonal matrix of its even and odd vectors under the axis flip
+    (``_parity_basis``), or None on an axis that no flip reverses, and
+    ``order`` lists the nodes of the transformed box block by block (None
+    for one block in node order).  The nodes of one block are the parity
+    patterns of one character of the flips (``_parity_blocks``).
     ``reflection_defect`` is the largest relative Frobenius commutator of a
     flip with the interior matrix (on a ``KroneckerPlan``, of an axis flip
     with its factor; None on a ``CentralFourierPlan``, which takes no flips).
@@ -130,7 +138,9 @@ class SpectralPlan:
     eigenvectors: np.ndarray  # packed blocks, each with orthonormal columns
     sym_defect: float
     block_sizes: tuple = ()
-    basis: object = None  # sparse (n, n)
+    inner_shape: tuple = ()
+    axis_bases: tuple = ()  # per axis an orthogonal (n_k, n_k) array, or None
+    order: np.ndarray | None = None  # transformed interior nodes, block by block
     reflection_defect: float | None = None
     eigh_s: float = 0.0
     solves: tuple = ()
@@ -196,14 +206,20 @@ class SpectralPlan:
         a plan acts on the last axis, so a stack costs one matrix product per
         block where m vectors would cost m.
         """
-        y = (self.basis.T @ self.restrict(values).T).T
+        y = _along_axes(self.restrict(values), self.inner_shape, [None if Q is None else Q.T for Q in self.axis_bases])
+        if self.order is not None:
+            y = y[..., self.order]
         return np.concatenate([y[..., s] @ V for s, V in self._blocks()], axis=-1)
 
     def synthesize(self, coef):
         """Grid values of an eigen-expansion, zero outside the interior (a stack row by row)."""
         coef = np.asarray(coef)
         y = np.concatenate([coef[..., s] @ V.T for s, V in self._blocks()], axis=-1)
-        return self.embed((self.basis @ y.T).T)
+        if self.order is not None:
+            z = np.empty_like(y)
+            z[..., self.order] = y
+            y = z
+        return self.embed(_along_axes(y, self.inner_shape, self.axis_bases))
 
     def health(self):
         """Grid, size, spectrum, self-adjointness and eigensolve cost of the plan, as plain numbers."""
@@ -263,7 +279,6 @@ class CentralFourierPlan(SpectralPlan):
     """
 
     axis: int = 0
-    inner_shape: tuple = ()
 
     def analyze(self, values):
         X = self.restrict(values)
@@ -301,47 +316,43 @@ class KroneckerPlan(SpectralPlan):
     a flip with its factor (0 when no factor takes one).
     """
 
-    def _contract(self, X, transpose):
-        # apply each factor basis (or its transpose) along its own axis of
-        # each flat row of X
-        lead = X.shape[:-1]
-        X = X.reshape(lead + tuple(self.block_sizes))
-        for k, (_, V) in enumerate(self._blocks(), start=len(lead)):
-            X = np.moveaxis(np.tensordot(V.T if transpose else V, X, axes=(1, k)), 0, k)
-        return X.reshape(lead + (-1,))
-
     def analyze(self, values):
-        return self._contract(self.restrict(values), transpose=True)
+        return _along_axes(self.restrict(values), self.block_sizes, [V.T for _, V in self._blocks()])
 
     def synthesize(self, coef):
-        return self.embed(self._contract(np.asarray(coef), transpose=False))
+        return self.embed(_along_axes(np.asarray(coef), self.block_sizes, [V for _, V in self._blocks()]))
 
 
-def _dissipation_matrix(counts, p):
-    """Symmetric PSD high-pass on a box, symbol sum_k ((1 - cos theta_k)/2)^p.
+def _along_axes(X, shape, mats):
+    """Each matrix of ``mats`` (None: the identity) applied along its own axis
+    of the box ``shape``, for each flat row of X (the last axis)."""
+    lead = X.shape[:-1]
+    X = X.reshape(lead + tuple(shape))
+    for k, M in enumerate(mats, start=len(lead)):
+        if M is not None:
+            X = along_axis(M, X, k)
+    return X.reshape(lead + (-1,))
+
+
+def _dissipation_matrix(counts, p, strength=1.0):
+    """Symmetric PSD high-pass on a box, symbol sum_k ((1 - cos theta_k)/2)^p, times ``strength``.
 
     Vanishes to order 2p on smooth modes but is O(1) on the sawtooth modes.
     No default plan takes it (see ``spectral_plan``).  The 1-D factor T^p
     is the power of a quarter of the Neumann graph Laplacian (end rows
     [1, -1]/4), so the matrix annihilates constants exactly in rows *and*
     columns: adding it to a discretized operator never changes discrete mass
-    balance.
+    balance.  A ``KroneckerOperator`` of one term per axis.
     """
-    total = None
+    terms = []
     for k, N in enumerate(counts):
-        diag = np.full(N, 0.5)
-        diag[0] = diag[-1] = 0.25
-        T = sparse.diags(
-            [np.full(N - 1, -0.25), diag, np.full(N - 1, -0.25)],
-            offsets=[-1, 0, 1],
-            format="csr",
-        )
+        T = np.diag(np.full(N, 0.5)) - 0.25 * (np.eye(N, k=1) + np.eye(N, k=-1))
+        T[0, 0] = T[-1, -1] = 0.25
         Tk = T
         for _ in range(p - 1):
             Tk = Tk @ T
-        out = along_axis(Tk, counts, k)
-        total = out if total is None else total + out
-    return total
+        terms.append((strength, tuple(Tk if j == k else None for j in range(len(counts)))))
+    return KroneckerOperator(tuple(counts), tuple(terms))
 
 
 def spectral_plan(
@@ -349,7 +360,8 @@ def spectral_plan(
 ) -> SpectralPlan:
     """Discretize, restrict to the interior, symmetrize and diagonalize.
 
-    The operator is assembled by ``calculus.discretize``.  The margin
+    The operator is assembled on the interior box by ``calculus.discretize``,
+    as a ``KroneckerOperator``.  The margin
     (default 4 nodes, the reach of a product of two letter pairs) makes every
     retained row a pure central stencil, so the restricted operator
     annihilates constants away from the mask edge and discrete mass is
@@ -363,15 +375,16 @@ def spectral_plan(
     when every axis shifts by whole nodes (``node_shift_axes``: the fields
     are the plain partial derivatives) and every word is a power of one
     letter; the interior operator, dissipation term included, is then
-    exactly the Kronecker sum of one 1-D factor per axis, and the factors are
-    read off the assembled interior matrix.  Otherwise it is
+    exactly the Kronecker sum of one 1-D factor per axis, each the sum of
+    the operator's terms on that axis.  Otherwise it is
     a ``SpectralPlan``, one dense eigensolve per block of the sign flips of
     ``sign_flip_group`` (see ``_reflection_plan``).  Every plan's interior
     is the box of nodes ``margin`` or more from the boundary, whole along a
     periodic axis; before anything is assembled, an interior fewer than 3
     nodes wide along another axis (it holds no difference there), a
     largest dense block above ``MAX_DENSE_BLOCK`` nodes and a dissipation
-    term on a periodic grid are refused, in that order.
+    term on a periodic grid are refused, in that order.  Every block size
+    follows from the interior box and the flips alone.
 
     Every multiplier clips the spectrum at 0, harmless only for rounding, so
     an operator with an eigenvalue below -1e-6 max(|lam_max|, 1) is not
@@ -399,8 +412,13 @@ def _solve_plan(spec, law, grid, margin, reg_strength):
             )
     kronecker = not grid.periodic and node_shift_axes(law) == tuple(range(grid.ndim))
     kronecker = kronecker and all(len(set(word)) <= 1 for word in spec.expr.terms)
-    # a central-Fourier block spans the non-periodic axes
-    block = max(inner_counts) if kronecker else math.prod(inner_counts[j] for j in bounded)
+    flips = sign_flip_group(law.algebra, spec.expr)
+    if grid.periodic:  # a central-Fourier block spans the non-periodic axes
+        block = math.prod(inner_counts[j] for j in bounded)
+    elif kronecker:
+        block = max(inner_counts)
+    else:
+        block = max(_block_sizes(inner_counts, *_parity_blocks(inner_counts, flips)))
     if block > MAX_DENSE_BLOCK:
         raise HeatError(
             f"dense plan block of {block} interior nodes exceeds the bound of {MAX_DENSE_BLOCK}"
@@ -410,24 +428,79 @@ def _solve_plan(spec, law, grid, margin, reg_strength):
     mask = grid.interior_mask(margin)
     if grid.periodic:
         return _central_fourier_plan(spec, law, grid, mask, inner_counts)
-    idx = np.flatnonzero(mask)
-    A_int = discretize(spec.expr, law, grid)[np.ix_(idx, idx)]
+    box = tuple(slice((N - n) // 2, (N + n) // 2) for N, n in zip(grid.counts, inner_counts))
+    A = discretize(spec.expr, law, grid, box)
     if reg_strength:
-        gersh = float(np.abs(A_int).sum(axis=1).max())
+        gersh = float(np.abs(_band(A, _half_bandwidths(A))).sum(axis=tuple(range(1, 2 * grid.ndim, 2))).max())
         p = max(spec.expr.word_degrees(law.algebra.weights)) // 2 + 3
-        A_int = A_int + reg_strength * gersh * _dissipation_matrix(inner_counts, p)
-    norm = _frobenius(A_int)
-    sym_defect = _frobenius(A_int - A_int.T) / norm if norm else 0.0
-    fields = dict(grid=grid, spec=spec, law=law, mask=mask, sym_defect=sym_defect)
-    flips = sign_flip_group(law.algebra, spec.expr)
+        A = A + _dissipation_matrix(inner_counts, p, reg_strength * gersh)
+    half = _half_bandwidths(A)
+    band = _band(A, half)
+    norm = _frobenius(band)
+    sym_defect = _frobenius(band - _band(A.transpose(), half)) / norm if norm else 0.0
+    fields = dict(grid=grid, spec=spec, law=law, mask=mask, sym_defect=sym_defect, inner_shape=inner_counts)
     if kronecker:
-        return _kronecker_plan(A_int, inner_counts, flips, fields)
-    return _reflection_plan(A_int, inner_counts, flips, fields)
+        return _kronecker_plan(A, half, flips, fields)
+    return _reflection_plan(A, band, flips, fields)
 
 
-def _frobenius(M):
-    """Frobenius norm of a sparse matrix."""
-    return float(np.sqrt(M.multiply(M).sum()))
+def _frobenius(a):
+    """Frobenius norm of an array."""
+    return float(np.sqrt(np.vdot(a, a)))
+
+
+def _kron_sum(terms, shapes):
+    """sum_t c_t F_t,0 x F_t,1 x ... for factors of the shapes (r_k, q_k), as
+    an array of shape (r_0, q_0, r_1, q_1, ...).
+
+    One matrix product, of the scaled first factors against the outer
+    products of the others, each flattened into a row (Van Loan and
+    Pitsianis's rearrangement of a Kronecker product into a rank-1 matrix).
+    """
+    out = tuple(x for shape in shapes for x in shape)
+    if not terms:
+        return np.zeros(out)
+    first = np.array([c * F[0] for c, F in terms]).reshape(len(terms), -1)
+    rest = np.array([functools.reduce(np.multiply.outer, F[1:], np.ones(())) for _, F in terms])
+    return (first.T @ rest.reshape(len(terms), -1)).reshape(out)
+
+
+def _half_bandwidth(M):
+    """The largest |i - j| over the nonzero entries M[i, j] (0 for a zero matrix)."""
+    nonzero = M != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    first = nonzero[rows].argmax(axis=1)
+    last = M.shape[1] - 1 - nonzero[rows, ::-1].argmax(axis=1)
+    return int(max(np.max(rows - first, initial=0), np.max(last - rows, initial=0)))
+
+
+def _half_bandwidths(A: KroneckerOperator):
+    """Per axis, the largest |i - j| of any factor's nonzero entries; A^T has the same."""
+    return [max((_half_bandwidth(f[k]) for _, f in A.terms if f[k] is not None), default=0) for k in range(len(A.counts))]
+
+
+def _band(A: KroneckerOperator, half):
+    """The entries of A by row and offset, shape (n_0, w_0, n_1, w_1, ...): B[i, o] = A[i, i + o - h].
+
+    h_k = half[k] bounds |i_k - j_k| over the factors on axis k
+    (``_half_bandwidths``), and w_k = 2 h_k + 1; an entry whose column
+    leaves the box is 0.  Every entry is summed over
+    the terms, as the assembled matrix sums it (``_kron_sum`` of the
+    factors' rows of offsets), so the Gershgorin row sums, the Frobenius
+    norm, the transpose (``_band`` of the transposed terms) and the axis
+    flips (reversing a row axis with its offset axis) are all read off B
+    entry by entry, without cancellation between terms.
+    """
+    rows = [np.arange(n)[:, None] + np.arange(-h, h + 1) for n, h in zip(A.counts, half)]
+    inside = [(0 <= j) & (j < n) for j, n in zip(rows, A.counts)]
+    terms = [
+        (c, [
+            (j == j[:, h : h + 1]).astype(float) if M is None else np.where(ok, M[np.arange(n)[:, None], np.clip(j, 0, n - 1)], 0.0)
+            for M, j, ok, n, h in zip(factors, rows, inside, A.counts, half)
+        ])
+        for c, factors in A.terms
+    ]
+    return _kron_sum(terms, [j.shape for j in rows])
 
 
 def sign_flip_group(alg, expr):
@@ -449,80 +522,140 @@ def sign_flip_group(alg, expr):
     return np.array(flips, dtype=int)
 
 
-def _flip_blocks(A, shape, flips):
-    """The sparse orbit basis of a group of sign flips, one block per character.
+def _parity_rows(M, odd, axis=0):
+    """P^T M along ``axis`` for the even (``odd`` False) or odd vectors P of
+    the reversal of the n nodes of that axis: (e_i + e_{n-1-i}) / sqrt 2 for
+    i < n // 2, then e_{n//2} when n is odd, or (e_i - e_{n-1-i}) / sqrt 2.
+    The slices of M along the axis combine in mirror pairs."""
+    n = M.shape[axis]
+    at = (slice(None),) * axis
+    top, bottom = M[at + (slice(n // 2),)], M[at + (slice(None, (n - 1) // 2, -1),)]
+    if odd:
+        return (top - bottom) * math.sqrt(0.5)
+    even = (top + bottom) * math.sqrt(0.5)
+    return np.concatenate([even, M[at + (slice(n // 2, n // 2 + 1),)]], axis=axis) if n % 2 else even
 
-    ``A`` acts on the nodes of a box of ``shape`` (C order).  A flip s
-    reverses the box along the axes where s_j = -1; on grid functions it is
-    f -> f(s x), and on the box it permutes the nodes.  Every flip must
-    commute with A to ``REFLECTION_TOL`` relative (Frobenius), or the plan is
-    refused (HeatError).  The flips form a group G of order m, all of whose
-    characters chi are real signs.  For each orbit G.r and each chi trivial
-    on the stabilizer of r the column sum_g chi(g) e_{g.r} / sqrt(m |stab r|)
-    has unit norm; the columns of one chi span an invariant subspace of A.
-    Returns the blocks (sparse, nodes by columns) and the largest relative
-    commutator; a group of the identity alone gives one identity block and 0.
+
+def _parity_expand(W, odd, n):
+    """P W for the even or odd vectors P of ``_parity_rows`` on n nodes."""
+    half = n // 2
+    out = np.zeros((n,) + W.shape[1:])
+    out[:half] = W[:half] * math.sqrt(0.5)
+    out[::-1][:half] = -out[:half] if odd else out[:half]
+    if n % 2 and not odd:
+        out[half] = W[half]
+    return out
+
+
+def _parity_basis(n):
+    """The orthogonal matrix of the even vectors, then the odd ones, of the reversal of n nodes."""
+    even = n - n // 2
+    return np.hstack([_parity_expand(np.eye(even), False, n), _parity_expand(np.eye(n - even), True, n)])
+
+
+def _parity_blocks(shape, flips):
+    """The axes that some flip reverses, and the parity patterns of each character block.
+
+    A flip s reverses the box ``shape`` along the axes where s_k = -1, and a
+    tensor product of per-axis even (0) and odd (1) vectors, of parity
+    pattern pi on the reversed axes, transforms by the character
+    chi_pi(s) = prod_k s_k^pi_k.  So the span of the patterns of one
+    character is the whole subspace of that character (its isotypic part),
+    an invariant subspace of every operator the flips fix: the plan's blocks
+    are these spans (Fassler and Stiefel, 1992).  Characters are ordered by
+    their values on the group, ascending, patterns within one ascending; a
+    group of the identity alone gives one block of the empty pattern.
     """
-    n = A.shape[0]
-    nodes = np.arange(n).reshape(shape)
-    perms = np.array(
-        [np.flip(nodes, axis=tuple(np.flatnonzero(s < 0))).ravel() for s in flips]
-    )
-    defect = 0.0
-    norm = _frobenius(A)
-    for perm in perms[1:]:
-        d = _frobenius(A[perm][:, perm] - A) / norm if norm else 0.0
-        if not d <= REFLECTION_TOL:
-            raise HeatError(f"a sign flip fails to commute with the operator (defect {d:.1e})")
-        defect = max(defect, d)
-    # characters: the restrictions of s -> prod_{j in J} s_j over subsets J
-    subsets = np.array(list(itertools.product((False, True), repeat=flips.shape[1])))
-    chars = np.unique(np.where(subsets[:, None, :], flips[None], 1).prod(axis=2), axis=0)
-    m = len(perms)
-    reps = np.flatnonzero(perms.min(axis=0) == np.arange(n))
-    fixed = perms[:, reps] == reps
-    stab = fixed.sum(axis=0)
-    blocks = []
-    for chi in chars:
-        keep = ~np.any(fixed & (chi[:, None] < 0), axis=0)
-        c = int(keep.sum())
-        data = chi[:, None] / np.sqrt(m * stab[keep])
-        rows = perms[:, reps[keep]]
-        cols = np.broadcast_to(np.arange(c), (m, c))
-        blocks.append(sparse.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, c)))
-    return blocks, defect
+    split = tuple(k for k in range(len(shape)) if (flips[:, k] < 0).any())
+    blocks = {}
+    for pi in itertools.product((0, 1), repeat=len(split)):
+        chi = tuple(math.prod(int(s[k]) for k, p in zip(split, pi) if p) for s in flips)
+        blocks.setdefault(chi, []).append(pi)
+    return split, [blocks[chi] for chi in sorted(blocks)]
 
 
-def _block_eigh(A, B, stats):
-    """``_eigh`` of the symmetrized block B^T A B, formed sparse and then solved densely."""
-    M = (B.T @ A @ B).toarray()
-    # symmetrized in place, so that no second dense copy exists
+def _pattern_ranges(shape, split, pi):
+    """Per axis, the range of transformed nodes of parity pattern ``pi`` (even first on a split axis)."""
+    ranges = [range(n) for n in shape]
+    for k, p in zip(split, pi):
+        even = shape[k] - shape[k] // 2
+        ranges[k] = range(even, shape[k]) if p else range(even)
+    return ranges
+
+
+def _block_sizes(shape, split, blocks):
+    return [sum(math.prod(map(len, _pattern_ranges(shape, split, pi))) for pi in block) for block in blocks]
+
+
+def _sym_eigh(M, stats):
+    """``_eigh`` of the symmetrized M, symmetrized in place so that no second dense copy exists."""
     M += M.T
     M *= 0.5
     return _eigh(M, stats)
 
 
-def _reflection_plan(A_int, inner_counts, flips, fields):
-    """The ``SpectralPlan`` of A_int, one block per character of the flips.
+def _reflection_plan(A, band, flips, fields):
+    """The ``SpectralPlan`` of the interior operator A, one block per character of the flips.
 
-    The orbit basis of the flips on the interior box (``_flip_blocks``)
-    splits A_int into one block B_chi^T A_int B_chi per character chi, each
-    solved densely.
+    Every flip must commute with A to ``REFLECTION_TOL`` relative
+    (Frobenius, on the entries ``band``), or the plan is refused
+    (HeatError).  In the parity basis of the reversed axes each term's
+    factor on axis k becomes Q_k^T M Q_k, and the block of a character is
+    sum_t c_t x_k (P_k^T M_t,k P'_k) over the pairs of its parity patterns,
+    P_k and P'_k the even or odd columns of Q_k: a Kronecker product per
+    term and pair, solved densely.
     """
-    blocks, defect = _flip_blocks(A_int, inner_counts, flips)
-    sizes = tuple(B.shape[1] for B in blocks)
+    shape = tuple(A.counts)
+    norm = _frobenius(band)
+    defect = 0.0
+    for s in flips[1:]:
+        rev = tuple(slice(None, None, -1) if sk < 0 else slice(None) for sk in s for _ in "io")
+        d = _frobenius(band[rev] - band) / norm if norm else 0.0
+        if not d <= REFLECTION_TOL:
+            raise HeatError(f"a sign flip fails to commute with the operator (defect {d:.1e})")
+        defect = max(defect, d)
+    split, patterns = _parity_blocks(shape, flips)
+    bases = [_parity_basis(n) if k in split else None for k, n in enumerate(shape)]
+    terms = [
+        (c, [M if Q is None or M is None else Q.T @ M @ Q for M, Q in zip(factors, bases)])
+        for c, factors in A.terms
+    ]
+    nodes = np.arange(math.prod(shape)).reshape(shape)
+    ranges = [[_pattern_ranges(shape, split, pi) for pi in block] for block in patterns]
+    order = np.concatenate([nodes[np.ix_(*r)].ravel() for block in ranges for r in block])
+    sizes = tuple(_block_sizes(shape, split, patterns))
     stats = {}
     plan = SpectralPlan(
-        eigenvalues=np.empty(A_int.shape[0]),
+        eigenvalues=np.empty(A.shape[0]),
         eigenvectors=np.empty(sum(b * b for b in sizes)),
         block_sizes=sizes,
-        basis=sparse.hstack(blocks, format="csc"),
+        axis_bases=tuple(bases),
+        order=None if len(sizes) == 1 else _frozen(order),
         reflection_defect=defect,
         **fields,
     )
-    for B, (s, V) in zip(blocks, plan._blocks()):
-        plan.eigenvalues[s], V[...] = _block_eigh(A_int, B, stats)
+    for block, (s, V) in zip(ranges, plan._blocks()):
+        plan.eigenvalues[s], V[...] = _sym_eigh(_pattern_block(terms, block), stats)
     return dataclasses.replace(plan, **stats)
+
+
+def _pattern_block(terms, block):
+    """sum_t c_t x_k F_t,k[r_k, q_k] over the pattern pairs (r, q) of a block, dense (``_kron_sum``)."""
+    sizes = [math.prod(map(len, r)) for r in block]
+    starts = np.cumsum([0] + sizes)
+    out = np.empty((starts[-1], starts[-1]))
+    d = len(block[0])
+    for (a, r), (b, q) in itertools.product(enumerate(block), repeat=2):
+        parts = [
+            (c, [np.eye(len(ri)) if F is None else F[ri.start : ri.stop, qi.start : qi.stop] for F, ri, qi in zip(factors, r, q)])
+            for c, factors in terms
+            if all(F is not None or ri == qi for F, ri, qi in zip(factors, r, q))  # an identity keeps parity
+        ]
+        Z = _kron_sum(parts, [(len(ri), len(qi)) for ri, qi in zip(r, q)])
+        out[starts[a] : starts[a + 1], starts[b] : starts[b + 1]] = Z.transpose(
+            list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
+        ).reshape(sizes[a], sizes[b])
+    return out
 
 
 def _eigh(A, stats):
@@ -561,55 +694,67 @@ def _eigh(A, stats):
     return w, V
 
 
-def _kronecker_plan(A_int, inner_counts, flips, fields):
-    """The ``KroneckerPlan`` of an interior matrix that is a Kronecker sum.
+def _kronecker_plan(A, half, flips, fields):
+    """The ``KroneckerPlan`` of an interior operator that is a Kronecker sum.
 
-    With A_int = sum_k I x ... x F_k x ... x I on the interior box, the block
-    of A_int on the line of interior nodes through node 0 along axis k is F_k
-    plus d_k I, d_k being the other factors' first diagonal entries.
-    Subtracting d = A_int[0, 0] from the diagonal of every block but axis
-    0's leaves factors that sum back to A_int, the identity word and the
-    dissipation term included.
+    Every term of A acts on one axis at most, so A = sum_k I x ... x F_k x
+    ... x I, F_k the sum of the terms on axis k; multiples of the identity
+    (the identity word, say) join F_0.  ``half`` bounds the factors' half
+    bandwidths (``_half_bandwidths``).
 
     When the flip of axis k alone is in ``flips`` (``sign_flip_group``), it
-    commutes with F_k, and F_k splits into its even and odd halves
-    (``_flip_blocks`` on the line), each solved on its own: two solves of
-    about n/2 nodes cost about a quarter of one solve of n.  Each half's
-    eigenvectors go through the sparse orbit basis straight into the
-    factor's packed block of ``eigenvectors``, as ``_reflection_plan``
-    writes its blocks, which is then re-sorted so that the factor's
-    eigenvalues ascend.  A factor whose flip is not in the group is
-    one block.
+    must commute with F_k to ``REFLECTION_TOL`` (or the plan is refused),
+    and F_k splits into its odd and even halves P^T F_k P (``_parity_rows``),
+    each summed term by term and solved on its own: two solves of about
+    n/2 nodes cost about a quarter of one solve of n.  Each half's
+    eigenvectors go through its parity vectors straight into their columns
+    of the factor's packed block of ``eigenvectors``, in the order in which
+    the factor's eigenvalues ascend.  A factor whose flip is not in the
+    group is one block.
     """
-    strides = np.cumprod((1,) + tuple(inner_counts[:0:-1]))[::-1]
-    d = A_int[0, 0]
+    counts = tuple(A.counts)
+    factors = [[] for _ in counts]
+    for c, mats in A.terms:
+        (k,) = [k for k, M in enumerate(mats) if M is not None] or [0]
+        factors[k].append((c, mats[k]))
     plan = KroneckerPlan(
-        eigenvalues=np.empty(A_int.shape[0]),
-        eigenvectors=np.empty(sum(n * n for n in inner_counts)),
-        block_sizes=tuple(inner_counts),
+        eigenvalues=np.empty(A.shape[0]),
+        eigenvectors=np.empty(sum(n * n for n in counts)),
+        block_sizes=counts,
         **fields,
     )
     spectra = []
     defect = 0.0
     stats = {}
-    for k, (n, stride, (_, V)) in enumerate(zip(inner_counts, strides, plan._blocks())):
-        line = stride * np.arange(n)
-        F = A_int[np.ix_(line, line)]
-        if k:
-            F = F - d * sparse.identity(n, format="csr")
+    for k, (n, terms, (_, V)) in enumerate(zip(counts, factors, plan._blocks())):
+        F = KroneckerOperator((n,), tuple((c, (M,)) for c, M in terms))
         own = 1 - 2 * (np.arange(flips.shape[1]) == k)  # the flip of axis k alone
-        split = (flips == own).all(axis=1).any()
-        blocks, dk = _flip_blocks(F, (n,), np.array([[1], [-1]] if split else [[1]]))
-        defect = max(defect, dk)
-        w = np.empty(n)
-        start = 0
-        for B in blocks:
-            s = slice(start, start + B.shape[1])
-            w[s], W = _block_eigh(F, B, stats)
-            V[:, s] = B @ W
-            start = s.stop
+        if (flips == own).all(axis=1).any():
+            band = _band(F, half[k : k + 1])
+            norm = _frobenius(band)
+            dk = _frobenius(band[::-1, ::-1] - band) / norm if norm else 0.0
+            if not dk <= REFLECTION_TOL:
+                raise HeatError(f"a sign flip fails to commute with the operator (defect {dk:.1e})")
+            defect = max(defect, dk)
+            halves = []
+            for odd in (True, False):
+                block = np.zeros((n // 2 if odd else n - n // 2,) * 2)
+                for c, M in terms:
+                    if M is None:
+                        block[np.diag_indices_from(block)] += c
+                    else:
+                        block += c * _parity_rows(_parity_rows(M, odd), odd, axis=1)
+                halves.append((odd, *_sym_eigh(block, stats)))
+        else:
+            halves = [(None, *_sym_eigh(F.toarray(), stats))]
+        w = np.concatenate([h[1] for h in halves])
         order = np.argsort(w, kind="stable")
-        V[...] = V[:, order]
+        column = np.empty(n, dtype=int)
+        column[order] = np.arange(n)
+        start = 0
+        for odd, wh, W in halves:
+            V[:, column[start : start + len(wh)]] = W if odd is None else _parity_expand(W, odd, n)
+            start += len(wh)
         spectra.append(w[order])
     plan.eigenvalues[:] = functools.reduce(np.add.outer, spectra).ravel()
     return dataclasses.replace(plan, reflection_defect=defect, **stats)
@@ -625,8 +770,10 @@ def _central_fourier_plan(spec, law, grid, mask, inner_shape):
     along p, and a DFT along p turns it into one operator per frequency xi on
     the other axes: d_p becomes i xi.  The blocks are the exact normal form
     of the operator grouped by the power alpha_p of d_p,
-    S + i xi T - xi^2 U, each group assembled by ``calculus.form_matrix``
-    with compact stencils of order 8 (central within a margin of 4).  For the
+    S + i xi T - xi^2 U, each group a ``KroneckerOperator`` on the other
+    axes with compact stencils of order 8 (central within a margin of 4),
+    restricted to the interior and made dense by ``np.kron`` of its factors.
+    For the
     Heisenberg sub-Laplacian the block is
     L_xi = -Delta_xy + i xi (y d_x - x d_y) + xi^2 (x^2 + y^2)/4, the
     structure behind the Mehler-type formula.  Longer words and coefficients
@@ -656,15 +803,14 @@ def _central_fourier_plan(spec, law, grid, mask, inner_shape):
 
     sub = Grid(tuple(grid.half_widths[j] for j in others), tuple(grid.counts[j] for j in others))
     # the interior is the same on every line along p
-    idx = np.flatnonzero(np.take(mask.reshape(grid.counts), 0, axis=p))
-    pts = np.zeros((sub.size, grid.ndim))
-    pts[:, others] = sub.points()
-    S, T, U = (form_matrix(g, sub, pts, acc=8)[np.ix_(idx, idx)].toarray() for g in groups)
+    box = tuple(slice((N - n) // 2, (N + n) // 2) for N, n in zip(sub.counts, (inner_shape[j] for j in others)))
+    S, T, U = (kronecker_operator(form_terms(g, others), sub, acc=8).restrict(box).toarray() for g in groups)
+    b = len(S)
 
     M = grid.counts[p]
     xi = 2 * np.pi * np.fft.fftfreq(M, d=grid.spacings[p])
-    w = np.empty((M, len(idx)))
-    V = np.empty((M, len(idx), len(idx)), dtype=complex)
+    w = np.empty((M, b))
+    V = np.empty((M, b, b), dtype=complex)
     defect_num = defect_den = 0.0
     stats = {}
     for k in range(M // 2 + 1):
@@ -683,7 +829,7 @@ def _central_fourier_plan(spec, law, grid, mask, inner_shape):
         eigenvalues=w.ravel(),
         eigenvectors=V,
         sym_defect=float(np.sqrt(defect_num / defect_den)) if defect_den else 0.0,
-        block_sizes=(len(idx),) * M,
+        block_sizes=(b,) * M,
         axis=p,
         inner_shape=inner_shape,
         **stats,

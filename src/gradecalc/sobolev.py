@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
+import numpy.random
 
 from . import GradecalcError
 from .calculus import DiffOpExpr, FieldMatrices
@@ -57,8 +58,8 @@ class SobolevNormSpec:
             check_word_count(self.plan.law.algebra.weights, self.s)
 
 
-# Most words an integer-order norm sums over; each costs a chain of sparse
-# products per function, and the count grows exponentially in the order
+# Most words an integer-order norm sums over; each costs a chain of field
+# applications per function, and the count grows exponentially in the order
 # (order 240 over weights (3, 5, 8) has more words than memory can list).
 MAX_WORDS = 1000
 
@@ -106,7 +107,7 @@ def _by_blocks(fn, values):
 
 
 def _word_rows(fm: FieldMatrices, word, block):
-    """X^word applied to each row of ``block`` at once (sparse times dense), rows kept contiguous."""
+    """X^word applied to each row of ``block`` at once, rows kept contiguous."""
     return np.ascontiguousarray(fm.apply_word(tuple(word), block.T).T)
 
 
@@ -114,11 +115,11 @@ def _word_norms(spec: SobolevNormSpec, words, block):
     """The L^p norms of X^word applied to each row of ``block``, one array per word, in ``words`` order.
 
     A word is applied from its last letter, so words that end in the same
-    letters share that suffix's sparse products: the words are taken in the
+    letters share that suffix's field applications: the words are taken in the
     order of their reversed letters, a depth-first walk of the trie of
     suffixes, and ``stack`` keeps one intermediate per trie level (the
-    product of the current word's last d letters at depth d).  Every
-    product is the one ``FieldMatrices.apply_word`` forms, so the norms are
+    current word's last d letters applied, at depth d).  Every
+    application is the one ``FieldMatrices.apply_word`` makes, so the norms are
     bit-identical to applying each word on its own.
     """
     fm = spec.plan.field_matrices
@@ -131,7 +132,7 @@ def _word_norms(spec: SobolevNormSpec, words, block):
             common += 1
         del stack[common + 1 :]
         for j in rev[common:]:
-            stack.append(fm.field(j) @ stack[-1])
+            stack.append(fm.apply_field(j, stack[-1]))
         norms[i] = _lp(spec, stack[-1].T)
         prev = rev
     return norms

@@ -12,6 +12,8 @@ computation; a configuration it cannot resolve is a ``ConfigError``.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field
@@ -333,9 +335,17 @@ def check_grid_range(grid: Grid, weights, order):
 # Suites
 
 
-def _report(cfg, alg):
-    import scipy
+@functools.cache
+def _scipy_version():
+    """scipy's version, read from its ``version.py`` without importing scipy itself."""
+    (package,) = importlib.util.find_spec("scipy").submodule_search_locations
+    with open(os.path.join(package, "version.py")) as fh:
+        namespace = {}
+        exec(fh.read(), namespace)  # plain assignments, no imports
+    return namespace["version"]
 
+
+def _report(cfg, alg):
     environment = {
         "group": cfg.group,
         "weights": str(tuple(alg.weights)),
@@ -343,7 +353,7 @@ def _report(cfg, alg):
         "tol_scale": cfg.tol_scale,
         "package": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "python": ".".join(map(str, sys.version_info[:3])),
     }
     return VerificationReport(environment=environment, tol_scale=cfg.tol_scale)

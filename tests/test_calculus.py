@@ -2,7 +2,6 @@
 
 import functools
 import itertools
-import operator
 
 import numpy as np
 import pytest
@@ -59,7 +58,7 @@ def test_diff_matrix_matches_per_row_weights(order, acc, periodic):
     # the table of window positions gives every row's stencil, scaled by dx^-order
     for n, dx in itertools.product((11, 23, 64), (0.1, 0.37, 1.3)):
         ref = _diff_matrix_by_rows(n, dx, order, acc, periodic)
-        M = _diff_matrix_1d(n, dx, order, acc, periodic).toarray()
+        M = _diff_matrix_1d(n, dx, order, acc, periodic)
         scale = np.abs(ref).max(axis=1)
         assert np.all(np.abs(M - ref).max(axis=1) <= 1e-12 * scale), (n, dx)
 
@@ -239,12 +238,14 @@ def test_discretized_sublaplacian_annihilates_constants(h1_law):
 
 
 def test_field_matrices_cache_consistency(h1_law):
+    # the fields applied axis by axis agree with the matrix of each letter
     g = Grid((1.0, 1.0, 1.0), (9, 9, 9))
     fm = FieldMatrices(h1_law, g)
     expr = sublaplacian(h1_law.algebra).expr
     f = np.random.default_rng(0xC0FFEE).standard_normal(g.size)
     direct = fm.apply_expr(expr, f)
-    via_matrix = sum(c * functools.reduce(operator.matmul, [fm.field(j) for j in w]) @ f for w, c in expr.terms.items())
+    letters = [discretize(DiffOpExpr.generator(j), h1_law, g) for j in range(3)]
+    via_matrix = sum(c * functools.reduce(lambda v, j: letters[j] @ v, reversed(w), f) for w, c in expr.terms.items())
     assert np.allclose(direct, via_matrix, atol=1e-10)
 
 
@@ -294,3 +295,23 @@ def test_normal_form_matches_fields(group, h1_law, as_sympy):
             for i, p in enumerate(polys):
                 got = sum((c * d(alpha, i) for alpha, c in form), poly(0))
                 assert got == fields_on(word, i), (word, p)
+
+
+def test_long_words_enter_through_their_box_matrix(h1_law, monkeypatch):
+    # a word whose pairs multiply out into more than MAX_TERMS Kronecker
+    # terms is applied pair by pair to the unit vectors of the box instead:
+    # the same matrix as the expanded product
+    import gradecalc.calculus as calculus
+
+    g = Grid((1.5, 1.5, 1.2), (11, 11, 15))
+    expr = power(sublaplacian(h1_law.algebra), 2).expr  # 9 terms per word
+    box = (slice(5, 6), slice(4, 6), slice(4, 11))
+    expanded = discretize(expr, h1_law, g, box)
+    monkeypatch.setattr(calculus, "MAX_TERMS", 8)
+    through_box = discretize(expr, h1_law, g, box)
+    assert through_box.counts == expanded.counts == (1, 2, 7)
+    assert len(through_box.terms) == 4  # one per pair of nodes of the leading axes
+    ref = expanded.toarray()
+    assert np.abs(through_box.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+    with pytest.raises(CalculusError, match="more than 8"):
+        discretize(expr, h1_law, g, (slice(4, 7), slice(4, 7), slice(4, 11)))

@@ -798,6 +798,39 @@ def test_box_grid_verify_skips_scipy_linalg_and_special():
     assert out.splitlines() == ["import []", "verify []", "central-fourier ['scipy.linalg']"]
 
 
+def test_box_grid_run_loads_no_scipy():
+    # every operator is a sum of Kronecker products of 1-D numpy matrices:
+    # no run loads scipy.sparse, a box-grid verify loads no scipy module at
+    # all, and it imports no numpy submodule the CLI import did not (each
+    # first use would count in the operation).  scipy.linalg is left to the
+    # complex blocks of a central-Fourier plan, for zheevr.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), GRADECALC_THREADS="1")
+    code = (
+        "import contextlib, os, sys, tempfile\n"
+        "import gradecalc.cli as cli\n"
+        "print('import', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "before = set(sys.modules)\n"
+        "with tempfile.TemporaryDirectory() as out, open(os.devnull, 'w') as sink:\n"
+        "    with contextlib.redirect_stdout(sink):\n"
+        "        report = cli.main(['--group', 'abelian1', '--out', out, 'verify'], standalone_mode=False)\n"
+        "assert report.ok\n"
+        "print('verify', sorted(m for m in set(sys.modules) - before if m.startswith(('scipy', 'numpy.'))))\n"
+        "from gradecalc.algebra import bch_group_law, builtin_group\n"
+        "from gradecalc.calculus import sublaplacian\n"
+        "from gradecalc.geometry import Grid\n"
+        "from gradecalc.heatflow import CentralFourierPlan, spectral_plan\n"
+        "law = bch_group_law(builtin_group('heisenberg'))\n"
+        "grid = Grid((2.0, 2.0, 0.5), (13, 13, 5), periodic=(2,))\n"
+        "assert isinstance(spectral_plan(sublaplacian(law.algebra), law, grid), CentralFourierPlan)\n"
+        "print('central-fourier', 'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["import []", "verify []", "central-fourier True False"]
+
+
 def test_library_import_skips_click():
     # only the command line maps refusals to exit codes, so only it needs click
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

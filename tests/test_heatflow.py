@@ -5,7 +5,6 @@ import functools
 
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 
 from gradecalc.defaults import DEFAULTS
 from gradecalc.geometry import Grid, GridFunction, default_nu0, haar_integrate, lp_norm
@@ -412,10 +411,33 @@ def test_narrow_interior_is_refused(h1_law, periodic):
 
 
 def test_dense_block_bound_heisenberg(h1_law):
-    # no Kronecker structure: the whole 23^3 interior would be one dense block
+    # no Kronecker structure, and the odd words X and Y leave no sign flip:
+    # the whole 23^3 interior would be one dense block
     grid = Grid((2.0, 2.0, 2.0), (31, 31, 31))
+    expr = parse_diffop("-X^2-Y^2+X+Y", h1_law.algebra.labels)
+    assert len(sign_flip_group(h1_law.algebra, expr)) == 1
     with pytest.raises(HeatError, match="exceeds"):
+        spectral_plan(RocklandSpec(expr=expr, nu=None), h1_law, grid)
+
+
+def test_block_bound_reads_the_largest_block(h1_law, monkeypatch):
+    import gradecalc.heatflow as heatflow
+
+    # the same 23^3 = 12167-node interior, split by the four flips of the
+    # sub-Laplacian into blocks of 3036 to 3059 nodes, is taken; the spy
+    # stops the plan at its first eigensolve, the block of the patterns
+    # (even, even, odd) and (odd, odd, even)
+    class Stop(Exception):
+        pass
+
+    def first_solve(A, stats):
+        raise Stop(len(A))
+
+    monkeypatch.setattr(heatflow, "_eigh", first_solve)
+    grid = Grid((2.0, 2.0, 2.0), (31, 31, 31))
+    with pytest.raises(Stop) as stop:
         spectral_plan(sublaplacian(h1_law.algebra), h1_law, grid)
+    assert 23**3 > MAX_DENSE_BLOCK and stop.value.args[0] == 12 * 12 * 11 + 11 * 11 * 12
 
 
 # ---------------------------------------------------------------------------
@@ -614,16 +636,23 @@ def test_reflection_plan_matches_dense(op, h1_law, monkeypatch):
     monkeypatch.setattr(heatflow, "sign_flip_group", lambda alg, expr: np.ones((1, alg.n), int))
     dense = spectral_plan(spec, law, grid, reg_strength=0.3)
     n = int(plan.mask.sum())
-    eye = sparse.identity(n, format="csc")
     assert type(plan) is type(dense) is SpectralPlan
     assert len(plan.block_sizes) == 4 and sum(plan.block_sizes) == n
     assert dense.block_sizes == (n,)
-    assert (dense.basis != eye).nnz == 0
+    assert dense.axis_bases == (None, None, None) and dense.order is None
     assert plan.reflection_defect < 1e-12 and dense.reflection_defect == 0.0
-    # the orbit basis is orthonormal, with at most 4 nonzeros per column
-    B = plan.basis
-    assert abs(B.T @ B - eye).max() < 1e-14
-    assert np.diff(B.tocsc().indptr).max() <= 4
+    # the blocks' basis, the per-axis parity bases' tensor product with its
+    # nodes grouped by block, is orthonormal; each column is a product of
+    # mirror pairs (at most 8 nonzeros), and every flip scales all columns
+    # of a block by one sign, the block's character
+    B = functools.reduce(np.kron, plan.axis_bases)[:, plan.order]
+    assert abs(B.T @ B - np.eye(n)).max() < 1e-14
+    assert np.count_nonzero(B, axis=0).max() <= 8
+    for s in sign_flip_group(law.algebra, spec.expr):
+        flipped = np.flip(B.reshape(plan.inner_shape + (n,)), axis=tuple(np.flatnonzero(s < 0)))
+        signs = np.sum(flipped.reshape(n, n) * B, axis=0)
+        for block, _ in plan._blocks():
+            assert np.abs(signs[block] - np.sign(signs[block][0])).max() < 1e-14
     # one packed ndarray; eigenvalues ascending within each block, one per interior node
     assert type(plan.eigenvectors) is np.ndarray
     assert plan.eigenvectors.size == sum(b * b for b in plan.block_sizes)

@@ -248,8 +248,8 @@ def test_stacked_norms_match_rows(name, flavor, s, p, request):
 
 @pytest.mark.parametrize("order, products", [(2, 7), (4, 48)])
 def test_integer_norms_share_word_suffixes(h1_law, order, products):
-    # words that end in the same letters share that suffix's products, one
-    # product per distinct suffix: on heisenberg 7 per block at order 2 (XX,
+    # words that end in the same letters share that suffix's field
+    # applications, one per distinct suffix: on heisenberg 7 per block at order 2 (XX,
     # XY, YX, YY, T; word by word takes 9) and 48 at order 4 (102); the norms
     # are bit-identical to applying each word on its own
     from gradecalc.calculus import sublaplacian
@@ -264,12 +264,12 @@ def test_integer_norms_share_word_suffixes(h1_law, order, products):
     reference = lp_norms(plan.grid, fam.values, 2)
     for word in words:
         reference += lp_norms(plan.grid, np.ascontiguousarray(fm.apply_word(word, fam.values.T).T), 2)
-    field, calls = fm.field, []
-    fm.field = lambda j: calls.append(j) or field(j)
+    field, calls = fm.apply_field, []
+    fm.apply_field = lambda j, values: calls.append(j) or field(j, values)
     try:
         norms = sobolev_norms(spec, fam.values)
     finally:
-        del fm.field
+        del fm.apply_field
     assert np.array_equal(norms, reference)
     suffixes = {w[len(w) - d :] for w in words for d in range(1, len(w) + 1)}
     assert len(calls) == len(suffixes) == products
