@@ -515,8 +515,8 @@ def resample_dilated(f: GridFunction, r, weights) -> GridFunction:
     dilation changes the period of a periodic axis, so a periodic grid is
     refused (GeometryError).
     """
-    if r <= 0:
-        raise GeometryError("dilation parameter must be positive")
+    if not 0 < r < math.inf:
+        raise GeometryError("dilation parameter must be positive and finite")
     grid = f.grid
     if grid.periodic:
         raise GeometryError(f"a dilation changes the period of the periodic axes {grid.periodic}")

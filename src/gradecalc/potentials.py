@@ -12,10 +12,15 @@ A kernel is linear in h_t, so its whole ladder is one weighted sum
 the same pass (``potential_kernels``; ``bessel_kernel`` and
 ``riesz_kernel`` are its one-exponent cases): the nodes on the direct route
 fold into one multiplier per kernel and share one stacked synthesis, and
-each node past the source's switch time is one axis-by-axis resampling of
-the reference kernel, added into every kernel.  Every plan is positive up
-to rounding (``spectral_plan``), so the clipping is harmless; a fractional
-power whose multiplier overflows is refused (``fractional_multiplier``).
+the nodes past the source's switch time are one matrix product with the
+source's stack of continued kernels, one axis-by-axis resampling of the
+reference kernel per node.  The source resamples each continuation time
+once per ladder for its life and keeps that stack (n_late x grid size
+floats: 3.3 MB on the 15 x 15 x 31 heisenberg box, at most about 19 MB at
+the grid cap), so a second kernel query on the same source resamples
+nothing.  Every plan is positive up to rounding (``spectral_plan``), so the
+clipping is harmless; a fractional power whose multiplier overflows is
+refused (``fractional_multiplier``).
 """
 
 from __future__ import annotations
@@ -158,6 +163,29 @@ def _require_homogeneous(plan: SpectralPlan):
     return int(nu)
 
 
+# Largest share Q(a/nu, t_hi) of a Bessel kernel's mass that may lie past the
+# ladder, where no grid value carries it: a tenth of the potential.bessel_mass
+# threshold.  It also refuses every a/nu > 171.6, where Gamma(a/nu) overflows.
+BESSEL_TAIL_TOL = 1e-3
+
+
+def _bessel_tail(a, nu, t_hi):
+    """Q(a/nu, t_hi), the share of B_a's mass past a ladder that ends at t_hi.
+
+    An exponent that is not positive and finite, or that leaves more than
+    ``BESSEL_TAIL_TOL`` there, is refused (PotentialError).
+    """
+    if not 0 < a < math.inf:
+        raise PotentialError(f"Bessel exponent must be positive and finite, got {a}")
+    tail = _incomplete_gamma(a / nu, t_hi)[1]
+    if tail > BESSEL_TAIL_TOL:
+        raise PotentialError(
+            f"Bessel exponent {a:g} leaves Q(a/nu, t_hi) = {tail:.3g} of the kernel's mass past "
+            f"the ladder's last time t_hi = {t_hi:g}, more than {BESSEL_TAIL_TOL:g}"
+        )
+    return tail
+
+
 def potential_kernels(plan: SpectralPlan, bessel=(), riesz=(), source=None):
     """The Bessel kernels B_a for a in ``bessel`` and the Riesz kernels I_a for a in ``riesz``.
 
@@ -181,17 +209,18 @@ def potential_kernels(plan: SpectralPlan, bessel=(), riesz=(), source=None):
     the origin node is a non-finite sentinel, and values inside the
     ``exclusion_radius`` carry no accuracy claim.
 
-    Every exponent is checked before anything is computed.
+    Every exponent is checked before anything is computed, and a Bessel
+    exponent is refused when the tail bound Q(a/nu, t_hi) exceeds
+    ``BESSEL_TAIL_TOL``: past that, the reported integral would count mass
+    that no grid value carries.
     """
     nu = _require_homogeneous(plan)
     Q = plan.law.algebra.homogeneous_dimension
-    for a in bessel:
-        if not 0 < a < math.inf:
-            raise PotentialError(f"Bessel exponent must be positive and finite, got {a}")
+    ladder = default_ladder(plan.grid, nu)
+    tails = [_bessel_tail(a, nu, ladder.t_hi) for a in bessel]
     for a in riesz:
         if not 0 < a < Q:
             raise PotentialError(f"Riesz exponent must satisfy 0 < a < Q = {Q}, got {a}")
-    ladder = default_ladder(plan.grid, nu)
     if source is None:
         source = HeatKernelSource(plan)
     t = ladder.nodes
@@ -200,12 +229,11 @@ def potential_kernels(plan: SpectralPlan, bessel=(), riesz=(), source=None):
     acc, masses = source.ladder_sum(t, np.reshape(rows, (len(rows), len(t))))
 
     bessels = []
-    for a, vals, mass_integral in zip(bessel, acc, masses):
+    for a, vals, mass_integral, tail in zip(bessel, acc, masses, tails):
         s = a / nu
         norm = 1.0 / math.gamma(s)
-        # analytic head [0, t_lo] carrying the mass of h_{t_lo}, and tail bound beyond t_hi
+        # analytic head [0, t_lo] carrying the mass of h_{t_lo}, and the tail bound beyond t_hi
         head = _incomplete_gamma(s, ladder.t_lo)[0] * source.mass(ladder.t_lo)
-        tail = _incomplete_gamma(s, ladder.t_hi)[1]
         gf = GridFunction(plan.grid, norm * vals)
         bessels.append(
             BesselKernel(
@@ -328,11 +356,11 @@ def bessel_apply_quadrature(plan: SpectralPlan, a, f: GridFunction) -> GridFunct
 
     Cross-validates ``fractional_apply(plan, -a, f)``: the exact identity is
     (I+R)^{-a/nu} = (1/Gamma(a/nu)) * integral of t^{a/nu-1} e^{-t} e^{-tR} dt.
+    Its exponents are refused by the rule of ``potential_kernels``.
     """
     nu = _require_homogeneous(plan)
-    if a <= 0:
-        raise PotentialError("quadrature route needs a > 0")
     ladder = TLadder.geometric(1e-8, 50.0, n=600)
+    _bessel_tail(a, nu, ladder.t_hi)  # the operator dropped past t_hi has norm at most this
     s = a / nu
     lam = plan.lam_plus
     # analytic head for (0, t_lo], where the integrand is ~ t^{s-1}

@@ -66,6 +66,7 @@ from .heatflow import (
 from .potentials import (
     PotentialError,
     bessel_apply_quadrature,
+    default_ladder,
     dilation_pairs,
     fractional_apply,
     potential_kernels,
@@ -433,6 +434,8 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     report.plans[-1].update(  # where the heat source switches to its self-similar continuation
         t_switch=source.t_switch if np.isfinite(source.t_switch) else None,
         mass_at_switch=source.mass_at_switch,
+        # the potential ladder's nodes past the switch: one resampling each
+        ladder_nodes_late=int(np.sum(default_ladder(pgrid, spec.nu).nodes > source.t_switch)),
     )
     # the Riesz row is decided first, so that B_1, B_2, B_3 and I_2 are one ladder pass
     Q = alg.homogeneous_dimension
@@ -447,6 +450,7 @@ def run_verify(cfg: RunConfig) -> VerificationReport:
     bessels, rieszes = potential_kernels(
         pplan, bessel=(1.0, 2.0, 3.0), riesz=() if pairs is None else (2.0,), source=source
     )
+    del source  # and its stack of continued kernels, which nothing below uses
     report.add("potential.bessel_mass", np.max([abs(k.integral - 1.0) for k in bessels]))
     if pgrid.ndim == 1:
         conv = group_convolve(law, bessels[0].values, bessels[0].values, zero_tol=1e-10)

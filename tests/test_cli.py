@@ -175,6 +175,7 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
     assert plans["heat"]["grid"]["periodic"] == [2]
     # the potential plan's heat source switches to its self-similar continuation
     assert 0 < pot["t_switch"] < 20 and abs(pot["mass_at_switch"] - 1) <= 5e-4
+    assert pot["ladder_nodes_late"] == 49
     # eigensolve seconds and LAPACK driver: complex central-Fourier blocks, real blocks
     assert plans["heat"]["eigh_driver"] == "evr" and pot["eigh_driver"] == "evd"
     # one solve per reflection block; one per frequency up to conjugate pairs
@@ -186,6 +187,26 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
         assert p["eigh_s"] > 0 if p["derived_from"] is None else p["eigh_s"] == 0.0
     # the text report carries checks only
     assert "blocks" not in (tmp_path / "report.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "args, late, exit_code",
+    [
+        (["--group", "abelian1"], 15, 0),
+        (["--group", "abelian3"], 45, 0),
+        # the benchmark's coarse heisenberg box: its heat rows fail there
+        (["--group", "heisenberg", "--scale", "1.6", "--points", "15,15,31"], 60, 1),
+    ],
+)
+def test_verify_records_late_ladder_nodes(runner, tmp_path, args, late, exit_code):
+    # the potential plan's record says how many of the 60 ladder nodes lie
+    # past the heat source's switch, where each is one resampling
+    res = runner.invoke(main, [*args, "--out", str(tmp_path), "verify"])
+    assert res.exit_code == exit_code, res.output
+    report = json.loads((tmp_path / "report.json").read_text())
+    pot = next(p for p in report["plans"] if p["role"] == "potential")
+    assert pot["ladder_nodes_late"] == late
+    assert "ladder_nodes" not in (tmp_path / "report.txt").read_text()
 
 
 def test_verify_json_keeps_raw_values_of_floored_checks(runner, tmp_path):
@@ -414,6 +435,17 @@ def test_heat_command(runner, tmp_path):
     assert len(lines) == 1 + 2 * DEFAULTS["abelian1"].heat.grid.counts[0]
 
 
+def test_heat_huge_time_fails_without_warning(runner):
+    # h_t underflows to 0 everywhere: a mass breach (exit 1), once with an
+    # overflow RuntimeWarning on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["--group", "abelian1", "heat", "--t", "1e308"])
+    assert res.exit_code == 1, res.output
+    assert "heat.mass" in res.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]
+
+
 def test_heat_command_judges_mass_defect(runner):
     # the printed defect is judged against heat.mass times the tolerance scale
     res = runner.invoke(main, ["--group", "abelian1", "--tol-scale", "1e-20", "heat"])
@@ -524,6 +556,11 @@ def test_probe_obeys_tol_scale(runner, tmp_path):
         ["norm", "--s", "1e308"],
         ["norm", "--s", "400"],
         ["norm", "--s", "-1e308", "--flavor", "homogeneous"],
+        # Bessel kernels with their mass past the ladder: once an integral of
+        # 1.000000 on an empty kernel with exit 0 (300), a Gamma overflow (344)
+        ["kernel", "--a", "300"],
+        ["kernel", "--a", "344"],
+        ["kernel", "--a", "1e300"],
     ],
 )
 def test_numeric_argument_refused_exit_2(runner, command):

@@ -2,12 +2,21 @@
 
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
 
 from gradecalc.defaults import DEFAULTS
-from gradecalc.geometry import Grid, GridFunction, default_nu0, haar_integrate, lp_norm
+from gradecalc.geometry import (
+    GeometryError,
+    Grid,
+    GridFunction,
+    default_nu0,
+    haar_integrate,
+    lp_norm,
+    resample_dilated,
+)
 from gradecalc.heatflow import (
     MAX_DENSE_BLOCK,
     CentralFourierPlan,
@@ -306,6 +315,33 @@ def test_source_continuation(ab1_pot_plan, ab1_pot_source):
     assert np.max(np.abs(src(t).values - exact)) / exact.max() < 1e-2
     with pytest.raises(HeatError):
         src(0.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -1.0])
+def test_source_refuses_non_finite_times(ab1_pot_source, t):
+    # NaN once reached resample_dilated and ended in a bare IndexError, inf
+    # in a GeometryError about the dilation parameter
+    with pytest.raises(HeatError, match="time must be positive and finite"):
+        ab1_pot_source(t)
+    with pytest.raises(HeatError, match="time must be positive and finite"):
+        ab1_pot_source.ladder_sum([t, 0.1], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf, 0.0])
+def test_resample_dilated_refuses_non_finite_factor(ab1_pot_source, r):
+    with pytest.raises(GeometryError, match="positive and finite"):
+        resample_dilated(ab1_pot_source(1.0), r, (1,))
+
+
+def test_heat_at_huge_time_is_zero_without_warning(ab1_heat_plan):
+    # -t lambda overflows to -inf, and e^{-inf} = 0: no RuntimeWarning
+    f = make_test_family(ab1_heat_plan.grid, n=1, seed=SEED).gridfunctions()[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = heat_kernel(ab1_heat_plan, 1e308)
+        g = heat_apply(ab1_heat_plan, f, 1e308)
+    assert not h.values.any() and not g.values.any()
+    assert check_mass(h) == 1.0
 
 
 def test_value_at_origin_late(ab1_pot_source):

@@ -134,7 +134,15 @@ def test_ladder_kernels_match_per_node_sum(name, request):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_bessel_kernel_synthesizes_once(ab1_pot_plan, ab1_pot_source, ab3_pot_plan, ab3_pot_source, monkeypatch):
+def _count_resamples(monkeypatch):
+    """The dilation factors of every ``resample_dilated`` call the heat source makes from here on."""
+    resampled = []
+    resample = heatflow.resample_dilated
+    monkeypatch.setattr(heatflow, "resample_dilated", lambda f, r, w: resampled.append(r) or resample(f, r, w))
+    return resampled
+
+
+def test_bessel_kernel_synthesizes_once(ab1_pot_plan, ab1_pot_source, ab3_pot_plan, monkeypatch):
     # all 45 direct-route nodes share one synthesis; a per-node loop made 45
     calls = []
     synthesize = ab1_pot_plan.synthesize
@@ -142,20 +150,25 @@ def test_bessel_kernel_synthesizes_once(ab1_pot_plan, ab1_pot_source, ab3_pot_pl
     bessel_kernel(ab1_pot_plan, 2.0, source=ab1_pot_source)
     assert len(calls) <= 1
     # B_1, B_2, B_3 and I_2 in one pass: still one synthesis, and each of the
-    # 45 continuation times resampled once (a pass per kernel made 4 x 45)
+    # 45 continuation times resampled once (a pass per kernel made 4 x 45).
+    # A fresh source: the session's one may already hold its resampled stack
     calls.clear()
-    resampled = []
+    source = HeatKernelSource(ab3_pot_plan)
     synthesize3 = ab3_pot_plan.synthesize
-    resample = heatflow.resample_dilated
     monkeypatch.setattr(ab3_pot_plan, "synthesize", lambda c: calls.append(1) or synthesize3(c))
-    monkeypatch.setattr(heatflow, "resample_dilated", lambda f, r, w: resampled.append(r) or resample(f, r, w))
-    potential_kernels(ab3_pot_plan, bessel=(1.0, 2.0, 3.0), riesz=(2.0,), source=ab3_pot_source)
+    resampled = _count_resamples(monkeypatch)
+    potential_kernels(ab3_pot_plan, bessel=(1.0, 2.0, 3.0), riesz=(2.0,), source=source)
     ladder = default_ladder(ab3_pot_plan.grid, ab3_pot_plan.spec.nu)
     assert len(calls) <= 1
-    assert len(resampled) == len(set(resampled)) == int(np.sum(ladder.nodes > ab3_pot_source.t_switch)) == 45
+    assert len(resampled) == len(set(resampled)) == int(np.sum(ladder.nodes > source.t_switch)) == 45
+    # the source keeps its continued kernels: other exponents resample nothing
+    resampled.clear()
+    potential_kernels(ab3_pot_plan, bessel=(0.5,), riesz=(1.0, 2.5), source=source)
+    assert resampled == []
 
 
-def _heisenberg_bench_box(h1_law):
+@pytest.fixture(scope="module")
+def h1_box_plan(h1_law):
     # the verify-heisenberg grid: every ladder node lies past the switch time
     spec = sublaplacian(h1_law.algebra)
     return spectral_plan(spec, h1_law, Grid.from_scale(h1_law.algebra.weights, 1.6, (15, 15, 31)))
@@ -167,7 +180,7 @@ def test_ladder_rows_match_single_rows(name, request):
     if name == "ab1":
         plan, source = request.getfixturevalue("ab1_pot_plan"), request.getfixturevalue("ab1_pot_source")
     else:
-        plan = _heisenberg_bench_box(request.getfixturevalue("h1_law"))
+        plan = request.getfixturevalue("h1_box_plan")
         source = HeatKernelSource(plan)
     ladder = default_ladder(plan.grid, plan.spec.nu)
     direct = int(np.sum(ladder.nodes <= source.t_switch))
@@ -181,6 +194,70 @@ def test_ladder_rows_match_single_rows(name, request):
         assert v1.shape == (plan.grid.size,) and isinstance(m1, float)
         assert np.max(np.abs(v - v1)) <= 1e-13 * np.max(np.abs(v1))
         assert m == pytest.approx(m1, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["ab1", "h1_box"])
+def test_warm_source_matches_fresh_source(name, request, monkeypatch):
+    # a source that has served other exponents reuses its stack of continued
+    # kernels, resampling nothing, and gives a fresh source's kernels
+    plan = request.getfixturevalue({"ab1": "ab1_pot_plan", "h1_box": "h1_box_plan"}[name])
+    ladder = default_ladder(plan.grid, plan.spec.nu)
+    warm = HeatKernelSource(plan)
+    late = int(np.sum(ladder.nodes > warm.t_switch))
+    assert (len(ladder.nodes) - late, late) == {"ab1": (45, 15), "h1_box": (0, 60)}[name]
+    riesz = (2.0,) if plan.law.algebra.homogeneous_dimension > 2 else (0.5,)
+    potential_kernels(plan, bessel=(3.0,), riesz=(1.5 * riesz[0],), source=warm)
+    resampled = _count_resamples(monkeypatch)
+    bessels, rieszes = potential_kernels(plan, bessel=(1.0, 2.0), riesz=riesz, source=warm)
+    assert resampled == []
+    fresh_b, fresh_r = potential_kernels(plan, bessel=(1.0, 2.0), riesz=riesz, source=HeatKernelSource(plan))
+    assert len(resampled) == late
+    for k, f in zip(bessels, fresh_b):
+        assert np.max(np.abs(k.values.values - f.values.values)) <= 1e-13 * np.max(np.abs(f.values.values))
+        assert abs(k.integral - f.integral) <= 1e-13
+    for k, f in zip(rieszes, fresh_r):
+        got, want = (np.delete(x.values.values, plan.grid.origin_index) for x in (k, f))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_ladder_with_other_times_rebuilds_the_stack(ab3_pot_plan, monkeypatch):
+    # the source keeps one ladder's continued kernels: a ladder with other
+    # late times resamples its own and still equals the per-node sum, and
+    # the first ladder, asked again, is resampled again
+    source = HeatKernelSource(ab3_pot_plan)
+    first = default_ladder(ab3_pot_plan.grid, ab3_pot_plan.spec.nu)
+    other = TLadder.geometric(first.t_lo, 50.0, n=30)
+    resampled = _count_resamples(monkeypatch)
+    for ladder in (first, other, first):
+        late = int(np.sum(ladder.nodes > source.t_switch))
+        coefs = np.array([ladder.weights * ladder.nodes ** (s - 1.0) * np.exp(-ladder.nodes) for s in (0.5, 1.5)])
+        resampled.clear()
+        values, masses = source.ladder_sum(ladder.nodes, coefs)
+        assert len(resampled) == late > 0
+        for row, v, m in zip(coefs, values, masses):
+            want, mass = _per_node_kernel(source, ladder, row)
+            assert np.max(np.abs(v - want)) <= 1e-13 * np.max(np.abs(want))
+            assert m == pytest.approx(mass, rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [300.0, 344.0, 1e300])
+def test_bessel_refuses_exponent_with_mass_past_the_ladder(ab1_pot_plan, a):
+    # Q(a/nu, 50) is about 1 here: the integral once counted it as mass that
+    # no grid value carries (a = 300 read 1.000000 with an empty kernel), and
+    # Gamma(a/nu) overflowed from a/nu = 171.6 on (a = 344).  The refusal
+    # comes before the ladder is summed
+    class Untouched(HeatKernelSource):
+        def ladder_sum(self, times, coefs):
+            raise AssertionError("the ladder was summed")
+
+    with pytest.raises(PotentialError, match=r"Q\(a/nu, t_hi\)"):
+        bessel_kernel(ab1_pot_plan, a, source=Untouched(ab1_pot_plan))
+    # the quadrature route by the same rule: once an OverflowError
+    f = make_test_family(ab1_pot_plan.grid, n=1, seed=SEED).gridfunctions()[0]
+    with pytest.raises(PotentialError, match=r"Q\(a/nu, t_hi\)"):
+        bessel_apply_quadrature(ab1_pot_plan, a, f)
+    # exponents whose tail is below the bound pass: Q(25, 50) = 3.5e-5
+    assert abs(bessel_kernel(ab1_pot_plan, 50.0).integral - 1.0) < 1e-3
 
 
 @pytest.mark.parametrize("name", ["ab1", "ab3"])
@@ -219,6 +296,11 @@ def test_bessel_rejects_bad_exponent(ab1_pot_plan):
         bessel_kernel(ab1_pot_plan, 0.0)
     with pytest.raises(PotentialError):
         bessel_kernel(ab1_pot_plan, -1.0)
+    # the quadrature route too; a NaN exponent once gave zeros
+    f = make_test_family(ab1_pot_plan.grid, n=1, seed=SEED).gridfunctions()[0]
+    for a in (0.0, -1.0, np.nan):
+        with pytest.raises(PotentialError, match="positive and finite"):
+            bessel_apply_quadrature(ab1_pot_plan, a, f)
 
 
 # ---------------------------------------------------------------------------
