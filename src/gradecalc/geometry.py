@@ -51,8 +51,8 @@ class GeometryError(GradecalcError):
 
 def dilate(r, x, weights):
     """Anisotropic dilation D_r x = (r^{v_1} x_1, ..., r^{v_n} x_n)."""
-    if r <= 0:
-        raise GeometryError("dilation parameter must be positive")
+    if not 0 < r < math.inf:
+        raise GeometryError("dilation parameter must be positive and finite")
     x = np.asarray(x, dtype=float)
     w = np.asarray(weights, dtype=float)
     return x * (float(r) ** w)

@@ -6,13 +6,19 @@ from the exact normal form of each letter pair with compact stencils
 matrices, is symmetrized and diagonalized once; heat flow, potential kernels
 and fractional powers are all multipliers through the resulting plan
 (``SpectralPlan``), which follows the operator's structure.
+Every plan transforms the same way, in three steps: an orthogonal or unitary
+basis along each axis of the interior box (``axis_bases``), a node order
+that groups the transformed nodes block by block (``order``), then one dense
+eigenbasis per block.  The plans differ only in what fills those steps.
 On an abelian law with every word a power of one letter the interior operator
 is a Kronecker sum, and the plan diagonalizes one small factor per axis, the
 sum of the operator's terms on that axis (the fast diagonalization method of
-Lynch, Rice and Thomas); a factor whose axis flip x_k -> -x_k fixes the
+Lynch, Rice and Thomas): the factors' eigenbases are its axis bases, and it
+has no dense blocks.  A factor whose axis flip x_k -> -x_k fixes the
 operator takes that flip, as the box plans below take theirs, and is solved
-as its even and odd halves.  On a grid with a periodic central axis it
-diagonalizes one Hermitian block per frequency of that axis.  Any other
+as its even and odd halves.  On a grid with a periodic central axis the axis
+basis there is the unitary DFT, the nodes are ordered frequency by
+frequency, and each frequency is one Hermitian block.  Any other
 operator on a box grid is split by its reflection symmetries: every
 coordinate sign flip that is an automorphism of the law and fixes the
 operator maps the box onto itself and commutes with the interior matrix, so
@@ -30,10 +36,11 @@ and there the turn generates the cyclic group of order 4, whose characters
 are all 1-dimensional.  With no flip but the identity the plan is one dense
 block.
 
-Every plan's transforms (``analyze``, ``synthesize``, ``apply_multiplier``)
-act on the last axis of their input, so a stack of m functions, shape
-(m, grid size), is one matrix product per block (or factor, or frequency)
-instead of m matrix-vector products; one vector is the case m = 1.  The
+The transforms (``analyze``, ``synthesize``, ``apply_multiplier``) act on
+the last axis of their input, so a stack of m functions, shape
+(m, grid size), goes through each step as one matrix product per axis basis
+and per block instead of m matrix-vector products; one vector is the case
+m = 1.  The
 heat source's ``ladder_sum`` uses that to build every potential kernel of a
 plan in one pass, one coefficient row per kernel.
 """
@@ -97,21 +104,25 @@ def _frozen(a):
 class SpectralPlan:
     """Eigendecomposition of the symmetrized, interior-restricted operator.
 
-    ``eigenvectors`` packs one orthonormal eigenvector matrix per block (or
-    factor, or frequency), of the sizes ``block_sizes``, each in C order,
-    one after another; ``_blocks`` reads them back, and ``analyze`` and
-    ``synthesize`` reach them.  The ``eigenvalues`` follow that layout: on
-    every plan they ascend only within each block (or factor).  Every plan
-    is positive up to rounding (``spectral_plan`` refuses any other), so
-    ``lam_plus`` clips only rounding.
+    The eigenbasis is one transform in three steps on the interior box
+    ``inner_shape``: ``axis_bases`` holds per axis an orthogonal (on a
+    periodic axis unitary) matrix Q_k, or None for the identity; ``order``
+    lists the nodes of the transformed box block by block (None: node order
+    as it is); and ``eigenvectors`` packs one orthonormal eigenvector matrix
+    per block, of the sizes ``block_sizes``, each in C order, one after
+    another (``_blocks`` reads them back; a plan with no blocks ends after
+    the order).  ``analyze`` applies the conjugate transposes of the three
+    steps, ``synthesize`` the steps themselves in reverse.  The
+    ``eigenvalues`` follow the coefficients: on every plan they ascend
+    only within each block (or factor).  Every plan is positive up to
+    rounding (``spectral_plan`` refuses any other), so ``lam_plus`` clips
+    only rounding.
 
-    This plan is block diagonal in a tensor-product parity basis of its
-    interior box ``inner_shape``: ``axis_bases`` holds, per axis, the
-    orthogonal matrix of its even and odd vectors under the axis flip
-    (``_parity_basis``), or None on an axis that no flip reverses, and
-    ``order`` lists the nodes of the transformed box block by block (None
-    for one block in node order).  The nodes of one block are the parity
-    patterns of one character of the flips (``_parity_blocks``).
+    This plan is block diagonal in a tensor-product parity basis: its axis
+    bases are the orthogonal matrices of the even and odd vectors under the
+    axis flips (``_parity_basis``), None on an axis that no flip reverses,
+    and the nodes of one block are the parity patterns of one character of
+    the flips (``_parity_blocks``).
     ``reflection_defect`` is the largest relative Frobenius commutator of a
     flip with the interior matrix (on a ``KroneckerPlan``, of an axis flip
     with its factor; None on a ``CentralFourierPlan``, which takes no flips).
@@ -139,7 +150,7 @@ class SpectralPlan:
     sym_defect: float
     block_sizes: tuple = ()
     inner_shape: tuple = ()
-    axis_bases: tuple = ()  # per axis an orthogonal (n_k, n_k) array, or None
+    axis_bases: tuple = ()  # per axis an orthogonal or unitary (n_k, n_k) array, or None
     order: np.ndarray | None = None  # transformed interior nodes, block by block
     reflection_defect: float | None = None
     eigh_s: float = 0.0
@@ -204,17 +215,23 @@ class SpectralPlan:
 
         ``values`` is one vector or a stack (m, grid size); every transform of
         a plan acts on the last axis, so a stack costs one matrix product per
-        block where m vectors would cost m.
+        axis basis and per block where m vectors would cost m.  The
+        conjugations cost nothing on a real plan: ``conj`` of a real array is
+        the array itself.
         """
-        y = _along_axes(self.restrict(values), self.inner_shape, [None if Q is None else Q.T for Q in self.axis_bases])
+        y = _along_axes(self.restrict(values), self.inner_shape, [None if Q is None else Q.conj().T for Q in self.axis_bases])
         if self.order is not None:
             y = y[..., self.order]
-        return np.concatenate([y[..., s] @ V for s, V in self._blocks()], axis=-1)
+        if not self.block_sizes:
+            return y
+        y = y.conj()  # V^H y, row by row, is (y^* V)^*
+        return np.concatenate([y[..., s] @ V for s, V in self._blocks()], axis=-1).conj()
 
     def synthesize(self, coef):
         """Grid values of an eigen-expansion, zero outside the interior (a stack row by row)."""
-        coef = np.asarray(coef)
-        y = np.concatenate([coef[..., s] @ V.T for s, V in self._blocks()], axis=-1)
+        y = np.asarray(coef)
+        if self.block_sizes:
+            y = np.concatenate([y[..., s] @ V.T for s, V in self._blocks()], axis=-1)
         if self.order is not None:
             z = np.empty_like(y)
             z[..., self.order] = y
@@ -233,7 +250,7 @@ class SpectralPlan:
                 "periodic": list(grid.periodic),
             },
             "n": int(self.mask.sum()),
-            "blocks": [int(b) for b in self.block_sizes],
+            "blocks": [int(b) for b in self.block_sizes or self.inner_shape],  # a Kronecker plan's factors
             "solves": [int(b) for b in self.solves],
             "lam_min": float(lam.min()),
             "lam_max": float(lam.max()),
@@ -265,40 +282,18 @@ class SpectralPlan:
 
 @dataclass
 class CentralFourierPlan(SpectralPlan):
-    """Plan of an operator that commutes with translations along ``axis``.
+    """Plan of an operator that commutes with translations along its periodic axis p.
 
-    A unitary DFT along the periodic ``axis`` (FFT frequency order, u = 0 at
-    index 0) splits the interior operator into one Hermitian block per
-    frequency xi, acting on the interior of the other axes.
-    ``eigenvectors[k]`` holds block k's orthonormal eigenvectors as columns
-    (the packed layout, shaped (frequencies, b, b)), and ``eigenvalues``
-    lists the blocks one after another, each ascending.
-    ``block_sizes`` lists one size per frequency, and ``inner_shape`` is the
-    interior box, whole along ``axis``.
-    The operator is real, so block -xi is the complex conjugate of block xi.
+    Its axis basis on p is the unitary DFT with the ``ifftshift`` folded in,
+    Q^H = fft(ifftshift(I)) (FFT frequency order, u = 0 at index 0), which
+    splits the interior operator into one Hermitian block per frequency xi,
+    acting on the interior of the other axes; its ``order`` lists the
+    transformed nodes frequency by frequency, and block k holds frequency
+    k's orthonormal eigenvectors (``eigenvectors`` is shaped
+    (frequencies, b, b), the packed layout).  ``inner_shape`` is whole
+    along p.  The operator is real, so block -xi is the complex conjugate
+    of block xi.
     """
-
-    axis: int = 0
-
-    def analyze(self, values):
-        X = self.restrict(values)
-        rows = X.reshape((-1,) + tuple(self.inner_shape))
-        # lines along the axis, frequency first: (M, m, rest of the interior)
-        lines = np.moveaxis(rows, 1 + self.axis, 0).reshape(self.inner_shape[self.axis], len(rows), -1)
-        F = np.fft.fft(np.fft.ifftshift(lines, axes=0), axis=0, norm="ortho")
-        # c_k = V_k^* F_k for every frequency k, one product per k for the whole stack
-        C = (F.conj() @ self.eigenvectors).conj()
-        return np.moveaxis(C, 0, 1).reshape(X.shape[:-1] + (-1,))
-
-    def synthesize(self, coef):
-        coef = np.asarray(coef)
-        V = self.eigenvectors
-        C = np.ascontiguousarray(np.moveaxis(coef.reshape((-1,) + V.shape[:2]), 0, -1))  # (M, b, m)
-        lines = np.fft.fftshift(np.fft.ifft(V @ C, axis=0, norm="ortho"), axes=0)  # F_k = V_k c_k
-        shape = list(self.inner_shape)
-        shape.insert(0, shape.pop(self.axis))
-        rows = np.moveaxis(lines, -1, 0).reshape([C.shape[-1]] + shape)
-        return self.embed(np.moveaxis(rows, 1, 1 + self.axis).reshape(coef.shape[:-1] + (-1,)))
 
 
 @dataclass
@@ -306,21 +301,15 @@ class KroneckerPlan(SpectralPlan):
     """Plan of a Kronecker sum: one symmetric factor per axis of the interior box.
 
     The interior operator is sum_k I x ... x F_k x ... x I, so its
-    eigenvectors are tensor products of the factors' eigenvectors.
-    ``eigenvectors`` packs one orthonormal factor basis per axis (of sizes
-    ``block_sizes``, the interior box), and ``eigenvalues`` is the
-    outer sum of the factor spectra in C order, ascending only within each
+    eigenvectors are tensor products of the factors' eigenvectors: its
+    ``axis_bases`` are the factors' orthonormal eigenbases, and it has no
+    dense blocks (``eigenvectors`` is empty).  ``eigenvalues`` is the outer
+    sum of the factor spectra in C order, ascending only within each
     factor.  A factor solved as its even and odd halves under its axis flip
     (``_kronecker_plan``) keeps this layout: its basis vectors are exactly
     even or odd, and ``reflection_defect`` is the largest commutator of such
     a flip with its factor (0 when no factor takes one).
     """
-
-    def analyze(self, values):
-        return _along_axes(self.restrict(values), self.block_sizes, [V.T for _, V in self._blocks()])
-
-    def synthesize(self, coef):
-        return self.embed(_along_axes(np.asarray(coef), self.block_sizes, [V for _, V in self._blocks()]))
 
 
 def _along_axes(X, shape, mats):
@@ -425,9 +414,9 @@ def _solve_plan(spec, law, grid, margin, reg_strength):
         )
     if grid.periodic and reg_strength:
         raise HeatError("plans on periodic grids take no dissipation term (reg_strength 0)")
-    mask = grid.interior_mask(margin)
+    fields = dict(grid=grid, spec=spec, law=law, mask=grid.interior_mask(margin), inner_shape=inner_counts)
     if grid.periodic:
-        return _central_fourier_plan(spec, law, grid, mask, inner_counts)
+        return _central_fourier_plan(fields)
     box = tuple(slice((N - n) // 2, (N + n) // 2) for N, n in zip(grid.counts, inner_counts))
     A = discretize(spec.expr, law, grid, box)
     if reg_strength:
@@ -437,8 +426,7 @@ def _solve_plan(spec, law, grid, margin, reg_strength):
     half = _half_bandwidths(A)
     band = _band(A, half)
     norm = _frobenius(band)
-    sym_defect = _frobenius(band - _band(A.transpose(), half)) / norm if norm else 0.0
-    fields = dict(grid=grid, spec=spec, law=law, mask=mask, sym_defect=sym_defect, inner_shape=inner_counts)
+    fields["sym_defect"] = _frobenius(band - _band(A.transpose(), half)) / norm if norm else 0.0
     if kronecker:
         return _kronecker_plan(A, half, flips, fields)
     return _reflection_plan(A, band, flips, fields)
@@ -708,25 +696,20 @@ def _kronecker_plan(A, half, flips, fields):
     each summed term by term and solved on its own: two solves of about
     n/2 nodes cost about a quarter of one solve of n.  Each half's
     eigenvectors go through its parity vectors straight into their columns
-    of the factor's packed block of ``eigenvectors``, in the order in which
-    the factor's eigenvalues ascend.  A factor whose flip is not in the
-    group is one block.
+    of the factor's axis basis, in the order in which the factor's
+    eigenvalues ascend.  A factor whose flip is not in the group is solved
+    whole.
     """
     counts = tuple(A.counts)
     factors = [[] for _ in counts]
     for c, mats in A.terms:
         (k,) = [k for k, M in enumerate(mats) if M is not None] or [0]
         factors[k].append((c, mats[k]))
-    plan = KroneckerPlan(
-        eigenvalues=np.empty(A.shape[0]),
-        eigenvectors=np.empty(sum(n * n for n in counts)),
-        block_sizes=counts,
-        **fields,
-    )
+    bases = tuple(np.empty((n, n)) for n in counts)
     spectra = []
     defect = 0.0
     stats = {}
-    for k, (n, terms, (_, V)) in enumerate(zip(counts, factors, plan._blocks())):
+    for k, (n, terms, V) in enumerate(zip(counts, factors, bases)):
         F = KroneckerOperator((n,), tuple((c, (M,)) for c, M in terms))
         own = 1 - 2 * (np.arange(flips.shape[1]) == k)  # the flip of axis k alone
         if (flips == own).all(axis=1).any():
@@ -756,14 +739,21 @@ def _kronecker_plan(A, half, flips, fields):
             V[:, column[start : start + len(wh)]] = W if odd is None else _parity_expand(W, odd, n)
             start += len(wh)
         spectra.append(w[order])
-    plan.eigenvalues[:] = functools.reduce(np.add.outer, spectra).ravel()
-    return dataclasses.replace(plan, reflection_defect=defect, **stats)
+    return KroneckerPlan(
+        eigenvalues=functools.reduce(np.add.outer, spectra).ravel(),
+        eigenvectors=np.empty(0),
+        axis_bases=bases,
+        reflection_defect=defect,
+        **fields,
+        **stats,
+    )
 
 
-def _central_fourier_plan(spec, law, grid, mask, inner_shape):
+def _central_fourier_plan(fields):
     """Plan on a grid whose one periodic axis p is a central coordinate.
 
-    ``mask`` and ``inner_shape`` are the interior that ``_solve_plan`` decided.
+    ``fields`` holds the plan's grid, operator and law, and the interior
+    (``mask``, ``inner_shape``) that ``_solve_plan`` decided.
 
     When the operator's words have length at most 2 and the field
     coefficients do not involve x_p, the operator commutes with translations
@@ -779,22 +769,23 @@ def _central_fourier_plan(spec, law, grid, mask, inner_shape):
     structure behind the Mehler-type formula.  Longer words and coefficients
     in x_p are refused.
     """
+    grid, law, inner_shape = fields["grid"], fields["law"], fields["inner_shape"]
     if len(grid.periodic) != 1:
         raise HeatError("a central-Fourier plan needs exactly one periodic axis")
     (p,) = grid.periodic
     others = [j for j in range(grid.ndim) if j != p]
     if not others:
         raise HeatError("a central-Fourier plan needs a non-periodic axis")
-    expr = spec.expr
+    expr = fields["spec"].expr
     if expr.max_word_length() > 2:
         raise HeatError(
             f"plans on periodic grids need words of length at most 2, "
             f"got {expr.max_word_length()}"
         )
-    fields = left_invariant_fields(law)
+    vector_fields = left_invariant_fields(law)
     groups = [{}, {}, {}]  # the normal form by the power of d_p, d_p dropped
     for word, c in expr.terms.items():
-        for alpha, a in normal_form(word, fields).items():
+        for alpha, a in normal_form(word, vector_fields).items():
             group = groups[alpha[p]]
             rest = alpha[:p] + alpha[p + 1 :]
             group[rest] = group.get(rest, 0) + c * a
@@ -821,17 +812,16 @@ def _central_fourier_plan(spec, law, grid, mask, inner_shape):
         w[k], V[k] = _eigh(0.5 * (A + A.conj().T), stats)
         if k:
             w[M - k], V[M - k] = w[k], V[k].conj()
+    dft = np.fft.fft(np.fft.ifftshift(np.eye(M), axes=0), axis=0, norm="ortho")  # Q^H on the axis
+    nodes = np.arange(math.prod(inner_shape)).reshape(inner_shape)
     return CentralFourierPlan(
-        grid=grid,
-        spec=spec,
-        law=law,
-        mask=mask,
         eigenvalues=w.ravel(),
         eigenvectors=V,
         sym_defect=float(np.sqrt(defect_num / defect_den)) if defect_den else 0.0,
         block_sizes=(b,) * M,
-        axis=p,
-        inner_shape=inner_shape,
+        axis_bases=tuple(dft.conj().T if j == p else None for j in range(grid.ndim)),
+        order=_frozen(np.moveaxis(nodes, p, 0).ravel()),
+        **fields,
         **stats,
     )
 
@@ -855,22 +845,24 @@ def dilated_plan(plan: SpectralPlan, rho) -> SpectralPlan:
     )
 
 
+def heat_multiplier(plan: SpectralPlan, t):
+    """e^{-t lam_plus}, the heat multiplier at time t; where -t lam leaves the float range it is 0, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(-t * plan.lam_plus)
+
+
 def heat_apply(plan: SpectralPlan, f: GridFunction, t) -> GridFunction:
     """e^{-tR} f (t = 0 is the identity on the interior)."""
     if t < 0:
         raise HeatError("time must be nonnegative")
-    with np.errstate(over="ignore"):  # -t lam below the float range: e^{-t lam} is 0
-        g = np.exp(-t * plan.lam_plus)
-    return GridFunction(plan.grid, plan.apply_multiplier(g, f.values))
+    return GridFunction(plan.grid, plan.apply_multiplier(heat_multiplier(plan, t), f.values))
 
 
 def heat_kernel(plan: SpectralPlan, t) -> GridFunction:
     """h_t: heat flow started from the discrete delta at the origin."""
     if t < 0:
         raise HeatError("time must be nonnegative")
-    with np.errstate(over="ignore"):  # -t lam below the float range: e^{-t lam} is 0
-        g = np.exp(-t * plan.lam_plus)
-    return plan.delta_kernel(g)
+    return plan.delta_kernel(heat_multiplier(plan, t))
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +911,7 @@ class HeatKernelSource:
                     break
             if t_sw is not None:
                 self.t_switch = float(t_sw)
-                g = np.exp(-self.t_switch * plan.lam_plus)
+                g = heat_multiplier(plan, self.t_switch)
                 self._ref, self.mass_at_switch = plan.delta_kernel(g), plan.delta_mass(g)
 
     def _continued(self, t):
@@ -942,13 +934,13 @@ class HeatKernelSource:
         if not 0 < t < math.inf:
             raise HeatError("time must be positive and finite")
         if t <= self.t_switch:
-            return self.plan.delta_kernel(np.exp(-t * self.plan.lam_plus))
+            return self.plan.delta_kernel(heat_multiplier(self.plan, t))
         return GridFunction(self.plan.grid, self._continued(t))
 
     def mass(self, t):
         """int h_t: the plan's ``delta_mass`` up to t_switch, ``mass_at_switch`` past it."""
         if t <= self.t_switch:
-            return self.plan.delta_mass(np.exp(-t * self.plan.lam_plus))
+            return self.plan.delta_mass(heat_multiplier(self.plan, t))
         return self.mass_at_switch
 
     def ladder_sum(self, times, coefs):
@@ -974,10 +966,9 @@ class HeatKernelSource:
         values = np.zeros((len(rows), self.plan.grid.size))
         mass = np.zeros(len(rows))
         if direct.any():
-            lam = self.plan.lam_plus
-            mult = np.zeros((len(rows), lam.size))
+            mult = np.zeros((len(rows), self.plan.lam_plus.size))
             for t, c in zip(times[direct], rows[:, direct].T):
-                mult += c[:, None] * np.exp(-t * lam)
+                mult += c[:, None] * heat_multiplier(self.plan, t)
             values += self.plan.synthesize(mult * self.plan.delta_coefficients).real
             mass += [self.plan.delta_mass(m) for m in mult]
         if not direct.all():

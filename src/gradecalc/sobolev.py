@@ -106,11 +106,6 @@ def _by_blocks(fn, values):
     return out
 
 
-def _word_rows(fm: FieldMatrices, word, block):
-    """X^word applied to each row of ``block`` at once, rows kept contiguous."""
-    return np.ascontiguousarray(fm.apply_word(tuple(word), block.T).T)
-
-
 def _word_norms(spec: SobolevNormSpec, words, block):
     """The L^p norms of X^word applied to each row of ``block``, one array per word, in ``words`` order.
 
@@ -359,33 +354,6 @@ def sup_embedding_probe(plan: SpectralPlan, p, s, family: TestFamily):
 
     drift = _dilation_drift(plan, family, scaled_ratio)
     return float(sup), float(drift)
-
-
-def bump_multiplication_probe(spec: SobolevNormSpec, phi: GridFunction, family: TestFamily):
-    """sup of ||f * phi||_{L^p_s} / ||f||_{L^p_s} for a fixed bump phi."""
-    if phi.grid != spec.plan.grid:
-        raise SobolevError("bump must live on the plan's grid")
-    norms = partial(sobolev_norms, spec)
-    num = partial(_by_blocks, lambda block: norms(block * phi.values))
-    return float(np.max(_ratios(_family_values(family, spec.plan), num, norms), initial=0.0))
-
-
-def type0_probe(plan: SpectralPlan, word, family: TestFamily):
-    """Empirical L2 -> L2 ratio of f -> R^{-deg/nu} X^alpha f for [alpha] = deg.
-
-    The composed operator has homogeneous degree zero; its discrete ratio over
-    the family stays bounded and is frozen as a regression value.
-    """
-    weights = plan.law.algebra.weights
-    deg = sum(int(weights[j]) for j in word)
-    g = fractional_multiplier(plan, -float(deg), homogeneous=True)
-
-    def num(block):
-        return lp_norms(plan.grid, plan.apply_multiplier(g, _word_rows(plan.field_matrices, word, block)), 2)
-
-    values = _family_values(family, plan)
-    ratios = _ratios(values, partial(_by_blocks, num), partial(lp_norms, plan.grid, p=2))
-    return float(np.max(ratios, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

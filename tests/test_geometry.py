@@ -53,10 +53,10 @@ def test_dilation_group_property(r, s, x):
 
 
 def test_dilation_rejects_nonpositive():
-    with pytest.raises(GeometryError):
-        dilate(0.0, np.zeros(3), (1, 1, 2))
-    with pytest.raises(GeometryError):
-        dilate(-1.0, np.zeros(3), (1, 1, 2))
+    # and non-finite: dilate(nan, ...) returned nan
+    for r in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            dilate(r, np.zeros(3), (1, 1, 2))
 
 
 @settings(max_examples=40, deadline=None)

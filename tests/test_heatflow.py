@@ -236,9 +236,34 @@ def test_degree_has_one_owner(h1_law, h1t_law):
         check_self_similarity(plan, plan, 0.1, 0.2)
 
 
-def test_plan_eigenbasis_orthonormal(ab1_heat_plan):
-    for _, V in ab1_heat_plan._blocks():
-        assert np.allclose(V.T @ V, np.eye(len(V)), atol=1e-10)
+def test_one_transform_for_every_plan():
+    # the structured plans fill SpectralPlan's steps (axis bases, order,
+    # blocks) and add no transform or field of their own
+    subclasses = SpectralPlan.__subclasses__()
+    assert {CentralFourierPlan, KroneckerPlan} <= set(subclasses)
+    for cls in subclasses:
+        assert not {"analyze", "synthesize"} & set(vars(cls)), cls.__name__
+        assert dataclasses.fields(cls) == dataclasses.fields(SpectralPlan)
+
+
+def test_plan_eigenbasis_orthonormal(ab1_heat_plan, h1_pot_plan, h1_heat_plan):
+    # every basis a plan holds, axis bases and dense blocks, is orthonormal
+    # (unitary on the complex central-Fourier plan), on all three plan kinds:
+    # a Kronecker plan's factor bases are its axis bases and it has no
+    # blocks; a reflection plan has parity bases and one block per
+    # character; a central-Fourier plan the DFT on u and one block per frequency
+    cases = (
+        (ab1_heat_plan, KroneckerPlan, 1, 0),
+        (h1_pot_plan, SpectralPlan, 3, 4),
+        (h1_heat_plan, CentralFourierPlan, 1, 31),
+    )
+    for plan, kind, n_axis, n_blocks in cases:
+        assert type(plan) is kind
+        axis_bases = [Q for Q in plan.axis_bases if Q is not None]
+        blocks = [V for _, V in plan._blocks()]
+        assert len(axis_bases) == n_axis and len(blocks) == n_blocks
+        for B in axis_bases + blocks:
+            assert np.abs(B.conj().T @ B - np.eye(len(B))).max() < 1e-10
     assert ab1_heat_plan.sym_defect < 1e-10
 
 
@@ -266,6 +291,7 @@ def test_dilated_plan_matches_fresh_solve(
         heat_kernel(plan, 0.3)
         cheap = dilated_plan(plan, rho)
         assert type(cheap) is type(fresh) is kind and cheap.eigenvectors is plan.eigenvectors
+        assert cheap.axis_bases is plan.axis_bases and cheap.order is plan.order
         assert cheap.lam_plus is not plan.lam_plus
         h1 = heat_kernel(cheap, 0.3).values
         h2 = heat_kernel(fresh, 0.3).values
@@ -344,6 +370,24 @@ def test_heat_at_huge_time_is_zero_without_warning(ab1_heat_plan):
     assert check_mass(h) == 1.0
 
 
+def test_source_at_huge_time_is_zero_without_warning(ab1_law):
+    # an inhomogeneous operator has no continuation (t_switch = inf), so the
+    # source takes the direct route at every time, through heat_kernel's
+    # multiplier; an overflow of -t lambda there raised a RuntimeWarning in
+    # mass, __call__ and ladder_sum
+    expr = parse_diffop("-X^2+1", ab1_law.algebra.labels)
+    plan = spectral_plan(RocklandSpec(expr=expr, nu=None), ab1_law, Grid((4.0,), (49,)))
+    assert plan.mask.sum() == 41
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        source = HeatKernelSource(plan)
+        mass, h = source.mass(1e308), source(1e308)
+        values, total = source.ladder_sum([1e308], [1.0])
+    assert source.t_switch == np.inf
+    assert mass == 0.0 and total == 0.0
+    assert not h.values.any() and not values.any()
+
+
 def test_value_at_origin_late(ab1_pot_source):
     # t^{Q/nu} h_t(0) -> (4 pi)^{-1/2} for the 1-D closed form
     c = ab1_pot_source.value_at_origin_late()
@@ -384,6 +428,20 @@ def test_central_fourier_plan_mechanics(h1_law):
     src = HeatKernelSource(plan)
     assert src.t_switch == np.inf
     assert np.array_equal(src(5.0).values, heat_kernel(plan, 5.0).values)
+
+
+def test_central_fourier_analyze_is_fft_then_blocks(h1_law):
+    # the plan's one transform, on the DFT axis basis, the frequency-major
+    # order and the per-frequency blocks, against the FFT of the lines along
+    # u (u = 0 moved to index 0) followed by V_k^H at each frequency k
+    plan = spectral_plan(sublaplacian(h1_law.algebra), h1_law, _small_periodic_grid())
+    values = np.random.default_rng(SEED).standard_normal((3, plan.grid.size))
+    M = plan.grid.counts[2]
+    lines = plan.restrict(values).reshape(3, -1, M)  # u is the last axis, whole in the interior
+    F = np.fft.fft(np.fft.ifftshift(lines, axes=-1), axis=-1, norm="ortho")
+    V = plan.eigenvectors
+    expected = np.concatenate([F[..., k] @ V[k].conj() for k in range(M)], axis=-1)
+    assert np.max(np.abs(plan.analyze(values) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("kind", [SpectralPlan, KroneckerPlan, CentralFourierPlan])
@@ -530,12 +588,15 @@ def test_kronecker_plan_mechanics():
     grid, margin = _KRON_CASES["abelian3"]
     plan = spectral_plan(spec, law, grid, margin=margin, reg_strength=0.3)
     n = int(plan.mask.sum())
-    assert plan.block_sizes == (5, 9, 3) and n == 5 * 9 * 3
-    # plain arrays, as for every plan; the factor bases packed one after another
-    for arr in (plan.eigenvalues, plan.eigenvectors, plan.mask):
+    assert plan.inner_shape == (5, 9, 3) and n == 5 * 9 * 3
+    # plain arrays, as for every plan; the factor bases are the axis bases,
+    # and there are no dense blocks
+    Vs = list(plan.axis_bases)
+    for arr in (plan.eigenvalues, plan.eigenvectors, plan.mask, *Vs):
         assert type(arr) is np.ndarray
-    Vs = [V for _, V in plan._blocks()]
-    assert plan.eigenvalues.shape == (n,) and plan.eigenvectors.shape == (5 * 5 + 9 * 9 + 3 * 3,)
+    assert plan.eigenvalues.shape == (n,) and plan.eigenvectors.size == 0
+    assert plan.block_sizes == () and plan.order is None and not list(plan._blocks())
+    assert plan.health()["blocks"] == [5, 9, 3]
     assert [V.shape for V in Vs] == [(5, 5), (9, 9), (3, 3)]
     for V in Vs:
         assert np.allclose(V.T @ V, np.eye(len(V)), atol=1e-10)
@@ -577,11 +638,11 @@ def test_split_kronecker_plan_matches_unsplit(name, reg_strength, monkeypatch):
     whole = spectral_plan(spec, law, grid, margin=margin, reg_strength=reg_strength)
     assert isinstance(split, KroneckerPlan) and isinstance(whole, KroneckerPlan)
     assert split.reflection_defect < 1e-12 and whole.reflection_defect == 0.0
-    assert split.block_sizes == whole.block_sizes
+    assert split.inner_shape == whole.inner_shape
     # each factor's eigenvalues still ascend (the spectrum is their outer
     # sum, so they are its lines through index 0), and its basis is orthonormal
-    lam = split.eigenvalues.reshape(split.block_sizes)
-    for k, (_, V) in enumerate(split._blocks()):
+    lam = split.eigenvalues.reshape(split.inner_shape)
+    for k, V in enumerate(split.axis_bases):
         line = np.moveaxis(lam, k, 0)[(slice(None),) + (0,) * (lam.ndim - 1)]
         assert np.all(np.diff(line) >= 0)
         assert np.abs(V.T @ V - np.eye(len(V))).max() < 1e-12
@@ -612,7 +673,7 @@ def test_factor_without_its_flip_is_one_block(monkeypatch):
     eigh = heatflow._eigh
     monkeypatch.setattr(heatflow, "_eigh", lambda A, stats: sizes.append(len(A)) or eigh(A, stats))
     plan = spectral_plan(RocklandSpec(expr=expr, nu=None), law, grid, margin=margin)
-    assert isinstance(plan, KroneckerPlan) and plan.block_sizes == (13, 11)
+    assert isinstance(plan, KroneckerPlan) and plan.inner_shape == (13, 11)
     assert sizes == [6, 7, 11]
     assert plan.reflection_defect < 1e-12
 

@@ -14,7 +14,6 @@ from gradecalc.sobolev import (
     RatioProbe,
     SobolevError,
     SobolevNormSpec,
-    bump_multiplication_probe,
     embedding_probe,
     equivalence_probe,
     make_test_family,
@@ -22,7 +21,6 @@ from gradecalc.sobolev import (
     sobolev_norm,
     sobolev_norms,
     sup_embedding_probe,
-    type0_probe,
     words_of_degree,
 )
 
@@ -286,8 +284,6 @@ def test_probes_transform_stacks(ab1_pot_plan, monkeypatch):
     equivalence_probe(SobolevNormSpec(ab1_pot_plan, 2.0, 2, "integer"), spec, fam)
     embedding_probe(ab1_pot_plan, 2, 4, 0.25, 0.0, fam)
     sup_embedding_probe(ab1_pot_plan, 2, 1.0, fam)
-    bump_multiplication_probe(spec, GridFunction(ab1_pot_plan.grid, np.ones(ab1_pot_plan.grid.size)), fam)
-    type0_probe(ab1_pot_plan, (0,), fam)
     assert shapes and all(len(shape) == 2 and shape[0] <= STACK_BLOCK for shape in shapes)
 
 
@@ -391,8 +387,8 @@ def test_sharpness_table_equals_resampled_bump(h1t_law):
 
 
 def test_plan_builds_field_matrices_once(ab1_pot_plan, monkeypatch):
-    # integer norms and the probes that apply words share one FieldMatrices
-    # per plan; a dilated plan lives on another grid and builds its own
+    # integer norms, also inside a probe, share one FieldMatrices per plan;
+    # a dilated plan lives on another grid and builds its own
     import gradecalc.heatflow as heatflow
 
     built = []
@@ -409,48 +405,10 @@ def test_plan_builds_field_matrices_once(ab1_pot_plan, monkeypatch):
     norms = [sobolev_norm(spec, f) for f in fam.gridfunctions() for _ in range(2)]
     assert norms[0::2] == norms[1::2]
     equivalence_probe(spec, SobolevNormSpec(plan, 2.0, 2), fam)
-    bump_multiplication_probe(spec, GridFunction(plan.grid, np.ones(plan.grid.size)), fam)
-    type0_probe(plan, (0,), fam)
     assert len(built) == 1
     assert plan.field_matrices.grid == plan.grid != ab1_pot_plan.grid
     with pytest.raises(SobolevError, match="plan's grid"):
         sobolev_norm(SobolevNormSpec(ab1_pot_plan, 2.0, 2, "integer"), fam.gridfunctions()[0])
-
-
-# ---------------------------------------------------------------------------
-# Multiplication and type-0 probes
-
-
-def test_bump_multiplication_trivial(ab1_pot_plan):
-    fam = make_test_family(ab1_pot_plan.grid, n=5, seed=SEED)
-    ones = GridFunction(ab1_pot_plan.grid, np.ones(ab1_pot_plan.grid.size))
-    spec = SobolevNormSpec(ab1_pot_plan, 2.0, 2)
-    assert bump_multiplication_probe(spec, ones, fam) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_bump_multiplication_s0_bound(ab1_pot_plan):
-    fam = make_test_family(ab1_pot_plan.grid, n=5, seed=SEED)
-    g = ab1_pot_plan.grid
-    phi = GridFunction(g, 0.7 * np.exp(-((g.points()[:, 0] / 2) ** 2)))
-    spec = SobolevNormSpec(ab1_pot_plan, 0.0, 2)
-    assert bump_multiplication_probe(spec, phi, fam) <= 0.7 + 1e-8
-
-
-def test_bump_multiplication_h1_finite(h1_pot_plan):
-    fam = make_test_family(h1_pot_plan.grid, n=10, seed=SEED)
-    g = h1_pot_plan.grid
-    pts = g.points()
-    phi = GridFunction(g, np.exp(-np.sum((pts / np.array([1.2, 1.2, 0.5])) ** 2, axis=1)))
-    spec = SobolevNormSpec(h1_pot_plan, 2.0, 2)
-    sup = bump_multiplication_probe(spec, phi, fam)
-    assert np.isfinite(sup) and 0 < sup < 50
-
-
-def test_type0_probe_bounded(h1_pot_plan):
-    fam = make_test_family(h1_pot_plan.grid, n=20, seed=SEED)
-    # word (2,) is the central direction, weighted degree 2 = nu
-    sup = type0_probe(h1_pot_plan, (2,), fam)
-    assert np.isfinite(sup) and sup < 10.0
 
 
 # ---------------------------------------------------------------------------
