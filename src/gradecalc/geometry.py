@@ -392,7 +392,12 @@ class SphereQuadrature:
 
         Under polar decomposition, uniform measure on the pseudo-ball has
         angular marginal proportional to the sphere measure, and the sphere
-        measure's total mass is Q * vol(ball).
+        measure's total mass is Q * vol(ball).  Each kept sample carries
+        sigma_total / (samples kept).  The sphere of a one-dimensional group
+        is the two points -1 and 1, onto which every sample projects, so
+        there the quadrature is those two nodes, each with the summed weight
+        of the samples on its side.  No other sphere is merged: its samples
+        project to distinct points.
         """
         weights = tuple(int(w) for w in weights)
         n = len(weights)
@@ -403,8 +408,12 @@ class SphereQuadrature:
         x = x[keep]
         vol_ball = (2.0**n) * keep.mean()
         sigma_total = Q * vol_ball
-        nodes = project_to_sphere(x, weights, nu0)
-        wts = np.full(len(nodes), sigma_total / len(nodes))
+        if n == 1:
+            count = np.array([np.count_nonzero(x < 0), np.count_nonzero(x > 0)])
+            nodes, wts = np.array([[-1.0], [1.0]]), count * (sigma_total / len(x))
+        else:
+            nodes = project_to_sphere(x, weights, nu0)
+            wts = np.full(len(nodes), sigma_total / len(nodes))
         return cls(weights_vec=weights, nu0=nu0, nodes=nodes, node_weights=wts)
 
 

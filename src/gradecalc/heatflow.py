@@ -70,6 +70,7 @@ from .calculus import (
     normal_form,
 )
 from .geometry import (
+    EXP_FLOOR,
     Grid,
     GridFunction,
     group_convolve,
@@ -851,6 +852,45 @@ def heat_multiplier(plan: SpectralPlan, t):
         return np.exp(-t * plan.lam_plus)
 
 
+# Bytes of exponents per block of ladder rows in ``_ladder_multipliers``: 58
+# rows of a 1127-eigenvalue plan.  Smaller blocks pay more numpy calls per
+# ladder and larger ones leave the cache: on that plan a 600-node quadrature
+# took 10-50% longer with 64 KB or 8 MB blocks.
+LADDER_BLOCK_BYTES = 1 << 19
+
+
+def _ladder_multipliers(mu, times, coefs):
+    """sum_i c_{r,i} e^{-t_i mu} for every coefficient row r: shape (k, mu.size).
+
+    ``coefs`` holds one row of weights per multiplier, shape (k, len(times)),
+    or one row as a 1-D array.  Each block of ladder rows,
+    ``LADDER_BLOCK_BYTES`` of exponents -t_i mu in a buffer kept for the
+    call, is exponentiated in place and added as one matrix product
+    ``coefs[:, block] @ E``, so no array holds the whole ladder times the
+    spectrum.  A term whose exponent lies below ``EXP_FLOOR`` counts as 0:
+    it is below e^{-700} = 1e-304, and numpy's exp is about a hundred times
+    slower where its result would be subnormal.  -t_i mu may overflow to
+    -inf, which is such a term, without a warning.
+    """
+    mu, times = np.asarray(mu, dtype=float), np.asarray(times, dtype=float)
+    rows = np.asarray(coefs, dtype=float).reshape(-1, len(times))
+    out = np.zeros((len(rows), mu.size))
+    step = max(1, LADDER_BLOCK_BYTES // (8 * mu.size))
+    buf = np.empty((min(step, len(times)), mu.size))
+    dropped = np.empty(buf.shape, dtype=bool)
+    for i in range(0, len(times), step):
+        t = times[i : i + step]
+        e, low = buf[: len(t)], dropped[: len(t)]
+        with np.errstate(over="ignore"):
+            np.multiply(-t[:, None], mu, out=e)
+        np.less(e, EXP_FLOOR, out=low)
+        np.copyto(e, 0.0, where=low)
+        np.exp(e, out=e)
+        np.copyto(e, 0.0, where=low)
+        out += rows[:, i : i + step] @ e
+    return out
+
+
 def heat_apply(plan: SpectralPlan, f: GridFunction, t) -> GridFunction:
     """e^{-tR} f (t = 0 is the identity on the interior)."""
     if t < 0:
@@ -950,7 +990,8 @@ class HeatKernelSource:
         the n ``times``; then the values are (k, grid size) and the integrals
         (k,).  A 1-D ``coefs`` is the case k = 1 and gives one vector and one
         float.  The direct nodes (t_i <= t_switch) fold into one multiplier
-        row m = sum_i c_i e^{-t_i lam_plus} per kernel: the rows share one
+        row m = sum_i c_i e^{-t_i lam_plus} per kernel, all rows in blocked
+        passes over the nodes (``_ladder_multipliers``): the rows share one
         stacked synthesis of m c_delta, and each row's integral is the
         ``delta_mass`` of its m.  The continuation nodes are one product of
         the coefficient rows with ``_continued_stack``, which resamples the
@@ -966,9 +1007,7 @@ class HeatKernelSource:
         values = np.zeros((len(rows), self.plan.grid.size))
         mass = np.zeros(len(rows))
         if direct.any():
-            mult = np.zeros((len(rows), self.plan.lam_plus.size))
-            for t, c in zip(times[direct], rows[:, direct].T):
-                mult += c[:, None] * heat_multiplier(self.plan, t)
+            mult = _ladder_multipliers(self.plan.lam_plus, times[direct], rows[:, direct])
             values += self.plan.synthesize(mult * self.plan.delta_coefficients).real
             mass += [self.plan.delta_mass(m) for m in mult]
         if not direct.all():

@@ -21,6 +21,15 @@ the grid cap), so a second kernel query on the same source resamples
 nothing.  Every plan is positive up to rounding (``spectral_plan``), so the
 clipping is harmless; a fractional power whose multiplier overflows is
 refused (``fractional_multiplier``).
+
+Every ladder quadrature of a multiplier, sum_i c_i e^{-t_i mu} for one or
+more coefficient rows, goes through one routine,
+``heatflow._ladder_multipliers``, which takes the ladder as an array axis: a
+block of ladder rows (about 512 KB of exponents) is one exp and one matrix
+product.  ``ladder_sum`` uses it with mu = lam_plus for its direct nodes,
+and the quadrature route ``bessel_apply_quadrature`` with mu = 1 + lam_plus
+for its 600 nodes and analytic head, so no Python loop runs over the nodes
+of a ladder.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import numpy as np
 
 from . import GradecalcError
 from .geometry import Grid, GridFunction, lp_norm, pseudo_norm
-from .heatflow import HeatKernelSource, SpectralPlan
+from .heatflow import HeatKernelSource, SpectralPlan, _ladder_multipliers
 
 
 class PotentialError(GradecalcError):
@@ -76,6 +85,12 @@ class TLadder:
     @property
     def t_hi(self):
         return float(self.nodes[-1])
+
+
+# The ladder of ``bessel_apply_quadrature``, the same for every plan; every
+# call shares its arrays, so they are read-only.
+QUADRATURE_LADDER = TLadder.geometric(1e-8, 50.0, n=600)
+QUADRATURE_LADDER.nodes.flags.writeable = QUADRATURE_LADDER.weights.flags.writeable = False
 
 
 def default_ladder(grid: Grid, nu) -> TLadder:
@@ -356,16 +371,19 @@ def bessel_apply_quadrature(plan: SpectralPlan, a, f: GridFunction) -> GridFunct
 
     Cross-validates ``fractional_apply(plan, -a, f)``: the exact identity is
     (I+R)^{-a/nu} = (1/Gamma(a/nu)) * integral of t^{a/nu-1} e^{-t} e^{-tR} dt.
+    On the spectrum that is the multiplier sum_i c_i e^{-t_i (1 + lam_plus)}
+    over the 600 nodes of ``QUADRATURE_LADDER`` (c_i = w_i t_i^{a/nu-1}),
+    plus the analytic head t_lo^{a/nu} / (a/nu) e^{-t_lo (1 + lam_plus)} for
+    (0, t_lo], where the integrand is ~ t^{a/nu-1}: one more term of the same
+    sum.  All 601 terms go through ``heatflow._ladder_multipliers`` in
+    blocks of ladder rows, so no array holds the ladder times the spectrum.
     Its exponents are refused by the rule of ``potential_kernels``.
     """
     nu = _require_homogeneous(plan)
-    ladder = TLadder.geometric(1e-8, 50.0, n=600)
+    ladder = QUADRATURE_LADDER
     _bessel_tail(a, nu, ladder.t_hi)  # the operator dropped past t_hi has norm at most this
     s = a / nu
-    lam = plan.lam_plus
-    # analytic head for (0, t_lo], where the integrand is ~ t^{s-1}
-    g = (ladder.t_lo**s / s) * np.exp(-ladder.t_lo * (1.0 + lam))
-    for t, w in zip(ladder.nodes, ladder.weights):
-        g += w * (t ** (s - 1.0)) * np.exp(-t * (1.0 + lam))
-    g /= math.gamma(s)
+    times = np.concatenate(([ladder.t_lo], ladder.nodes))
+    coefs = np.concatenate(([ladder.t_lo**s / s], ladder.weights * ladder.nodes ** (s - 1.0)))
+    g = _ladder_multipliers(1.0 + plan.lam_plus, times, coefs)[0] / math.gamma(s)
     return GridFunction(plan.grid, plan.apply_multiplier(g, f.values))

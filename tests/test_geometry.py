@@ -474,6 +474,28 @@ def test_polar_blocks_match_radius_loop(weights, grid, widths):
     assert rhs == pytest.approx(ref_rhs, rel=1e-13, abs=0)
 
 
+def test_one_dimensional_sphere_is_two_nodes():
+    # every sample of a 1-D ball projects onto -1 or 1: the quadrature keeps
+    # those two nodes with the summed weights of the samples on each side,
+    # and the polar check reads the sum over all the samples
+    weights, nu0, n = (1,), 1, 1 << 14
+    quad = SphereQuadrature.build(weights, nu0, n_samples=n, seed=SEED)
+    x = 2.0 * _sobol(1, n, SEED) - 1.0
+    rho = pseudo_norm(x, weights, nu0)
+    keep = (rho <= 1.0) & (rho > 0)
+    sigma_total = 2.0 * keep.mean()
+    nodes = project_to_sphere(x[keep], weights, nu0)
+    unmerged = SphereQuadrature(weights, nu0, nodes, np.full(len(nodes), sigma_total / len(nodes)))
+    assert len(nodes) == n and np.array_equal(np.unique(nodes), [-1.0, 1.0])
+    assert np.array_equal(quad.nodes, [[-1.0], [1.0]])
+    assert quad.node_weights.sum() == pytest.approx(sigma_total, rel=1e-15)
+    grid = Grid((8.0,), (161,))
+    lhs, rhs = polar_integral_check((8.0 / 3,), grid, quad)
+    ref_lhs, ref_rhs = polar_integral_check((8.0 / 3,), grid, unmerged)
+    assert lhs == ref_lhs
+    assert rhs == pytest.approx(ref_rhs, rel=1e-13, abs=0)
+
+
 def test_polar_check_memory_is_bounded():
     # exponents are formed a block of radii at a time, never all 599 radii at once
     import tracemalloc

@@ -362,6 +362,77 @@ def test_fractional_additivity(ab1_pot_plan):
     assert lp_norm(ab - direct, 2) / lp_norm(direct, 2) < 1e-10
 
 
+def _per_node_multipliers(mu, times, coefs):
+    """sum_i c_{r,i} e^{-t_i mu} for each row r of coefs, one node at a time."""
+    out = np.zeros((len(coefs), len(mu)))
+    for i, t in enumerate(times):
+        for r in range(len(coefs)):
+            out[r] += coefs[r][i] * np.exp(-t * mu)
+    return out
+
+
+def _block_rows(n):
+    return max(1, heatflow.LADDER_BLOCK_BYTES // (8 * n))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("count", ["1", "rows-1", "rows", "rows+1", "600"])
+def test_ladder_multipliers_match_per_node_loop(k, count):
+    # the blocked passes equal the per-node sum across block boundaries, for
+    # one and several coefficient rows, with exponents far below -745
+    mu = np.concatenate(([0.0], np.geomspace(1e-3, 1e5, 299)))
+    rows = _block_rows(len(mu))
+    m = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "600": 600}[count]
+    times = np.geomspace(1e-8, 50.0, m) if m > 1 else np.array([50.0])
+    coefs = np.random.default_rng(m).uniform(0.1, 1.0, (k, m))
+    assert np.min(-times[-1] * mu) < -745
+    got = heatflow._ladder_multipliers(mu, times, coefs)
+    want = _per_node_multipliers(mu, times, coefs)
+    assert got.shape == (k, len(mu))
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+    if k == 1:
+        assert np.array_equal(heatflow._ladder_multipliers(mu, times, coefs[0]), got)
+
+
+def test_ladder_quadratures_exponentiate_per_block(ab1_pot_plan, ab1_pot_source, ab3_pot_plan, monkeypatch):
+    # the quadrature route and the ladder's direct nodes exponentiate a block
+    # of ladder rows at a time; a per-node loop made one np.exp per node
+    f = make_test_family(ab3_pot_plan.grid, n=1, seed=SEED).gridfunctions()[0]
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda *a, **kw: calls.append(1) or exp(*a, **kw))
+    bessel_apply_quadrature(ab3_pot_plan, 2.0, f)
+    rows = _block_rows(ab3_pot_plan.lam_plus.size)
+    assert rows < 600
+    assert 1 < len(calls) <= math.ceil(600 / rows) + 1
+    ladder = default_ladder(ab1_pot_plan.grid, ab1_pot_plan.spec.nu)
+    direct = int(np.sum(ladder.nodes <= ab1_pot_source.t_switch))
+    assert direct == 45
+    calls.clear()
+    ab1_pot_source.ladder_sum(ladder.nodes, ladder.weights)
+    assert 0 < len(calls) <= math.ceil(direct / _block_rows(ab1_pot_plan.lam_plus.size))
+
+
+def test_quadrature_memory_is_one_block(ab3_pot_plan):
+    # the 600 x n exponents (44 MB here) are never formed: one call peaks at
+    # the block budget plus a few n-vectors
+    import tracemalloc
+
+    f = make_test_family(ab3_pot_plan.grid, n=1, seed=SEED).gridfunctions()[0]
+    n = ab3_pot_plan.lam_plus.size
+    bessel_apply_quadrature(ab3_pot_plan, 2.0, f)
+    bound = heatflow.LADDER_BLOCK_BYTES + 6 * 8 * n
+    assert 600 * 8 * n > 6 * 2**20 and bound < 600 * 8 * n / 20
+    tracemalloc.start()
+    try:
+        bessel_apply_quadrature(ab3_pot_plan, 2.0, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_quadrature_matches_spectral(ab1_pot_plan):
     # Gamma-integral representation of (I+R)^{-a/nu} against the multiplier
     f = make_test_family(ab1_pot_plan.grid, n=1, seed=SEED).gridfunctions()[0]
