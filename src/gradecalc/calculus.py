@@ -436,6 +436,31 @@ def characters_missed(expr: DiffOpExpr, alg):
     ]
 
 
+def character_form(expr: DiffOpExpr, alg):
+    """The symmetric C of the top-degree symbol -xi^T C xi on the 1-D representations, or None.
+
+    The representation of character xi maps every basis vector X_j that no
+    bracket reaches to i xi_j (the others to 0), so a word (j, k) of such
+    letters has symbol -xi_j xi_k.  When the top-degree words over those
+    letters are all of length 2, C_jk and C_kj each gain c_w / 2 for every
+    such word w = (j, k), with rows and columns over the unreached letters,
+    ascending.  A Rockland operator's symbol vanishes at no xi != 0, so its
+    C is definite.  None when there is no such word, or a longer one.
+    """
+    weights = alg.weights
+    top = max((sum(weights[i] for i in w) for w in expr.terms), default=0)
+    reached = {l for _, _, l, _ in alg.nonzero_constants()}
+    free = [j for j in range(alg.n) if j not in reached]
+    words = {w: c for w, c in expr.terms.items() if sum(weights[i] for i in w) == top and reached.isdisjoint(w)}
+    if not words or any(len(w) != 2 for w in words):
+        return None
+    C = np.zeros((len(free), len(free)))
+    for (j, k), c in words.items():
+        C[free.index(j), free.index(k)] += c / 2
+        C[free.index(k), free.index(j)] += c / 2
+    return C
+
+
 def power(spec: RocklandSpec, k) -> RocklandSpec:
     """R^k, homogeneous of degree k * nu."""
     if k < 1 or int(k) != k:

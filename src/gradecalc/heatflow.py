@@ -31,10 +31,10 @@ The quarter turn (x, y) -> (y, -x) also commutes with the sub-Laplacian, but
 on a box plan it generates with the flips the dihedral group of order 8,
 which has a 2-dimensional irreducible representation; it is left out, since
 the flips alone already cut the n = 5445 Heisenberg solve about 13-fold.
-That reason holds for box plans only: a central-Fourier block takes no flips,
-and there the turn generates the cyclic group of order 4, whose characters
-are all 1-dimensional.  With no flip but the identity the plan is one dense
-block.
+With no flip but the identity the plan is one dense block.  A flip that
+reverses the periodic axis maps frequency xi to -xi: in the basis of its even
+vectors and i times its odd ones a central-Fourier block is real, so every
+default plan's blocks are real symmetric eigensolves (``_eigh``).
 
 The transforms (``analyze``, ``synthesize``, ``apply_multiplier``) act on
 the last axis of their input, so a stack of m functions, shape
@@ -126,11 +126,11 @@ class SpectralPlan:
     the flips (``_parity_blocks``).
     ``reflection_defect`` is the largest relative Frobenius commutator of a
     flip with the interior matrix (on a ``KroneckerPlan``, of an axis flip
-    with its factor; None on a ``CentralFourierPlan``, which takes no flips).
-    ``eigh_s`` is the time spent in the LAPACK eigensolves behind the
-    eigenvectors, summed over blocks, ``eigh_driver`` the driver, read off
-    their dtype as ``_eigh`` picks it, and ``solves`` the size of each
-    eigensolve (on a ``KroneckerPlan`` the halves of its split factors; on a
+    with its factor; on a ``CentralFourierPlan``, of its one flip with each
+    part of its blocks; 0 where no flip is taken).  ``eigh_s`` is the time
+    spent in the LAPACK eigensolves behind the eigenvectors, summed over
+    blocks, and ``solves`` the size of each eigensolve (on a
+    ``KroneckerPlan`` the halves of its split factors; on a
     ``CentralFourierPlan`` one per frequency up to the conjugate pairs,
     which share a solve).
 
@@ -153,14 +153,9 @@ class SpectralPlan:
     inner_shape: tuple = ()
     axis_bases: tuple = ()  # per axis an orthogonal or unitary (n_k, n_k) array, or None
     order: np.ndarray | None = None  # transformed interior nodes, block by block
-    reflection_defect: float | None = None
+    reflection_defect: float = 0.0
     eigh_s: float = 0.0
     solves: tuple = ()
-
-    @property
-    def eigh_driver(self):
-        """The LAPACK driver ``_eigh`` used: ``"evr"`` for complex eigenvectors, ``"evd"`` for real ones."""
-        return "evr" if np.iscomplexobj(self.eigenvectors) else "evd"
 
     @functools.cached_property
     def field_matrices(self) -> FieldMatrices:
@@ -259,7 +254,6 @@ class SpectralPlan:
             "sym_defect": self.sym_defect,
             "reflection_defect": self.reflection_defect,
             "eigh_s": self.eigh_s,
-            "eigh_driver": self.eigh_driver,
         }
 
     def apply_multiplier(self, g, values):
@@ -345,9 +339,7 @@ def _dissipation_matrix(counts, p, strength=1.0):
     return KroneckerOperator(tuple(counts), tuple(terms))
 
 
-def spectral_plan(
-    spec: RocklandSpec, law, grid: Grid, margin=4, reg_strength=0.0
-) -> SpectralPlan:
+def spectral_plan(spec: RocklandSpec, law, grid: Grid, margin=4, reg_strength=0.0) -> SpectralPlan:
     """Discretize, restrict to the interior, symmetrize and diagonalize.
 
     The operator is assembled on the interior box by ``calculus.discretize``,
@@ -417,7 +409,7 @@ def _solve_plan(spec, law, grid, margin, reg_strength):
         raise HeatError("plans on periodic grids take no dissipation term (reg_strength 0)")
     fields = dict(grid=grid, spec=spec, law=law, mask=grid.interior_mask(margin), inner_shape=inner_counts)
     if grid.periodic:
-        return _central_fourier_plan(fields)
+        return _central_fourier_plan(fields, flips)
     box = tuple(slice((N - n) // 2, (N + n) // 2) for N, n in zip(grid.counts, inner_counts))
     A = discretize(spec.expr, law, grid, box)
     if reg_strength:
@@ -511,6 +503,17 @@ def sign_flip_group(alg, expr):
     return np.array(flips, dtype=int)
 
 
+def _flip_defect(band, s, sign=1):
+    """||R A R - sign A||_F / ||A||_F (0 for A = 0), on the entries ``band`` of A (``_band``), R the
+    reversal of the axes where s_k = -1; a defect above ``REFLECTION_TOL`` is refused (HeatError)."""
+    rev = tuple(slice(None, None, -1) if sk < 0 else slice(None) for sk in s for _ in "io")
+    norm = _frobenius(band)
+    d = _frobenius(band[rev] - sign * band) / norm if norm else 0.0
+    if not d <= REFLECTION_TOL:
+        raise HeatError(f"a sign flip fails to commute with the operator (defect {d:.1e})")
+    return d
+
+
 def _parity_rows(M, odd, axis=0):
     """P^T M along ``axis`` for the even (``odd`` False) or odd vectors P of
     the reversal of the n nodes of that axis: (e_i + e_{n-1-i}) / sqrt 2 for
@@ -576,13 +579,6 @@ def _block_sizes(shape, split, blocks):
     return [sum(math.prod(map(len, _pattern_ranges(shape, split, pi))) for pi in block) for block in blocks]
 
 
-def _sym_eigh(M, stats):
-    """``_eigh`` of the symmetrized M, symmetrized in place so that no second dense copy exists."""
-    M += M.T
-    M *= 0.5
-    return _eigh(M, stats)
-
-
 def _reflection_plan(A, band, flips, fields):
     """The ``SpectralPlan`` of the interior operator A, one block per character of the flips.
 
@@ -595,20 +591,10 @@ def _reflection_plan(A, band, flips, fields):
     term and pair, solved densely.
     """
     shape = tuple(A.counts)
-    norm = _frobenius(band)
-    defect = 0.0
-    for s in flips[1:]:
-        rev = tuple(slice(None, None, -1) if sk < 0 else slice(None) for sk in s for _ in "io")
-        d = _frobenius(band[rev] - band) / norm if norm else 0.0
-        if not d <= REFLECTION_TOL:
-            raise HeatError(f"a sign flip fails to commute with the operator (defect {d:.1e})")
-        defect = max(defect, d)
+    defect = max((_flip_defect(band, s) for s in flips[1:]), default=0.0)
     split, patterns = _parity_blocks(shape, flips)
     bases = [_parity_basis(n) if k in split else None for k, n in enumerate(shape)]
-    terms = [
-        (c, [M if Q is None or M is None else Q.T @ M @ Q for M, Q in zip(factors, bases)])
-        for c, factors in A.terms
-    ]
+    terms = _parity_terms(A, bases)
     nodes = np.arange(math.prod(shape)).reshape(shape)
     ranges = [[_pattern_ranges(shape, split, pi) for pi in block] for block in patterns]
     order = np.concatenate([nodes[np.ix_(*r)].ravel() for block in ranges for r in block])
@@ -624,8 +610,16 @@ def _reflection_plan(A, band, flips, fields):
         **fields,
     )
     for block, (s, V) in zip(ranges, plan._blocks()):
-        plan.eigenvalues[s], V[...] = _sym_eigh(_pattern_block(terms, block), stats)
+        plan.eigenvalues[s], V[...] = _eigh(_pattern_block(terms, block), stats)
     return dataclasses.replace(plan, **stats)
+
+
+def _parity_terms(A, bases):
+    """The terms of A with each factor M on an axis of basis Q (None: the identity) as Q^T M Q."""
+    return [
+        (c, [M if Q is None or M is None else Q.T @ M @ Q for M, Q in zip(factors, bases)])
+        for c, factors in A.terms
+    ]
 
 
 def _pattern_block(terms, block):
@@ -648,34 +642,23 @@ def _pattern_block(terms, block):
 
 
 def _eigh(A, stats):
-    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian A.
+    """Ascending eigenvalues and orthonormal eigenvectors of the Hermitian part (A + A^H)/2 of A.
 
-    Adds the seconds spent to ``stats["eigh_s"]`` and appends the size of
-    the solve to ``stats["solves"]``, for the plan's ``health``.  A matrix
-    with a NaN or an infinite entry (a degenerate grid) is refused before
-    LAPACK sees it.
-
-    Real matrices go to numpy's divide and conquer (LAPACK ``dsyevd``; Gu
-    and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), 1.55x faster than
-    ``dsyevr`` on the n = 5445 Heisenberg plan.  Complex blocks stay with
-    scipy's ``zheevr``, which takes about 0.6 of the time of numpy's
-    ``zheevd`` at 625 nodes, so ``scipy.linalg`` is imported only by a plan
-    that has them.  There A is overwritten: LAPACK reads the Fortran-ordered
-    view A.T, the conjugate of A, so it makes no copy, and the eigenvectors
-    of the conjugate are conjugated back.
+    A is symmetrized in place, so that no second dense copy exists, and
+    solved by numpy's divide and conquer (LAPACK ``dsyevd``, ``zheevd`` on a
+    complex A; Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), 1.55x
+    faster than ``dsyevr`` on the n = 5445 Heisenberg plan.  Adds the seconds
+    spent to ``stats["eigh_s"]`` and appends the size of the solve to
+    ``stats["solves"]``, for the plan's ``health``.  A matrix with a NaN or
+    an infinite entry (a degenerate grid) is refused before LAPACK sees it.
     """
     if not np.isfinite(A).all():
         raise HeatError("eigendecomposition failed: the matrix has a non-finite entry")
-    driver = "evr" if np.iscomplexobj(A) else "evd"
-    if driver == "evr":
-        import scipy.linalg  # before the clock starts: eigh_s times LAPACK alone
+    A += A.conj().T  # conj of a real array is the array itself
+    A *= 0.5
     start = time.perf_counter()
     try:
-        if driver == "evd":
-            w, V = np.linalg.eigh(A)
-        else:
-            w, V = scipy.linalg.eigh(A.T, driver="evr", overwrite_a=True, check_finite=False)
-            np.conjugate(V, out=V)
+        w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise HeatError(f"eigendecomposition failed: {exc}") from exc
     stats["eigh_s"] = stats.get("eigh_s", 0.0) + time.perf_counter() - start
@@ -714,12 +697,7 @@ def _kronecker_plan(A, half, flips, fields):
         F = KroneckerOperator((n,), tuple((c, (M,)) for c, M in terms))
         own = 1 - 2 * (np.arange(flips.shape[1]) == k)  # the flip of axis k alone
         if (flips == own).all(axis=1).any():
-            band = _band(F, half[k : k + 1])
-            norm = _frobenius(band)
-            dk = _frobenius(band[::-1, ::-1] - band) / norm if norm else 0.0
-            if not dk <= REFLECTION_TOL:
-                raise HeatError(f"a sign flip fails to commute with the operator (defect {dk:.1e})")
-            defect = max(defect, dk)
+            defect = max(defect, _flip_defect(_band(F, half[k : k + 1]), [-1]))
             halves = []
             for odd in (True, False):
                 block = np.zeros((n // 2 if odd else n - n // 2,) * 2)
@@ -728,9 +706,9 @@ def _kronecker_plan(A, half, flips, fields):
                         block[np.diag_indices_from(block)] += c
                     else:
                         block += c * _parity_rows(_parity_rows(M, odd), odd, axis=1)
-                halves.append((odd, *_sym_eigh(block, stats)))
+                halves.append((odd, *_eigh(block, stats)))
         else:
-            halves = [(None, *_sym_eigh(F.toarray(), stats))]
+            halves = [(None, *_eigh(F.toarray(), stats))]
         w = np.concatenate([h[1] for h in halves])
         order = np.argsort(w, kind="stable")
         column = np.empty(n, dtype=int)
@@ -750,11 +728,12 @@ def _kronecker_plan(A, half, flips, fields):
     )
 
 
-def _central_fourier_plan(fields):
+def _central_fourier_plan(fields, flips):
     """Plan on a grid whose one periodic axis p is a central coordinate.
 
     ``fields`` holds the plan's grid, operator and law, and the interior
-    (``mask``, ``inner_shape``) that ``_solve_plan`` decided.
+    (``mask``, ``inner_shape``) that ``_solve_plan`` decided; ``flips`` is
+    the operator's ``sign_flip_group``.
 
     When the operator's words have length at most 2 and the field
     coefficients do not involve x_p, the operator commutes with translations
@@ -763,12 +742,21 @@ def _central_fourier_plan(fields):
     of the operator grouped by the power alpha_p of d_p,
     S + i xi T - xi^2 U, each group a ``KroneckerOperator`` on the other
     axes with compact stencils of order 8 (central within a margin of 4),
-    restricted to the interior and made dense by ``np.kron`` of its factors.
-    For the
-    Heisenberg sub-Laplacian the block is
+    restricted to the interior.  For the Heisenberg sub-Laplacian the block is
     L_xi = -Delta_xy + i xi (y d_x - x d_y) + xi^2 (x^2 + y^2)/4, the
     structure behind the Mehler-type formula.  Longer words and coefficients
     in x_p are refused.
+
+    The first flip s of ``flips`` with s_p = -1 ((x, y, u) -> (x, -y, -u)
+    on the Heisenberg group) maps xi to -xi, so its reversal R of the other
+    axes must fix S and U and reverse T, each to ``REFLECTION_TOL``, or the
+    plan is refused (HeatError).  Then in the unitary basis (P+, i P-) of
+    R's even and odd vectors, built factor by factor as a reflection plan's
+    blocks are, the block is the real symmetric S' + xi T~ - xi^2 U': S' and
+    U' keep their even-even and odd-odd blocks, and T~ is -P+^T T P- and
+    P-^T T P+ off the diagonal.  Its eigenvectors W give the block's as
+    P+ W+ + i P- W-, applied along the reversed axes.  Without such a flip
+    the complex block is solved as it is.
     """
     grid, law, inner_shape = fields["grid"], fields["law"], fields["inner_shape"]
     if len(grid.periodic) != 1:
@@ -779,10 +767,7 @@ def _central_fourier_plan(fields):
         raise HeatError("a central-Fourier plan needs a non-periodic axis")
     expr = fields["spec"].expr
     if expr.max_word_length() > 2:
-        raise HeatError(
-            f"plans on periodic grids need words of length at most 2, "
-            f"got {expr.max_word_length()}"
-        )
+        raise HeatError(f"plans on periodic grids need words of length at most 2, got {expr.max_word_length()}")
     vector_fields = left_invariant_fields(law)
     groups = [{}, {}, {}]  # the normal form by the power of d_p, d_p dropped
     for word, c in expr.terms.items():
@@ -795,33 +780,48 @@ def _central_fourier_plan(fields):
 
     sub = Grid(tuple(grid.half_widths[j] for j in others), tuple(grid.counts[j] for j in others))
     # the interior is the same on every line along p
-    box = tuple(slice((N - n) // 2, (N + n) // 2) for N, n in zip(sub.counts, (inner_shape[j] for j in others)))
-    S, T, U = (kronecker_operator(form_terms(g, others), sub, acc=8).restrict(box).toarray() for g in groups)
-    b = len(S)
+    shape = tuple(inner_shape[j] for j in others)
+    box = tuple(slice((N - n) // 2, (N + n) // 2) for N, n in zip(sub.counts, shape))
+    ops = [kronecker_operator(form_terms(g, others), sub, acc=8).restrict(box) for g in groups]
+    flip = next((f[others] for f in flips if f[p] < 0), None)
+    split, signs = ((), ()) if flip is None else (tuple(np.flatnonzero(flip < 0)), (1, -1, 1))  # R T R = -T
+    defect = max((_flip_defect(_band(op, _half_bandwidths(op)), flip, sign) for op, sign in zip(ops, signs)), default=0.0)
+    bases = [_parity_basis(n) if k in split else None for k, n in enumerate(shape)]
+    patterns = list(itertools.product((0, 1), repeat=len(split)))
+    ranges = [_pattern_ranges(shape, split, pi) for pi in patterns]
+    nodes = np.arange(math.prod(shape)).reshape(shape)
+    node_rows = np.argsort(np.concatenate([nodes[np.ix_(*r)].ravel() for r in ranges]))  # node -> block row
+    # the basis (P+, i P-): i on the parity patterns that R reverses
+    phase = np.concatenate([np.full(math.prod(map(len, r)), 1j ** (sum(pi) % 2)) for r, pi in zip(ranges, patterns)])
+    S, T, U = (c * _pattern_block(_parity_terms(op, bases), ranges) for c, op in zip((1, 1j, 1), ops))
+    S, T, U = (phase.conj()[:, None] * X * phase for X in (S, T, U))
+    if flip is not None:  # the flip check leaves only rounding in the imaginary parts
+        S, T, U = S.real, T.real, U.real
 
     M = grid.counts[p]
     xi = 2 * np.pi * np.fft.fftfreq(M, d=grid.spacings[p])
-    w = np.empty((M, b))
-    V = np.empty((M, b, b), dtype=complex)
+    w = np.empty((M, nodes.size))
+    V = np.empty((M, nodes.size, nodes.size), dtype=complex)
     defect_num = defect_den = 0.0
     stats = {}
     for k in range(M // 2 + 1):
-        A = S + 1j * xi[k] * T - xi[k] ** 2 * U
+        A = S + xi[k] * T - xi[k] ** 2 * U
         pair = 1 if k == 0 else 2
         defect_num += pair * np.linalg.norm(A - A.conj().T) ** 2
         defect_den += pair * np.linalg.norm(A) ** 2
-        w[k], V[k] = _eigh(0.5 * (A + A.conj().T), stats)
+        w[k], W = _eigh(A, stats)
+        V[k] = _along_axes((phase[:, None] * W)[node_rows].T, shape, bases).T
         if k:
             w[M - k], V[M - k] = w[k], V[k].conj()
     dft = np.fft.fft(np.fft.ifftshift(np.eye(M), axes=0), axis=0, norm="ortho")  # Q^H on the axis
-    nodes = np.arange(math.prod(inner_shape)).reshape(inner_shape)
     return CentralFourierPlan(
         eigenvalues=w.ravel(),
         eigenvectors=V,
         sym_defect=float(np.sqrt(defect_num / defect_den)) if defect_den else 0.0,
-        block_sizes=(b,) * M,
+        block_sizes=(nodes.size,) * M,
         axis_bases=tuple(dft.conj().T if j == p else None for j in range(grid.ndim)),
-        order=_frozen(np.moveaxis(nodes, p, 0).ravel()),
+        order=_frozen(np.moveaxis(np.arange(math.prod(inner_shape)).reshape(inner_shape), p, 0).ravel()),
+        reflection_defect=defect,
         **fields,
         **stats,
     )
@@ -847,9 +847,8 @@ def dilated_plan(plan: SpectralPlan, rho) -> SpectralPlan:
 
 
 def heat_multiplier(plan: SpectralPlan, t):
-    """e^{-t lam_plus}, the heat multiplier at time t; where -t lam leaves the float range it is 0, without a warning."""
-    with np.errstate(over="ignore"):
-        return np.exp(-t * plan.lam_plus)
+    """e^{-t lam_plus}, the heat multiplier at time t: one row of ``_ladder_multipliers``, so 0 where -t lam < ``EXP_FLOOR``."""
+    return _ladder_multipliers(plan.lam_plus, [t], [1.0])[0]
 
 
 # Bytes of exponents per block of ladder rows in ``_ladder_multipliers``: 58

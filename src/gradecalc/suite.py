@@ -34,6 +34,7 @@ from .calculus import (
     RocklandSpec,
     StratificationError,
     build_rockland_example,
+    character_form,
     characters_missed,
     fd_weights,
     homogeneous_degree,
@@ -240,7 +241,10 @@ class RunConfig:
         """``--op`` over the basis labels, else the group's default operator.
 
         An operator whose top-degree symbol vanishes on a 1-D representation
-        (``characters_missed``) is not Rockland, and is refused.
+        is not Rockland, and is refused: one that misses a generator
+        (``characters_missed``), and one whose quadratic symbol
+        -xi^T C xi (``character_form``) is not definite, its eigenvalues of
+        one sign and the smallest above 1e-12 of the largest in magnitude.
         """
         if self.op:
             expr = parse_diffop(self.op, alg.labels)
@@ -257,6 +261,14 @@ class RunConfig:
                 f"{', '.join(missed)}, so its symbol vanishes on the 1-D representations along "
                 f"{'that generator' if len(missed) == 1 else 'those generators'}"
             )
+        C = character_form(spec.expr, alg)
+        if C is not None:
+            lam = np.linalg.eigvalsh(C)
+            if not ((lam > 0).all() or (lam < 0).all()) or np.abs(lam).min() <= 1e-12 * np.abs(lam).max():
+                raise ConfigError(
+                    f"the operator is not Rockland: its symbol -xi^T C xi on the 1-D representations "
+                    f"vanishes at some xi != 0 (C has eigenvalues {', '.join(f'{x:.3g}' for x in lam)})"
+                )
         return spec
 
     def settings(self, alg, spec, kind) -> PlanSettings:
@@ -338,8 +350,12 @@ def check_grid_range(grid: Grid, weights, order):
 
 @functools.cache
 def _scipy_version():
-    """scipy's version, read from its ``version.py`` without importing scipy itself."""
-    (package,) = importlib.util.find_spec("scipy").submodule_search_locations
+    """scipy's version, read from its ``version.py`` without importing scipy itself, or
+    "not installed": only the tests need scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        return "not installed"
+    (package,) = spec.submodule_search_locations
     with open(os.path.join(package, "version.py")) as fh:
         namespace = {}
         exec(fh.read(), namespace)  # plain assignments, no imports

@@ -17,6 +17,7 @@ from gradecalc.calculus import (
     StratificationError,
     _diff_matrix_1d,
     build_rockland_example,
+    character_form,
     characters_missed,
     derivative_matrix,
     discretize,
@@ -197,6 +198,30 @@ def test_characters_missed(group, op, missed):
     alg = builtin_group(group)
     expr = parse_diffop(op, alg.labels)
     assert [alg.labels[j] for j in characters_missed(expr, alg)] == missed
+
+
+@pytest.mark.parametrize(
+    "group, op, form",
+    [
+        ("heisenberg", "-X^2-Y^2", [[-1, 0], [0, -1]]),
+        # -(X - Y)^2: the symbol (xi - eta)^2 vanishes at xi = eta
+        ("abelian2", "-X^2+X*Y+Y*X-Y^2", [[-1, 1], [1, -1]]),
+        ("abelian2", "-X^2-Y^2+1/2*X*Y+1/2*Y*X", [[-1, 0.5], [0.5, -1]]),
+        # one word XY counts half on each side of the diagonal
+        ("abelian2", "-X^2-Y^2+X*Y", [[-1, 0.5], [0.5, -1]]),
+        # the constant is below the top degree
+        ("abelian3", "-X^2-Y^2-Z^2+1", [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+        # top-degree words of length 4, or none over the letters no bracket reaches
+        ("heisenberg", "X^4+Y^4-T^2", None),
+        ("heisenberg", "-T^2", None),
+    ],
+)
+def test_character_form(group, op, form):
+    # the symbol on the 1-D representation X_j -> i xi_j of a length-2 word
+    # (j, k) is -xi_j xi_k; T = [X, Y] is sent to 0, so its rows are left out
+    alg = builtin_group(group)
+    C = character_form(parse_diffop(op, alg.labels), alg)
+    assert (C is None) if form is None else np.array_equal(C, form)
 
 
 def test_rockland_example_weights_358(h1t_law):

@@ -176,8 +176,8 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
     # the potential plan's heat source switches to its self-similar continuation
     assert 0 < pot["t_switch"] < 20 and abs(pot["mass_at_switch"] - 1) <= 5e-4
     assert pot["ladder_nodes_late"] == 49
-    # eigensolve seconds and LAPACK driver: complex central-Fourier blocks, real blocks
-    assert plans["heat"]["eigh_driver"] == "evr" and pot["eigh_driver"] == "evd"
+    # the flip (x, y, u) -> (x, -y, -u) commutes with the central-Fourier blocks
+    assert 0 <= plans["heat"]["reflection_defect"] <= 1e-12 and "eigh_driver" not in plans["heat"]
     # one solve per reflection block; one per frequency up to conjugate pairs
     assert pot["solves"] == pot["blocks"]
     assert plans["heat"]["solves"] == [plans["heat"]["n"] // 31] * 16
@@ -224,7 +224,7 @@ def test_verify_json_keeps_raw_values_of_floored_checks(runner, tmp_path):
     assert "raw" not in (tmp_path / "report.txt").read_text()
     # the abelian1 plans are Kronecker plans of real factors, each solved
     # as its even and odd halves
-    assert [p["eigh_driver"] for p in report["plans"]] == ["evd"] * 3
+    assert [p["kind"] for p in report["plans"]] == ["KroneckerPlan"] * 3
     pot = report["plans"][2]
     assert pot["blocks"] == [633] and pot["solves"] == [316, 317]
 
@@ -625,11 +625,55 @@ def test_non_rockland_operator_refused(runner, args, missed):
 
 
 def test_default_operators_are_not_refused():
-    # each group's default operator passes the character test
+    # each group's default operator, and each benchmark workload's, passes the
+    # character tests
     from gradecalc.algebra import builtin_group, builtin_groups
 
     for name in builtin_groups():
         RunConfig(group=name).operator(builtin_group(name))
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.json")
+    with open(path) as fh:
+        workloads = json.load(fh)["workloads"]
+    assert len(workloads) == 4
+    for workload in workloads.values():
+        config = workload["config"]
+        args = dict(zip(config["args"][::2], config["args"][1::2])) if "args" in config else {}
+        group = args.get("--group", config.get("group"))
+        RunConfig(group=group, op=args.get("--op")).operator(builtin_group(group))
+
+
+@pytest.mark.parametrize(
+    "group, op, refused",
+    [
+        # -(X - Y)^2, symbol (xi - eta)^2; it once passed every verify row, with exit 0
+        ("abelian2", "-X^2+X*Y+Y*X-Y^2", True),
+        ("heisenberg", "-X^2+X*Y+Y*X-Y^2", True),
+        # indefinite: eigenvalues -4 and 2
+        ("abelian2", "-X^2-Y^2-3*X*Y-3*Y*X", True),
+        ("abelian2", "-X^2-Y^2+1/2*X*Y+1/2*Y*X", False),
+        ("heisenberg", "-X^2-Y^2+1/2*X*Y+1/2*Y*X", False),
+        # degree 4: no quadratic form to test
+        ("heisenberg", "X^4+Y^4-T^2", False),
+    ],
+)
+def test_quadratic_character_symbol_must_be_definite(group, op, refused):
+    from gradecalc.algebra import builtin_group
+    from gradecalc.suite import ConfigError
+
+    cfg = RunConfig(group=group, op=op)
+    if refused:
+        with pytest.raises(ConfigError, match="not Rockland.*vanishes at some xi"):
+            cfg.operator(builtin_group(group))
+    else:
+        cfg.operator(builtin_group(group))
+
+
+def test_indefinite_character_symbol_exits_2(runner):
+    args = ["--group", "abelian2", "--op", "-X^2+X*Y+Y*X-Y^2", "--scale", "3", "--points", "21", "verify"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "not Rockland" in res.output and "Traceback" not in res.output
 
 
 def test_op_flag_overrides_operator(runner):
@@ -804,8 +848,8 @@ def test_cli_import_skips_scipy_stats():
 def test_box_grid_verify_skips_scipy_linalg_and_special():
     # real blocks solve through numpy's dsyevd and the Bessel tails through
     # an in-house incomplete gamma: neither the CLI import nor a verify on
-    # box grids loads scipy.linalg or scipy.special.  Only a plan with
-    # complex central-Fourier blocks imports scipy.linalg, for zheevr.
+    # box grids loads scipy.linalg or scipy.special, nor, since its blocks
+    # are real too, a central-Fourier plan.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), GRADECALC_THREADS="1")
     code = (
@@ -832,15 +876,16 @@ def test_box_grid_verify_skips_scipy_linalg_and_special():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.splitlines() == ["import []", "verify []", "central-fourier ['scipy.linalg']"]
+    assert out.splitlines() == ["import []", "verify []", "central-fourier []"]
 
 
 def test_box_grid_run_loads_no_scipy():
     # every operator is a sum of Kronecker products of 1-D numpy matrices:
     # no run loads scipy.sparse, a box-grid verify loads no scipy module at
     # all, and it imports no numpy submodule the CLI import did not (each
-    # first use would count in the operation).  scipy.linalg is left to the
-    # complex blocks of a central-Fourier plan, for zheevr.
+    # first use would count in the operation).  Every eigensolve is numpy's,
+    # so a central-Fourier plan and a verify on the heisenberg defaults
+    # load no scipy module either.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), GRADECALC_THREADS="1")
     code = (
@@ -861,11 +906,56 @@ def test_box_grid_run_loads_no_scipy():
         "grid = Grid((2.0, 2.0, 0.5), (13, 13, 5), periodic=(2,))\n"
         "assert isinstance(spectral_plan(sublaplacian(law.algebra), law, grid), CentralFourierPlan)\n"
         "print('central-fourier', 'scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)\n"
+        "with tempfile.TemporaryDirectory() as out, open(os.devnull, 'w') as sink:\n"
+        "    with contextlib.redirect_stdout(sink):\n"
+        "        report = cli.main(['--group', 'heisenberg', '--out', out, 'verify'], standalone_mode=False)\n"
+        "assert report.ok\n"
+        "print('heisenberg', sorted(m for m in set(sys.modules) - before if m.startswith('scipy')))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.splitlines() == ["import []", "verify []", "central-fourier True False"]
+    assert out.splitlines() == ["import []", "verify []", "central-fourier False False", "heisenberg []"]
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: no module of the package imports it
+    import ast
+
+    import gradecalc
+
+    root = os.path.dirname(gradecalc.__file__)
+    modules = [os.path.join(d, f) for d, _, files in os.walk(root) for f in files if f.endswith(".py")]
+    assert len(modules) >= 10
+    for path in modules:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (path, node.lineno)
+
+
+def test_scipy_version_line_without_scipy(monkeypatch):
+    # with scipy absent the report's environment says so, deterministically
+    import importlib.util
+
+    import gradecalc.suite as suite
+    from gradecalc.algebra import builtin_group
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+    suite._scipy_version.cache_clear()
+    try:
+        assert suite._scipy_version() == "not installed"
+        text = suite._report(RunConfig(group="abelian1"), builtin_group("abelian1")).to_text()
+        assert "# scipy: not installed\n" in text
+    finally:
+        suite._scipy_version.cache_clear()
 
 
 def test_library_import_skips_click():

@@ -36,6 +36,7 @@ from gradecalc.heatflow import (
 )
 from gradecalc.algebra import bch_group_law, builtin_group
 from gradecalc.calculus import (
+    FieldMatrices,
     RocklandSpec,
     build_rockland_example,
     homogeneous_degree,
@@ -473,6 +474,89 @@ def test_stacked_transforms_match_rows(kind, h1_law, ab3_law):
         assert np.max(np.abs(w - plan.apply_multiplier(g, v))) <= 1e-12 * np.max(np.abs(w))
 
 
+def test_central_fourier_blocks_are_real(h1_law, monkeypatch):
+    import gradecalc.heatflow as heatflow
+
+    # the flip (x, y, u) -> (x, -y, -u) maps xi to -xi: in the basis of its
+    # even vectors and i times its odd ones every block is real, and the plan
+    # agrees with the complex blocks, reached with no flip but the identity
+    spec = sublaplacian(h1_law.algebra)
+    grid = Grid((2.0, 2.4, 0.5), (19, 23, 9), periodic=(2,))
+    kinds = []
+    eigh = heatflow._eigh
+    monkeypatch.setattr(heatflow, "_eigh", lambda A, stats: kinds.append(A.dtype.kind) or eigh(A, stats))
+    real = spectral_plan(spec, h1_law, grid)
+    monkeypatch.setattr(heatflow, "sign_flip_group", lambda alg, expr: np.ones((1, alg.n), int))
+    ref = spectral_plan(spec, h1_law, grid)
+    assert type(real) is type(ref) is CentralFourierPlan
+    assert kinds == ["f"] * 5 + ["c"] * 5 and real.solves == ref.solves == (11 * 15,) * 5
+    assert real.reflection_defect <= 1e-12 and ref.reflection_defect == 0.0
+    b, lam_max = real.block_sizes[0], ref.eigenvalues.max()
+    for k in range(grid.counts[2]):
+        s = slice(k * b, (k + 1) * b)
+        assert np.max(np.abs(np.sort(real.eigenvalues[s]) - np.sort(ref.eigenvalues[s]))) <= 1e-12 * lam_max
+    h, h_ref = heat_kernel(real, 0.1).values, heat_kernel(ref, 0.1).values
+    assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+    # a function with no symmetry: each frequency keeps its own eigenvectors
+    f = np.random.default_rng(SEED).standard_normal(grid.size) * real.mask
+    g = np.exp(-0.1 * real.lam_plus)
+    out, out_ref = real.apply_multiplier(g, f), ref.apply_multiplier(np.exp(-0.1 * ref.lam_plus), f)
+    assert np.max(np.abs(out - out_ref)) <= 1e-12 * np.max(np.abs(out_ref))
+
+
+def test_central_fourier_plan_applies_the_operator(h1_law):
+    # the plan's operator, V diag(lambda) V^H, against the fields applied
+    # letter by letter (FieldMatrices, first-derivative stencils): on a bump
+    # that is not radial and oscillates in u, the part (y d_x - x d_y) d_u of
+    # the blocks counts, with its sign (the opposite sign reads 0.31)
+    spec = sublaplacian(h1_law.algebra)
+    grid = Grid((2.0, 2.0, 0.5 * 8 / 9), (33, 33, 9), periodic=(2,))
+    plan = spectral_plan(spec, h1_law, grid)
+    x, y, u = grid.points().T
+    f = np.exp(-(x**2 + y**2) / 0.4) * (1 + x + 0.5 * y) * np.cos(2 * np.pi * u)
+    applied = plan.apply_multiplier(plan.eigenvalues, f)
+    direct = FieldMatrices(h1_law, grid).apply_expr(spec.expr, f)
+    inner = plan.mask & (x**2 + y**2 < 1.0)
+    assert np.max(np.abs(applied - direct)[inner]) <= 3e-2 * np.max(np.abs(direct[inner]))
+
+
+def test_central_fourier_flip_must_commute(h1_law, monkeypatch):
+    import gradecalc.heatflow as heatflow
+
+    # the words XY and YX keep u in every flip, so the blocks stay complex,
+    # solved by the same numpy routine
+    expr = parse_diffop("-X^2-Y^2+1/2*X*Y+1/2*Y*X", h1_law.algebra.labels)
+    assert (sign_flip_group(h1_law.algebra, expr)[:, 2] == 1).all()
+    spec = RocklandSpec(expr=expr, nu=2)
+    plan = spectral_plan(spec, h1_law, _small_periodic_grid())
+    assert isinstance(plan, CentralFourierPlan) and plan.reflection_defect == 0.0
+    # faked, the flip of y and u fails: the part 2 d_x d_y of S is odd under
+    # it and couples the even and odd vectors
+    fake = np.array([[1, 1, 1], [1, -1, -1]])
+    monkeypatch.setattr(heatflow, "sign_flip_group", lambda alg, expr: fake)
+    with pytest.raises(HeatError, match="commute"):
+        spectral_plan(spec, h1_law, _small_periodic_grid())
+
+
+def test_heat_multiplier_has_no_subnormal_values(ab1_heat_plan):
+    from gradecalc.geometry import EXP_FLOOR
+    from gradecalc.heatflow import heat_multiplier
+
+    # exponents reach -2000: below EXP_FLOOR the multiplier is 0, where
+    # numpy's exp would return subnormals; elsewhere it is exp bit for bit
+    lam = ab1_heat_plan.lam_plus
+    t = 2000.0 / lam.max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = heat_multiplier(ab1_heat_plan, t)
+        raw = np.exp(-t * lam)
+    tiny = np.finfo(float).tiny
+    low = -t * lam < EXP_FLOOR
+    assert low.any() and not low.all() and ((0 < raw) & (raw < tiny)).any()
+    assert not ((0 < g) & (g < tiny)).any()
+    assert (g[low] == 0.0).all() and np.array_equal(g[~low], raw[~low])
+
+
 def test_central_fourier_plan_refusals(h1_law):
     spec = sublaplacian(h1_law.algebra)
     grid = _small_periodic_grid()
@@ -805,7 +889,7 @@ def test_reflection_plan_matches_scipy_evd(monkeypatch):
 
     monkeypatch.setattr(heatflow, "_eigh", recorded)
     plan = RunConfig(group="heisenberg", scale=1.6, points="15,15,31").plan("heat")
-    assert type(plan) is SpectralPlan and plan.eigh_driver == "evd"
+    assert type(plan) is SpectralPlan
     assert plan.solves == plan.block_sizes == tuple(len(w) for w in reference) and len(reference) == 4
     for (s, _), w in zip(plan._blocks(), reference):
         assert np.max(np.abs(plan.eigenvalues[s] - w) / np.abs(w)) <= 1e-12
