@@ -12,11 +12,14 @@ axes where y^{-1} x moves by whole nodes and linearly interpolated along the
 others.  Along a central axis g(y^{-1} x) depends on the two nodes only
 through their offset, so g is interpolated once per pair of nodes on the
 other axes and offset, and the sum along the central axes is a Toeplitz
-product.  Values outside the box contribute zero.
+product; the node and weight along a central axis are taken once per pair,
+and each offset adds an integer to the node.  Values outside the box
+contribute zero.
 
 One routine, ``multilinear_interpolate``, is the only multilinear
-interpolation at arbitrary points; it serves the interpolated axes of the
-box convolution.  A dilation D_r scales each axis by itself, so f(D_r x) on
+interpolation at arbitrary points; its corners (``_linear_corners``) serve
+the interpolated axes of the box convolution that are not central.  A
+dilation D_r scales each axis by itself, so f(D_r x) on
 f's own box grid is resampled one axis at a time (``resample_dilated``): the
 same multilinear interpolant, two nodes per axis instead of 2^n corners per
 point.  A dilation changes the period of a periodic axis, so that resampling
@@ -471,21 +474,35 @@ def polar_integral_check(widths, grid, quad):
 def multilinear_interpolate(grid, values, z, axes, flat=0, inside=None):
     """Interpolate the flat node ``values`` multilinearly at the coordinates z.
 
+    The 2^len(axes) corner nodes around each point and their weights are
+    ``_linear_corners``; the axes not in ``axes`` are already fixed:
+    ``flat`` is their part of the flat node index and ``inside`` (updated in
+    place) marks the points that lie in the box along them.  Points outside
+    the box give zero.
+    """
+    corners, inside = _linear_corners(grid, z, axes, flat, inside)
+    vals = sum(cw * values.take(c, mode="clip") for c, cw in corners)
+    return vals if inside is None else np.where(inside, vals, 0)
+
+
+def _linear_corners(grid, z, axes, flat=0, inside=None, strides=None):
+    """The corners (flat index, weight) of the multilinear interpolant at the coordinates z, and the in-box mask.
+
     Along each axis k of ``axes`` the point z[..., k] sits at the index
-    t = (z_k + R_k)/h_k, and the result mixes the 2^len(axes) corner nodes
-    around it, gathered from the flat values.  A periodic axis wraps by index
-    mod N.  Along any other axis a point is in the box exactly when
-    |z_k| <= R_k, tested in coordinates: an edge node whose t rounds past
-    N - 1 stays in.  The axes not in ``axes`` are already fixed: ``flat``
-    is their part of the flat node index and ``inside`` (updated in place)
-    marks the points that lie in the box along them.  Points outside the box
-    give zero.
+    t = (z_k + R_k)/h_k, between the nodes floor(t) and floor(t) + 1.  A
+    periodic axis wraps by index mod N.  Along any other axis a point is in
+    the box exactly when |z_k| <= R_k, tested in coordinates: an edge node
+    whose t rounds past N - 1 stays in.  ``flat`` starts every corner's flat
+    index, ``inside`` (None: no test yet) is and-ed in place, and
+    ``strides`` (default: the grid's C-order strides) turns node indices
+    into flat ones.
     """
     counts = grid.counts
-    corners = [(flat, 1.0)]  # (flat index, weight) of each corner
+    if strides is None:
+        strides = [math.prod(counts[k + 1 :]) for k in range(grid.ndim)]
+    corners = [(flat, 1.0)]
     for k in axes:
         N, R = counts[k], grid.half_widths[k]
-        stride = int(np.prod(counts[k + 1 :]))
         t = (z[..., k] + R) / grid.spacings[k]
         if k in grid.periodic:
             t = np.mod(t, N)
@@ -504,12 +521,11 @@ def multilinear_interpolate(grid, values, z, axes, flat=0, inside=None):
             i0 = i0.astype(np.intp)
             i1 = i0 + 1
         corners = [
-            (c + i * stride, cw * iw)
+            (c + i * strides[k], cw * iw)
             for c, cw in corners
             for i, iw in ((i0, 1.0 - w), (i1, w))
         ]
-    vals = sum(cw * values.take(c, mode="clip") for c, cw in corners)
-    return vals if inside is None else np.where(inside, vals, 0)
+    return corners, inside
 
 
 def resample_dilated(f: GridFunction, r, weights) -> GridFunction:
@@ -630,6 +646,12 @@ def _shift_convolve(f, g, zero_tol):
     return GridFunction(grid, conv[centre].ravel() * grid.cell_volume)
 
 
+# Distance in index units within which the position of y^{-1} x along a
+# central axis counts as a node: it absorbs the rounding of the group law
+# and of R/h (about 1e-14), so that a pair on the box edge is kept.
+NODE_SNAP = 1e-10
+
+
 def _interpolated_convolve(law, f, g, zero_tol):
     """The direct sum of ``group_convolve``, multilinear in g, summed along lines.
 
@@ -646,20 +668,23 @@ def _interpolated_convolve(law, f, g, zero_tol):
 
     Along an axis of ``node_shift_axes`` y^{-1} x sits on the node
     i_x - i_y + centre, taken in integer arithmetic, so nothing is
-    interpolated there; the other axes of B are interpolated per lower pair.
-    All interpolation is ``multilinear_interpolate`` at the coordinates of
-    y^{-1} x, so a pair outside the box contributes zero.  Periodic axes
-    wrap, by index mod N, so on a periodic grid this is the interpolating
-    counterpart of the twisted convolution.  With no such central axis it is
-    the sum over node pairs.
+    interpolated there; the other axes of B are interpolated per lower pair
+    (``_linear_corners``).  Along C the point sits at the index
+    t = (beta + R)/h + d: its base node floor and weight are taken once per
+    lower pair, at d = 0 (within ``NODE_SNAP`` of a node it is that node),
+    and each offset only adds the integer d to the node.  g is read from a
+    copy extended along C to 5 N nodes from -2N: zero off the box, so a tap
+    outside it reads 0, and a point in the cell next to the box (one tap
+    inside) is set to 0 per pair.  Periodic axes wrap, by index mod N (the
+    extended copy repeats the period), so on a periodic grid this is the
+    interpolating counterpart of the twisted convolution.  With no such
+    central axis it is the sum over node pairs.
     """
     grid = f.grid
     counts, ndim = grid.counts, grid.ndim
-    strides = [int(np.prod(counts[k + 1 :])) for k in range(ndim)]
     shifts = node_shift_axes(law)
     central = [k for k in central_axes(law) if k not in shifts]
     lower = [k for k in range(ndim) if k not in central]
-    interpolated = [k for k in range(ndim) if k not in shifts]
     lower_counts, line_counts = [counts[k] for k in lower], [counts[c] for c in central]
     n_lower, n_line = int(np.prod(lower_counts)), int(np.prod(line_counts))
     nodes = np.indices(lower_counts).reshape(len(lower), n_lower)  # lower node index per axis
@@ -667,14 +692,19 @@ def _interpolated_convolve(law, f, g, zero_tol):
     for a, k in enumerate(lower):
         pts[:, k] = grid.axis(k)[nodes[a]]
 
-    # the offsets d = j_x - j_y along C, C order, and their coordinates d h,
-    # exact at the box edge |d| = (N - 1)/2
+    gx = g.reshape()  # g on 5 N nodes along each central axis, from -2N
+    for c, N in zip(central, line_counts):
+        if c in grid.periodic:
+            gx = np.take(gx, np.arange(-2 * N, 3 * N) % N, axis=c)
+        else:
+            gx = np.pad(gx, [(2 * N, 2 * N) if k == c else (0, 0) for k in range(ndim)])
+    strides = [int(np.prod(gx.shape[k + 1 :])) for k in range(ndim)]
+    gx = gx.ravel()
+    # the offsets d = j_x - j_y along C, C order, and their flat steps in gx
     ends = np.array(line_counts, dtype=np.intp)[:, None] - 1
     n_lag = int(np.prod([2 * N - 1 for N in line_counts]))
     d = np.indices([2 * N - 1 for N in line_counts]).reshape(len(central), n_lag) - ends
-    R = np.array([grid.half_widths[c] for c in central])[:, None]
-    h = np.array([grid.spacings[c] for c in central])[:, None]
-    offsets = (np.sign(d) * (R + (np.abs(d) - ends // 2) * h)).T
+    steps = sum((d[a] * strides[c] for a, c in enumerate(central)), np.zeros(n_lag, np.intp))
     # toeplitz[d, j_x]: the flat line node j_y = j_x - d, or n_line (a zero pad) off the line
     j_y = np.indices(line_counts).reshape(len(central), 1, n_line) - d[:, :, None]
     on_line = np.all((j_y >= 0) & (j_y <= ends[:, :, None]), axis=0)
@@ -690,23 +720,44 @@ def _interpolated_convolve(law, f, g, zero_tol):
     batch = max(1, CONVOLVE_BATCH * grid.size // (n_lower * n_lag))
     for start in range(0, len(active), batch):
         rows = active[start : start + batch]
-        shape = (n_lower, len(rows), n_lag)  # (x', y', d)
-        flat = np.zeros(shape[:2] + (1,), dtype=np.intp)
+        shape = (n_lower, len(rows))  # (x', y')
+        flat = np.zeros(shape, dtype=np.intp)
         inside = np.ones(shape, dtype=bool)
         for k in shifts:
             a, N = lower.index(k), counts[k]
-            i = (nodes[a][:, None] - nodes[a][None, rows] + (N - 1) // 2)[..., None]
+            i = nodes[a][:, None] - nodes[a][None, rows] + (N - 1) // 2
             if k in grid.periodic:
                 i %= N
             else:
                 inside &= (i >= 0) & (i < N)
-            flat = flat + i * strides[k]
-        z = None
-        if interpolated:
-            z = np.empty(shape + (ndim,))
-            z[...] = law.multiply_arrays(-pts[None, rows, :], pts[:, None, :])[:, :, None, :]
-            z[..., central] += offsets
-        kernel = multilinear_interpolate(grid, gvals, z, interpolated, flat, inside)
+                np.clip(i, 0, N - 1, out=i)  # a node outside has weight 0
+            flat += i * strides[k]
+        z = law.multiply_arrays(-pts[None, rows, :], pts[:, None, :])  # y^{-1} x at zero central coordinates
+        corners, inside = _linear_corners(grid, z, [k for k in lower if k not in shifts], flat, inside, strides)
+        partial = []  # per box axis of C: the base node and whether a tap falls between nodes
+        for a, c in enumerate(central):
+            N = counts[c]
+            t = (z[..., c] + grid.half_widths[c]) / grid.spacings[c]
+            base = np.floor(t + NODE_SNAP)
+            w = t - base
+            w[w < NODE_SNAP] = 0.0
+            base = base.astype(np.intp)
+            if c in grid.periodic:
+                base %= N
+            else:
+                np.clip(base, -N - 1, 2 * N - 1, out=base)  # further out no offset reaches the box
+                partial.append((a, N, base, w > 0))
+            corners = [
+                (fl + (base + 2 * N + i) * strides[c], cw * iw) for fl, cw in corners for i, iw in ((0, 1.0 - w), (1, w))
+            ]
+        kernel = sum(np.where(inside, cw, 0.0)[..., None] * gx[fl[..., None] + steps] for fl, cw in corners)
+        lags = kernel.reshape(shape + tuple(2 * N - 1 for N in line_counts))
+        for a, N, base, between in partial:
+            # t between the nodes -1 and 0, or N - 1 and N: outside, though one tap is inside
+            view = np.moveaxis(lags, 2 + a, 2)
+            for lag in (N - 2 - base, 2 * N - 2 - base):
+                hit = between & (lag >= 0) & (lag < 2 * N - 1)
+                view[hit.nonzero() + (lag[hit],)] = 0
         padded = np.pad(lines[rows], ((0, 0), (0, 1)))
         out += kernel.reshape(n_lower, -1) @ padded[:, toeplitz].reshape(-1, n_line)
     out = np.moveaxis(out.reshape(lower_counts + line_counts), range(len(lower), ndim), central)

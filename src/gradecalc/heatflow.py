@@ -27,14 +27,19 @@ and odd vectors, one block per character of the group of such flips (Fassler
 and Stiefel, *Group Theoretical Methods and Their Applications*, 1992).  On
 the Heisenberg group the flips (x, y, u) -> (a x, b y, ab u) give four blocks
 of about n/4 nodes, so the eigensolve costs about a sixteenth of the dense one.
-The quarter turn (x, y) -> (y, -x) also commutes with the sub-Laplacian, but
-on a box plan it generates with the flips the dihedral group of order 8,
-which has a 2-dimensional irreducible representation; it is left out, since
-the flips alone already cut the n = 5445 Heisenberg solve about 13-fold.
 With no flip but the identity the plan is one dense block.  A flip that
 reverses the periodic axis maps frequency xi to -xi: in the basis of its even
 vectors and i times its odd ones a central-Fourier block is real, so every
 default plan's blocks are real symmetric eigensolves (``_eigh``).
+The quarter turn (x, y, u) -> (-y, x, u), a signed swap of two coordinates
+of equal weight found from the law and the words as the flips are
+(``quarter_turn``), commutes with the sub-Laplacian too.  With the flips it
+generates the dihedral group of order 8: of the four box blocks it swaps two,
+so one is solved and the other is its image, and it splits the two it maps
+onto themselves into its +1 and -1 eigenspaces; it splits each
+central-Fourier block into four real pieces, one per character.  The stored
+blocks stay whole, so the transforms do not change, only the eigensolves
+shrink: about a half of the flips' cost on a box, a quarter per frequency.
 
 The transforms (``analyze``, ``synthesize``, ``apply_multiplier``) act on
 the last axis of their input, so a stack of m functions, shape
@@ -127,12 +132,15 @@ class SpectralPlan:
     ``reflection_defect`` is the largest relative Frobenius commutator of a
     flip with the interior matrix (on a ``KroneckerPlan``, of an axis flip
     with its factor; on a ``CentralFourierPlan``, of its one flip with each
-    part of its blocks; 0 where no flip is taken).  ``eigh_s`` is the time
-    spent in the LAPACK eigensolves behind the eigenvectors, summed over
-    blocks, and ``solves`` the size of each eigensolve (on a
-    ``KroneckerPlan`` the halves of its split factors; on a
-    ``CentralFourierPlan`` one per frequency up to the conjugate pairs,
-    which share a solve).
+    part of its blocks; 0 where no flip is taken), and ``turn_defect`` the
+    same for the quarter turn (``quarter_turn``; 0 where no turn is taken,
+    as on every ``KroneckerPlan``).  ``eigh_s`` is the time spent in the
+    LAPACK eigensolves behind the eigenvectors, summed over blocks, and
+    ``solves`` the size of each eigensolve (on a ``KroneckerPlan`` the
+    halves of its split factors; on a ``CentralFourierPlan`` one per
+    frequency up to the conjugate pairs, which share a solve; where a turn
+    is taken, the pieces it splits the blocks into, and none for a block
+    that is the turn's image of another).
 
     The plan owns the data its consumers share (``lam_plus``, the delta and
     unit coefficients, ``field_matrices``), each a ``cached_property`` built
@@ -154,6 +162,7 @@ class SpectralPlan:
     axis_bases: tuple = ()  # per axis an orthogonal or unitary (n_k, n_k) array, or None
     order: np.ndarray | None = None  # transformed interior nodes, block by block
     reflection_defect: float = 0.0
+    turn_defect: float = 0.0
     eigh_s: float = 0.0
     solves: tuple = ()
 
@@ -253,6 +262,7 @@ class SpectralPlan:
             "negative": int((lam < 0).sum()),
             "sym_defect": self.sym_defect,
             "reflection_defect": self.reflection_defect,
+            "turn_defect": self.turn_defect,
             "eigh_s": self.eigh_s,
         }
 
@@ -360,7 +370,10 @@ def spectral_plan(spec: RocklandSpec, law, grid: Grid, margin=4, reg_strength=0.
     exactly the Kronecker sum of one 1-D factor per axis, each the sum of
     the operator's terms on that axis.  Otherwise it is
     a ``SpectralPlan``, one dense eigensolve per block of the sign flips of
-    ``sign_flip_group`` (see ``_reflection_plan``).  Every plan's interior
+    ``sign_flip_group`` (see ``_reflection_plan``).  The box and
+    central-Fourier plans also take the ``quarter_turn`` of the operator,
+    when the grid maps onto itself under it (``_plan_turn``), and solve
+    their blocks in its pieces.  Every plan's interior
     is the box of nodes ``margin`` or more from the boundary, whole along a
     periodic axis; before anything is assembled, an interior fewer than 3
     nodes wide along another axis (it holds no difference there), a
@@ -395,6 +408,7 @@ def _solve_plan(spec, law, grid, margin, reg_strength):
     kronecker = not grid.periodic and node_shift_axes(law) == tuple(range(grid.ndim))
     kronecker = kronecker and all(len(set(word)) <= 1 for word in spec.expr.terms)
     flips = sign_flip_group(law.algebra, spec.expr)
+    turn = None if kronecker else _plan_turn(quarter_turn(law.algebra, spec.expr), flips, grid, margin)
     if grid.periodic:  # a central-Fourier block spans the non-periodic axes
         block = math.prod(inner_counts[j] for j in bounded)
     elif kronecker:
@@ -409,20 +423,20 @@ def _solve_plan(spec, law, grid, margin, reg_strength):
         raise HeatError("plans on periodic grids take no dissipation term (reg_strength 0)")
     fields = dict(grid=grid, spec=spec, law=law, mask=grid.interior_mask(margin), inner_shape=inner_counts)
     if grid.periodic:
-        return _central_fourier_plan(fields, flips)
+        return _central_fourier_plan(fields, flips, turn)
     box = tuple(slice((N - n) // 2, (N + n) // 2) for N, n in zip(grid.counts, inner_counts))
     A = discretize(spec.expr, law, grid, box)
     if reg_strength:
         gersh = float(np.abs(_band(A, _half_bandwidths(A))).sum(axis=tuple(range(1, 2 * grid.ndim, 2))).max())
         p = max(spec.expr.word_degrees(law.algebra.weights)) // 2 + 3
         A = A + _dissipation_matrix(inner_counts, p, reg_strength * gersh)
-    half = _half_bandwidths(A)
+    half = _turn_half_bandwidths(A, turn)
     band = _band(A, half)
     norm = _frobenius(band)
     fields["sym_defect"] = _frobenius(band - _band(A.transpose(), half)) / norm if norm else 0.0
     if kronecker:
         return _kronecker_plan(A, half, flips, fields)
-    return _reflection_plan(A, band, flips, fields)
+    return _reflection_plan(A, band, flips, turn, fields)
 
 
 def _frobenius(a):
@@ -484,34 +498,110 @@ def _band(A: KroneckerOperator, half):
     return _kron_sum(terms, [j.shape for j in rows])
 
 
+def _fixes(alg, expr, perm, s):
+    """Whether the signed permutation X_j -> s_j X_perm(j) is a Lie algebra
+    automorphism that maps the operator onto itself.
+
+    It is an automorphism exactly when c_{perm(j) perm(k)}^{perm(l)} =
+    s_j s_k s_l c_jk^l for every nonzero structure constant c_jk^l, and it
+    fixes the operator exactly when every word w goes, with its coefficient
+    times the product of s over its letters, to a word of the operator with
+    that coefficient.
+    """
+    table = {(j, k, l): c for j, k, l, c in alg.nonzero_constants()}
+    return all(
+        table.get((perm[j], perm[k], perm[l]), 0) == s[j] * s[k] * s[l] * c for (j, k, l), c in table.items()
+    ) and all(
+        expr.terms.get(tuple(perm[i] for i in word), 0) == c * math.prod(s[i] for i in word)
+        for word, c in expr.terms.items()
+    )
+
+
 def sign_flip_group(alg, expr):
     """The coordinate sign flips that are automorphisms fixing the operator.
 
-    A sign vector s in {+1, -1}^n scales X_j to s_j X_j.  It is a Lie algebra
-    automorphism exactly when s_j s_k = s_l for every nonzero structure
+    A sign vector s in {+1, -1}^n scales X_j to s_j X_j: the signed
+    permutations of ``_fixes`` that leave every coordinate in place.  It is
+    an automorphism exactly when s_j s_k = s_l for every nonzero structure
     constant c_jk^l, and it fixes the operator exactly when the product of
     s_j over the letters of every word is 1.  Returns the group as an
     (m, n) array of signs, the identity first; m is a power of 2.
     """
-    constants = [(j, k, l) for j, k, l, _ in alg.nonzero_constants()]
-    flips = [
-        s
-        for s in itertools.product((1, -1), repeat=alg.n)
-        if all(s[j] * s[k] == s[l] for j, k, l in constants)
-        and all(math.prod(s[i] for i in word) == 1 for word in expr.terms)
-    ]
+    keep = tuple(range(alg.n))
+    flips = [s for s in itertools.product((1, -1), repeat=alg.n) if _fixes(alg, expr, keep, s)]
     return np.array(flips, dtype=int)
 
 
-def _flip_defect(band, s, sign=1):
-    """||R A R - sign A||_F / ||A||_F (0 for A = 0), on the entries ``band`` of A (``_band``), R the
-    reversal of the axes where s_k = -1; a defect above ``REFLECTION_TOL`` is refused (HeatError)."""
+def quarter_turn(alg, expr):
+    """The first signed swap of two coordinates of equal weight that is an
+    automorphism fixing the operator (``_fixes``), as (perm, signs), or None.
+
+    The swap of k < l maps X_k to s_k X_l and X_l to s_l X_k and keeps every
+    other coordinate, so the point x goes to the y with y_l = s_k x_k and
+    y_k = s_l x_l; equal weights make it commute with the dilations.  Pairs
+    are tried in order, and the signs (s_k, s_l) in the order (1, 1),
+    (1, -1), (-1, 1), (-1, -1).  On the Heisenberg group with the
+    sub-Laplacian it is the quarter turn (x, y, u) -> (-y, x, u), whose
+    square is the flip (-x, -y, u); a swap with s_k s_l = 1 is a reflection
+    across a diagonal, its own inverse.  Found from the law and the words
+    alone, as the flips are.
+    """
+    n, weights = alg.n, alg.weights
+    for k, l in itertools.combinations(range(n), 2):
+        if weights[k] != weights[l]:
+            continue
+        perm = tuple(l if j == k else k if j == l else j for j in range(n))
+        for sk, sl in itertools.product((1, -1), repeat=2):
+            s = tuple(sk if j == k else sl if j == l else 1 for j in range(n))
+            if _fixes(alg, expr, perm, s):
+                return perm, s
+    return None
+
+
+def _plan_turn(turn, flips, grid, margin):
+    """The turn a plan on ``grid`` takes, or None.
+
+    A plan takes the swap of axes k and l only if the two have equal counts,
+    half-widths, margins and periodicity, so that it maps the interior onto
+    itself, and only if it permutes the flips among themselves and its
+    square is one of them, so that it maps each block of the flips onto a
+    block (``_reflection_plan``).
+    """
+    if turn is None:
+        return None
+    perm, s = turn
+    k, l = (j for j, m in enumerate(perm) if m != j)
+    same = all(a[k] == a[l] for a in (grid.counts, grid.half_widths, margin))
+    same = same and (k in grid.periodic) == (l in grid.periodic)
+    rows = {tuple(f) for f in flips.tolist()}
+    square = tuple(a * s[m] for a, m in zip(s, perm))
+    if same and square in rows and {tuple(f) for f in flips[:, perm].tolist()} == rows:
+        return turn
+    return None
+
+
+def _symmetry_defect(band, s, perm=None, sign=1, what="a sign flip"):
+    """||P A P^T - sign A||_F / ||A||_F (0 for A = 0), on the entries ``band``
+    of A (``_band``), P the reversal of the axes where s_k = -1 followed by
+    the move of axis k to axis perm[k] (a swap, its own inverse; None keeps
+    every axis, a flip).  A swap needs equal half-bandwidths on the two
+    axes.  A defect above ``REFLECTION_TOL`` is refused (HeatError).
+    """
     rev = tuple(slice(None, None, -1) if sk < 0 else slice(None) for sk in s for _ in "io")
+    moved = band[rev]
+    if perm is not None:
+        moved = moved.transpose([2 * perm[m] + r for m in range(len(perm)) for r in (0, 1)])
     norm = _frobenius(band)
-    d = _frobenius(band[rev] - sign * band) / norm if norm else 0.0
+    d = _frobenius(moved - sign * band) / norm if norm else 0.0
     if not d <= REFLECTION_TOL:
-        raise HeatError(f"a sign flip fails to commute with the operator (defect {d:.1e})")
+        raise HeatError(f"{what} fails to commute with the operator (defect {d:.1e})")
     return d
+
+
+def _turn_half_bandwidths(A, turn):
+    """``_half_bandwidths`` of A, equal on the axes that ``turn`` swaps (None: as they are)."""
+    half = _half_bandwidths(A)
+    return half if turn is None else [max(h, half[m]) for h, m in zip(half, turn[0])]
 
 
 def _parity_rows(M, odd, axis=0):
@@ -545,7 +635,7 @@ def _parity_basis(n):
     return np.hstack([_parity_expand(np.eye(even), False, n), _parity_expand(np.eye(n - even), True, n)])
 
 
-def _parity_blocks(shape, flips):
+def _parity_blocks(shape, flips, split=None):
     """The axes that some flip reverses, and the parity patterns of each character block.
 
     A flip s reverses the box ``shape`` along the axes where s_k = -1, and a
@@ -556,9 +646,12 @@ def _parity_blocks(shape, flips):
     an invariant subspace of every operator the flips fix: the plan's blocks
     are these spans (Fassler and Stiefel, 1992).  Characters are ordered by
     their values on the group, ascending, patterns within one ascending; a
-    group of the identity alone gives one block of the empty pattern.
+    group of the identity alone gives one block of the empty pattern.  A
+    given ``split`` (it must hold every reversed axis) takes the patterns
+    over those axes instead.
     """
-    split = tuple(k for k in range(len(shape)) if (flips[:, k] < 0).any())
+    if split is None:
+        split = tuple(k for k in range(len(shape)) if (flips[:, k] < 0).any())
     blocks = {}
     for pi in itertools.product((0, 1), repeat=len(split)):
         chi = tuple(math.prod(int(s[k]) for k, p in zip(split, pi) if p) for s in flips)
@@ -579,7 +672,7 @@ def _block_sizes(shape, split, blocks):
     return [sum(math.prod(map(len, _pattern_ranges(shape, split, pi))) for pi in block) for block in blocks]
 
 
-def _reflection_plan(A, band, flips, fields):
+def _reflection_plan(A, band, flips, turn, fields):
     """The ``SpectralPlan`` of the interior operator A, one block per character of the flips.
 
     Every flip must commute with A to ``REFLECTION_TOL`` relative
@@ -587,11 +680,23 @@ def _reflection_plan(A, band, flips, fields):
     (HeatError).  In the parity basis of the reversed axes each term's
     factor on axis k becomes Q_k^T M Q_k, and the block of a character is
     sum_t c_t x_k (P_k^T M_t,k P'_k) over the pairs of its parity patterns,
-    P_k and P'_k the even or odd columns of Q_k: a Kronecker product per
+    P_k and P'_k the even or odd columns of axis k: a Kronecker product per
     term and pair, solved densely.
+
+    A ``turn`` (``_plan_turn``) must commute with A as well, or the plan is
+    refused.  It maps every parity vector to plus or minus a parity vector,
+    so it maps each block onto a block by a signed permutation of their
+    nodes (``_turn_map``).  A block it maps onto itself, where its square
+    acts as 1, is solved as its two eigenspaces (``_turn_pieces``); on the
+    Heisenberg group those are the two blocks the flip (-x, -y, u) fixes.
+    Of two blocks it swaps, the first is solved and the second's
+    eigenvectors are the signed permutation of the first's, with the same
+    eigenvalues: the 7 x 7 x 23 interior solves 146, 138, 276, 153 and 138
+    nodes in place of 284, 276, 276 and 291.  The blocks stay dense, their
+    eigenvalues ascending.
     """
     shape = tuple(A.counts)
-    defect = max((_flip_defect(band, s) for s in flips[1:]), default=0.0)
+    defect = max((_symmetry_defect(band, s) for s in flips[1:]), default=0.0)
     split, patterns = _parity_blocks(shape, flips)
     bases = [_parity_basis(n) if k in split else None for k, n in enumerate(shape)]
     terms = _parity_terms(A, bases)
@@ -607,11 +712,126 @@ def _reflection_plan(A, band, flips, fields):
         axis_bases=tuple(bases),
         order=None if len(sizes) == 1 else _frozen(order),
         reflection_defect=defect,
+        turn_defect=0.0 if turn is None else _symmetry_defect(band, turn[1], turn[0], what="the turn"),
         **fields,
     )
-    for block, (s, V) in zip(ranges, plan._blocks()):
-        plan.eigenvalues[s], V[...] = _eigh(_pattern_block(terms, block), stats)
+    blocks = list(plan._blocks())
+    starts = np.cumsum((0,) + sizes)
+    if turn is not None:
+        image, sign = _turn_map(shape, split, turn, order)
+    done = set()
+    for i, (block, (s, V)) in enumerate(zip(ranges, blocks)):
+        if i in done:
+            continue
+        pieces, j = [None], i
+        if turn is not None:
+            j = int(np.searchsorted(starts, image[s.start], side="right")) - 1
+            to, by = image[s] - starts[j], sign[s]
+            if j == i:
+                pieces = _turn_pieces(to, by)
+        plan.eigenvalues[s] = _solve_pieces(_pattern_block(terms, block), pieces, stats, V)
+        if j != i:  # block j is this one's image under the turn
+            s_j, V_j = blocks[j]
+            plan.eigenvalues[s_j] = plan.eigenvalues[s]
+            V_j[to] = V
+            V_j[to[by < 0]] *= -1
+            done.add(j)
     return dataclasses.replace(plan, **stats)
+
+
+def _turn_map(shape, split, turn, layout):
+    """Where the turn sends each transformed node of a box, and with which sign.
+
+    The transformed nodes are the tensor products of one basis vector per
+    axis: a parity vector (``_parity_basis``) on an axis of ``split``, a
+    node on any other.  The turn (perm, s) moves axis k to axis perm[k],
+    reversed where s_k = -1, which keeps a parity vector up to its sign
+    (-1 for an odd one) and sends node c to node n - 1 - c.  ``layout``
+    lists the transformed nodes (C-order flat indices of ``shape``) in the
+    order of a plan's blocks; returns per position i of the layout the
+    position image[i] and the sign sign[i] with P e_i = sign[i] e_image[i].
+    """
+    perm, s = turn
+    index = np.indices(shape)
+    sign = np.ones(shape)
+    moved = [None] * len(shape)
+    for k, n in enumerate(shape):
+        c = index[k]
+        if s[k] < 0:
+            if k in split:
+                sign[c >= n - n // 2] *= -1
+            else:
+                c = n - 1 - c
+        moved[perm[k]] = c
+    position = np.empty(len(layout), dtype=np.intp)
+    position[layout] = np.arange(len(layout))
+    return position[np.ravel_multi_index(moved, shape).ravel()[layout]], sign.ravel()[layout]
+
+
+def _turn_pieces(image, sign):
+    """Orthonormal bases of the +1 and -1 eigenspaces of the signed
+    involution J e_i = sign[i] e_image[i] of one block.
+
+    Each basis is (lo, hi, a, b), its vectors a e_lo + b e_hi: for a pair
+    i < image[i], (e_i + eps sign[i] e_image[i]) / sqrt 2 in the eigenspace
+    eps; for a fixed node e_i in the eigenspace sign[i] (b = 0).  A matrix
+    that commutes with J is block diagonal in these bases.  When J is not an
+    involution (its square acts as -1 on the block), or ``sign`` is None,
+    the block stays whole: [None].
+    """
+    idx = np.arange(len(image))
+    if sign is None or not (np.array_equal(image[image], idx) and np.all(sign * sign[image] == 1)):
+        return [None]
+    pair = idx < image
+    root = math.sqrt(0.5)
+    pieces = []
+    for eps in (1, -1):
+        fixed = (idx == image) & (sign == eps)
+        pieces.append((
+            np.concatenate([idx[pair], idx[fixed]]),
+            np.concatenate([image[pair], idx[fixed]]),
+            np.concatenate([np.full(pair.sum(), root), np.ones(fixed.sum())]),
+            np.concatenate([eps * root * sign[pair], np.zeros(fixed.sum())]),
+        ))
+    return [p for p in pieces if len(p[0])]
+
+
+def _restrict(M, piece):
+    """B^T M B for the basis B = (lo, hi, a, b) of ``_turn_pieces`` (None: M itself)."""
+    if piece is None:
+        return M
+    lo, hi, a, b = piece
+    return sum(M[np.ix_(r, q)] * np.outer(x, y) for r, x in ((lo, a), (hi, b)) for q, y in ((lo, a), (hi, b)))
+
+
+def _merge(parts, pieces, out):
+    """One block's ascending eigenvalues from the eigenpairs (w, W) of its
+    pieces, its eigenvectors written into ``out`` (n x n).
+
+    Each W, in the coordinates of its piece's basis B, goes in as B W, its
+    columns where its eigenvalues fall in the sorted order of all pieces'.
+    """
+    if pieces[0] is None:
+        out[...] = parts[0][1]
+        return parts[0][0]
+    w = np.concatenate([p[0] for p in parts])
+    order = np.argsort(w, kind="stable")
+    column = np.empty(len(w), dtype=np.intp)
+    column[order] = np.arange(len(w))
+    out[...] = 0
+    start = 0
+    for (_, W), (lo, hi, a, b) in zip(parts, pieces):
+        cols = column[start : start + W.shape[1]]
+        out[np.ix_(lo, cols)] = a[:, None] * W
+        out[np.ix_(hi, cols)] += b[:, None] * W
+        start += W.shape[1]
+    return w[order]
+
+
+def _solve_pieces(M, pieces, stats, out):
+    """Ascending eigenvalues of M, one ``_eigh`` per piece of ``_turn_pieces``
+    ([None]: M whole); its eigenvectors go into ``out``."""
+    return _merge([_eigh(_restrict(M, piece), stats) for piece in pieces], pieces, out)
 
 
 def _parity_terms(A, bases):
@@ -697,7 +917,7 @@ def _kronecker_plan(A, half, flips, fields):
         F = KroneckerOperator((n,), tuple((c, (M,)) for c, M in terms))
         own = 1 - 2 * (np.arange(flips.shape[1]) == k)  # the flip of axis k alone
         if (flips == own).all(axis=1).any():
-            defect = max(defect, _flip_defect(_band(F, half[k : k + 1]), [-1]))
+            defect = max(defect, _symmetry_defect(_band(F, half[k : k + 1]), [-1]))
             halves = []
             for odd in (True, False):
                 block = np.zeros((n // 2 if odd else n - n // 2,) * 2)
@@ -728,7 +948,7 @@ def _kronecker_plan(A, half, flips, fields):
     )
 
 
-def _central_fourier_plan(fields, flips):
+def _central_fourier_plan(fields, flips, turn):
     """Plan on a grid whose one periodic axis p is a central coordinate.
 
     ``fields`` holds the plan's grid, operator and law, and the interior
@@ -757,6 +977,21 @@ def _central_fourier_plan(fields, flips):
     P-^T T P+ off the diagonal.  Its eigenvectors W give the block's as
     P+ W+ + i P- W-, applied along the reversed axes.  Without such a flip
     the complex block is solved as it is.
+
+    A ``turn`` (``_plan_turn``; it keeps p) must commute with S, T and U to
+    ``REFLECTION_TOL``, or the plan is refused.  On the Heisenberg group the
+    quarter turn (x, y) -> (-y, x) commutes with every block, and R followed
+    by complex conjugation keeps each of its four characters, so the block
+    splits into four real pieces: the turn's square (-x, -y) is +1 or
+    -1 on the tensor products of even and odd vectors of both axes (the
+    patterns, grouped by ``_parity_blocks``), and on each group the turn,
+    times -i where the i of the basis does not cancel, is a real signed
+    involution of the basis vectors (``_turn_map``), solved as its two
+    eigenspaces (``_turn_pieces``).  The 25 x 25 interior solves 156, 156,
+    157 and 156 nodes per frequency in place of 625.  The odd vectors of
+    every axis the flip reverses take the factor i, so the basis is a
+    tensor product and W goes back to the nodes one axis at a time.  The
+    blocks stay dense and complex, their eigenvalues ascending.
     """
     grid, law, inner_shape = fields["grid"], fields["law"], fields["inner_shape"]
     if len(grid.periodic) != 1:
@@ -784,47 +1019,108 @@ def _central_fourier_plan(fields, flips):
     box = tuple(slice((N - n) // 2, (N + n) // 2) for N, n in zip(sub.counts, shape))
     ops = [kronecker_operator(form_terms(g, others), sub, acc=8).restrict(box) for g in groups]
     flip = next((f[others] for f in flips if f[p] < 0), None)
-    split, signs = ((), ()) if flip is None else (tuple(np.flatnonzero(flip < 0)), (1, -1, 1))  # R T R = -T
-    defect = max((_flip_defect(_band(op, _half_bandwidths(op)), flip, sign) for op, sign in zip(ops, signs)), default=0.0)
-    bases = [_parity_basis(n) if k in split else None for k, n in enumerate(shape)]
-    patterns = list(itertools.product((0, 1), repeat=len(split)))
+    imag, signs = ((), ()) if flip is None else (tuple(np.flatnonzero(flip < 0)), (1, -1, 1))  # R T R = -T
+    defect = max(
+        (_symmetry_defect(_band(op, _half_bandwidths(op)), flip, sign=sign) for op, sign in zip(ops, signs)), default=0.0
+    )
+    perm, square = list(range(len(others))), [1] * len(others)  # the turn on the other axes, and its square
+    turn_defect = 0.0
+    if turn is not None:
+        perm, s = [others.index(turn[0][j]) for j in others], [turn[1][j] for j in others]
+        turn = perm, s
+        turn_defect = max(
+            _symmetry_defect(_band(op, _turn_half_bandwidths(op, turn)), s, perm, what="the turn") for op in ops
+        )
+        square = [a * s[m] for a, m in zip(s, perm)]
+    # parity bases on the axes that R or the square reverses, and on their images under the turn
+    split = tuple(k for k in range(len(others)) if any(j in imag or square[j] < 0 for j in (k, perm[k])))
+    _, groups = _parity_blocks(shape, np.array([[1] * len(others), square]), split)
+    patterns = [pi for group in groups for pi in group]
     ranges = [_pattern_ranges(shape, split, pi) for pi in patterns]
     nodes = np.arange(math.prod(shape)).reshape(shape)
-    node_rows = np.argsort(np.concatenate([nodes[np.ix_(*r)].ravel() for r in ranges]))  # node -> block row
-    # the basis (P+, i P-): i on the parity patterns that R reverses
-    phase = np.concatenate([np.full(math.prod(map(len, r)), 1j ** (sum(pi) % 2)) for r, pi in zip(ranges, patterns)])
+    layout = np.concatenate([nodes[np.ix_(*r)].ravel() for r in ranges])
+    node_rows = np.argsort(layout)  # node -> block row
+    # the basis (P+, i P-): i on each odd vector of an axis that R reverses
+    phase = np.concatenate([
+        np.full(math.prod(map(len, r)), 1j ** sum(b for k, b in zip(split, pi) if k in imag))
+        for r, pi in zip(ranges, patterns)
+    ])
+    bases = [_parity_basis(n) if k in split else None for k, n in enumerate(shape)]
     S, T, U = (c * _pattern_block(_parity_terms(op, bases), ranges) for c, op in zip((1, 1j, 1), ops))
     S, T, U = (phase.conj()[:, None] * X * phase for X in (S, T, U))
     if flip is not None:  # the flip check leaves only rounding in the imaginary parts
         S, T, U = S.real, T.real, U.real
+    pieces = [None] if turn is None else _twisted_pieces(shape, split, turn, layout, phase, groups)
 
     M = grid.counts[p]
     xi = 2 * np.pi * np.fft.fftfreq(M, d=grid.spacings[p])
+    K = M // 2 + 1  # the frequencies up to the conjugate pairs
+    c = np.array([np.ones(K), xi[:K], -xi[:K] ** 2]) * np.sqrt(np.minimum(np.arange(K), 1) + 1.0)
+    num, den = _gram_norm(c, [X - X.conj().T for X in (S, T, U)]), _gram_norm(c, (S, T, U))
+    parts = [[_restrict(X, piece) for X in (S, T, U)] for piece in pieces]
     w = np.empty((M, nodes.size))
     V = np.empty((M, nodes.size, nodes.size), dtype=complex)
-    defect_num = defect_den = 0.0
+    W = np.empty((nodes.size, nodes.size), dtype=S.dtype)
     stats = {}
-    for k in range(M // 2 + 1):
-        A = S + xi[k] * T - xi[k] ** 2 * U
-        pair = 1 if k == 0 else 2
-        defect_num += pair * np.linalg.norm(A - A.conj().T) ** 2
-        defect_den += pair * np.linalg.norm(A) ** 2
-        w[k], W = _eigh(A, stats)
-        V[k] = _along_axes((phase[:, None] * W)[node_rows].T, shape, bases).T
+    # the basis vectors themselves: i times the odd vectors of each axis R reverses
+    bases = [Q * np.where(np.arange(len(Q)) < len(Q) - len(Q) // 2, 1, 1j) if k in imag else Q for k, Q in enumerate(bases)]
+    for k in range(K):
+        w[k] = _merge([_eigh(S_ + xi[k] * T_ - xi[k] ** 2 * U_, stats) for S_, T_, U_ in parts], pieces, W)
+        Y = W[node_rows].reshape(shape + (-1,))  # nodes first: one matrix product per axis
+        for j, Q in enumerate(bases):
+            if Q is not None:
+                Y = along_axis(Q, Y, j)
+        V[k] = Y.reshape(nodes.size, -1)
         if k:
-            w[M - k], V[M - k] = w[k], V[k].conj()
+            w[M - k] = w[k]
+            np.conjugate(V[k], out=V[M - k])
     dft = np.fft.fft(np.fft.ifftshift(np.eye(M), axes=0), axis=0, norm="ortho")  # Q^H on the axis
     return CentralFourierPlan(
         eigenvalues=w.ravel(),
         eigenvectors=V,
-        sym_defect=float(np.sqrt(defect_num / defect_den)) if defect_den else 0.0,
+        sym_defect=float(np.sqrt(num / den)) if den else 0.0,
         block_sizes=(nodes.size,) * M,
         axis_bases=tuple(dft.conj().T if j == p else None for j in range(grid.ndim)),
         order=_frozen(np.moveaxis(np.arange(math.prod(inner_shape)).reshape(inner_shape), p, 0).ravel()),
         reflection_defect=defect,
+        turn_defect=turn_defect,
         **fields,
         **stats,
     )
+
+
+def _twisted_pieces(shape, split, turn, layout, phase, groups):
+    """The pieces of a central-Fourier block under the turn, one or two per group of patterns.
+
+    In the basis f_i = phase[i] e_i the turn P sends f_i to
+    sign[i] phase[i] / phase[image[i]] f_image[i] (``_turn_map``).  On a
+    group of patterns these factors are all real or all imaginary (their
+    ratio is the character of a flip that keeps p), so P, or -i P, is a real
+    signed permutation J there, which commutes with the real block: each
+    group is split into J's two eigenspaces (``_turn_pieces``), given in the
+    coordinates of the whole block.
+    """
+    image, sign = _turn_map(shape, split, turn, layout)
+    factor = sign * phase / phase[image]
+    pieces, start = [], 0
+    for group in groups:
+        g = slice(start, start + _block_sizes(shape, split, [group])[0])
+        f = factor[g]
+        real = f.real if not f.imag.any() else f.imag if not f.real.any() else None
+        local = _turn_pieces(image[g] - start, real)
+        if local[0] is None:  # the group stays whole
+            idx = np.arange(g.start, g.stop)
+            pieces.append((idx, idx, np.ones(len(idx)), np.zeros(len(idx))))
+        else:
+            pieces += [(lo + start, hi + start, a, b) for lo, hi, a, b in local]
+        start = g.stop
+    return pieces
+
+
+def _gram_norm(c, mats):
+    """sum over the columns k of ||sum_i c[i, k] mats[i]||_F^2, from the Gram matrix of ``mats``."""
+    G = np.array([[np.vdot(a, b).real for b in mats] for a in mats])
+    return max(float(np.einsum("ik,ij,jk->", c, G, c)), 0.0)
 
 
 def dilated_plan(plan: SpectralPlan, rho) -> SpectralPlan:
@@ -865,28 +1161,36 @@ def _ladder_multipliers(mu, times, coefs):
     or one row as a 1-D array.  Each block of ladder rows,
     ``LADDER_BLOCK_BYTES`` of exponents -t_i mu in a buffer kept for the
     call, is exponentiated in place and added as one matrix product
-    ``coefs[:, block] @ E``, so no array holds the whole ladder times the
-    spectrum.  A term whose exponent lies below ``EXP_FLOOR`` counts as 0:
-    it is below e^{-700} = 1e-304, and numpy's exp is about a hundred times
-    slower where its result would be subnormal.  -t_i mu may overflow to
-    -inf, which is such a term, without a warning.
+    ``coefs[:, block] @ E`` (the first block writes the result), so no array
+    holds the whole ladder times the spectrum.  A term whose exponent lies
+    below ``EXP_FLOOR`` counts as 0: it is below e^{-700} = 1e-304, and
+    numpy's exp is about a hundred times slower where its result would be
+    subnormal (exp of -inf, though exactly 0, is slower too).  -t_i mu may
+    overflow to -inf, which is such a term, without a warning.  The fixed
+    cost of a call, which one time (``heat_multiplier``) pays in full, is
+    one error-state context, three allocations and per block five
+    elementwise passes and one ``np.dot`` (a third of ``@``'s overhead on
+    small operands).
     """
     mu, times = np.asarray(mu, dtype=float), np.asarray(times, dtype=float)
     rows = np.asarray(coefs, dtype=float).reshape(-1, len(times))
-    out = np.zeros((len(rows), mu.size))
     step = max(1, LADDER_BLOCK_BYTES // (8 * mu.size))
     buf = np.empty((min(step, len(times)), mu.size))
     dropped = np.empty(buf.shape, dtype=bool)
-    for i in range(0, len(times), step):
-        t = times[i : i + step]
-        e, low = buf[: len(t)], dropped[: len(t)]
-        with np.errstate(over="ignore"):
+    out = np.empty((len(rows), mu.size))
+    with np.errstate(over="ignore"):
+        for i in range(0, len(times), step):
+            t = times[i : i + step]
+            e, low = buf[: len(t)], dropped[: len(t)]
             np.multiply(-t[:, None], mu, out=e)
-        np.less(e, EXP_FLOOR, out=low)
-        np.copyto(e, 0.0, where=low)
-        np.exp(e, out=e)
-        np.copyto(e, 0.0, where=low)
-        out += rows[:, i : i + step] @ e
+            np.less(e, EXP_FLOOR, out=low)
+            np.copyto(e, 0.0, where=low)
+            np.exp(e, out=e)
+            np.copyto(e, 0.0, where=low)
+            if i:
+                out += np.dot(rows[:, i : i + step], e)
+            else:
+                np.dot(rows[:, : len(t)], e, out=out)
     return out
 
 

@@ -113,3 +113,22 @@ def test_query_worker_smoke(monkeypatch):
     for kind, q in first.items():
         defect, threshold = session.check(kind, q, session.run(kind, q))
         assert defect < threshold, kind
+
+
+def test_verify_heisenberg_plans_take_the_quarter_turn():
+    # the verify-heisenberg workload's plans (interior 7 x 7 x 23) split by
+    # the quarter turn, with no timing: a change that loses the split fails
+    # here rather than only in the benchmark's eigensolve time
+    import json
+
+    from gradecalc.suite import RunConfig
+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.json")) as fh:
+        args = json.load(fh)["workloads"]["verify-heisenberg"]["config"]["args"]
+    opts = dict(zip(args[::2], args[1::2]))
+    cfg = RunConfig(group=opts["--group"], scale=float(opts["--scale"]), points=opts["--points"])
+    for role in ("heat", "potential"):
+        plan = cfg.plan(role)
+        assert plan.block_sizes == (284, 276, 276, 291)
+        assert plan.solves == (146, 138, 276, 153, 138)
+        assert 0 < plan.turn_defect <= 1e-12

@@ -178,9 +178,13 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
     assert pot["ladder_nodes_late"] == 49
     # the flip (x, y, u) -> (x, -y, -u) commutes with the central-Fourier blocks
     assert 0 <= plans["heat"]["reflection_defect"] <= 1e-12 and "eigh_driver" not in plans["heat"]
-    # one solve per reflection block; one per frequency up to conjugate pairs
-    assert pot["solves"] == pot["blocks"]
-    assert plans["heat"]["solves"] == [plans["heat"]["n"] // 31] * 16
+    # the quarter turn (x, y, u) -> (-y, x, u) commutes with both plans: it
+    # halves the two reflection blocks it maps onto themselves and solves
+    # one of the two it swaps, and it splits each frequency (up to conjugate
+    # pairs) into its four characters
+    assert pot["blocks"] == [1367, 1350, 1350, 1378] and pot["solves"] == [692, 675, 1350, 703, 675]
+    assert plans["heat"]["blocks"] == [625] * 31 and plans["heat"]["solves"] == [156, 156, 157, 156] * 16
+    assert pot["turn_defect"] < 1e-12 and 0 < plans["heat"]["turn_defect"] < 1e-12
     # heat.selfsim rescales the heat plan: no eigensolve of its own
     assert [p["derived_from"] for p in report["plans"]] == [None, "heat", None]
     for p in report["plans"]:

@@ -374,6 +374,18 @@ def test_box_convolution_keeps_edge_pairs(h1_law):
     conv = group_convolve(h1_law, GridFunction(g, delta.ravel()), ones).reshape()
     assert conv[4, 4, 3] == pytest.approx(g.cell_volume, rel=1e-12)
     assert conv[4, 4, 4] == 0.0
+    # And with beta != 0: from y = node (8, 8, 9) to x = node (5, 6, 2),
+    # y^{-1} x = (-0.975, -0.65, -1.69) is the edge node in u, but
+    # beta + (u_x - u_y) rounds past the half-width 1.69
+    g = Grid.from_scale(h1_law.algebra.weights, 1.3, (9, 9, 17))
+    pts = g.points().reshape(g.counts + (3,))
+    z = h1_law.multiply_arrays(-pts[8, 8, 9], pts[5, 6, 2])
+    assert np.allclose(z, (-0.975, -0.65, -1.69)) and g.half_widths[2] == pytest.approx(1.69)
+    delta = np.zeros(g.counts)
+    delta[8, 8, 9] = 1.0
+    conv = group_convolve(h1_law, GridFunction(g, delta.ravel()), GridFunction(g, np.ones(g.size))).reshape()
+    assert conv[5, 6, 2] == pytest.approx(g.cell_volume, rel=1e-12)
+    assert conv[5, 6, 1] == 0.0  # one node further out
 
 
 def test_twisted_convolution_needs_central_axis(h1_law):

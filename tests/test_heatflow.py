@@ -31,6 +31,7 @@ from gradecalc.heatflow import (
     dilated_plan,
     heat_apply,
     heat_kernel,
+    quarter_turn,
     sign_flip_group,
     spectral_plan,
 )
@@ -603,8 +604,8 @@ def test_block_bound_reads_the_largest_block(h1_law, monkeypatch):
 
     # the same 23^3 = 12167-node interior, split by the four flips of the
     # sub-Laplacian into blocks of 3036 to 3059 nodes, is taken; the spy
-    # stops the plan at its first eigensolve, the block of the patterns
-    # (even, even, odd) and (odd, odd, even)
+    # stops the plan at its first eigensolve, the quarter turn's +1 half of
+    # the block of the patterns (even, even, odd) and (odd, odd, even)
     class Stop(Exception):
         pass
 
@@ -615,7 +616,7 @@ def test_block_bound_reads_the_largest_block(h1_law, monkeypatch):
     grid = Grid((2.0, 2.0, 2.0), (31, 31, 31))
     with pytest.raises(Stop) as stop:
         spectral_plan(sublaplacian(h1_law.algebra), h1_law, grid)
-    assert 23**3 > MAX_DENSE_BLOCK and stop.value.args[0] == 12 * 12 * 11 + 11 * 11 * 12
+    assert 23**3 > MAX_DENSE_BLOCK and stop.value.args[0] == (12 * 12 * 11 + 11 * 11 * 12) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +880,9 @@ def test_reflection_plan_matches_scipy_evd(monkeypatch):
     import gradecalc.heatflow as heatflow
 
     # numpy's eigh runs LAPACK dsyevd, the routine of scipy's driver="evd":
-    # the verify-heisenberg plan's blocks, each against scipy on the same matrix
+    # the verify-heisenberg plan's solves, each against scipy on the same
+    # matrix.  The quarter turn halves the first and the last block and
+    # solves the second, whose image under the turn is the third.
     reference = []
     eigh = heatflow._eigh
 
@@ -890,8 +893,11 @@ def test_reflection_plan_matches_scipy_evd(monkeypatch):
     monkeypatch.setattr(heatflow, "_eigh", recorded)
     plan = RunConfig(group="heisenberg", scale=1.6, points="15,15,31").plan("heat")
     assert type(plan) is SpectralPlan
-    assert plan.solves == plan.block_sizes == tuple(len(w) for w in reference) and len(reference) == 4
-    for (s, _), w in zip(plan._blocks(), reference):
+    assert plan.solves == tuple(len(w) for w in reference) == (146, 138, 276, 153, 138)
+    assert plan.block_sizes == (284, 276, 276, 291)
+    r = reference
+    expected = [np.sort(np.concatenate(r[:2])), r[2], r[2], np.sort(np.concatenate(r[3:]))]
+    for (s, _), w in zip(plan._blocks(), expected):
         assert np.max(np.abs(plan.eigenvalues[s] - w) / np.abs(w)) <= 1e-12
 
 
@@ -907,6 +913,100 @@ def test_sign_flip_group(h1_law, h1t_law):
     # an odd word in T keeps u, so a = b
     odd = sign_flip_group(alg, parse_diffop("X^2+Y^2+T", alg.labels))
     assert odd.tolist() == [[1, 1, 1], [-1, -1, 1]]
+
+
+# ---------------------------------------------------------------------------
+# The quarter turn
+
+
+TURN = ((1, 0, 2), (1, -1, 1))  # (x, y, u) -> (-y, x, u): X -> Y, Y -> -X, T -> T
+
+
+@pytest.mark.parametrize(
+    "group, op, turn, grid, taken",
+    [
+        ("heisenberg", None, TURN, Grid((1.6, 1.6, 2.56), (15, 15, 31)), True),
+        # X and Y have weights 3 and 5: no swap commutes with the dilations
+        ("heisenberg358", None, None, None, False),
+        # the turn maps -X^2 - 2Y^2 to -2X^2 - Y^2
+        ("heisenberg", "-X^2-2*Y^2", None, None, False),
+        # the operator has the turn, but x and y have 15 and 13 nodes
+        ("heisenberg", None, TURN, Grid((1.6, 1.6, 2.56), (15, 13, 31)), False),
+    ],
+    ids=["heisenberg", "heisenberg358", "unequal-coefficients", "unequal-counts"],
+)
+def test_quarter_turn_detection(group, op, turn, grid, taken):
+    law = bch_group_law(builtin_group(group))
+    alg = law.algebra
+    if op is None:
+        spec = sublaplacian(alg) if group == "heisenberg" else build_rockland_example(alg, default_nu0(alg.weights))
+    else:
+        spec = RocklandSpec(expr=parse_diffop(op, alg.labels), nu=2)
+    assert quarter_turn(alg, spec.expr) == turn
+    if grid is not None:
+        plan = spectral_plan(spec, law, grid)
+        assert (plan.turn_defect > 0) == taken and (len(plan.solves) == 5) == taken
+
+
+def _unsplit(monkeypatch, build):
+    """The plan ``build`` makes with the turn left out."""
+    import gradecalc.heatflow as heatflow
+
+    with monkeypatch.context() as m:
+        m.setattr(heatflow, "quarter_turn", lambda alg, expr: None)
+        return build()
+
+
+@pytest.mark.parametrize(
+    "grid, solves",
+    [
+        # the benchmark box: interior 7 x 7 x 23
+        (Grid((1.6, 1.6, 2.56), (15, 15, 31)), (146, 138, 276, 153, 138)),
+        # a small periodic grid: interior 9 x 9 per frequency, 5 frequencies
+        (Grid((2.0, 2.0, 0.5 * 8 / 9), (17, 17, 9), periodic=(2,)), (20, 20, 21, 20) * 5),
+    ],
+    ids=["box", "periodic"],
+)
+def test_turn_split_plan_matches_unsplit(grid, solves, h1_law, monkeypatch):
+    spec = sublaplacian(h1_law.algebra)
+    plan = spectral_plan(spec, h1_law, grid)
+    whole = _unsplit(monkeypatch, lambda: spectral_plan(spec, h1_law, grid))
+    assert type(plan) is type(whole)
+    assert plan.solves == solves and plan.block_sizes == whole.block_sizes
+    assert len(whole.solves) < len(solves) and whole.turn_defect == 0.0
+    assert 0 < plan.turn_defect <= 1e-12 and plan.health()["turn_defect"] == plan.turn_defect
+    lam_max = whole.eigenvalues.max()
+    for (s, V), (_, V_whole) in zip(plan._blocks(), whole._blocks()):
+        # each stored block: ascending, orthonormal, the unsplit block's spectrum
+        assert np.all(np.diff(plan.eigenvalues[s]) >= 0)
+        assert np.max(np.abs(V.conj().T @ V - np.eye(len(V)))) <= 1e-12
+        assert np.max(np.abs(plan.eigenvalues[s] - whole.eigenvalues[s])) <= 1e-12 * lam_max
+        assert V.shape == V_whole.shape
+    h, h_whole = heat_kernel(plan, 0.1).values, heat_kernel(whole, 0.1).values
+    assert np.max(np.abs(h - h_whole)) <= 1e-12 * np.max(np.abs(h_whole))
+    f = np.random.default_rng(SEED).standard_normal(grid.size) * plan.mask
+    g = np.exp(-0.1 * plan.lam_plus)
+    out, out_whole = plan.apply_multiplier(g, f), whole.apply_multiplier(np.exp(-0.1 * whole.lam_plus), f)
+    assert np.max(np.abs(out - out_whole)) <= 1e-12 * np.max(np.abs(out_whole))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid((2.0, 2.0, 1.2), (17, 17, 13)), Grid((2.0, 2.0, 0.5 * 8 / 9), (17, 17, 9), periodic=(2,))],
+    ids=["box", "periodic-u"],
+)
+def test_turn_must_commute(grid, h1_law, monkeypatch):
+    import gradecalc.heatflow as heatflow
+
+    # -X^2 - 2Y^2 has the four flips but not the turn; faked, the turn is
+    # refused at plan time
+    expr = parse_diffop("-X^2-2*Y^2", h1_law.algebra.labels)
+    spec = RocklandSpec(expr=expr, nu=2)
+    assert len(sign_flip_group(h1_law.algebra, expr)) == 4
+    assert spectral_plan(spec, h1_law, grid).turn_defect == 0.0
+    monkeypatch.setattr(heatflow, "quarter_turn", lambda alg, expr: TURN)
+    with pytest.raises(HeatError, match="the turn fails to commute"):
+        spectral_plan(spec, h1_law, grid)
 
 
 def test_reflection_plan_refuses_a_non_symmetry(h1_law, monkeypatch):
