@@ -668,12 +668,6 @@ def letter_pairs(word):
     return [word[i : i + 2] for i in range(0, len(word), 2)]
 
 
-def derivative_matrix(grid: Grid, alpha, acc=4):
-    """d^alpha on the grid: the tensor product of the 1-D compact stencils
-    of order alpha_k, the identity on axes with alpha_k = 0."""
-    return kronecker_operator({tuple(((0, a),) if a else () for a in alpha): 1}, grid, acc)
-
-
 def form_terms(form, variables):
     """A normal form {alpha: c_alpha} split monomial by monomial, as {key: coefficient}.
 

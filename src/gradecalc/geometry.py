@@ -16,9 +16,9 @@ product; the node and weight along a central axis are taken once per pair,
 and each offset adds an integer to the node.  Values outside the box
 contribute zero.
 
-One routine, ``multilinear_interpolate``, is the only multilinear
-interpolation at arbitrary points; its corners (``_linear_corners``) serve
-the interpolated axes of the box convolution that are not central.  A
+One routine, ``_linear_corners``, gives the corners and weights of the
+multilinear interpolant at arbitrary points, for the interpolated axes of
+the box convolution that are not central.  A
 dilation D_r scales each axis by itself, so f(D_r x) on
 f's own box grid is resampled one axis at a time (``resample_dilated``): the
 same multilinear interpolant, two nodes per axis instead of 2^n corners per
@@ -50,15 +50,6 @@ class GeometryError(GradecalcError):
 
 # ---------------------------------------------------------------------------
 # Dilations and pseudo-norms
-
-
-def dilate(r, x, weights):
-    """Anisotropic dilation D_r x = (r^{v_1} x_1, ..., r^{v_n} x_n)."""
-    if not 0 < r < math.inf:
-        raise GeometryError("dilation parameter must be positive and finite")
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    return x * (float(r) ** w)
 
 
 def sum_columns(a):
@@ -471,20 +462,6 @@ def polar_integral_check(widths, grid, quad):
 # Multilinear interpolation
 
 
-def multilinear_interpolate(grid, values, z, axes, flat=0, inside=None):
-    """Interpolate the flat node ``values`` multilinearly at the coordinates z.
-
-    The 2^len(axes) corner nodes around each point and their weights are
-    ``_linear_corners``; the axes not in ``axes`` are already fixed:
-    ``flat`` is their part of the flat node index and ``inside`` (updated in
-    place) marks the points that lie in the box along them.  Points outside
-    the box give zero.
-    """
-    corners, inside = _linear_corners(grid, z, axes, flat, inside)
-    vals = sum(cw * values.take(c, mode="clip") for c, cw in corners)
-    return vals if inside is None else np.where(inside, vals, 0)
-
-
 def _linear_corners(grid, z, axes, flat=0, inside=None, strides=None):
     """The corners (flat index, weight) of the multilinear interpolant at the coordinates z, and the in-box mask.
 
@@ -531,9 +508,9 @@ def _linear_corners(grid, z, axes, flat=0, inside=None, strides=None):
 def resample_dilated(f: GridFunction, r, weights) -> GridFunction:
     """f(D_r x) at the nodes x of f's own box grid, multilinear in f, zero outside the box.
 
-    D_r scales each axis by itself, so the multilinear interpolant of
-    ``multilinear_interpolate`` at the dilated nodes factors into one linear
-    interpolation per axis.  Each axis is a two-tap stencil: the node t_k =
+    D_r scales each axis by itself, so the multilinear interpolant (the
+    corners of ``_linear_corners``) at the dilated nodes factors into one
+    linear interpolation per axis.  Each axis is a two-tap stencil: the node t_k =
     (r^{v_k} x_k + R_k)/h_k is mixed from the nodes floor(t_k) and floor(t_k)
     + 1 with one ``take`` each, along that axis only, so no temporary is
     larger than the grid.  A node with |r^{v_k} x_k| > R_k gives zero.  A

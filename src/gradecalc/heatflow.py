@@ -6,15 +6,17 @@ from the exact normal form of each letter pair with compact stencils
 matrices, is symmetrized and diagonalized once; heat flow, potential kernels
 and fractional powers are all multipliers through the resulting plan
 (``SpectralPlan``), which follows the operator's structure.
-Every plan transforms the same way, in three steps: an orthogonal or unitary
+Every plan transforms the same way, in four steps: an orthogonal or unitary
 basis along each axis of the interior box (``axis_bases``), a node order
-that groups the transformed nodes block by block (``order``), then one dense
-eigenbasis per block.  The plans differ only in what fills those steps.
+that groups the transformed nodes run by run (``order``), a butterfly of
+signs and pairs (``butterfly``), then one stored eigenbasis per run, stored
+once where two runs share it.  The plans differ only in what fills those
+steps.
 On an abelian law with every word a power of one letter the interior operator
 is a Kronecker sum, and the plan diagonalizes one small factor per axis, the
 sum of the operator's terms on that axis (the fast diagonalization method of
 Lynch, Rice and Thomas): the factors' eigenbases are its axis bases, and it
-has no dense blocks.  A factor whose axis flip x_k -> -x_k fixes the
+stores no eigenbasis of its own.  A factor whose axis flip x_k -> -x_k fixes the
 operator takes that flip, as the box plans below take theirs, and is solved
 as its even and odd halves.  On a grid with a periodic central axis the axis
 basis there is the unitary DFT, the nodes are ordered frequency by
@@ -37,15 +39,16 @@ of equal weight found from the law and the words as the flips are
 generates the dihedral group of order 8: of the four box blocks it swaps two,
 so one is solved and the other is its image, and it splits the two it maps
 onto themselves into its +1 and -1 eigenspaces; it splits each
-central-Fourier block into four real pieces, one per character.  The stored
-blocks stay whole, so the transforms do not change, only the eigensolves
-shrink: about a half of the flips' cost on a box, a quarter per frequency.
+central-Fourier block into four real pieces, one per character.  The plan
+stores the pieces it solves: the butterfly maps each pair of nodes the turn
+swaps onto (e_i +- e_j) / sqrt 2, a swapped block reads its partner's
+pieces, and -xi reads xi's, by signs.
 
 The transforms (``analyze``, ``synthesize``, ``apply_multiplier``) act on
 the last axis of their input, so a stack of m functions, shape
 (m, grid size), goes through each step as one matrix product per axis basis
-and per block instead of m matrix-vector products; one vector is the case
-m = 1.  The
+and per stored piece instead of m matrix-vector products; one vector is the
+case m = 1.  The
 heat source's ``ladder_sum`` uses that to build every potential kernel of a
 plan in one pass, one coefficient row per kernel.
 """
@@ -110,19 +113,19 @@ def _frozen(a):
 class SpectralPlan:
     """Eigendecomposition of the symmetrized, interior-restricted operator.
 
-    The eigenbasis is one transform in three steps on the interior box
+    The eigenbasis is one transform in four steps on the interior box
     ``inner_shape``: ``axis_bases`` holds per axis an orthogonal (on a
     periodic axis unitary) matrix Q_k, or None for the identity; ``order``
-    lists the nodes of the transformed box block by block (None: node order
-    as it is); and ``eigenvectors`` packs one orthonormal eigenvector matrix
-    per block, of the sizes ``block_sizes``, each in C order, one after
-    another (``_blocks`` reads them back; a plan with no blocks ends after
-    the order).  ``analyze`` applies the conjugate transposes of the three
-    steps, ``synthesize`` the steps themselves in reverse.  The
-    ``eigenvalues`` follow the coefficients: on every plan they ascend
-    only within each block (or factor).  Every plan is positive up to
-    rounding (``spectral_plan`` refuses any other), so ``lam_plus`` clips
-    only rounding.
+    lists the transformed nodes run by run (None: as they are);
+    ``butterfly`` (``_butterfly``; None: the identity); then one run of
+    coefficients per entry of ``segments``, the index of the stored matrix
+    it reads.  ``eigenvectors`` packs the stored orthonormal matrices, of
+    the sizes ``block_sizes``, in C order (``_blocks``).  ``analyze``
+    applies the conjugate transposes of the steps, ``synthesize`` the steps
+    in reverse.  The ``eigenvalues`` follow the coefficients, ascending only
+    within each run (or factor).  Every plan is positive up to rounding
+    (``spectral_plan`` refuses any other), so ``lam_plus`` clips only
+    rounding.
 
     This plan is block diagonal in a tensor-product parity basis: its axis
     bases are the orthogonal matrices of the even and odd vectors under the
@@ -137,10 +140,7 @@ class SpectralPlan:
     as on every ``KroneckerPlan``).  ``eigh_s`` is the time spent in the
     LAPACK eigensolves behind the eigenvectors, summed over blocks, and
     ``solves`` the size of each eigensolve (on a ``KroneckerPlan`` the
-    halves of its split factors; on a ``CentralFourierPlan`` one per
-    frequency up to the conjugate pairs, which share a solve; where a turn
-    is taken, the pieces it splits the blocks into, and none for a block
-    that is the turn's image of another).
+    halves of its split factors; elsewhere ``block_sizes``).
 
     The plan owns the data its consumers share (``lam_plus``, the delta and
     unit coefficients, ``field_matrices``), each a ``cached_property`` built
@@ -155,12 +155,14 @@ class SpectralPlan:
     law: object
     mask: np.ndarray  # flat boolean, interior nodes
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # packed blocks, each with orthonormal columns
+    eigenvectors: np.ndarray  # packed stored matrices, each with orthonormal columns
     sym_defect: float
-    block_sizes: tuple = ()
+    block_sizes: tuple = ()  # sizes of the stored matrices
+    segments: tuple = ()  # per run of coefficients, the stored matrix it reads
     inner_shape: tuple = ()
     axis_bases: tuple = ()  # per axis an orthogonal or unitary (n_k, n_k) array, or None
-    order: np.ndarray | None = None  # transformed interior nodes, block by block
+    order: np.ndarray | None = None  # transformed interior nodes, run by run
+    butterfly: tuple | None = None  # (scale, pairs) of ``_butterfly``
     reflection_defect: float = 0.0
     turn_defect: float = 0.0
     eigh_s: float = 0.0
@@ -208,35 +210,69 @@ class SpectralPlan:
         return out
 
     def _blocks(self):
-        """(coefficient slice, eigenvector matrix) of each packed block, the matrix a view."""
+        """The stored eigenvector matrices, in the order of ``block_sizes``, each a view of the packed array."""
         packed = self.eigenvectors.reshape(-1)
-        start = pos = 0
-        for b in self.block_sizes:
-            yield slice(start, start + b), packed[pos : pos + b * b].reshape(b, b)
-            start, pos = start + b, pos + b * b
+        ends = np.cumsum([b * b for b in self.block_sizes], dtype=int)
+        return [packed[e - b * b : e].reshape(b, b) for b, e in zip(self.block_sizes, ends)]
+
+    @functools.cached_property
+    def _runs(self):
+        """(stored matrix, the coefficient slices of the runs that read it) per stored matrix."""
+        blocks = self._blocks()
+        runs, start = [(V, []) for V in blocks], 0
+        for k in self.segments:
+            runs[k][1].append(slice(start, start + self.block_sizes[k]))
+            start += self.block_sizes[k]
+        return runs
+
+    def _run_products(self, y, adjoint):
+        """V^H y (``adjoint``) or V y along the last axis of y, V the stored matrix of each run.
+
+        The rows of y, of every run that reads one matrix, and the real and
+        imaginary parts of complex y against a real matrix are stacked, so
+        each stored matrix is read once.  Against a complex matrix V^H y is
+        (y^* V)^* row by row; ``conj`` of a real array is the array itself.
+        """
+        Y = y.reshape(-1, y.shape[-1])
+        stacked = np.iscomplexobj(Y) and not np.iscomplexobj(self.eigenvectors)
+        if stacked:
+            Y = np.concatenate([Y.real, Y.imag])
+        elif adjoint:
+            Y = Y.conj()
+        out = np.empty(Y.shape, np.result_type(Y, self.eigenvectors))
+        m = len(Y)
+        for V, runs in self._runs:
+            X = Y[:, runs[0]] if len(runs) == 1 else np.concatenate([Y[:, s] for s in runs])
+            X = X @ (V if adjoint else V.T)
+            for i, s in enumerate(runs):
+                out[:, s] = X[i * m : (i + 1) * m]
+        if stacked:
+            out = out[: m // 2] + 1j * out[m // 2 :]
+        elif adjoint:
+            out = out.conj()
+        return out.reshape(y.shape)
 
     def analyze(self, values):
         """Eigen-coefficients of grid values, taken on the interior.
 
         ``values`` is one vector or a stack (m, grid size); every transform of
         a plan acts on the last axis, so a stack costs one matrix product per
-        axis basis and per block where m vectors would cost m.  The
-        conjugations cost nothing on a real plan: ``conj`` of a real array is
-        the array itself.
+        axis basis and per run where m vectors would cost m.
         """
         y = _along_axes(self.restrict(values), self.inner_shape, [None if Q is None else Q.conj().T for Q in self.axis_bases])
         if self.order is not None:
             y = y[..., self.order]
-        if not self.block_sizes:
-            return y
-        y = y.conj()  # V^H y, row by row, is (y^* V)^*
-        return np.concatenate([y[..., s] @ V for s, V in self._blocks()], axis=-1).conj()
+        if self.butterfly is not None:
+            y = _butterfly(y, *self.butterfly)
+        return self._run_products(y, adjoint=True) if self.segments else y
 
     def synthesize(self, coef):
         """Grid values of an eigen-expansion, zero outside the interior (a stack row by row)."""
         y = np.asarray(coef)
-        if self.block_sizes:
-            y = np.concatenate([y[..., s] @ V.T for s, V in self._blocks()], axis=-1)
+        if self.segments:
+            y = self._run_products(y, adjoint=False)
+        if self.butterfly is not None:
+            y = _butterfly(y, *self.butterfly, transpose=True)
         if self.order is not None:
             z = np.empty_like(y)
             z[..., self.order] = y
@@ -244,9 +280,14 @@ class SpectralPlan:
         return self.embed(_along_axes(y, self.inner_shape, self.axis_bases))
 
     def health(self):
-        """Grid, size, spectrum, self-adjointness and eigensolve cost of the plan, as plain numbers."""
+        """Grid, size, storage, spectrum, self-adjointness and eigensolve cost of the plan, as plain numbers.
+
+        ``stored_bytes`` counts the arrays of the transform: the packed
+        eigenvectors, the axis bases, the order and the butterfly.
+        """
         lam = self.eigenvalues
         grid = self.grid
+        stored = [self.eigenvectors, self.order, *self.axis_bases, self.butterfly and self.butterfly[0]]
         return {
             "kind": type(self).__name__,
             "grid": {
@@ -257,6 +298,7 @@ class SpectralPlan:
             "n": int(self.mask.sum()),
             "blocks": [int(b) for b in self.block_sizes or self.inner_shape],  # a Kronecker plan's factors
             "solves": [int(b) for b in self.solves],
+            "stored_bytes": sum(int(a.nbytes) for a in stored if a is not None),
             "lam_min": float(lam.min()),
             "lam_max": float(lam.max()),
             "negative": int((lam < 0).sum()),
@@ -293,11 +335,9 @@ class CentralFourierPlan(SpectralPlan):
     Q^H = fft(ifftshift(I)) (FFT frequency order, u = 0 at index 0), which
     splits the interior operator into one Hermitian block per frequency xi,
     acting on the interior of the other axes; its ``order`` lists the
-    transformed nodes frequency by frequency, and block k holds frequency
-    k's orthonormal eigenvectors (``eigenvectors`` is shaped
-    (frequencies, b, b), the packed layout).  ``inner_shape`` is whole
+    transformed nodes frequency by frequency.  ``inner_shape`` is whole
     along p.  The operator is real, so block -xi is the complex conjugate
-    of block xi.
+    of block xi (``_central_fourier_plan``).
     """
 
 
@@ -308,7 +348,7 @@ class KroneckerPlan(SpectralPlan):
     The interior operator is sum_k I x ... x F_k x ... x I, so its
     eigenvectors are tensor products of the factors' eigenvectors: its
     ``axis_bases`` are the factors' orthonormal eigenbases, and it has no
-    dense blocks (``eigenvectors`` is empty).  ``eigenvalues`` is the outer
+    runs (``eigenvectors`` is empty).  ``eigenvalues`` is the outer
     sum of the factor spectra in C order, ascending only within each
     factor.  A factor solved as its even and odd halves under its axis flip
     (``_kronecker_plan``) keeps this layout: its basis vectors are exactly
@@ -326,6 +366,28 @@ def _along_axes(X, shape, mats):
         if M is not None:
             X = along_axis(M, X, k)
     return X.reshape(lead + (-1,))
+
+
+def _butterfly(x, scale, pairs, transpose=False):
+    """H x along the last axis of x, or H^T x (``transpose``), for H = K diag(scale).
+
+    The last axis is taken as rows shaped like ``scale``, (r, c).  For each
+    range (lo, hi, n) of ``pairs`` and j < n, K maps the entries lo + j and
+    hi + j of every row from (a, b) to (a + b, a - b); K is symmetric.  x is
+    overwritten where it can be (callers pass an array of their own).
+    """
+    lead = x.shape[:-1]
+    y = x.reshape(lead + scale.shape)
+    if not transpose:
+        y *= scale
+    for lo, hi, n in pairs:
+        a, b = y[..., lo : lo + n], y[..., hi : hi + n]
+        total = a + b
+        np.subtract(a, b, out=b)
+        a[...] = total
+    if transpose:
+        y *= scale
+    return y.reshape(lead + (-1,))
 
 
 def _dissipation_matrix(counts, p, strength=1.0):
@@ -373,7 +435,7 @@ def spectral_plan(spec: RocklandSpec, law, grid: Grid, margin=4, reg_strength=0.
     ``sign_flip_group`` (see ``_reflection_plan``).  The box and
     central-Fourier plans also take the ``quarter_turn`` of the operator,
     when the grid maps onto itself under it (``_plan_turn``), and solve
-    their blocks in its pieces.  Every plan's interior
+    and store their blocks in its pieces.  Every plan's interior
     is the box of nodes ``margin`` or more from the boundary, whole along a
     periodic axis; before anything is assembled, an interior fewer than 3
     nodes wide along another axis (it holds no difference there), a
@@ -433,7 +495,10 @@ def _solve_plan(spec, law, grid, margin, reg_strength):
     half = _turn_half_bandwidths(A, turn)
     band = _band(A, half)
     norm = _frobenius(band)
-    fields["sym_defect"] = _frobenius(band - _band(A.transpose(), half)) / norm if norm else 0.0
+    gap = _band(A.transpose(), half)  # in place: the band arrays are the set-up's largest temporaries
+    gap -= band
+    fields["sym_defect"] = _frobenius(gap) / norm if norm else 0.0
+    del gap
     if kronecker:
         return _kronecker_plan(A, half, flips, fields)
     return _reflection_plan(A, band, flips, turn, fields)
@@ -592,7 +657,7 @@ def _symmetry_defect(band, s, perm=None, sign=1, what="a sign flip"):
     if perm is not None:
         moved = moved.transpose([2 * perm[m] + r for m in range(len(perm)) for r in (0, 1)])
     norm = _frobenius(band)
-    d = _frobenius(moved - sign * band) / norm if norm else 0.0
+    d = _frobenius(moved - band if sign > 0 else moved + band) / norm if norm else 0.0
     if not d <= REFLECTION_TOL:
         raise HeatError(f"{what} fails to commute with the operator (defect {d:.1e})")
     return d
@@ -687,13 +752,12 @@ def _reflection_plan(A, band, flips, turn, fields):
     refused.  It maps every parity vector to plus or minus a parity vector,
     so it maps each block onto a block by a signed permutation of their
     nodes (``_turn_map``).  A block it maps onto itself, where its square
-    acts as 1, is solved as its two eigenspaces (``_turn_pieces``); on the
-    Heisenberg group those are the two blocks the flip (-x, -y, u) fixes.
-    Of two blocks it swaps, the first is solved and the second's
-    eigenvectors are the signed permutation of the first's, with the same
-    eigenvalues: the 7 x 7 x 23 interior solves 146, 138, 276, 153 and 138
-    nodes in place of 284, 276, 276 and 291.  The blocks stay dense, their
-    eigenvalues ascending.
+    acts as 1, is solved and stored as its two eigenspaces
+    (``_turn_pairs``); on the Heisenberg group those are the two blocks the
+    flip (-x, -y, u) fixes.  Of two blocks it swaps, the first is solved,
+    and the second's run reads its matrix through the signed permutation
+    (the order and the butterfly's signs).  The 7 x 7 x 23 interior stores
+    146, 138, 276, 153 and 138 nodes in place of 284, 276, 276 and 291.
     """
     shape = tuple(A.counts)
     defect = max((_symmetry_defect(band, s) for s in flips[1:]), default=0.0)
@@ -702,40 +766,54 @@ def _reflection_plan(A, band, flips, turn, fields):
     terms = _parity_terms(A, bases)
     nodes = np.arange(math.prod(shape)).reshape(shape)
     ranges = [[_pattern_ranges(shape, split, pi) for pi in block] for block in patterns]
-    order = np.concatenate([nodes[np.ix_(*r)].ravel() for block in ranges for r in block])
-    sizes = tuple(_block_sizes(shape, split, patterns))
-    stats = {}
+    layout = np.concatenate([nodes[np.ix_(*r)].ravel() for block in ranges for r in block])
+    sizes = _block_sizes(shape, split, patterns)
+    starts = np.cumsum([0] + sizes)
+    if turn is not None:
+        image, sign = _turn_map(shape, split, turn, layout)
+    steps, reads = {}, {}  # per block its _turn_pairs, and the block whose stored matrices it reads
+    for i, b in enumerate(sizes):
+        if i in steps:
+            continue
+        steps[i], reads[i] = _turn_pairs(np.arange(b), None), i
+        if turn is not None:
+            s = slice(starts[i], starts[i + 1])
+            j = int(np.searchsorted(starts, image[s.start], side="right")) - 1
+            to, by = image[s] - starts[j], sign[s]
+            if j == i:
+                steps[i] = _turn_pairs(to, by)
+            else:  # block j is this one's image under the turn
+                steps[j], reads[j] = (to, by, (), []), i
+    blocks = range(len(sizes))
+    solved = [i for i in blocks if reads[i] == i]
+    first = dict(zip(solved, np.cumsum([0] + [len(steps[i][3]) for i in solved]).tolist()))
+    stored = tuple(m for i in solved for m in steps[i][3])
+    perm, scale, pairs, _ = _joined([steps[i] for i in blocks], starts)
+    order = layout[perm]
     plan = SpectralPlan(
         eigenvalues=np.empty(A.shape[0]),
-        eigenvectors=np.empty(sum(b * b for b in sizes)),
-        block_sizes=sizes,
+        eigenvectors=np.empty(sum(b * b for b in stored)),
+        block_sizes=stored,
+        segments=tuple(first[reads[i]] + q for i in blocks for q in range(len(steps[reads[i]][3]))),
         axis_bases=tuple(bases),
-        order=None if len(sizes) == 1 else _frozen(order),
+        order=None if np.array_equal(order, nodes.ravel()) else _frozen(order),
+        butterfly=None if (scale == 1).all() and not pairs else (_frozen(scale[None]), pairs),
         reflection_defect=defect,
         turn_defect=0.0 if turn is None else _symmetry_defect(band, turn[1], turn[0], what="the turn"),
         **fields,
     )
-    blocks = list(plan._blocks())
-    starts = np.cumsum((0,) + sizes)
-    if turn is not None:
-        image, sign = _turn_map(shape, split, turn, order)
-    done = set()
-    for i, (block, (s, V)) in enumerate(zip(ranges, blocks)):
-        if i in done:
-            continue
-        pieces, j = [None], i
-        if turn is not None:
-            j = int(np.searchsorted(starts, image[s.start], side="right")) - 1
-            to, by = image[s] - starts[j], sign[s]
-            if j == i:
-                pieces = _turn_pieces(to, by)
-        plan.eigenvalues[s] = _solve_pieces(_pattern_block(terms, block), pieces, stats, V)
-        if j != i:  # block j is this one's image under the turn
-            s_j, V_j = blocks[j]
-            plan.eigenvalues[s_j] = plan.eigenvalues[s]
-            V_j[to] = V
-            V_j[to[by < 0]] *= -1
-            done.add(j)
+    views, stats = plan._blocks(), {}
+    for i in solved:
+        perm, scale, pairs, pieces = steps[i]
+        M = _in_pairs(_pattern_block(terms, ranges[i]), perm, scale, pairs)
+        edges = np.cumsum([0] + pieces)
+        for q, (a, b) in enumerate(zip(edges, edges[1:])):
+            w, V = _eigh(M[a:b, a:b], stats)
+            views[first[i] + q][...] = V
+            plan.eigenvalues[starts[i] + a : starts[i] + b] = w
+    for j, i in reads.items():
+        if j != i:
+            plan.eigenvalues[starts[j] : starts[j + 1]] = plan.eigenvalues[starts[i] : starts[i + 1]]
     return dataclasses.replace(plan, **stats)
 
 
@@ -768,70 +846,49 @@ def _turn_map(shape, split, turn, layout):
     return position[np.ravel_multi_index(moved, shape).ravel()[layout]], sign.ravel()[layout]
 
 
-def _turn_pieces(image, sign):
-    """Orthonormal bases of the +1 and -1 eigenspaces of the signed
-    involution J e_i = sign[i] e_image[i] of one block.
+def _turn_pairs(image, sign):
+    """The eigenspaces of the signed involution J e_i = sign[i] e_image[i] of one block.
 
-    Each basis is (lo, hi, a, b), its vectors a e_lo + b e_hi: for a pair
-    i < image[i], (e_i + eps sign[i] e_image[i]) / sqrt 2 in the eigenspace
-    eps; for a fixed node e_i in the eigenspace sign[i] (b = 0).  A matrix
-    that commutes with J is block diagonal in these bases.  When J is not an
-    involution (its square acts as -1 on the block), or ``sign`` is None,
-    the block stays whole: [None].
+    Returns (perm, scale, pairs, sizes): the positions reordered as ``perm``
+    (the pairs i < image[i], the fixed nodes of sign +1, the images, those
+    of sign -1) and the one-row ``_butterfly`` (scale, pairs) onto
+    orthonormal bases of J's +1 eigenspace, (e_i + sign[i] e_image[i]) /
+    sqrt 2 and the fixed e_i, and of its -1 eigenspace, of the nonzero
+    dimensions ``sizes``.  When J is no involution, or ``sign`` is None,
+    the block stays whole.
     """
-    idx = np.arange(len(image))
+    n = len(image)
+    idx = np.arange(n)
     if sign is None or not (np.array_equal(image[image], idx) and np.all(sign * sign[image] == 1)):
-        return [None]
-    pair = idx < image
+        return idx, np.ones(n), (), [n]
+    fixed = idx == image
+    lo, plus, minus = idx[idx < image], idx[fixed & (sign > 0)], idx[fixed & (sign < 0)]
     root = math.sqrt(0.5)
-    pieces = []
-    for eps in (1, -1):
-        fixed = (idx == image) & (sign == eps)
-        pieces.append((
-            np.concatenate([idx[pair], idx[fixed]]),
-            np.concatenate([image[pair], idx[fixed]]),
-            np.concatenate([np.full(pair.sum(), root), np.ones(fixed.sum())]),
-            np.concatenate([eps * root * sign[pair], np.zeros(fixed.sum())]),
-        ))
-    return [p for p in pieces if len(p[0])]
+    perm = np.concatenate([lo, plus, image[lo], minus])
+    scale = np.concatenate([np.full(len(lo), root), np.ones(len(plus)), root * sign[lo], np.ones(len(minus))])
+    top = len(lo) + len(plus)
+    return perm, scale, ((0, top, len(lo)),) if len(lo) else (), [m for m in (top, n - top) if m]
 
 
-def _restrict(M, piece):
-    """B^T M B for the basis B = (lo, hi, a, b) of ``_turn_pieces`` (None: M itself)."""
-    if piece is None:
+def _in_pairs(M, perm, scale, pairs):
+    """H P M P^T H^T: the matrix M of one block in the bases of its
+    ``_turn_pairs`` (perm, scale, pairs), P the reorder ``perm`` and H the
+    butterfly; M itself when they keep it whole."""
+    if not pairs and np.array_equal(perm, np.arange(len(perm))):
         return M
-    lo, hi, a, b = piece
-    return sum(M[np.ix_(r, q)] * np.outer(x, y) for r, x in ((lo, a), (hi, b)) for q, y in ((lo, a), (hi, b)))
+    M = _butterfly(M[np.ix_(perm, perm)], scale[None], pairs)
+    return _butterfly(M.T, scale[None], pairs).T
 
 
-def _merge(parts, pieces, out):
-    """One block's ascending eigenvalues from the eigenpairs (w, W) of its
-    pieces, its eigenvectors written into ``out`` (n x n).
-
-    Each W, in the coordinates of its piece's basis B, goes in as B W, its
-    columns where its eigenvalues fall in the sorted order of all pieces'.
-    """
-    if pieces[0] is None:
-        out[...] = parts[0][1]
-        return parts[0][0]
-    w = np.concatenate([p[0] for p in parts])
-    order = np.argsort(w, kind="stable")
-    column = np.empty(len(w), dtype=np.intp)
-    column[order] = np.arange(len(w))
-    out[...] = 0
-    start = 0
-    for (_, W), (lo, hi, a, b) in zip(parts, pieces):
-        cols = column[start : start + W.shape[1]]
-        out[np.ix_(lo, cols)] = a[:, None] * W
-        out[np.ix_(hi, cols)] += b[:, None] * W
-        start += W.shape[1]
-    return w[order]
-
-
-def _solve_pieces(M, pieces, stats, out):
-    """Ascending eigenvalues of M, one ``_eigh`` per piece of ``_turn_pieces``
-    ([None]: M whole); its eigenvectors go into ``out``."""
-    return _merge([_eigh(_restrict(M, piece), stats) for piece in pieces], pieces, out)
+def _joined(steps, starts):
+    """The ``_turn_pairs`` of consecutive blocks, which start at the positions ``starts``, as one."""
+    perm, scale, pairs, pieces = zip(*steps)
+    return (
+        np.concatenate([start + p for start, p in zip(starts, perm)]),
+        np.concatenate(scale),
+        tuple((int(start) + lo, int(start) + hi, n) for start, block in zip(starts, pairs) for lo, hi, n in block),
+        [m for p in pieces for m in p],
+    )
 
 
 def _parity_terms(A, bases):
@@ -975,8 +1032,11 @@ def _central_fourier_plan(fields, flips, turn):
     blocks are, the block is the real symmetric S' + xi T~ - xi^2 U': S' and
     U' keep their even-even and odd-odd blocks, and T~ is -P+^T T P- and
     P-^T T P+ off the diagonal.  Its eigenvectors W give the block's as
-    P+ W+ + i P- W-, applied along the reversed axes.  Without such a flip
-    the complex block is solved as it is.
+    P+ W+ + i P- W-; (P+, i P-) is the plan's axis bases, and W is stored
+    real.  The conjugate basis is the basis with the sign -1 on its vectors
+    of phase +-i, so only xi >= 0 is stored: the runs of -xi read xi's
+    matrices, with those signs in the butterfly.  Without such a flip the
+    complex block is solved as it is, at every frequency.
 
     A ``turn`` (``_plan_turn``; it keeps p) must commute with S, T and U to
     ``REFLECTION_TOL``, or the plan is refused.  On the Heisenberg group the
@@ -986,12 +1046,10 @@ def _central_fourier_plan(fields, flips, turn):
     -1 on the tensor products of even and odd vectors of both axes (the
     patterns, grouped by ``_parity_blocks``), and on each group the turn,
     times -i where the i of the basis does not cancel, is a real signed
-    involution of the basis vectors (``_turn_map``), solved as its two
-    eigenspaces (``_turn_pieces``).  The 25 x 25 interior solves 156, 156,
-    157 and 156 nodes per frequency in place of 625.  The odd vectors of
-    every axis the flip reverses take the factor i, so the basis is a
-    tensor product and W goes back to the nodes one axis at a time.  The
-    blocks stay dense and complex, their eigenvalues ascending.
+    involution of the basis vectors (``_turn_map``), solved and stored as
+    its two eigenspaces (``_turn_pairs``).  The 25 x 25 interior stores
+    156, 156, 157 and 156 nodes per frequency in place of 625: 12.5 MB on
+    the default heat plan, not 31 complex blocks of 625^2 (193.75 MB).
     """
     grid, law, inner_shape = fields["grid"], fields["law"], fields["inner_shape"]
     if len(grid.periodic) != 1:
@@ -1039,7 +1097,6 @@ def _central_fourier_plan(fields, flips, turn):
     ranges = [_pattern_ranges(shape, split, pi) for pi in patterns]
     nodes = np.arange(math.prod(shape)).reshape(shape)
     layout = np.concatenate([nodes[np.ix_(*r)].ravel() for r in ranges])
-    node_rows = np.argsort(layout)  # node -> block row
     # the basis (P+, i P-): i on each odd vector of an axis that R reverses
     phase = np.concatenate([
         np.full(math.prod(map(len, r)), 1j ** sum(b for k, b in zip(split, pi) if k in imag))
@@ -1050,71 +1107,74 @@ def _central_fourier_plan(fields, flips, turn):
     S, T, U = (phase.conj()[:, None] * X * phase for X in (S, T, U))
     if flip is not None:  # the flip check leaves only rounding in the imaginary parts
         S, T, U = S.real, T.real, U.real
-    pieces = [None] if turn is None else _twisted_pieces(shape, split, turn, layout, phase, groups)
+    b = nodes.size
+    # the order within each frequency, its butterfly row and its pieces
+    within, scale, pairs, pieces = (
+        _turn_pairs(np.arange(b), None) if turn is None else _twisted_pairs(shape, split, turn, layout, phase, groups)
+    )
+    edges = np.cumsum([0] + pieces)
 
     M = grid.counts[p]
     xi = 2 * np.pi * np.fft.fftfreq(M, d=grid.spacings[p])
     K = M // 2 + 1  # the frequencies up to the conjugate pairs
     c = np.array([np.ones(K), xi[:K], -xi[:K] ** 2]) * np.sqrt(np.minimum(np.arange(K), 1) + 1.0)
     num, den = _gram_norm(c, [X - X.conj().T for X in (S, T, U)]), _gram_norm(c, (S, T, U))
-    parts = [[_restrict(X, piece) for X in (S, T, U)] for piece in pieces]
-    w = np.empty((M, nodes.size))
-    V = np.empty((M, nodes.size, nodes.size), dtype=complex)
-    W = np.empty((nodes.size, nodes.size), dtype=S.dtype)
-    stats = {}
+    S, T, U = (_in_pairs(X, within, scale, pairs) for X in (S, T, U))
+    parts = [[X[a:z, a:z] for X in (S, T, U)] for a, z in zip(edges, edges[1:])]
+    solved = K if flip is not None else M  # complex blocks: every frequency solved and stored
+    w = np.empty((M, b))
+    plan = CentralFourierPlan(
+        eigenvalues=w.reshape(-1),
+        eigenvectors=np.empty(solved * sum(m * m for m in pieces), dtype=S.dtype),
+        sym_defect=float(np.sqrt(num / den)) if den else 0.0,
+        block_sizes=tuple(pieces) * solved,
+        segments=tuple((k if k < solved else M - k) * len(pieces) + q for k in range(M) for q in range(len(pieces))),
+        **fields,
+    )
+    views, stats = plan._blocks(), {}
+    for k in range(solved):
+        for q, ((S_, T_, U_), a, z) in enumerate(zip(parts, edges, edges[1:])):
+            w[k, a:z], V = _eigh(S_ + xi[k] * T_ - xi[k] ** 2 * U_, stats)
+            views[k * len(pieces) + q][...] = V
+    w[solved:] = w[M - np.arange(solved, M)]
+    # the runs of -xi: conj(B) = B D, D = conj(phase)^2 the signs of the basis vectors of phase +-i
+    flipped = (np.arange(M) >= solved)[:, None]
+    scale = np.where(flipped, scale * (phase.conj() ** 2).real[within], scale)
     # the basis vectors themselves: i times the odd vectors of each axis R reverses
     bases = [Q * np.where(np.arange(len(Q)) < len(Q) - len(Q) // 2, 1, 1j) if k in imag else Q for k, Q in enumerate(bases)]
-    for k in range(K):
-        w[k] = _merge([_eigh(S_ + xi[k] * T_ - xi[k] ** 2 * U_, stats) for S_, T_, U_ in parts], pieces, W)
-        Y = W[node_rows].reshape(shape + (-1,))  # nodes first: one matrix product per axis
-        for j, Q in enumerate(bases):
-            if Q is not None:
-                Y = along_axis(Q, Y, j)
-        V[k] = Y.reshape(nodes.size, -1)
-        if k:
-            w[M - k] = w[k]
-            np.conjugate(V[k], out=V[M - k])
     dft = np.fft.fft(np.fft.ifftshift(np.eye(M), axes=0), axis=0, norm="ortho")  # Q^H on the axis
-    return CentralFourierPlan(
-        eigenvalues=w.ravel(),
-        eigenvectors=V,
-        sym_defect=float(np.sqrt(num / den)) if den else 0.0,
-        block_sizes=(nodes.size,) * M,
-        axis_bases=tuple(dft.conj().T if j == p else None for j in range(grid.ndim)),
-        order=_frozen(np.moveaxis(np.arange(math.prod(inner_shape)).reshape(inner_shape), p, 0).ravel()),
+    frequencies = np.moveaxis(np.arange(math.prod(inner_shape)).reshape(inner_shape), p, 0).reshape(M, b)
+    return dataclasses.replace(
+        plan,
+        axis_bases=tuple(dft.conj().T if j == p else bases[others.index(j)] for j in range(grid.ndim)),
+        order=_frozen(frequencies[:, layout[within]].ravel()),
+        butterfly=None if (scale == 1).all() and not pairs else (_frozen(scale), pairs),
         reflection_defect=defect,
         turn_defect=turn_defect,
-        **fields,
         **stats,
     )
 
 
-def _twisted_pieces(shape, split, turn, layout, phase, groups):
-    """The pieces of a central-Fourier block under the turn, one or two per group of patterns.
+def _twisted_pairs(shape, split, turn, layout, phase, groups):
+    """The ``_turn_pairs`` of a central-Fourier block under the turn, group by group of patterns, joined.
 
     In the basis f_i = phase[i] e_i the turn P sends f_i to
     sign[i] phase[i] / phase[image[i]] f_image[i] (``_turn_map``).  On a
     group of patterns these factors are all real or all imaginary (their
     ratio is the character of a flip that keeps p), so P, or -i P, is a real
     signed permutation J there, which commutes with the real block: each
-    group is split into J's two eigenspaces (``_turn_pieces``), given in the
-    coordinates of the whole block.
+    group is split into J's two eigenspaces.  Positions are those of the
+    whole block, ordered group by group.
     """
     image, sign = _turn_map(shape, split, turn, layout)
     factor = sign * phase / phase[image]
-    pieces, start = [], 0
-    for group in groups:
-        g = slice(start, start + _block_sizes(shape, split, [group])[0])
-        f = factor[g]
+    starts = np.cumsum([0] + _block_sizes(shape, split, groups))
+    steps = []
+    for a, z in zip(starts, starts[1:]):
+        f = factor[a:z]
         real = f.real if not f.imag.any() else f.imag if not f.real.any() else None
-        local = _turn_pieces(image[g] - start, real)
-        if local[0] is None:  # the group stays whole
-            idx = np.arange(g.start, g.stop)
-            pieces.append((idx, idx, np.ones(len(idx)), np.zeros(len(idx))))
-        else:
-            pieces += [(lo + start, hi + start, a, b) for lo, hi, a, b in local]
-        start = g.stop
-    return pieces
+        steps.append(_turn_pairs(image[a:z] - a, real))
+    return _joined(steps, starts)
 
 
 def _gram_norm(c, mats):

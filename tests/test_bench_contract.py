@@ -116,19 +116,34 @@ def test_query_worker_smoke(monkeypatch):
 
 
 def test_verify_heisenberg_plans_take_the_quarter_turn():
-    # the verify-heisenberg workload's plans (interior 7 x 7 x 23) split by
-    # the quarter turn, with no timing: a change that loses the split fails
-    # here rather than only in the benchmark's eigensolve time
+    # the plans of verify-heisenberg and plan-queries-heisenberg (interior
+    # 7 x 7 x 23; the latter with its dissipation term) split by the quarter
+    # turn and are stored at their solve sizes, with no timing: a change
+    # that loses the split, or stores the blocks dense again, fails here
+    # rather than only in the benchmark's times
     import json
 
+    from gradecalc.algebra import bch_group_law, builtin_group
+    from gradecalc.calculus import sublaplacian
+    from gradecalc.geometry import Grid
+    from gradecalc.heatflow import spectral_plan
     from gradecalc.suite import RunConfig
 
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.json")) as fh:
-        args = json.load(fh)["workloads"]["verify-heisenberg"]["config"]["args"]
+        workloads = json.load(fh)["workloads"]
+    args = workloads["verify-heisenberg"]["config"]["args"]
     opts = dict(zip(args[::2], args[1::2]))
     cfg = RunConfig(group=opts["--group"], scale=float(opts["--scale"]), points=opts["--points"])
-    for role in ("heat", "potential"):
-        plan = cfg.plan(role)
-        assert plan.block_sizes == (284, 276, 276, 291)
-        assert plan.solves == (146, 138, 276, 153, 138)
+    plans = [cfg.plan(role) for role in ("heat", "potential")]
+    config = workloads["plan-queries-heisenberg"]["config"]  # built as perfbench/worker.py builds it
+    alg = builtin_group(config["group"])
+    grid = Grid.from_scale(alg.weights, config["scale"], config["points"])
+    plans.append(
+        spectral_plan(
+            sublaplacian(alg), bch_group_law(alg), grid, margin=config["margin"], reg_strength=config["reg_strength"]
+        )
+    )
+    for plan in plans:
+        assert plan.solves == plan.block_sizes == (146, 138, 276, 153, 138)
+        assert plan.eigenvectors.nbytes == 8 * sum(b * b for b in plan.solves)
         assert 0 < plan.turn_defect <= 1e-12

@@ -168,7 +168,7 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
     assert plans["heat"]["kind"] == "CentralFourierPlan"
     pot = plans["potential"]
     assert pot["kind"] == "SpectralPlan" and pot["n"] == 11 * 11 * 45
-    assert len(pot["blocks"]) == 4 and sum(pot["blocks"]) == pot["n"]
+    assert pot["blocks"] == pot["solves"]
     assert pot["reflection_defect"] < 1e-12 and pot["sym_defect"] < 1e-12
     assert pot["negative"] == 0 and 0 < pot["lam_min"] < pot["lam_max"]
     assert pot["grid"] == {"half_widths": [2.7, 2.7, 0.95], "counts": [19, 19, 53], "periodic": []}
@@ -181,9 +181,11 @@ def test_verify_heisenberg_defaults_all_pass(runner, tmp_path):
     # the quarter turn (x, y, u) -> (-y, x, u) commutes with both plans: it
     # halves the two reflection blocks it maps onto themselves and solves
     # one of the two it swaps, and it splits each frequency (up to conjugate
-    # pairs) into its four characters
-    assert pot["blocks"] == [1367, 1350, 1350, 1378] and pot["solves"] == [692, 675, 1350, 703, 675]
-    assert plans["heat"]["blocks"] == [625] * 31 and plans["heat"]["solves"] == [156, 156, 157, 156] * 16
+    # pairs) into its four characters; each plan stores what it solves
+    assert pot["blocks"] == pot["solves"] == [692, 675, 1350, 703, 675]
+    assert plans["heat"]["blocks"] == plans["heat"]["solves"] == [156, 156, 157, 156] * 16
+    # the heat plan's transform: 64 real pieces, not 31 dense complex blocks of 625^2 (193.75 MB)
+    assert plans["heat"]["stored_bytes"] <= 13e6 and pot["stored_bytes"] <= 30e6
     assert pot["turn_defect"] < 1e-12 and 0 < plans["heat"]["turn_defect"] < 1e-12
     # heat.selfsim rescales the heat plan: no eigensolve of its own
     assert [p["derived_from"] for p in report["plans"]] == [None, "heat", None]

@@ -31,6 +31,7 @@ from gradecalc.heatflow import (
     dilated_plan,
     heat_apply,
     heat_kernel,
+    heat_multiplier,
     quarter_turn,
     sign_flip_group,
     spectral_plan,
@@ -249,21 +250,26 @@ def test_one_transform_for_every_plan():
 
 
 def test_plan_eigenbasis_orthonormal(ab1_heat_plan, h1_pot_plan, h1_heat_plan):
-    # every basis a plan holds, axis bases and dense blocks, is orthonormal
-    # (unitary on the complex central-Fourier plan), on all three plan kinds:
-    # a Kronecker plan's factor bases are its axis bases and it has no
-    # blocks; a reflection plan has parity bases and one block per
-    # character; a central-Fourier plan the DFT on u and one block per frequency
+    # every basis a plan holds, axis bases and stored matrices, is orthonormal
+    # (unitary on the complex central-Fourier axes), on all three plan kinds:
+    # a Kronecker plan's factor bases are its axis bases and it stores no
+    # matrix; a reflection plan has parity bases and stores the quarter
+    # turn's pieces (one matrix for the two blocks it swaps); a
+    # central-Fourier plan has the DFT on u, the parity bases on x and y
+    # (i times the odd ones on y) and stores four pieces per frequency up to
+    # the conjugate pairs
     cases = (
         (ab1_heat_plan, KroneckerPlan, 1, 0),
-        (h1_pot_plan, SpectralPlan, 3, 4),
-        (h1_heat_plan, CentralFourierPlan, 1, 31),
+        (h1_pot_plan, SpectralPlan, 3, 5),
+        (h1_heat_plan, CentralFourierPlan, 3, 4 * 16),
     )
     for plan, kind, n_axis, n_blocks in cases:
         assert type(plan) is kind
         axis_bases = [Q for Q in plan.axis_bases if Q is not None]
-        blocks = [V for _, V in plan._blocks()]
+        blocks = plan._blocks()
         assert len(axis_bases) == n_axis and len(blocks) == n_blocks
+        if blocks:
+            assert plan.block_sizes == plan.solves == tuple(len(V) for V in blocks)
         for B in axis_bases + blocks:
             assert np.abs(B.conj().T @ B - np.eye(len(B))).max() < 1e-10
     assert ab1_heat_plan.sym_defect < 1e-10
@@ -404,21 +410,94 @@ def _small_periodic_grid():
     return Grid((2.0, 2.0, 0.5 * 8 / 9), (17, 17, 9), periodic=(2,))
 
 
+def _run_slices(plan):
+    """The coefficient slice of each run of the plan, in order."""
+    ends = np.cumsum([plan.block_sizes[k] for k in plan.segments], dtype=int)
+    return [slice(e - plan.block_sizes[k], e) for k, e in zip(plan.segments, ends)]
+
+
+def _dense_eigenvectors(plan):
+    """The plan's eigenvectors as one dense matrix, interior nodes (C order)
+    by coefficients, assembled from its stored fields alone: the Kronecker
+    product of its axis bases with its columns in the plan's order, the
+    butterfly as a dense orthogonal matrix, and each run's stored matrix on
+    the diagonal."""
+    B = functools.reduce(np.kron, [np.eye(m) if Q is None else Q for Q, m in zip(plan.axis_bases, plan.inner_shape)])
+    if plan.order is not None:
+        B = B[:, plan.order]
+    if plan.butterfly is not None:
+        scale, pairs = plan.butterfly
+        K = np.eye(scale.shape[1])
+        for lo, hi, n in pairs:
+            lo, hi = np.arange(lo, lo + n), np.arange(hi, hi + n)
+            K[lo, hi] = K[hi, lo] = 1.0
+            K[hi, hi] = -1.0
+        B = B @ (np.kron(np.eye(len(scale)), K) * scale.ravel()).T  # H = K diag(scale), row by row
+    packed, ends = plan.eigenvectors.ravel(), np.cumsum([b * b for b in plan.block_sizes])
+    stored = [packed[e - b * b : e].reshape(b, b) for b, e in zip(plan.block_sizes, ends)]
+    W = np.zeros(B.shape, dtype=plan.eigenvectors.dtype)
+    start = 0
+    for k in plan.segments:
+        b = plan.block_sizes[k]
+        W[start : start + b, start : start + b] = stored[k]
+        start += b
+    return B @ W
+
+
+@pytest.mark.parametrize(
+    "grid, reg_strength",
+    [
+        (Grid((1.6, 1.6, 2.56), (15, 15, 31)), 0.0),
+        (Grid((1.6, 1.6, 2.56), (15, 15, 31)), 1.0),
+        (Grid((2.0, 2.0, 0.5 * 8 / 9), (17, 17, 9), periodic=(2,)), 0.0),
+    ],
+    ids=["box", "box-dissipation", "periodic"],
+)
+def test_stored_pieces_match_dense_reconstruction(grid, reg_strength, h1_law):
+    # the benchmark box (verify-heisenberg, and plan-queries-heisenberg with
+    # its dissipation term) and a small periodic grid: each stored piece is
+    # orthonormal, and analyze, synthesize and a heat multiplier through the
+    # pieces, the butterfly and the shared matrices agree with the dense
+    # eigenvectors that the stored fields describe
+    plan = spectral_plan(sublaplacian(h1_law.algebra), h1_law, grid, margin=4, reg_strength=reg_strength)
+    assert plan.block_sizes == plan.solves and len(plan.segments) > len(plan.solves)
+    for V in plan._blocks():
+        assert np.max(np.abs(V.conj().T @ V - np.eye(len(V)))) <= 1e-12
+    V = _dense_eigenvectors(plan)
+    assert np.max(np.abs(V.conj().T @ V - np.eye(len(V)))) <= 1e-12
+    rng = np.random.default_rng(SEED)
+    values = rng.standard_normal((3, grid.size))
+    coef = plan.restrict(values) @ V.conj()  # V^H x, row by row
+    assert np.max(np.abs(plan.analyze(values) - coef)) <= 1e-12 * np.max(np.abs(coef))
+    c = rng.standard_normal((3, len(V))) + 1j * rng.standard_normal((3, len(V)))
+    back = plan.embed(c @ V.T)
+    assert np.max(np.abs(plan.synthesize(c) - back)) <= 1e-12 * np.max(np.abs(back))
+    g = heat_multiplier(plan, 0.1)
+    heat = plan.embed((coef * g) @ V.T).real
+    assert np.max(np.abs(plan.apply_multiplier(g, values) - heat)) <= 1e-12 * np.max(np.abs(heat))
+
+
 def test_central_fourier_plan_mechanics(h1_law):
     spec = sublaplacian(h1_law.algebra)
     plan = spectral_plan(spec, h1_law, _small_periodic_grid())
     assert isinstance(plan, CentralFourierPlan)
-    assert plan.eigenvectors.shape == (9, 81, 81)
+    # the quarter turn's four real pieces of each frequency's 9 x 9 block,
+    # stored for the 5 frequencies xi >= 0 only
+    assert plan.block_sizes == plan.solves == (20, 20, 21, 20) * 5
+    assert plan.eigenvectors.dtype == float and plan.eigenvectors.shape == (5 * (3 * 20**2 + 21**2),)
     assert plan.eigenvalues.shape == (9 * 81,) and plan.mask.sum() == 9 * 81
     assert plan.sym_defect < 1e-12
     # analyze and synthesize are inverse on the interior: the basis is orthonormal
     v = np.random.default_rng(SEED).standard_normal(plan.grid.size) * plan.mask
     assert np.allclose(plan.synthesize(plan.analyze(v)), v, atol=1e-10)
     # the delta's coefficients in closed form: the DFT of its periodic line
-    # is 1/sqrt(M) at every frequency, so block k holds the conjugated centre
-    # row of V_k over sqrt(M) dV
-    V, M = plan.eigenvectors, plan.grid.counts[2]
-    closed = V[:, V.shape[1] // 2, :].conj() / (np.sqrt(M) * plan.grid.cell_volume)
+    # is 1/sqrt(M) at every frequency, so frequency k's run holds the
+    # conjugated centre row of V_k over sqrt(M) dV, V_k the frequency's
+    # eigenvectors on the x, y nodes (the dense eigenvectors' columns of
+    # frequency k at u = 0, times sqrt(M))
+    M, b = plan.grid.counts[2], 81
+    V = _dense_eigenvectors(plan).reshape(b, M, M, b)[:, M // 2] * np.sqrt(M)
+    closed = V[b // 2].conj() / (np.sqrt(M) * plan.grid.cell_volume)
     assert np.allclose(plan.delta_coefficients, closed.ravel(), atol=1e-10)
     # exact rescaling still holds on the dilated periodic grid
     rho = 1.3
@@ -433,16 +512,18 @@ def test_central_fourier_plan_mechanics(h1_law):
 
 
 def test_central_fourier_analyze_is_fft_then_blocks(h1_law):
-    # the plan's one transform, on the DFT axis basis, the frequency-major
-    # order and the per-frequency blocks, against the FFT of the lines along
-    # u (u = 0 moved to index 0) followed by V_k^H at each frequency k
+    # the plan's one transform against the FFT of the lines along u (u = 0
+    # moved to index 0) followed by V_k^H at each frequency k, V_k the
+    # frequency's eigenvectors on the x, y nodes, read off the dense
+    # reconstruction (its columns of frequency k at u = 0, times sqrt(M))
     plan = spectral_plan(sublaplacian(h1_law.algebra), h1_law, _small_periodic_grid())
     values = np.random.default_rng(SEED).standard_normal((3, plan.grid.size))
     M = plan.grid.counts[2]
     lines = plan.restrict(values).reshape(3, -1, M)  # u is the last axis, whole in the interior
+    b = lines.shape[1]
     F = np.fft.fft(np.fft.ifftshift(lines, axes=-1), axis=-1, norm="ortho")
-    V = plan.eigenvectors
-    expected = np.concatenate([F[..., k] @ V[k].conj() for k in range(M)], axis=-1)
+    V = _dense_eigenvectors(plan).reshape(b, M, M, b)[:, M // 2] * np.sqrt(M)
+    expected = np.concatenate([F[..., k] @ V[:, k].conj() for k in range(M)], axis=-1)
     assert np.max(np.abs(plan.analyze(values) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -490,7 +571,9 @@ def test_central_fourier_blocks_are_real(h1_law, monkeypatch):
     monkeypatch.setattr(heatflow, "sign_flip_group", lambda alg, expr: np.ones((1, alg.n), int))
     ref = spectral_plan(spec, h1_law, grid)
     assert type(real) is type(ref) is CentralFourierPlan
-    assert kinds == ["f"] * 5 + ["c"] * 5 and real.solves == ref.solves == (11 * 15,) * 5
+    # real blocks are stored for xi >= 0 only; complex ones for every frequency
+    assert kinds == ["f"] * 5 + ["c"] * 9 and real.solves == (11 * 15,) * 5 and ref.solves == (11 * 15,) * 9
+    assert real.block_sizes == real.solves and ref.block_sizes == ref.solves
     assert real.reflection_defect <= 1e-12 and ref.reflection_defect == 0.0
     b, lam_max = real.block_sizes[0], ref.eigenvalues.max()
     for k in range(grid.counts[2]):
@@ -541,7 +624,6 @@ def test_central_fourier_flip_must_commute(h1_law, monkeypatch):
 
 def test_heat_multiplier_has_no_subnormal_values(ab1_heat_plan):
     from gradecalc.geometry import EXP_FLOOR
-    from gradecalc.heatflow import heat_multiplier
 
     # exponents reach -2000: below EXP_FLOOR the multiplier is 0, where
     # numpy's exp would return subnormals; elsewhere it is exp bit for bit
@@ -819,27 +901,30 @@ def test_reflection_plan_matches_dense(op, h1_law, monkeypatch):
     dense = spectral_plan(spec, law, grid, reg_strength=0.3)
     n = int(plan.mask.sum())
     assert type(plan) is type(dense) is SpectralPlan
-    assert len(plan.block_sizes) == 4 and sum(plan.block_sizes) == n
-    assert dense.block_sizes == (n,)
+    # the quarter turn's pieces of the four blocks, one matrix for the two it
+    # swaps: five stored matrices, read by six runs
+    assert plan.block_sizes == plan.solves and len(plan.block_sizes) == 5 and len(plan.segments) == 6
+    assert sum(plan.block_sizes[k] for k in plan.segments) == n
+    assert dense.block_sizes == dense.solves == (n,)
     assert dense.axis_bases == (None, None, None) and dense.order is None
     assert plan.reflection_defect < 1e-12 and dense.reflection_defect == 0.0
-    # the blocks' basis, the per-axis parity bases' tensor product with its
-    # nodes grouped by block, is orthonormal; each column is a product of
+    # the runs' basis, the per-axis parity bases' tensor product with its
+    # nodes grouped by run, is orthonormal; each column is a product of
     # mirror pairs (at most 8 nonzeros), and every flip scales all columns
-    # of a block by one sign, the block's character
+    # of a run by one sign, the character of its block
     B = functools.reduce(np.kron, plan.axis_bases)[:, plan.order]
     assert abs(B.T @ B - np.eye(n)).max() < 1e-14
     assert np.count_nonzero(B, axis=0).max() <= 8
     for s in sign_flip_group(law.algebra, spec.expr):
         flipped = np.flip(B.reshape(plan.inner_shape + (n,)), axis=tuple(np.flatnonzero(s < 0)))
         signs = np.sum(flipped.reshape(n, n) * B, axis=0)
-        for block, _ in plan._blocks():
-            assert np.abs(signs[block] - np.sign(signs[block][0])).max() < 1e-14
-    # one packed ndarray; eigenvalues ascending within each block, one per interior node
+        for run in _run_slices(plan):
+            assert np.abs(signs[run] - np.sign(signs[run][0])).max() < 1e-14
+    # one packed real ndarray at the solve sizes; eigenvalues ascending within each run, one per interior node
     assert type(plan.eigenvectors) is np.ndarray
-    assert plan.eigenvectors.size == sum(b * b for b in plan.block_sizes)
+    assert plan.eigenvectors.nbytes == 8 * sum(b * b for b in plan.solves)
     assert plan.eigenvalues.shape == (n,)
-    for s, _ in plan._blocks():
+    for s in _run_slices(plan):
         assert np.all(np.diff(plan.eigenvalues[s]) >= 0)
     lam_max = dense.eigenvalues.max()
     assert np.max(np.abs(np.sort(plan.eigenvalues) - dense.eigenvalues)) < 1e-12 * lam_max
@@ -882,7 +967,8 @@ def test_reflection_plan_matches_scipy_evd(monkeypatch):
     # numpy's eigh runs LAPACK dsyevd, the routine of scipy's driver="evd":
     # the verify-heisenberg plan's solves, each against scipy on the same
     # matrix.  The quarter turn halves the first and the last block and
-    # solves the second, whose image under the turn is the third.
+    # solves the second, whose image under the turn is the third: the third
+    # block's run reads the second's stored matrix.
     reference = []
     eigh = heatflow._eigh
 
@@ -893,11 +979,10 @@ def test_reflection_plan_matches_scipy_evd(monkeypatch):
     monkeypatch.setattr(heatflow, "_eigh", recorded)
     plan = RunConfig(group="heisenberg", scale=1.6, points="15,15,31").plan("heat")
     assert type(plan) is SpectralPlan
-    assert plan.solves == tuple(len(w) for w in reference) == (146, 138, 276, 153, 138)
-    assert plan.block_sizes == (284, 276, 276, 291)
-    r = reference
-    expected = [np.sort(np.concatenate(r[:2])), r[2], r[2], np.sort(np.concatenate(r[3:]))]
-    for (s, _), w in zip(plan._blocks(), expected):
+    assert plan.solves == plan.block_sizes == tuple(len(w) for w in reference) == (146, 138, 276, 153, 138)
+    assert plan.segments == (0, 1, 2, 2, 3, 4)
+    for s, k in zip(_run_slices(plan), plan.segments):
+        w = reference[k]
         assert np.max(np.abs(plan.eigenvalues[s] - w) / np.abs(w)) <= 1e-12
 
 
@@ -972,16 +1057,16 @@ def test_turn_split_plan_matches_unsplit(grid, solves, h1_law, monkeypatch):
     plan = spectral_plan(spec, h1_law, grid)
     whole = _unsplit(monkeypatch, lambda: spectral_plan(spec, h1_law, grid))
     assert type(plan) is type(whole)
-    assert plan.solves == solves and plan.block_sizes == whole.block_sizes
+    assert plan.solves == plan.block_sizes == solves
     assert len(whole.solves) < len(solves) and whole.turn_defect == 0.0
     assert 0 < plan.turn_defect <= 1e-12 and plan.health()["turn_defect"] == plan.turn_defect
     lam_max = whole.eigenvalues.max()
-    for (s, V), (_, V_whole) in zip(plan._blocks(), whole._blocks()):
-        # each stored block: ascending, orthonormal, the unsplit block's spectrum
-        assert np.all(np.diff(plan.eigenvalues[s]) >= 0)
+    for V in plan._blocks():  # each stored piece: orthonormal
         assert np.max(np.abs(V.conj().T @ V - np.eye(len(V)))) <= 1e-12
-        assert np.max(np.abs(plan.eigenvalues[s] - whole.eigenvalues[s])) <= 1e-12 * lam_max
-        assert V.shape == V_whole.shape
+    for s in _run_slices(plan):  # each run: ascending
+        assert np.all(np.diff(plan.eigenvalues[s]) >= 0)
+    for s in _run_slices(whole):  # each unsplit block's coefficients: its spectrum, in the split plan's runs
+        assert np.max(np.abs(np.sort(plan.eigenvalues[s]) - whole.eigenvalues[s])) <= 1e-12 * lam_max
     h, h_whole = heat_kernel(plan, 0.1).values, heat_kernel(whole, 0.1).values
     assert np.max(np.abs(h - h_whole)) <= 1e-12 * np.max(np.abs(h_whole))
     f = np.random.default_rng(SEED).standard_normal(grid.size) * plan.mask
